@@ -6,7 +6,7 @@
 // (`zone.geometry=route`) instead of the straight source→destination line.
 //
 // The same CSV path accepts converted real road networks:
-//   ./build/vanet_cli run --set map.source=file --set map.file=town.csv
+//   ./build/vanet_cli run --set map.source=file --set map.file=maps/town.csv
 //       --protocols car,greedy,zone --set zone.geometry=route
 //
 //   ./build/example_custom_map

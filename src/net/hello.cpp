@@ -44,8 +44,6 @@ HelloService::HelloService(Network& net, core::Rng& rng, HelloConfig cfg)
   VANET_ASSERT(cfg_.expiry >= cfg_.interval);
 }
 
-void HelloService::start() { start(net_.node_ids()); }
-
 void HelloService::start(const std::vector<NodeId>& ids) {
   VANET_ASSERT_MSG(!started_, "HelloService::start called twice");
   started_ = true;

@@ -107,12 +107,10 @@ class HelloService {
 
   HelloService(Network& net, core::Rng& rng, HelloConfig cfg = {});
 
-  /// Start beaconing for all nodes currently in the network.
-  void start();
-
-  /// Start beaconing for `ids` only (sharded runs: each shard beacons for
-  /// the nodes it owns, from its own RNG stream). Tables for other nodes
-  /// still build up lazily as their frames arrive via on_frame.
+  /// Start beaconing for `ids` (a scenario's node stack passes the nodes it
+  /// owns: every node on serial runs, the shard's own on sharded ones).
+  /// Tables for other nodes still build up lazily as their frames arrive
+  /// via on_frame.
   void start(const std::vector<NodeId>& ids);
 
   const NeighborTable& table(NodeId id) const;

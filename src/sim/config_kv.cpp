@@ -194,7 +194,6 @@ std::vector<Field> build_fields() {
     };
     fields.push_back(std::move(f));
   }
-  num("scenario.shard_window_ms", REF(shard_window_ms));
   {
     // `map.source` precedes `mobility` so the parse order lets an explicit
     // mobility line re-settle the alias (see the header comment).
@@ -279,23 +278,6 @@ std::vector<Field> build_fields() {
     fields.push_back(std::move(f));
   }
   num("comm_range_m", REF(comm_range_m));
-  {
-    // Legacy alias predating `phy.model`: reads as "is the PHY the shadowing
-    // model", writes the unitdisk/shadowing subset. Registered before
-    // `phy.model` so a later explicit phy.model line re-settles it on parse.
-    Field f;
-    f.key = "shadowing";
-    f.get = [](const ScenarioConfig& cfg) {
-      return fmt_value(cfg.phy == PhyModel::kShadowing);
-    };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      const auto parsed = parse_bool_checked(v);
-      if (!parsed) bad_value(k, v, "true|false");
-      cfg.phy = *parsed ? PhyModel::kShadowing : PhyModel::kUnitDisk;
-    };
-    fields.push_back(std::move(f));
-  }
   {
     Field f;
     f.key = "phy.model";

@@ -66,15 +66,16 @@ TimedRun run_timed(const ScenarioConfig& cfg) {
   out.sched_slab_allocs = sched.slab_allocations;
   out.sched_oversize_callbacks = sched.oversize_callbacks;
   out.sched_peak_pending = sched.peak_pending;
-  if (const analysis::LifetimeMemo* memo = scenario.lifetime_memo()) {
-    out.lifetime_memo_hits = memo->stats().hits;
-    out.lifetime_memo_misses = memo->stats().misses;
-  }
-  if (const map::SegmentSnapshot* snap = scenario.segment_snapshot()) {
-    out.seg_snapshot_queries = snap->stats().queries;
-    out.seg_snapshot_hits = snap->stats().hits;
-    out.seg_snapshot_proven = snap->stats().proven;
-    out.seg_snapshot_index_queries = snap->stats().index_queries;
+  for (const NodeStack& stack : scenario.stacks()) {
+    if (const analysis::LifetimeMemo* memo = stack.lifetime_memo.get()) {
+      out.lifetime_memo_hits += memo->stats().hits;
+      out.lifetime_memo_misses += memo->stats().misses;
+    }
+    const map::SegmentSnapshot::Stats& snap = stack.seg_snapshot->stats();
+    out.seg_snapshot_queries += snap.queries;
+    out.seg_snapshot_hits += snap.hits;
+    out.seg_snapshot_proven += snap.proven;
+    out.seg_snapshot_index_queries += snap.index_queries;
   }
   out.report = scenario.report();
   return out;

@@ -8,8 +8,7 @@
 
 #include "core/assert.h"
 #include "map/builders.h"
-#include "net/fading.h"
-#include "sim/sharded/sharded_scenario.h"
+#include "sim/sharded/shard_runtime.h"
 
 namespace vanet::sim {
 
@@ -29,6 +28,124 @@ void append_field(std::string& out, const char* name, std::uint64_t v) {
   out += '=';
   out += std::to_string(v);
   out += '\n';
+}
+
+void validate_trace_against_map(const ScenarioConfig& cfg,
+                                const map::RoadGraph& graph,
+                                const map::SegmentIndex& index) {
+  const double tol = cfg.map.trace_tolerance_m;
+  if (tol <= 0.0) return;
+  for (const auto& [id, samples] : cfg.trace.samples()) {
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      const mobility::TraceSample& s = samples[i];
+      const core::Vec2 pos{s.x, s.y};
+      const int seg = index.nearest_segment(pos);
+      const auto [a, b] = graph.segment_ends(seg);
+      const double d = core::distance_to_segment(pos, graph.intersection_pos(a),
+                                                 graph.intersection_pos(b));
+      if (d <= tol) continue;
+      // Same line-numbered style as the CSV importers, so a replayed real
+      // trace and an imported map cannot silently disagree.
+      char buf[256];
+      std::snprintf(buf, sizeof buf,
+                    "trace<->map: vehicle %u sample %zu%s%s (t=%gs) at "
+                    "(%.1f, %.1f) is %.1f m from the nearest road segment "
+                    "(map.trace_tolerance_m=%g; nearest segment %d)",
+                    static_cast<unsigned>(id), i,
+                    s.line > 0 ? ", trace csv line " : "",
+                    s.line > 0 ? std::to_string(s.line).c_str() : "", s.t,
+                    s.x, s.y, d, tol, seg);
+      throw std::invalid_argument(buf);
+    }
+  }
+}
+
+/// The protocol-independent report core from one stack's collectors, or
+/// from every shard's merged ones. report() adds the fault block on top.
+ScenarioReport assemble_report(const ScenarioConfig& cfg,
+                               const Metrics& metrics,
+                               const net::NetCounters& c,
+                               const routing::ProtocolEvents& events,
+                               std::uint64_t reachable_samples,
+                               std::uint64_t total_samples) {
+  ScenarioReport r;
+  r.protocol = cfg.protocol;
+  r.pdr = metrics.pdr();
+  r.delay_ms_mean = metrics.delay_ms().mean();
+  r.delay_ms_p95_hint =
+      metrics.delay_ms().mean() + 2.0 * metrics.delay_ms().stddev();
+  r.hops_mean = metrics.hops().mean();
+  r.originated = metrics.originated();
+  r.delivered = metrics.delivered();
+  r.control_frames = c.control_frames_sent;
+  r.hello_frames = c.hello_frames_sent;
+  r.data_frames = c.data_frames_sent;
+  r.backbone_frames = c.backbone_frames;
+  r.receptions_ok = c.receptions_ok;
+  r.control_per_delivered =
+      r.delivered > 0 ? static_cast<double>(r.control_frames + r.hello_frames) /
+                            static_cast<double>(r.delivered)
+                      : static_cast<double>(r.control_frames + r.hello_frames);
+  const std::uint64_t attempted =
+      c.receptions_ok + c.receptions_collided + c.receptions_faded;
+  r.collision_fraction =
+      attempted > 0
+          ? static_cast<double>(c.receptions_collided) /
+                static_cast<double>(attempted)
+          : 0.0;
+  r.reachable_fraction =
+      total_samples > 0 ? static_cast<double>(reachable_samples) /
+                              static_cast<double>(total_samples)
+                        : 0.0;
+  r.route_breaks = events.route_breaks;
+  r.discoveries = events.discoveries_started;
+  r.preemptive_rebuilds = events.preemptive_rebuilds;
+  r.predicted_lifetime_mean_s = events.predicted_route_lifetime.mean();
+  r.observed_lifetime_mean_s = events.observed_route_lifetime.mean();
+  if (cfg.protocol == "etx" ||
+      cfg.flood_suppression != routing::FloodSuppression::kNone) {
+    r.linkquality_enabled = true;
+    r.etx_link_error_mean = events.etx_link_abs_error.mean();
+    r.etx_link_samples = events.etx_link_abs_error.count();
+    r.suppressed_rebroadcasts = events.suppressed_rebroadcasts;
+  }
+  return r;
+}
+
+void merge_events(routing::ProtocolEvents& into,
+                  const routing::ProtocolEvents& from) {
+  into.discoveries_started += from.discoveries_started;
+  into.routes_established += from.routes_established;
+  into.route_breaks += from.route_breaks;
+  into.preemptive_rebuilds += from.preemptive_rebuilds;
+  into.data_forwarded += from.data_forwarded;
+  into.data_dropped_no_route += from.data_dropped_no_route;
+  into.data_dropped_ttl += from.data_dropped_ttl;
+  into.rreq_at_target += from.rreq_at_target;
+  into.rrep_sent += from.rrep_sent;
+  into.rrep_relayed += from.rrep_relayed;
+  into.rrep_stranded += from.rrep_stranded;
+  into.predicted_route_lifetime.merge(from.predicted_route_lifetime);
+  into.observed_route_lifetime.merge(from.observed_route_lifetime);
+  into.suppressed_rebroadcasts += from.suppressed_rebroadcasts;
+  into.etx_link_abs_error.merge(from.etx_link_abs_error);
+}
+
+void add_counters(net::NetCounters& into, const net::NetCounters& from) {
+  into.frames_enqueued += from.frames_enqueued;
+  into.frames_sent += from.frames_sent;
+  into.frames_dropped_queue += from.frames_dropped_queue;
+  into.frames_dropped_down += from.frames_dropped_down;
+  into.receptions_ok += from.receptions_ok;
+  into.receptions_collided += from.receptions_collided;
+  into.receptions_faded += from.receptions_faded;
+  into.unicast_retries += from.unicast_retries;
+  into.unicast_failures += from.unicast_failures;
+  into.backbone_frames += from.backbone_frames;
+  into.bytes_sent += from.bytes_sent;
+  into.data_frames_sent += from.data_frames_sent;
+  into.control_frames_sent += from.control_frames_sent;
+  into.hello_frames_sent += from.hello_frames_sent;
 }
 
 }  // namespace
@@ -131,36 +248,6 @@ std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg) {
                                           cfg.highway.length / (nx - 1));
 }
 
-void validate_trace_against_map(const ScenarioConfig& cfg,
-                                const map::RoadGraph& graph,
-                                const map::SegmentIndex& index) {
-  const double tol = cfg.map.trace_tolerance_m;
-  if (tol <= 0.0) return;
-  for (const auto& [id, samples] : cfg.trace.samples()) {
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const mobility::TraceSample& s = samples[i];
-      const core::Vec2 pos{s.x, s.y};
-      const int seg = index.nearest_segment(pos);
-      const auto [a, b] = graph.segment_ends(seg);
-      const double d = core::distance_to_segment(pos, graph.intersection_pos(a),
-                                                 graph.intersection_pos(b));
-      if (d <= tol) continue;
-      // Same line-numbered style as the CSV importers, so a replayed real
-      // trace and an imported map cannot silently disagree.
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    "trace<->map: vehicle %u sample %zu%s%s (t=%gs) at "
-                    "(%.1f, %.1f) is %.1f m from the nearest road segment "
-                    "(map.trace_tolerance_m=%g; nearest segment %d)",
-                    static_cast<unsigned>(id), i,
-                    s.line > 0 ? ", trace csv line " : "",
-                    s.line > 0 ? std::to_string(s.line).c_str() : "", s.t,
-                    s.x, s.y, d, tol, seg);
-      throw std::invalid_argument(buf);
-    }
-  }
-}
-
 std::unique_ptr<mobility::MobilityModel> make_mobility_model(
     const ScenarioConfig& cfg, const std::shared_ptr<map::RoadGraph>& graph,
     core::RngManager& rngs, mobility::GraphMobilityModel** graph_model_out) {
@@ -193,47 +280,10 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
   return model;
 }
 
-std::unique_ptr<net::PropagationModel> make_propagation(
-    const ScenarioConfig& cfg) {
-  switch (cfg.phy) {
-    case PhyModel::kShadowing:
-      return std::make_unique<net::LogNormalShadowingModel>(cfg.signal);
-    case PhyModel::kNakagami:
-      // Thrown (not asserted): a bad sweep axis must become a structured
-      // failure row in the experiment engine, not a process abort.
-      if (cfg.nakagami_m < 1) {
-        throw std::invalid_argument("phy.nakagami_m must be >= 1");
-      }
-      return std::make_unique<net::NakagamiFadingModel>(cfg.signal,
-                                                        cfg.nakagami_m);
-    case PhyModel::kUnitDisk:
-      break;
-  }
-  return std::make_unique<net::UnitDiskModel>(cfg.comm_range_m);
-}
-
 Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} {
-  if (resolve_shard_count(cfg_) > 1) {
-    sharded_engine_ = std::make_unique<sharded::ShardedScenario>(cfg_);
-    return;
-  }
-  build_map();
-  build_mobility();
-  build_network();
-  build_support();
-  build_protocols();
-  build_traffic();
-  build_faults();
-}
-
-Scenario::~Scenario() = default;
-
-void Scenario::build_map() {
+  const int requested_shards = resolve_shard_count(cfg_);
   road_graph_ = build_road_graph(cfg_);
   segment_index_ = std::make_unique<map::SegmentIndex>(*road_graph_);
-}
-
-void Scenario::build_mobility() {
   if (cfg_.mobility == MobilityKind::kTrace &&
       cfg_.map.source == MapSource::kFile) {
     validate_trace_against_map(cfg_, *road_graph_, *segment_index_);
@@ -242,58 +292,14 @@ void Scenario::build_mobility() {
       make_mobility_model(cfg_, road_graph_, rngs_, &graph_model_);
   vehicle_count_ = model->vehicles().size();
   VANET_ASSERT_MSG(vehicle_count_ >= 2, "scenario needs at least two vehicles");
+  if (requested_shards > 1) {
+    shards_ = std::make_unique<sharded::ShardRuntime>(
+        cfg_, *road_graph_, *segment_index_, model->vehicles());
+  }
   mobility_ = std::make_unique<mobility::MobilityManager>(
       sim_, std::move(model), rngs_.stream("mobility"),
       core::SimTime::seconds(cfg_.mobility_tick_s));
-}
 
-void Scenario::build_network() {
-  net_ = std::make_unique<net::Network>(sim_, mobility_.get(),
-                                        make_propagation(cfg_),
-                                        rngs_.stream("net"), cfg_.net);
-  for (std::size_t v = 0; v < vehicle_count_; ++v) {
-    net_->add_vehicle_node(static_cast<mobility::VehicleId>(v));
-  }
-  // Place RSUs evenly along the deployment area.
-  if (cfg_.rsu_count > 0) {
-    if (cfg_.mobility == MobilityKind::kHighway) {
-      const double spacing = cfg_.highway.length / cfg_.rsu_count;
-      for (int k = 0; k < cfg_.rsu_count; ++k) {
-        // On the median between the carriageways.
-        net_->add_rsu({(k + 0.5) * spacing, -cfg_.highway.median_gap / 2.0});
-      }
-    } else {
-      // Scenarios with a real map (graph mobility, or any imported file map
-      // — including trace playback over one) cover the actual map extent,
-      // which need not start at the origin; the synthetic urban kinds keep
-      // the configured lattice dimensions.
-      double x0 = 0.0, y0 = 0.0;
-      double w = (cfg_.manhattan.streets_x - 1) * cfg_.manhattan.block;
-      double h = (cfg_.manhattan.streets_y - 1) * cfg_.manhattan.block;
-      if (cfg_.mobility == MobilityKind::kGraph ||
-          cfg_.map.source == MapSource::kFile) {
-        x0 = road_graph_->bbox_min().x;
-        y0 = road_graph_->bbox_min().y;
-        w = road_graph_->bbox_max().x - x0;
-        h = road_graph_->bbox_max().y - y0;
-      }
-      const int per_side = std::max(1, static_cast<int>(std::lround(
-                                           std::sqrt(cfg_.rsu_count))));
-      int placed = 0;
-      for (int i = 0; i < per_side && placed < cfg_.rsu_count; ++i) {
-        for (int j = 0; j < per_side && placed < cfg_.rsu_count; ++j) {
-          const double x = per_side == 1 ? w / 2.0 : i * w / (per_side - 1);
-          const double y = per_side == 1 ? h / 2.0 : j * h / (per_side - 1);
-          net_->add_rsu({x0 + x, y0 + y});
-          ++placed;
-        }
-      }
-    }
-    net_->connect_backbone();
-  }
-}
-
-void Scenario::build_support() {
   // Ferry designation: spread bus ids evenly over the vehicle id space.
   ferries_ = std::make_shared<routing::FerrySet>();
   if (cfg_.bus_count > 0) {
@@ -305,67 +311,84 @@ void Scenario::build_support() {
       ferries_->insert(static_cast<net::NodeId>(k * stride));
     }
   }
-  // Density oracle over the shared road graph (built in build_map).
   density_ =
       std::make_shared<map::SegmentDensityOracle>(road_graph_->segment_count());
-  // Incremental refresh: graph mobility proves per-vehicle segments at tick
-  // time, so the 1 Hz refresh only queries the SegmentIndex for vehicles the
-  // model cannot vouch for (near intersections, or on segments whose
-  // interiors are geometrically ambiguous — none on lattices).
+
+  routing::ProtocolDeps deps;
+  deps.signal = cfg_.signal;
+  deps.road_graph = road_graph_;
+  deps.density = density_;
+  deps.ferries = ferries_;
+  deps.yan_tickets = cfg_.yan_tickets;
+  deps.zone_geometry = cfg_.zone_geometry;
+  deps.grid_geometry = cfg_.grid_geometry;
+  deps.gvgrid_geometry = cfg_.gvgrid_geometry;
+  deps.etx = cfg_.etx;
+  deps.flood_suppression = cfg_.flood_suppression;
+  const SharedWorld world{cfg_, std::move(deps), *segment_index_, *mobility_,
+                          vehicle_count_};
+  if (shards_ == nullptr) {
+    stacks_.emplace_back(world, sim_, rngs_, "", nullptr);
+  } else {
+    for (int s = 0; s < shards_->shards(); ++s) {
+      stacks_.emplace_back(world, shards_->simulator(s), shards_->rngs(s),
+                           ".shard" + std::to_string(s), &shards_->bridge(s));
+    }
+  }
+
+  // Incremental density refresh: graph mobility proves per-vehicle segments
+  // at tick time, so the 1 Hz refresh only queries the SegmentIndex for
+  // vehicles the model cannot vouch for (near intersections, or on segments
+  // whose interiors are geometrically ambiguous — none on lattices).
   incremental_density_ =
       cfg_.density_incremental && cfg_.mobility == MobilityKind::kGraph;
   if (incremental_density_) {
     segment_ambiguous_ = map::ambiguous_interior_segments(*road_graph_);
-  }
-  // Scenario-owned caches: the lifetime memo (exact by default, interp by
-  // opt-in, absent when both keys are off) and the per-tick segment
-  // snapshot. Both are shared with the protocols in build_protocols.
-  if (cfg_.lifetime_interp) {
-    lifetime_memo_ =
-        std::make_unique<analysis::LifetimeMemo>(analysis::LifetimeMemo::Mode::kInterp);
-  } else if (cfg_.lifetime_memo) {
-    lifetime_memo_ = std::make_unique<analysis::LifetimeMemo>();
-  }
-  seg_snapshot_ = std::make_unique<map::SegmentSnapshot>(*segment_index_);
-  if (incremental_density_) {
     // Graph mobility proves driven segments (MobilityModel::reported_segment)
     // for positions it produced this tick; declining on any position mismatch
     // keeps the prover safe against non-current (stamped or extrapolated)
     // positions a protocol might feed the snapshot.
-    seg_snapshot_->set_prover([this](std::uint32_t id, core::Vec2 pos) -> int {
-      const std::size_t i = mobility_->model_index(id);
-      if (i == mobility::MobilityManager::npos) return -1;
-      if (mobility_->vehicles()[i].pos != pos) return -1;
-      int seg = mobility_->model().reported_segment(i);
-      if (seg >= 0 && segment_ambiguous_[static_cast<std::size_t>(seg)]) {
-        seg = -1;
-      }
-      return seg;
-    });
+    stacks_.front().seg_snapshot->set_prover(
+        [this](std::uint32_t id, core::Vec2 pos) -> int {
+          const std::size_t i = mobility_->model_index(id);
+          if (i == mobility::MobilityManager::npos) return -1;
+          if (mobility_->vehicles()[i].pos != pos) return -1;
+          int seg = mobility_->model().reported_segment(i);
+          if (seg >= 0 && segment_ambiguous_[static_cast<std::size_t>(seg)]) {
+            seg = -1;
+          }
+          return seg;
+        });
   }
   schedule_density_updates();
+
+  // Disabled means *nothing* happens: the "fault" stream is never derived,
+  // no event is scheduled and metrics keep their lean path — provably
+  // bit-identical to a build without the fault subsystem.
+  if (cfg_.fault.enabled) {
+    fault_plan_ = std::make_unique<FaultPlan>(
+        sim_, *stacks_.front().net, graph_model_, rngs_.stream("fault"),
+        cfg_.fault, cfg_.duration_s);
+    stacks_.front().metrics.set_fault_tracking(true);
+  }
 }
+
+Scenario::~Scenario() = default;
 
 void Scenario::update_density() {
   std::vector<double> counts(road_graph_->segment_count(), 0.0);
-  const auto& vehicles = mobility_->vehicles();
-  for (std::size_t i = 0; i < vehicles.size(); ++i) {
-    int seg;
-    if (incremental_density_) {
-      // Through the snapshot: its prover is exactly the proven
-      // reported_segment + ambiguity-mask logic this loop used to inline,
-      // its fallback the same index query — digest-identical — and routing
-      // the refresh through it warms the per-node entries the route-geometry
-      // protocols read.
-      seg = seg_snapshot_->segment_of(vehicles[i].id, vehicles[i].pos);
-    } else {
-      // Full rescan (`density.incremental=false`): direct index queries,
-      // deliberately bypassing every cache so the equivalence test compares
-      // against an independent path. The index returns exactly
-      // RoadGraph::segment_of_position(pos) — see map/segment_index.h —
-      // without the O(segments) scan per vehicle.
-      seg = segment_index_->nearest_segment(vehicles[i].pos);
-    }
+  map::SegmentSnapshot& snapshot = *stacks_.front().seg_snapshot;
+  for (const mobility::VehicleState& v : mobility_->vehicles()) {
+    // Incremental: through the first stack's snapshot, whose prover is the
+    // proven reported_segment + ambiguity mask and whose fallback is the same
+    // index query — digest-identical — and which warms the per-node entries
+    // the route-geometry protocols read. Otherwise (`density.incremental=
+    // false`, or no prover-capable mobility) direct index queries, which
+    // return exactly RoadGraph::segment_of_position(pos) — see
+    // map/segment_index.h — without the O(segments) scan per vehicle.
+    const int seg = incremental_density_
+                        ? snapshot.segment_of(v.id, v.pos)
+                        : segment_index_->nearest_segment(v.pos);
     counts[static_cast<std::size_t>(seg)] += 1.0;
   }
   for (std::size_t s = 0; s < counts.size(); ++s) {
@@ -381,91 +404,16 @@ void Scenario::schedule_density_updates() {
                 [this] { schedule_density_updates(); });
 }
 
-void Scenario::build_protocols() {
-  routing::ProtocolDeps deps;
-  deps.signal = cfg_.signal;
-  deps.road_graph = road_graph_;
-  deps.density = density_;
-  deps.ferries = ferries_;
-  deps.yan_tickets = cfg_.yan_tickets;
-  deps.zone_geometry = cfg_.zone_geometry;
-  deps.grid_geometry = cfg_.grid_geometry;
-  deps.gvgrid_geometry = cfg_.gvgrid_geometry;
-  deps.etx = cfg_.etx;
-  deps.flood_suppression = cfg_.flood_suppression;
-
-  const auto ids = net_->node_ids();
-  VANET_ASSERT_MSG(!ids.empty(), "scenario requires at least one node");
-  protocols_.reserve(ids.size());
-  for (net::NodeId id : ids) {
-    (void)id;
-    protocols_.push_back(routing::ProtocolRegistry::make(cfg_.protocol, deps));
-  }
-  const bool wants_hello = protocols_.front()->wants_hello();
-  if (wants_hello) {
-    hello_ = std::make_unique<net::HelloService>(*net_, rngs_.stream("hello"),
-                                                 cfg_.hello);
-  }
-  for (net::NodeId id : ids) {
-    routing::ProtocolContext ctx;
-    ctx.sim = &sim_;
-    ctx.net = net_.get();
-    ctx.hello = hello_.get();
-    ctx.rng = &rngs_.stream("proto");
-    ctx.events = &events_;
-    ctx.self = id;
-    // Every protocol sees the same shared road topology the vehicles drive
-    // on (non-owning; the scenario outlives the protocols), and the same
-    // scenario-owned caches.
-    ctx.map = road_graph_.get();
-    ctx.segments = segment_index_.get();
-    ctx.lifetime_memo = lifetime_memo_.get();
-    ctx.seg_snapshot = seg_snapshot_.get();
-    protocols_[id]->bind(ctx);
-
-    net_->set_receive_handler(id, [this, id](const net::Packet& p) {
-      if (p.kind == net::PacketKind::kHello) {
-        if (hello_) hello_->on_frame(id, p);
-        return;
-      }
-      protocols_[id]->handle_frame(p);
-    });
-    net_->set_unicast_fail_handler(id, [this, id](const net::Packet& p) {
-      protocols_[id]->handle_unicast_failure(p);
-    });
-    protocols_[id]->set_deliver_callback([this](const net::Packet& p) {
-      metrics_.record_delivery(p.flow, p.seq, p.created_at, sim_.now(), p.hops);
-    });
-  }
-}
-
-void Scenario::build_traffic() {
-  std::vector<routing::RoutingProtocol*> raw;
-  raw.reserve(protocols_.size());
-  for (auto& p : protocols_) raw.push_back(p.get());
-  traffic_ = std::make_unique<CbrTraffic>(sim_, *net_, std::move(raw),
-                                          vehicle_count_, metrics_,
-                                          rngs_.stream("traffic"), cfg_.traffic);
-}
-
-void Scenario::build_faults() {
-  // Disabled means *nothing* happens: the "fault" stream is never derived,
-  // no event is scheduled and metrics keep their lean path — provably
-  // bit-identical to a build without the fault subsystem.
-  if (!cfg_.fault.enabled) return;
-  fault_plan_ = std::make_unique<FaultPlan>(sim_, *net_, graph_model_,
-                                            rngs_.stream("fault"), cfg_.fault,
-                                            cfg_.duration_s);
-  metrics_.set_fault_tracking(true);
-}
-
 void Scenario::sample_reachability() {
-  const auto& flows = traffic_->flows();
+  // Every stack mirrors the same geometry and draws the same flow list (the
+  // unsuffixed "traffic" stream), so the first one answers for the run.
+  const NodeStack& stack = stacks_.front();
+  const auto& flows = stack.traffic->flows();
   if (!flows.empty()) {
     // One component labeling answers every flow at this instant; running a
     // BFS per flow re-derived the same adjacency per pair.
     const std::vector<std::uint32_t> labels =
-        net_->reachability_components(net_->nominal_range());
+        stack.net->reachability_components(stack.net->nominal_range());
     for (const auto& flow : flows) {
       ++total_samples_;
       if (labels[flow.src] == labels[flow.dst]) ++reachable_samples_;
@@ -477,86 +425,55 @@ void Scenario::sample_reachability() {
 void Scenario::run() {
   if (ran_) return;
   ran_ = true;
-  if (sharded_engine_) {
-    sharded_engine_->run();
-    return;
-  }
   mobility_->start();
-  if (hello_) hello_->start();
-  for (auto& p : protocols_) p->start();
-  traffic_->start();
+  for (NodeStack& stack : stacks_) stack.start();
   if (fault_plan_) fault_plan_->start();
   if (cfg_.sample_reachability) {
     // Sample over the traffic window only (flows exist after start()).
     sim_.schedule(core::SimTime::seconds(cfg_.traffic.start_s),
                   [this] { sample_reachability(); });
   }
-  sim_.run_until(core::SimTime::seconds(cfg_.duration_s));
-}
-
-ScenarioReport assemble_report(const ScenarioConfig& cfg,
-                               const Metrics& metrics,
-                               const net::NetCounters& c,
-                               const routing::ProtocolEvents& events,
-                               std::uint64_t reachable_samples,
-                               std::uint64_t total_samples) {
-  ScenarioReport r;
-  r.protocol = cfg.protocol;
-  r.pdr = metrics.pdr();
-  r.delay_ms_mean = metrics.delay_ms().mean();
-  r.delay_ms_p95_hint =
-      metrics.delay_ms().mean() + 2.0 * metrics.delay_ms().stddev();
-  r.hops_mean = metrics.hops().mean();
-  r.originated = metrics.originated();
-  r.delivered = metrics.delivered();
-  r.control_frames = c.control_frames_sent;
-  r.hello_frames = c.hello_frames_sent;
-  r.data_frames = c.data_frames_sent;
-  r.backbone_frames = c.backbone_frames;
-  r.receptions_ok = c.receptions_ok;
-  r.control_per_delivered =
-      r.delivered > 0 ? static_cast<double>(r.control_frames + r.hello_frames) /
-                            static_cast<double>(r.delivered)
-                      : static_cast<double>(r.control_frames + r.hello_frames);
-  const std::uint64_t attempted =
-      c.receptions_ok + c.receptions_collided + c.receptions_faded;
-  r.collision_fraction =
-      attempted > 0
-          ? static_cast<double>(c.receptions_collided) /
-                static_cast<double>(attempted)
-          : 0.0;
-  r.reachable_fraction =
-      total_samples > 0 ? static_cast<double>(reachable_samples) /
-                              static_cast<double>(total_samples)
-                        : 0.0;
-  r.route_breaks = events.route_breaks;
-  r.discoveries = events.discoveries_started;
-  r.preemptive_rebuilds = events.preemptive_rebuilds;
-  r.predicted_lifetime_mean_s = events.predicted_route_lifetime.mean();
-  r.observed_lifetime_mean_s = events.observed_route_lifetime.mean();
-  if (cfg.protocol == "etx" ||
-      cfg.flood_suppression != routing::FloodSuppression::kNone) {
-    r.linkquality_enabled = true;
-    r.etx_link_error_mean = events.etx_link_abs_error.mean();
-    r.etx_link_samples = events.etx_link_abs_error.count();
-    r.suppressed_rebroadcasts = events.suppressed_rebroadcasts;
+  const core::SimTime end = core::SimTime::seconds(cfg_.duration_s);
+  if (shards_ == nullptr) {
+    sim_.run_until(end);
+    return;
   }
-  return r;
+  std::vector<net::Network*> nets;
+  for (NodeStack& stack : stacks_) nets.push_back(stack.net.get());
+  shards_->run(sim_, nets, end);
 }
 
 ScenarioReport Scenario::report() const {
-  if (sharded_engine_) return sharded_engine_->report();
-  ScenarioReport r = assemble_report(cfg_, metrics_, net_->counters(), events_,
-                                     reachable_samples_, total_samples_);
-  const auto& c = net_->counters();
+  const NodeStack& first = stacks_.front();
+  if (shards_ != nullptr) {
+    // Shard order 0..K-1 is fixed, so merged RunningStats (order-sensitive
+    // in floating point) are as deterministic as everything else. Sharded
+    // runs never have a fault block (faults are excluded by the shard
+    // restrictions).
+    Metrics metrics;
+    net::NetCounters counters{};
+    routing::ProtocolEvents events;
+    for (const NodeStack& stack : stacks_) {
+      metrics.merge_from(stack.metrics);
+      add_counters(counters, stack.net->counters());
+      merge_events(events, stack.events);
+    }
+    return assemble_report(cfg_, metrics, counters, events, reachable_samples_,
+                           total_samples_);
+  }
+  // A single stack is read directly: merging into an empty collector is not
+  // guaranteed bit-exact.
+  ScenarioReport r =
+      assemble_report(cfg_, first.metrics, first.net->counters(), first.events,
+                      reachable_samples_, total_samples_);
   if (fault_plan_) {
     r.fault_enabled = true;
     // Classify both sides of the delivery ledger by *send* time against the
     // completed fault timeline (see Metrics::set_fault_tracking).
-    for (const core::SimTime t : metrics_.origination_times()) {
+    for (const core::SimTime t : first.metrics.origination_times()) {
       if (fault_plan_->fault_active_at(t)) ++r.faulted_originated;
     }
-    for (const core::SimTime t : metrics_.first_delivery_sent_times()) {
+    for (const core::SimTime t : first.metrics.first_delivery_sent_times()) {
       if (fault_plan_->fault_active_at(t)) ++r.faulted_delivered;
     }
     r.pdr_under_fault =
@@ -568,59 +485,49 @@ ScenarioReport Scenario::report() const {
     r.node_outages = fc.node_outages;
     r.node_restarts = fc.node_restarts;
     r.segment_blocks = fc.segment_blocks;
-    r.frames_dropped_down = c.frames_dropped_down;
-    r.recovery_latency_mean_s = net_->recovery_latency().mean();
+    r.frames_dropped_down = first.net->counters().frames_dropped_down;
+    r.recovery_latency_mean_s = first.net->recovery_latency().mean();
   }
   return r;
 }
 
-core::Simulator& Scenario::simulator() {
-  return sharded_engine_ ? sharded_engine_->coordinator() : sim_;
-}
-
-net::Network& Scenario::network() {
-  VANET_ASSERT_MSG(!sharded_engine_, "network(): serial path only");
-  return *net_;
-}
-
-mobility::MobilityManager& Scenario::mobility() {
-  return sharded_engine_ ? sharded_engine_->mobility() : *mobility_;
-}
-
-Metrics& Scenario::metrics() {
-  VANET_ASSERT_MSG(!sharded_engine_, "metrics(): serial path only");
-  return metrics_;
-}
-
-routing::ProtocolEvents& Scenario::events() {
-  VANET_ASSERT_MSG(!sharded_engine_, "events(): serial path only");
-  return events_;
-}
-
-std::size_t Scenario::vehicle_count() const {
-  return sharded_engine_ ? sharded_engine_->vehicle_count() : vehicle_count_;
-}
-
-const map::RoadGraph& Scenario::road_graph() const {
-  return sharded_engine_ ? sharded_engine_->road_graph() : *road_graph_;
-}
-
-int Scenario::shard_count() const {
-  return sharded_engine_ ? sharded_engine_->shards() : 1;
+routing::RoutingProtocol& Scenario::protocol_at(net::NodeId id) {
+  for (NodeStack& stack : stacks_) {
+    if (stack.protocols.at(id)) return *stack.protocols[id];
+  }
+  throw std::out_of_range("protocol_at: no stack owns node " +
+                          std::to_string(id));
 }
 
 int Scenario::shard_thread_count() const {
-  return sharded_engine_ ? sharded_engine_->threads() : 1;
+  return shards_ != nullptr ? shards_->threads() : 1;
+}
+
+std::vector<const core::Simulator*> Scenario::event_loops() const {
+  std::vector<const core::Simulator*> loops{&sim_};
+  if (shards_ != nullptr) {
+    for (const NodeStack& stack : stacks_) loops.push_back(&stack.sim);
+  }
+  return loops;
 }
 
 std::uint64_t Scenario::events_dispatched() const {
-  return sharded_engine_ ? sharded_engine_->events_dispatched()
-                         : sim_.events_dispatched();
+  std::uint64_t total = 0;
+  for (const core::Simulator* loop : event_loops()) {
+    total += loop->events_dispatched();
+  }
+  return total;
 }
 
 core::EventQueue::AllocStats Scenario::scheduler_stats() const {
-  return sharded_engine_ ? sharded_engine_->scheduler_stats()
-                         : sim_.scheduler_stats();
+  core::EventQueue::AllocStats total{};
+  for (const core::Simulator* loop : event_loops()) {
+    const core::EventQueue::AllocStats& s = loop->scheduler_stats();
+    total.slab_allocations += s.slab_allocations;
+    total.oversize_callbacks += s.oversize_callbacks;
+    total.peak_pending = std::max(total.peak_pending, s.peak_pending);
+  }
+  return total;
 }
 
 }  // namespace vanet::sim

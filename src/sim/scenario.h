@@ -1,30 +1,24 @@
 // Scenario assembly: mobility + radio + protocol + traffic in one object.
 //
-// A Scenario owns the whole simulation stack for one run. Configurations are
-// plain data so benches can sweep them; the same seed always reproduces the
-// same run bit-for-bit.
+// A Scenario owns the whole simulation for one run, serial or sharded.
+// Configurations are plain data so benches can sweep them; the same seed
+// always reproduces the same run bit-for-bit.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/lifetime_memo.h"
 #include "core/rng.h"
 #include "core/simulator.h"
-#include "map/segment_index.h"
-#include "map/segment_snapshot.h"
 #include "mobility/graph_mobility.h"
 #include "mobility/idm_highway.h"
 #include "mobility/manhattan_grid.h"
 #include "mobility/mobility_manager.h"
 #include "mobility/trace.h"
-#include "net/hello.h"
-#include "net/network.h"
-#include "routing/registry.h"
 #include "sim/fault_plan.h"
-#include "sim/metrics.h"
-#include "sim/traffic.h"
+#include "sim/node_stack.h"
 
 namespace vanet::sim {
 
@@ -71,12 +65,6 @@ struct ScenarioConfig {
   /// model. Any thread count produces bit-identical results by construction
   /// (the digest-equivalence tests pin threads=1 against threads=K).
   int shard_threads = 0;
-  /// Conservative lookahead window in milliseconds
-  /// (`scenario.shard_window_ms`): shards run [T, T+W) independently and
-  /// exchange cross-cut receptions at window barriers, so a cross-shard
-  /// frame resolves at most W late. Must stay well under the MAC's 50 ms
-  /// channel-memory horizon; values outside (0, 20] are rejected.
-  double shard_window_ms = 1.0;
 
   MapSpec map;                      ///< road topology source (see src/map/)
   MobilityKind mobility = MobilityKind::kHighway;
@@ -91,8 +79,7 @@ struct ScenarioConfig {
   mobility::Trace trace;
 
   double comm_range_m = 250.0;      ///< unit-disk range
-  /// Lossy-PHY selector. The legacy `shadowing` bool key reads/writes the
-  /// kUnitDisk/kShadowing subset of this for config compatibility.
+  /// Radio model (`phy.model`; `vanet_cli --shadowing` sets kShadowing).
   PhyModel phy = PhyModel::kUnitDisk;
   int nakagami_m = 3;               ///< Nakagami shape (phy.model=nakagami)
   analysis::LogNormalParams signal; ///< shadowing/fading params (and REAR model)
@@ -205,34 +192,25 @@ std::string canonical_report_string(const ScenarioReport& r);
 std::string report_digest(const ScenarioReport& r);
 
 namespace sharded {
-class ShardedScenario;
+class ShardRuntime;
 }  // namespace sharded
 
 /// Effective shard count for `cfg` on this machine: cfg.shards, with 0
 /// (auto) resolving to the hardware thread count capped at 8. Always >= 1.
 int resolve_shard_count(const ScenarioConfig& cfg);
 
-/// Build helpers shared by the serial Scenario and the sharded engine, so
-/// both paths assemble identical components from the same config + seed.
+/// The first two construction stages, public so benches can time them
+/// standalone: the road topology, and the populated mobility model (drawing
+/// from `rngs`' "mobility-init" stream).
 std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg);
 std::unique_ptr<mobility::MobilityModel> make_mobility_model(
     const ScenarioConfig& cfg, const std::shared_ptr<map::RoadGraph>& graph,
     core::RngManager& rngs, mobility::GraphMobilityModel** graph_model_out);
-std::unique_ptr<net::PropagationModel> make_propagation(
-    const ScenarioConfig& cfg);
-void validate_trace_against_map(const ScenarioConfig& cfg,
-                                const map::RoadGraph& graph,
-                                const map::SegmentIndex& index);
-/// Assemble the protocol-independent report core from (possibly merged)
-/// collectors. The serial report() adds the fault block on top; sharded runs
-/// never have one (faults are excluded by the shard restrictions).
-ScenarioReport assemble_report(const ScenarioConfig& cfg,
-                               const Metrics& metrics,
-                               const net::NetCounters& counters,
-                               const routing::ProtocolEvents& events,
-                               std::uint64_t reachable_samples,
-                               std::uint64_t total_samples);
 
+/// One run. The Scenario owns the shared world (map, mobility, ferries,
+/// density and reachability oracles, fault plan) and one NodeStack per
+/// event loop (see sim/node_stack.h): a single stack on the coordinator loop
+/// when serial, one per shard when `scenario.shards` resolves above 1.
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig cfg);
@@ -244,99 +222,73 @@ class Scenario {
   ScenarioReport report() const;
 
   /// True when this run executes on the sharded engine (effective shards
-  /// > 1). The component accessors below that expose serial-only internals
-  /// assert against it.
-  bool is_sharded() const { return sharded_engine_ != nullptr; }
+  /// > 1).
+  bool is_sharded() const { return shards_ != nullptr; }
   /// Effective shard / worker-thread counts (1/1 on the serial path).
-  int shard_count() const;
+  int shard_count() const { return static_cast<int>(stacks_.size()); }
   int shard_thread_count() const;
-  /// Events dispatched across every event loop of the run (the one serial
-  /// loop, or coordinator + all shard loops), and the summed scheduler
-  /// allocation telemetry. The timed runner reads these instead of poking
-  /// simulator() so both paths report whole-run totals.
+  /// Events dispatched across every event loop of the run (coordinator plus
+  /// any shard loops), and the summed scheduler allocation telemetry.
   std::uint64_t events_dispatched() const;
   core::EventQueue::AllocStats scheduler_stats() const;
-  /// The sharded engine (null on the serial path); tests reach through this
+  /// The shard runtime (null on the serial path); tests reach through this
   /// for partition/ownership introspection.
-  sharded::ShardedScenario* sharded_engine() { return sharded_engine_.get(); }
+  sharded::ShardRuntime* shard_runtime() { return shards_.get(); }
+  /// One stack on serial runs, one per shard otherwise.
+  const std::deque<NodeStack>& stacks() const { return stacks_; }
 
-  // Component access for tests and benches. simulator() is the coordinator
-  // loop on sharded runs; the others are serial-path only.
-  core::Simulator& simulator();
-  net::Network& network();
-  mobility::MobilityManager& mobility();
-  net::HelloService* hello() { return hello_.get(); }
-  Metrics& metrics();
-  routing::ProtocolEvents& events();
-  routing::RoutingProtocol& protocol_at(net::NodeId id) {
-    return *protocols_.at(id);
-  }
-  const CbrTraffic& traffic() const { return *traffic_; }
+  /// The coordinator loop: the only loop on serial runs.
+  core::Simulator& simulator() { return sim_; }
+  mobility::MobilityManager& mobility() { return *mobility_; }
+  // The first stack's components: the whole network on serial runs, shard
+  // 0's replica and collectors on sharded ones.
+  net::Network& network() { return *stacks_.front().net; }
+  net::HelloService* hello() { return stacks_.front().hello.get(); }
+  Metrics& metrics() { return stacks_.front().metrics; }
+  routing::ProtocolEvents& events() { return stacks_.front().events; }
+  const CbrTraffic& traffic() const { return *stacks_.front().traffic; }
+  /// Node `id`'s protocol instance, on whichever stack owns it.
+  routing::RoutingProtocol& protocol_at(net::NodeId id);
   const ScenarioConfig& config() const { return cfg_; }
   /// Null unless `fault.enabled=true`.
   FaultPlan* fault_plan() { return fault_plan_.get(); }
   /// Null unless the scenario uses graph mobility.
   mobility::GraphMobilityModel* graph_model() { return graph_model_; }
-  std::size_t vehicle_count() const;
+  std::size_t vehicle_count() const { return vehicle_count_; }
   /// The shared road topology (mobility + routing both reference it).
-  const map::RoadGraph& road_graph() const;
-  /// Scenario-owned caches (see docs/ARCHITECTURE.md, "Scenario-owned
-  /// caches"); the memo is null when `lifetime.memo=false` and
-  /// `lifetime.interp=false`.
-  const analysis::LifetimeMemo* lifetime_memo() const {
-    return lifetime_memo_.get();
-  }
-  const map::SegmentSnapshot* segment_snapshot() const {
-    return seg_snapshot_.get();
-  }
+  const map::RoadGraph& road_graph() const { return *road_graph_; }
 
  private:
-  void build_map();
-  void build_mobility();
-  void build_network();
-  void build_support();
-  void build_protocols();
-  void build_traffic();
-  void build_faults();
   void update_density();
   void schedule_density_updates();
   void sample_reachability();
+  /// The coordinator loop, then every shard loop.
+  std::vector<const core::Simulator*> event_loops() const;
 
   ScenarioConfig cfg_;
   core::Simulator sim_;
   core::RngManager rngs_;
+  std::shared_ptr<map::RoadGraph> road_graph_;
+  std::unique_ptr<map::SegmentIndex> segment_index_;
   std::unique_ptr<mobility::MobilityManager> mobility_;
-  std::unique_ptr<net::Network> net_;
-  std::unique_ptr<net::HelloService> hello_;
-  std::vector<std::unique_ptr<routing::RoutingProtocol>> protocols_;
-  routing::ProtocolEvents events_;
-  Metrics metrics_;
-  std::unique_ptr<CbrTraffic> traffic_;
-  std::unique_ptr<FaultPlan> fault_plan_;
   /// Borrowed view of the mobility model when it is graph-based (the manager
   /// owns it); the fault plan drives segment blocks through it.
   mobility::GraphMobilityModel* graph_model_ = nullptr;
   std::size_t vehicle_count_ = 0;
-
-  std::shared_ptr<map::RoadGraph> road_graph_;
-  std::unique_ptr<map::SegmentIndex> segment_index_;
-  // Scenario-owned caches, shared (non-owning) with every protocol instance
-  // via ProtocolContext. Both serve bit-identical values to the uncached
-  // queries they stand in for (the interp memo mode excepted, by opt-in).
-  std::unique_ptr<analysis::LifetimeMemo> lifetime_memo_;
-  std::unique_ptr<map::SegmentSnapshot> seg_snapshot_;
+  std::shared_ptr<routing::FerrySet> ferries_;
   std::shared_ptr<map::SegmentDensityOracle> density_;
   /// Segments whose interiors cannot prove nearest-segment identity; only
   /// populated when the incremental density path is active (graph mobility).
   std::vector<bool> segment_ambiguous_;
   bool incremental_density_ = false;
-  std::shared_ptr<routing::FerrySet> ferries_;
+  /// Declared before the stacks: they run on its loops and bridges.
+  std::unique_ptr<sharded::ShardRuntime> shards_;
+  /// A deque: stacks never move once built (their handlers capture them).
+  std::deque<NodeStack> stacks_;
+  std::unique_ptr<FaultPlan> fault_plan_;
   std::uint64_t reachable_samples_ = 0;
   std::uint64_t total_samples_ = 0;
   bool ran_ = false;
-  /// Non-null iff the effective shard count is > 1: the whole run lives in
-  /// the sharded engine and every serial member above it stays unbuilt.
-  std::unique_ptr<sharded::ShardedScenario> sharded_engine_;
 };
 
 }  // namespace vanet::sim

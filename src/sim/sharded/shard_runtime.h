@@ -1,11 +1,13 @@
-// Region-sharded scenario engine: one event loop per map region.
+// Region-sharded execution of one scenario: one event loop per map region.
 //
-// The serial Scenario runs every event of a run through one Simulator. This
-// engine partitions the road graph into K contiguous regions
-// (map::partition_regions), gives each region its own Simulator + Network +
-// protocol instances + traffic source, and advances the shards in lockstep
-// windows of `scenario.shard_window_ms` under a conservative-lookahead
-// contract:
+// The serial run drives every event through one Simulator. A sharded run
+// (`scenario.shards=K`) partitions the road graph into K contiguous regions
+// (map::partition_regions); the Scenario builds one NodeStack per region on
+// that shard's loop, and this runtime advances the shards in lockstep
+// windows of kWindow under a conservative-lookahead contract. It owns only
+// what sharding alone needs — partition and ownership, the per-shard loops
+// and bridges, the mailboxes and the worker pool — never a network, a
+// protocol or a traffic source.
 //
 //  - Ownership: every node belongs to exactly one shard — the region owning
 //    the road segment nearest its *initial* position. The owner drives the
@@ -16,8 +18,7 @@
 //  - Windows: all shards execute events in [T, T+W) independently, then
 //    barrier. Cross-shard receptions discovered inside a window are posted
 //    through net::ShardBridge into per-(src,dst) mailboxes and resolved by
-//    the receiver's shard at the next barrier — at most W late. W must stay
-//    far below the MAC's 50 ms channel-memory horizon (enforced: W <= 20 ms).
+//    the receiver's shard at the next barrier — at most W late.
 //  - The coordinator loop owns global services (mobility ticks, the density
 //    oracle refresh, reachability sampling) and only runs between windows;
 //    window edges always land exactly on coordinator event times, so
@@ -34,28 +35,27 @@
 // the documented deviations from the serial MAC at region cuts.
 #pragma once
 
-#include <barrier>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "analysis/lifetime_memo.h"
 #include "core/rng.h"
 #include "core/simulator.h"
-#include "map/region_partition.h"
 #include "map/segment_index.h"
-#include "map/segment_snapshot.h"
-#include "mobility/mobility_manager.h"
-#include "net/hello.h"
+#include "mobility/vehicle.h"
 #include "net/network.h"
 #include "net/shard_bridge.h"
-#include "routing/registry.h"
-#include "sim/metrics.h"
-#include "sim/scenario.h"
-#include "sim/traffic.h"
+
+namespace vanet::sim {
+struct ScenarioConfig;
+}  // namespace vanet::sim
 
 namespace vanet::sim::sharded {
+
+/// Conservative lookahead window. Must stay far below the MAC's 50 ms
+/// channel-memory horizon: a cross-shard frame resolves at most one window
+/// late.
+inline constexpr core::SimTime kWindow = core::SimTime::millis(1);
 
 /// One buffered cross-shard message: a reception handoff or, flowing the
 /// other way, the decode verdict a parked unicast sender waits on.
@@ -69,70 +69,50 @@ struct Handoff {
   bool delivered = false;     ///< verdict payload
 };
 
-class ShardedScenario {
+class ShardRuntime {
  public:
-  /// Builds the K-shard model for `cfg` (effective K from
-  /// resolve_shard_count, clamped by the partitioner to the segment count).
-  /// Throws std::invalid_argument on configs outside the shard contract.
-  explicit ShardedScenario(const ScenarioConfig& cfg);
-  ~ShardedScenario();
+  /// Partitions `graph` for `cfg` (effective K from resolve_shard_count,
+  /// clamped by the partitioner to the segment count) and assigns every
+  /// vehicle in `initial` to a shard. Throws std::invalid_argument on
+  /// configs outside the shard contract.
+  ShardRuntime(const ScenarioConfig& cfg, const map::RoadGraph& graph,
+               const map::SegmentIndex& segments,
+               const std::vector<mobility::VehicleState>& initial);
+  ~ShardRuntime();
 
-  ShardedScenario(const ShardedScenario&) = delete;
-  ShardedScenario& operator=(const ShardedScenario&) = delete;
-
-  /// Run the full configured duration (idempotent; runs once).
-  void run();
-  ScenarioReport report() const;
-
-  core::Simulator& coordinator() { return coord_sim_; }
-  mobility::MobilityManager& mobility() { return *mobility_; }
-  std::size_t vehicle_count() const { return vehicle_count_; }
-  const map::RoadGraph& road_graph() const { return *road_graph_; }
+  ShardRuntime(const ShardRuntime&) = delete;
+  ShardRuntime& operator=(const ShardRuntime&) = delete;
 
   int shards() const { return static_cast<int>(shards_.size()); }
   int threads() const { return threads_; }
-  const map::RegionPartition& partition() const { return partition_; }
   /// Owning shard of node `id`.
   int owner_of(net::NodeId id) const {
     return node_shard_[static_cast<std::size_t>(id)];
   }
-  const std::vector<net::NodeId>& owned_ids(int shard) const;
 
-  /// Whole-run totals across coordinator + all shard loops.
-  std::uint64_t events_dispatched() const;
-  core::EventQueue::AllocStats scheduler_stats() const;
-  /// Cross-shard traffic telemetry (receptions handed off / verdicts sent).
+  /// Shard `s`'s event loop, RNG manager (seeded with the scenario seed, so
+  /// unsuffixed streams draw identically on every shard) and bridge.
+  core::Simulator& simulator(int s);
+  core::RngManager& rngs(int s);
+  net::ShardBridge& bridge(int s);
+
+  /// Runs the coordinator and every shard loop to `end`; `nets[s]` is the
+  /// Network replica on shard s's loop.
+  void run(core::Simulator& coordinator, const std::vector<net::Network*>& nets,
+           core::SimTime end);
+
+  /// Cross-shard receptions handed off so far (telemetry).
   std::uint64_t handoff_receptions() const;
-  std::uint64_t handoff_verdicts() const;
 
  private:
   class Bridge;
   struct Shard;
 
-  void validate_config() const;
-  void build_shard(int index);
-  void update_density();
-  void schedule_density_updates();
-  void sample_reachability();
   void distribute_mailboxes();
-  void run_shard_window(int shard);
-  void worker_main(int thread_index);
+  void run_shard_window(int shard, net::Network& net);
 
-  ScenarioConfig cfg_;
-  core::Simulator coord_sim_;
-  core::RngManager coord_rngs_;
-  std::shared_ptr<map::RoadGraph> road_graph_;
-  std::unique_ptr<map::SegmentIndex> segment_index_;
-  map::RegionPartition partition_;
-  std::unique_ptr<mobility::MobilityManager> mobility_;
-  mobility::GraphMobilityModel* graph_model_ = nullptr;
-  std::size_t vehicle_count_ = 0;
   std::vector<int> node_shard_;  ///< node id -> owning shard
   int threads_ = 1;
-
-  std::shared_ptr<map::SegmentDensityOracle> density_;
-  std::shared_ptr<routing::FerrySet> ferries_;
-
   std::vector<std::unique_ptr<Shard>> shards_;
   /// outbox_[src][dst]: written only by shard src's thread inside a window,
   /// moved into dst's inbox by the coordinator between windows (the barrier
@@ -143,10 +123,6 @@ class ShardedScenario {
   core::SimTime window_end_{};
   bool final_window_ = false;
   bool stop_workers_ = false;
-
-  std::uint64_t reachable_samples_ = 0;
-  std::uint64_t total_samples_ = 0;
-  bool ran_ = false;
 };
 
 }  // namespace vanet::sim::sharded

@@ -35,9 +35,9 @@ TEST(ConfigKv, GetReflectsSet) {
   config_set(cfg, "traffic.flows", "17");
   EXPECT_EQ(cfg.traffic.flows, 17);
 
-  config_set(cfg, "shadowing", "true");
+  config_set(cfg, "phy.model", "shadowing");
   EXPECT_EQ(cfg.phy, PhyModel::kShadowing);
-  config_set(cfg, "shadowing", "0");
+  config_set(cfg, "phy.model", "unitdisk");
   EXPECT_EQ(cfg.phy, PhyModel::kUnitDisk);
 
   config_set(cfg, "mobility", "manhattan");
@@ -134,7 +134,7 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
   EXPECT_THROW(config_set(cfg, "vehicles", "abc"), std::invalid_argument);
   EXPECT_THROW(config_set(cfg, "vehicles", "12x"), std::invalid_argument);
   EXPECT_THROW(config_set(cfg, "duration_s", ""), std::invalid_argument);
-  EXPECT_THROW(config_set(cfg, "shadowing", "maybe"), std::invalid_argument);
+  EXPECT_THROW(config_set(cfg, "phy.model", "maybe"), std::invalid_argument);
   EXPECT_THROW(config_set(cfg, "mobility", "teleport"), std::invalid_argument);
   EXPECT_THROW(config_set(cfg, "traffic.payload_bytes", "-4"),
                std::invalid_argument);
@@ -245,21 +245,20 @@ TEST(ConfigKv, GeometryModeKeysParseLineAndRouteOnly) {
 TEST(ConfigKv, PhyModelKeyAndShadowingAlias) {
   ScenarioConfig cfg;
   EXPECT_EQ(config_get(cfg, "phy.model"), "unitdisk");
-  EXPECT_EQ(config_get(cfg, "shadowing"), "false");
   config_set(cfg, "phy.model", "nakagami");
   EXPECT_EQ(cfg.phy, PhyModel::kNakagami);
-  // The legacy bool reads "is the PHY the shadowing model".
-  EXPECT_EQ(config_get(cfg, "shadowing"), "false");
+  EXPECT_EQ(config_get(cfg, "phy.model"), "nakagami");
   config_set(cfg, "phy.model", "shadowing");
-  EXPECT_EQ(config_get(cfg, "shadowing"), "true");
+  EXPECT_EQ(config_get(cfg, "phy.model"), "shadowing");
+  // `phy.model` is the only PHY selector: the pre-`phy.model` bool is gone.
+  EXPECT_FALSE(config_has_key("shadowing"));
   EXPECT_THROW(config_set(cfg, "phy.model", "rician"), std::invalid_argument);
   config_set(cfg, "phy.nakagami_m", "5");
   EXPECT_EQ(cfg.nakagami_m, 5);
   EXPECT_THROW(config_set(cfg, "phy.nakagami_m", "0"), std::invalid_argument);
   EXPECT_THROW(config_set(cfg, "phy.nakagami_m", "-1"), std::invalid_argument);
 
-  // A nakagami selection survives the round trip even though the legacy
-  // `shadowing` alias serializes first (phy.model re-settles it on parse).
+  // A nakagami selection survives the serialize/parse round trip.
   ScenarioConfig naka;
   naka.phy = PhyModel::kNakagami;
   naka.nakagami_m = 2;

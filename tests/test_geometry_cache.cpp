@@ -209,11 +209,11 @@ TEST(GeometryCache, LifetimeMemoOnOffIsDigestIdentical) {
   EXPECT_EQ(sim::canonical_report_string(with.report()),
             sim::canonical_report_string(without.report()));
   // The memo actually ran on the 'with' leg.
-  ASSERT_NE(with.lifetime_memo(), nullptr);
-  EXPECT_GT(with.lifetime_memo()->stats().hits +
-                with.lifetime_memo()->stats().misses,
-            0u);
-  EXPECT_EQ(without.lifetime_memo(), nullptr);
+  const analysis::LifetimeMemo* memo =
+      with.stacks().front().lifetime_memo.get();
+  ASSERT_NE(memo, nullptr);
+  EXPECT_GT(memo->stats().hits + memo->stats().misses, 0u);
+  EXPECT_EQ(without.stacks().front().lifetime_memo, nullptr);
 }
 
 TEST(GeometryCache, TimedRunExportsCacheCounters) {
@@ -239,8 +239,9 @@ TEST(GeometryCache, InterpModeIsOptInAndChangesResults) {
   sim::ScenarioConfig cfg = town_gvgrid_config();
   cfg.lifetime_interp = true;
   sim::Scenario s{cfg};
-  ASSERT_NE(s.lifetime_memo(), nullptr);
-  EXPECT_EQ(s.lifetime_memo()->mode(), analysis::LifetimeMemo::Mode::kInterp);
+  const analysis::LifetimeMemo* memo = s.stacks().front().lifetime_memo.get();
+  ASSERT_NE(memo, nullptr);
+  EXPECT_EQ(memo->mode(), analysis::LifetimeMemo::Mode::kInterp);
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ struct HelloFixture {
 TEST(Hello, NeighborsDiscoverEachOther) {
   HelloFixture f{50.0, 0.0};
   f.mgr->start();
-  f.hello->start();
+  f.hello->start(f.net->node_ids());
   f.sim.run_until(core::SimTime::seconds(2.5));
   EXPECT_EQ(f.hello->table(0).size(), 1u);
   EXPECT_EQ(f.hello->table(1).size(), 1u);
@@ -56,7 +56,7 @@ TEST(Hello, NeighborsDiscoverEachOther) {
 TEST(Hello, BeaconsCarryKinematics) {
   HelloFixture f{60.0, -20.0};
   f.mgr->start();
-  f.hello->start();
+  f.hello->start(f.net->node_ids());
   f.sim.run_until(core::SimTime::seconds(1.5));
   const NeighborInfo* nbr = f.hello->table(0).find(1);
   ASSERT_NE(nbr, nullptr);
@@ -79,7 +79,7 @@ TEST(Hello, DepartedNeighborExpiresAndReportsLoss) {
   std::vector<NodeId> lost;
   f.hello->set_loss_callback(0, [&](NodeId id) { lost.push_back(id); });
   f.mgr->start();
-  f.hello->start();
+  f.hello->start(f.net->node_ids());
   f.sim.run_until(core::SimTime::seconds(2.0));
   ASSERT_EQ(f.hello->table(0).size(), 1u);  // heard while in range
   f.sim.run_until(core::SimTime::seconds(8.0));
@@ -91,7 +91,7 @@ TEST(Hello, DepartedNeighborExpiresAndReportsLoss) {
 TEST(Hello, BeaconsCountAsHelloFrames) {
   HelloFixture f{50.0, 0.0};
   f.mgr->start();
-  f.hello->start();
+  f.hello->start(f.net->node_ids());
   f.sim.run_until(core::SimTime::seconds(5.0));
   // ~5 beacons per node in 5 s at 1 Hz (+- jitter).
   const auto sent = f.net->counters().hello_frames_sent;
@@ -140,7 +140,7 @@ TEST(Hello, LossyPhyKeepsNeighborTablesConsistent) {
   });
 
   mgr->start();
-  hello.start();
+  hello.start(net.node_ids());
   sim.run_until(core::SimTime::seconds(60.0));
 
   // The channel actually dropped beacons: fewer decoded than sent, and at
@@ -174,7 +174,7 @@ TEST(Hello, RsuFlagPropagates) {
       if (p.kind == PacketKind::kHello) hello.on_frame(id, p);
     });
   }
-  hello.start();
+  hello.start(net.node_ids());
   sim.run_until(core::SimTime::seconds(2.0));
   const NeighborInfo* nbr = hello.table(a).find(b);
   ASSERT_NE(nbr, nullptr);

@@ -90,7 +90,7 @@ TEST(Bus, FerryCarriesAcrossGap) {
         [&](const net::Packet& p) { delivered.push_back(p); });
   }
   mgr.start();
-  hello.start();
+  hello.start(net.node_ids());
   for (auto& p : protocols) p->start();
 
   sim.run_until(core::SimTime::seconds(2.0));

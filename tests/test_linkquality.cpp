@@ -247,7 +247,7 @@ TEST_P(EtxConvergence, LongRunRatioMatchesClosedFormReceiptProbability) {
   const auto seed = static_cast<std::uint64_t>(1000 + 10 * distance + m);
   ConvergenceFixture f{distance, m, seed};
   f.mgr->start();
-  f.hello->start();
+  f.hello->start(f.net->node_ids());
   f.sim.run_until(core::SimTime::seconds(kDurationS));
 
   const double p = f.net->propagation().receipt_probability(distance);

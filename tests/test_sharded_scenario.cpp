@@ -1,10 +1,10 @@
-// Sharded engine contract tests (src/sim/sharded/):
+// Sharded engine contract tests (src/sim/sharded/, sim/node_stack.h):
 //  - thread-count invariance: the digest-equivalence guarantee that
 //    threads=1 and threads=K execute the identical model bit-identically,
 //    across protocol families, seeds, shard counts and map sources;
 //  - conservation: the sharded run originates exactly the packets the
 //    serial run does (the flow schedule is a pure function of the seed);
-//  - ownership: the shards partition the node id space;
+//  - ownership: the shards' node stacks partition the node id space;
 //  - config restrictions: unsupported combinations throw at construction.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "sim/scenario.h"
-#include "sim/sharded/sharded_scenario.h"
+#include "sim/sharded/shard_runtime.h"
 
 namespace vanet::sim {
 namespace {
@@ -135,19 +135,23 @@ TEST(ShardedScenario, DensePacketDeliveryStillWorksAcrossCuts) {
   // single-region fraction.
   EXPECT_GT(r.pdr, 0.5);
   // Cross-shard traffic actually flowed (the run exercised the bridge).
-  EXPECT_GT(s.sharded_engine()->handoff_receptions(), 0u);
+  EXPECT_GT(s.shard_runtime()->handoff_receptions(), 0u);
 }
 
 TEST(ShardedScenario, OwnershipPartitionsTheNodeIdSpace) {
   ScenarioConfig cfg = lattice_config("flooding", 1);
   cfg.shards = 3;
   Scenario s{std::move(cfg)};
-  auto* engine = s.sharded_engine();
-  ASSERT_NE(engine, nullptr);
+  const sharded::ShardRuntime* runtime = s.shard_runtime();
+  ASSERT_NE(runtime, nullptr);
+  ASSERT_EQ(s.stacks().size(), static_cast<std::size_t>(runtime->shards()));
   std::vector<int> seen(s.vehicle_count(), 0);
-  for (int shard = 0; shard < engine->shards(); ++shard) {
-    for (const net::NodeId id : engine->owned_ids(shard)) {
-      EXPECT_EQ(engine->owner_of(id), shard);
+  for (int shard = 0; shard < runtime->shards(); ++shard) {
+    const NodeStack& stack = s.stacks()[static_cast<std::size_t>(shard)];
+    for (const net::NodeId id : stack.owned) {
+      EXPECT_EQ(runtime->owner_of(id), shard);
+      EXPECT_NE(stack.protocols[id], nullptr);
+      EXPECT_EQ(&s.protocol_at(id), stack.protocols[id].get());
       ++seen[id];
     }
   }
@@ -161,7 +165,9 @@ TEST(ShardedScenario, SerialPathIsUntouchedForShardsOne) {
   EXPECT_FALSE(s.is_sharded());
   EXPECT_EQ(s.shard_count(), 1);
   EXPECT_EQ(s.shard_thread_count(), 1);
-  EXPECT_EQ(s.sharded_engine(), nullptr);
+  EXPECT_EQ(s.shard_runtime(), nullptr);
+  ASSERT_EQ(s.stacks().size(), 1u);
+  EXPECT_EQ(s.stacks().front().owned.size(), s.vehicle_count());
 }
 
 TEST(ShardedScenario, RejectsConfigsOutsideTheShardContract) {
@@ -181,18 +187,6 @@ TEST(ShardedScenario, RejectsConfigsOutsideTheShardContract) {
     ScenarioConfig cfg = lattice_config("aodv", 1);
     cfg.shards = 2;
     cfg.fault.enabled = true;
-    EXPECT_THROW(Scenario{cfg}, std::invalid_argument);
-  }
-  {
-    ScenarioConfig cfg = lattice_config("aodv", 1);
-    cfg.shards = 2;
-    cfg.shard_window_ms = 0.0;
-    EXPECT_THROW(Scenario{cfg}, std::invalid_argument);
-  }
-  {
-    ScenarioConfig cfg = lattice_config("aodv", 1);
-    cfg.shards = 2;
-    cfg.shard_window_ms = 25.0;
     EXPECT_THROW(Scenario{cfg}, std::invalid_argument);
   }
   {

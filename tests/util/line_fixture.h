@@ -128,7 +128,7 @@ class LineFixture {
     if (!started_) {
       started_ = true;
       mgr->start();
-      if (hello) hello->start();
+      if (hello) hello->start(net->node_ids());
       for (auto& p : protocols) p->start();
     }
     sim.run_until(core::SimTime::seconds(seconds));

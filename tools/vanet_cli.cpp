@@ -205,19 +205,16 @@ int main(int argc, char** argv) {
       spec.base.comm_range_m = checked_double(arg, next());
     } else if (arg == "--shadowing") {
       spec.base.phy = sim::PhyModel::kShadowing;
-    } else if (arg == "--shards") {
-      const std::string v = next();
-      if (v == "auto") {
-        spec.base.shards = 0;
-      } else {
-        const int n = checked_int32(arg, v);
-        if (n <= 0) fail("--shards must be positive (or 'auto')");
-        spec.base.shards = n;
+    } else if (arg == "--shards" || arg == "--shard-threads") {
+      const std::string value = next();
+      try {
+        sim::config_set(spec.base,
+                        arg == "--shards" ? "scenario.shards"
+                                          : "scenario.shard_threads",
+                        value);
+      } catch (const std::invalid_argument& e) {
+        fail(arg + ": " + e.what());
       }
-    } else if (arg == "--shard-threads") {
-      const int n = checked_int32(arg, next());
-      if (n < 0) fail("--shard-threads must be >= 0 (0 = one per shard)");
-      spec.base.shard_threads = n;
     } else if (arg == "--rsus") {
       spec.base.rsu_count = checked_int32(arg, next());
     } else if (arg == "--buses") {
