@@ -1,6 +1,7 @@
 // E12 — microbenchmarks of the performance-critical primitives
 // (google-benchmark): event queue, spatial index, lifetime solvers,
-// survival/expectation integrals, IDM stepping and one MAC broadcast.
+// survival/expectation integrals, IDM stepping, one MAC broadcast and the
+// ETX agent's beacon fill (with its Dijkstra rerun) and hello intake.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -14,7 +15,9 @@
 #include "core/simulator.h"
 #include "core/spatial_grid.h"
 #include "mobility/idm_highway.h"
+#include "net/hello.h"
 #include "net/network.h"
+#include "routing/linkquality/etx_agent.h"
 
 namespace {
 
@@ -212,6 +215,84 @@ void BM_MacBroadcastRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MacBroadcastRound);
+
+/// Hellos from neighbors 1..nbrs, each a clean link reporting this node and
+/// advertising `advert_len` routes: itself, then a shared block of distant
+/// destinations at neighbor-dependent costs (so Dijkstra relaxes, and
+/// sometimes improves, every destination through every neighbor).
+std::vector<net::HelloHeader> etx_hellos(int nbrs, int advert_len) {
+  std::vector<net::HelloHeader> out(static_cast<std::size_t>(nbrs));
+  for (int k = 0; k < nbrs; ++k) {
+    net::HelloHeader& h = out[static_cast<std::size_t>(k)];
+    const auto self = static_cast<net::NodeId>(k + 1);
+    h.links.push_back({0, 1.0});
+    h.routes.push_back({.dst = self, .seq = 2, .dist = 0.0});
+    for (int j = 1; j < advert_len; ++j) {
+      h.routes.push_back(
+          {.dst = static_cast<net::NodeId>(nbrs + j),
+           .seq = 2,
+           .dist = 1.0 + 0.25 * static_cast<double>((j * 7 + k) % 13)});
+    }
+  }
+  return out;
+}
+
+net::Packet etx_hello_packet(int neighbor) {
+  net::Packet p;
+  p.kind = net::PacketKind::kHello;
+  p.origin = static_cast<net::NodeId>(neighbor);
+  p.tx = p.origin;
+  return p;
+}
+
+/// An agent that has heard every neighbor's hello once.
+void feed_etx_hellos(routing::EtxAgent& agent,
+                     std::vector<net::HelloHeader>& hellos) {
+  for (std::size_t k = 0; k < hellos.size(); ++k) {
+    agent.on_hello(etx_hello_packet(static_cast<int>(k) + 1), hellos[k]);
+    hellos[k].seq += 1;
+  }
+}
+
+// One outgoing ETX beacon: link reports, the Dijkstra rerun a fresh advert
+// forces, and the distance-vector dump. Args: neighbors, advert length.
+void BM_EtxFillBeacon(benchmark::State& state) {
+  const auto nbrs = static_cast<int>(state.range(0));
+  auto hellos = etx_hellos(nbrs, static_cast<int>(state.range(1)));
+  routing::EtxAgent agent{0, {}};
+  feed_etx_hellos(agent, hellos);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    state.PauseTiming();  // one advert intake makes the routes dirty
+    agent.on_hello(etx_hello_packet(static_cast<int>(k) + 1), hellos[k]);
+    hellos[k].seq += 1;
+    k = (k + 1) % hellos.size();
+    state.ResumeTiming();
+    net::HelloHeader out;
+    benchmark::DoNotOptimize(agent.fill_beacon(out));
+    benchmark::DoNotOptimize(out.routes.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_EtxFillBeacon)->ArgsProduct({{10, 40}, {200, 1000}});
+
+// One received ETX hello: estimator update and advert intake (routes are
+// recomputed lazily, on the next beacon or lookup). Args as above.
+void BM_EtxOnHello(benchmark::State& state) {
+  const auto nbrs = static_cast<int>(state.range(0));
+  auto hellos = etx_hellos(nbrs, static_cast<int>(state.range(1)));
+  routing::EtxAgent agent{0, {}};
+  feed_etx_hellos(agent, hellos);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    agent.on_hello(etx_hello_packet(static_cast<int>(k) + 1), hellos[k]);
+    benchmark::ClobberMemory();
+    hellos[k].seq += 1;
+    k = (k + 1) % hellos.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EtxOnHello)->ArgsProduct({{10, 40}, {200, 1000}});
 
 }  // namespace
 

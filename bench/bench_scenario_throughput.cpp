@@ -79,10 +79,11 @@ bool parse_args(int argc, char** argv, Options& opt) {
     try {
       if (arg == "--smoke") {
         // One cheap lattice row plus one map-aware row, so CI's
-        // bench_compare guards the route-geometry path as well; the scale
-        // family shrinks to its single 10k @ K=4 smoke row (see
-        // scale_sizes_for / scale_shards_for).
-        opt.families = {"manhattan", "map-aware", "scale"};
+        // bench_compare guards the route-geometry path as well; the lossy
+        // family's etx, dsdv and yan rows, so it guards the ETX agent's
+        // digests; the scale family shrinks to its single 10k @ K=4 smoke
+        // row (see scale_sizes_for / scale_shards_for).
+        opt.families = {"manhattan", "map-aware", "lossy", "scale"};
         opt.sizes = {100};
         opt.duration_s = 2.0;
         opt.smoke = true;

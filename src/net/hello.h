@@ -38,11 +38,14 @@ struct HelloLinkEntry {
 
 /// Distance-vector piggyback: "my multi-hop ETX distance to `dst` is
 /// `dist`, destination-sequenced with `seq`" (see routing/linkquality/).
+/// Field order packs the entry into 16 B in memory; its on-air cost is
+/// accounted separately by the ETX agent.
 struct HelloRouteEntry {
   NodeId dst = 0;
-  double dist = 0.0;
   std::uint32_t seq = 0;
+  double dist = 0.0;
 };
+static_assert(sizeof(HelloRouteEntry) == 16);
 
 struct HelloHeader final : Header {
   static constexpr HeaderTag kTag = HeaderTag::kHello;

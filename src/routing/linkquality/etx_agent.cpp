@@ -1,8 +1,7 @@
 #include "routing/linkquality/etx_agent.h"
 
 #include <algorithm>
-#include <queue>
-#include <utility>
+#include <functional>
 
 namespace vanet::routing {
 
@@ -35,35 +34,44 @@ void EtxAgent::attach(net::HelloService& hello) {
                           [this](net::NodeId lost) { on_neighbor_lost(lost); });
 }
 
+void EtxAgent::grow(net::NodeId max_id) {
+  if (max_id < adverts_.size()) return;
+  const std::size_t n = std::size_t{max_id} + 1;
+  adverts_.resize(n);
+  dst_seqs_.resize(n);
+  kills_.resize(n);
+  routes_.resize(n);
+}
+
 std::size_t EtxAgent::fill_beacon(net::HelloHeader& h) {
   // Link reports: "I receive you with ratio r" for every live link, sorted
   // by id — each named neighbor reads its own entry back as its df.
-  const std::vector<net::NodeId> nbrs = table_.neighbors();
+  const std::vector<net::NodeId>& nbrs = table_.neighbors();
   h.links.reserve(nbrs.size());
   for (const net::NodeId n : nbrs) {
     h.links.push_back({n, table_.reverse_ratio(n)});
   }
   // Distance vector: self at distance 0 (destination-sequenced, even like
-  // DSDV's valid routes), then the current Dijkstra distances. Entries are
-  // naturally sorted: routes_ is an ordered map.
+  // DSDV's valid routes), then the current Dijkstra distances in id order.
   own_seq_ += 2;
   compute_routes();
-  h.routes.reserve(routes_.size() + kills_.size() + 1);
-  h.routes.push_back({self_, 0.0, own_seq_});
-  for (const auto& [dst, route] : routes_) {
-    if (route.dist >= LinkQualityTable::kMaxEtx) continue;
+  h.routes.push_back({.dst = self_, .seq = own_seq_, .dist = 0.0});
+  for (net::NodeId dst = 0; dst < routes_.size(); ++dst) {
+    const double dist = routes_[dst].dist;
+    if (dist >= LinkQualityTable::kMaxEtx) continue;
     // Re-advertise each destination with the freshest sequence seen for it,
-    // so the destination's clock propagates monotonically hop by hop.
-    const auto seq = dst_seqs_.find(dst);
-    h.routes.push_back(
-        {dst, route.dist, seq != dst_seqs_.end() ? seq->second : route.seq});
+    // so the destination's clock propagates monotonically hop by hop (a
+    // direct neighbor never advertised to us goes out with 0).
+    h.routes.push_back({.dst = dst, .seq = dst_seqs_[dst], .dist = dist});
   }
   // Fresh invalidations ride along until their dissemination budget is
   // spent; the entries stay behind as local filters either way.
-  for (auto& [dst, kill] : kills_) {
-    if (kill.beacons_left <= 0) continue;
+  for (net::NodeId dst = 0; dst < kills_.size(); ++dst) {
+    Kill& kill = kills_[dst];
+    if (!kill.active || kill.beacons_left <= 0) continue;
     --kill.beacons_left;
-    h.routes.push_back({dst, LinkQualityTable::kMaxEtx, kill.seq});
+    h.routes.push_back(
+        {.dst = dst, .seq = kill.seq, .dist = LinkQualityTable::kMaxEtx});
   }
   return kLinkEntryBytes * h.links.size() + kRouteEntryBytes * h.routes.size();
 }
@@ -76,53 +84,55 @@ void EtxAgent::on_hello(const net::Packet& p, const net::HelloHeader& h) {
       break;
     }
   }
+  net::NodeId max_id = p.origin;
+  for (const auto& advert : h.routes) max_id = std::max(max_id, advert.dst);
+  grow(max_id);
   // Advert intake: the sender's latest distance vector replaces the previous
   // one wholesale (it IS the sender's current view; merging would resurrect
   // entries the sender dropped). Entries routing back through us are kept —
   // Dijkstra's measured self->n edges dominate any n->self->... echo.
-  auto& slot = adverts_[p.origin];
-  slot.clear();
-  slot.reserve(h.routes.size());
+  Advert& slot = adverts_[p.origin];
+  slot.held = true;
+  slot.routes.clear();
+  slot.routes.reserve(h.routes.size());
   for (const auto& advert : h.routes) {
     if (advert.dst == self_) continue;
+    Kill& kill = kills_[advert.dst];
+    std::uint32_t& known = dst_seqs_[advert.dst];
     if (advert.dist >= LinkQualityTable::kMaxEtx) {
       // Poisoned advert (route invalidation): adopt it when it outruns both
       // our freshest sequence for the destination and any kill we hold.
-      const auto seq = dst_seqs_.find(advert.dst);
-      const std::uint32_t known = seq != dst_seqs_.end() ? seq->second : 0;
-      auto [kill, fresh] =
-          kills_.try_emplace(advert.dst, Kill{advert.seq, kKillBeacons});
-      if (!fresh && advert.seq > kill->second.seq) {
-        kill->second = Kill{advert.seq, kKillBeacons};
+      if (!kill.active || advert.seq > kill.seq) {
+        kill = Kill{advert.seq, kKillBeacons, true};
       }
-      if (kill->second.seq <= known) kills_.erase(kill);
+      if (kill.seq <= known) kill = Kill{};
       continue;
     }
-    const auto kill = kills_.find(advert.dst);
-    if (kill != kills_.end()) {
-      if (advert.seq <= kill->second.seq) continue;  // stale vs invalidation
-      kills_.erase(kill);  // the destination moved past the kill: it lives
+    if (kill.active) {
+      if (advert.seq <= kill.seq) continue;  // stale vs invalidation
+      kill = Kill{};  // the destination moved past the kill: it lives
     }
-    auto [seq, fresh] = dst_seqs_.try_emplace(advert.dst, advert.seq);
-    if (!fresh && advert.seq > seq->second) seq->second = advert.seq;
-    slot.push_back(advert);
+    known = std::max(known, advert.seq);
+    slot.routes.push_back(advert);
   }
   routes_dirty_ = true;
 }
 
 void EtxAgent::on_neighbor_lost(net::NodeId lost) {
   table_.erase(lost);
-  adverts_.erase(lost);
+  grow(lost);
+  // Release the buffer, not just the entries: a lost neighbor may never
+  // come back, and its last advert can be as long as the route table.
+  std::vector<net::HelloRouteEntry>().swap(adverts_[lost].routes);
+  adverts_[lost].held = false;
   // Originate a route invalidation one past the destination's freshest known
   // sequence: odd, so every stale advert for `lost` loses to it everywhere,
   // and only `lost` itself (whose own sequence is even and still advancing)
   // can override it by beaconing again.
-  const auto seq = dst_seqs_.find(lost);
-  const std::uint32_t poison =
-      (seq != dst_seqs_.end() ? seq->second : 0) + 1;
-  auto [kill, fresh] = kills_.try_emplace(lost, Kill{poison, kKillBeacons});
-  if (!fresh && poison > kill->second.seq) {
-    kill->second = Kill{poison, kKillBeacons};
+  const std::uint32_t poison = dst_seqs_[lost] + 1;
+  Kill& kill = kills_[lost];
+  if (!kill.active || poison > kill.seq) {
+    kill = Kill{poison, kKillBeacons, true};
   }
   routes_dirty_ = true;
 }
@@ -130,42 +140,41 @@ void EtxAgent::on_neighbor_lost(net::NodeId lost) {
 void EtxAgent::compute_routes() const {
   if (!routes_dirty_) return;
   routes_dirty_ = false;
-  routes_.clear();
+  std::fill(routes_.begin(), routes_.end(), Route{});
 
   // Dijkstra over the two-layer topology. Ties broken by node id so the
   // settle order — and hence every first_hop choice — is deterministic.
-  using QueueEntry = std::pair<double, net::NodeId>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      frontier;
+  // Only nodes holding adverts enter the frontier (see the header).
+  const auto later = std::greater<std::pair<double, net::NodeId>>{};
+  const auto push = [&](double cost, net::NodeId node) {
+    if (adverts_[node].routes.empty()) return;
+    frontier_.emplace_back(cost, node);
+    std::push_heap(frontier_.begin(), frontier_.end(), later);
+  };
+  frontier_.clear();
   for (const net::NodeId n : table_.neighbors()) {
     const double cost = table_.etx(n);
     if (cost >= LinkQualityTable::kMaxEtx) continue;
-    auto [it, fresh] = routes_.try_emplace(n);
-    if (fresh || cost < it->second.dist) {
-      it->second = Route{cost, n, 0};
-      frontier.push({cost, n});
-    }
+    routes_[n] = Route{cost, n};
+    push(cost, n);
   }
-  while (!frontier.empty()) {
-    const auto [cost, node] = frontier.top();
-    frontier.pop();
-    const auto settled = routes_.find(node);
-    if (settled == routes_.end() || cost > settled->second.dist) continue;
-    const auto adverts = adverts_.find(node);
-    if (adverts == adverts_.end()) continue;
-    const net::NodeId first_hop = settled->second.first_hop;
-    for (const auto& advert : adverts->second) {
+  while (!frontier_.empty()) {
+    std::pop_heap(frontier_.begin(), frontier_.end(), later);
+    const auto [cost, node] = frontier_.back();
+    frontier_.pop_back();
+    if (cost > routes_[node].dist) continue;
+    const net::NodeId first_hop = routes_[node].first_hop;
+    for (const auto& advert : adverts_[node].routes) {
       // A kill learned after this slot was stored still applies: stale
       // entries for an invalidated destination must not open routes.
-      const auto kill = kills_.find(advert.dst);
-      if (kill != kills_.end() && advert.seq <= kill->second.seq) continue;
+      const Kill& kill = kills_[advert.dst];
+      if (kill.active && advert.seq <= kill.seq) continue;
       const double total = cost + advert.dist;
       if (total >= LinkQualityTable::kMaxEtx) continue;
-      auto [it, fresh] = routes_.try_emplace(advert.dst);
-      if (fresh || total < it->second.dist) {
-        it->second = Route{total, first_hop, advert.seq};
-        frontier.push({total, advert.dst});
+      Route& route = routes_[advert.dst];
+      if (total < route.dist) {
+        route = Route{total, first_hop};
+        push(total, advert.dst);
       }
     }
   }
@@ -173,19 +182,17 @@ void EtxAgent::compute_routes() const {
 
 std::optional<net::NodeId> EtxAgent::next_hop(net::NodeId dst) const {
   compute_routes();
-  const auto it = routes_.find(dst);
-  if (it == routes_.end() || it->second.dist >= LinkQualityTable::kMaxEtx) {
+  if (dst >= routes_.size() || routes_[dst].dist >= LinkQualityTable::kMaxEtx) {
     return std::nullopt;
   }
-  return it->second.first_hop;
+  return routes_[dst].first_hop;
 }
 
 double EtxAgent::distance_to(net::NodeId dst) const {
   if (dst == self_) return 0.0;
   compute_routes();
-  const auto it = routes_.find(dst);
-  if (it == routes_.end()) return LinkQualityTable::kMaxEtx;
-  return std::min(it->second.dist, LinkQualityTable::kMaxEtx);
+  if (dst >= routes_.size()) return LinkQualityTable::kMaxEtx;
+  return routes_[dst].dist;
 }
 
 }  // namespace vanet::routing

@@ -10,11 +10,22 @@
 // ETX distance). Advert state is stored per advertising neighbor and dies
 // with it (hello expiry), so a crashed neighbor can never leave dangling
 // ETX edges behind — the same soft-state discipline as the tables.
+//
+// Storage is dense and allocation-free in steady state: every per-node
+// table is a flat array indexed by NodeId, grown on demand as ids are heard
+// of (a standalone agent needs no population size). An absent route is
+// dist == kMaxEtx and an absent kill is `active == false`; presence is never
+// inferred from a sequence number, since seq 0 is a real advertised value.
+// Beacons walk the arrays in id order, so routes and kills go out sorted by
+// destination. Dijkstra reuses one heap and pushes only nodes that hold
+// adverts: settling any other node relaxes no edge, and the (cost, id)
+// pairs pushed are unique (relaxation is strict), so the settle order — and
+// hence every first_hop — is the one a heap of every node would give.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/hello.h"
@@ -49,29 +60,24 @@ class EtxAgent {
   const LinkQualityTable& table() const { return table_; }
   /// True when any distance-vector advert from `from` is still held.
   bool has_adverts_from(net::NodeId from) const {
-    return adverts_.contains(from);
+    return from < adverts_.size() && adverts_[from].held;
   }
-  /// True while a route invalidation for `dst` is active (see kills_).
-  bool has_kill_for(net::NodeId dst) const { return kills_.contains(dst); }
+  /// True while a route invalidation for `dst` is active (see Kill).
+  bool has_kill_for(net::NodeId dst) const {
+    return dst < kills_.size() && kills_[dst].active;
+  }
 
  private:
   struct Route {
-    double dist = LinkQualityTable::kMaxEtx;
+    double dist = LinkQualityTable::kMaxEtx;  ///< kMaxEtx: no route
     net::NodeId first_hop = 0;
-    std::uint32_t seq = 0;  ///< destination sequence from the winning advert
   };
-
-  void compute_routes() const;
-
-  net::NodeId self_;
-  LinkQualityTable table_;
-  /// Last distance vector heard from each live neighbor, keyed by the
-  /// advertising neighbor (ordered map: route computation iterates it).
-  std::map<net::NodeId, std::vector<net::HelloRouteEntry>> adverts_;
-  /// Freshest destination sequence seen per destination (from accepted
-  /// adverts — every node stamps its own entry with its even own_seq_, so
-  /// this is the destination's clock as it propagates outward).
-  std::map<net::NodeId, std::uint32_t> dst_seqs_;
+  /// Last distance vector heard from a live neighbor. `held` from its first
+  /// hello until it is lost, even while the vector is empty.
+  struct Advert {
+    std::vector<net::HelloRouteEntry> routes;
+    bool held = false;
+  };
   /// Active route invalidations, DSDV-style: losing a neighbor originates a
   /// poisoned advert for it (dist = kMaxEtx) sequenced one past the
   /// destination's freshest known — odd, so only the destination itself can
@@ -84,10 +90,28 @@ class EtxAgent {
   struct Kill {
     std::uint32_t seq = 0;
     int beacons_left = 0;
+    bool active = false;
   };
-  std::map<net::NodeId, Kill> kills_;
+
+  /// Sizes every per-node array to hold ids up to `max_id`.
+  void grow(net::NodeId max_id);
+  void compute_routes() const;
+
+  net::NodeId self_;
+  LinkQualityTable table_;
+  std::vector<Advert> adverts_;
+  /// Freshest destination sequence seen per destination (from accepted
+  /// adverts — every node stamps its own entry with its even own_seq_, so
+  /// this is the destination's clock as it propagates outward). 0 until an
+  /// advert for the destination is accepted: every reader treats "never
+  /// heard" as 0, so no presence flag is kept. Entries are never forgotten,
+  /// so a destination routed through an advert always has one here.
+  std::vector<std::uint32_t> dst_seqs_;
+  std::vector<Kill> kills_;
   std::uint32_t own_seq_ = 0;
-  mutable std::map<net::NodeId, Route> routes_;
+  mutable std::vector<Route> routes_;
+  /// Dijkstra's frontier, kept as a min-heap of (cost, id) across runs.
+  mutable std::vector<std::pair<double, net::NodeId>> frontier_;
   mutable bool routes_dirty_ = true;
 };
 

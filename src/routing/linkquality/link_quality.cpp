@@ -14,8 +14,25 @@ LinkQualityTable::LinkQualityTable(EtxConfig cfg) : cfg_{cfg} {
                    "etx.hello_weight must be in (0, 1]");
 }
 
+const LinkQualityTable::Link* LinkQualityTable::find(
+    net::NodeId neighbor) const {
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), neighbor);
+  if (it == ids_.end() || *it != neighbor) return nullptr;
+  return &links_[static_cast<std::size_t>(it - ids_.begin())];
+}
+
+LinkQualityTable::Link& LinkQualityTable::find_or_insert(net::NodeId neighbor) {
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), neighbor);
+  const auto at = it - ids_.begin();
+  if (it == ids_.end() || *it != neighbor) {
+    ids_.insert(it, neighbor);
+    links_.insert(links_.begin() + at, Link{});
+  }
+  return links_[static_cast<std::size_t>(at)];
+}
+
 void LinkQualityTable::on_hello(net::NodeId from, std::uint32_t seq) {
-  Link& link = links_[from];
+  Link& link = find_or_insert(from);
   if (link.heard == 0) {
     link.window_bits = 1;
     // First contact anchors the ratio baseline: beacons the neighbor sent
@@ -43,12 +60,18 @@ void LinkQualityTable::on_hello(net::NodeId from, std::uint32_t seq) {
 }
 
 void LinkQualityTable::on_report(net::NodeId from, double ratio) {
-  Link& link = links_[from];
+  Link& link = find_or_insert(from);
   link.reported = std::clamp(ratio, 0.0, 1.0);
   link.has_report = true;
 }
 
-void LinkQualityTable::erase(net::NodeId neighbor) { links_.erase(neighbor); }
+void LinkQualityTable::erase(net::NodeId neighbor) {
+  const Link* link = find(neighbor);
+  if (link == nullptr) return;
+  const auto at = link - links_.data();
+  ids_.erase(ids_.begin() + at);
+  links_.erase(links_.begin() + at);
+}
 
 double LinkQualityTable::windowed_ratio(const Link& link) const {
   // The denominator ramps 1, 2, ... from first contact until the window
@@ -68,16 +91,15 @@ double LinkQualityTable::windowed_ratio(const Link& link) const {
 }
 
 double LinkQualityTable::reverse_ratio(net::NodeId neighbor) const {
-  const auto it = links_.find(neighbor);
-  if (it == links_.end() || it->second.heard == 0) return 0.0;
-  return cfg_.hello_weight >= 1.0 ? windowed_ratio(it->second)
-                                  : it->second.smoothed;
+  const Link* link = find(neighbor);
+  if (link == nullptr || link->heard == 0) return 0.0;
+  return cfg_.hello_weight >= 1.0 ? windowed_ratio(*link) : link->smoothed;
 }
 
 double LinkQualityTable::forward_ratio(net::NodeId neighbor) const {
-  const auto it = links_.find(neighbor);
-  if (it == links_.end()) return 0.0;
-  return it->second.has_report ? it->second.reported : 1.0;
+  const Link* link = find(neighbor);
+  if (link == nullptr) return 0.0;
+  return link->has_report ? link->reported : 1.0;
 }
 
 double LinkQualityTable::etx(net::NodeId neighbor) const {
@@ -89,20 +111,10 @@ double LinkQualityTable::etx(net::NodeId neighbor) const {
 }
 
 double LinkQualityTable::long_run_ratio(net::NodeId neighbor) const {
-  const auto it = links_.find(neighbor);
-  if (it == links_.end() || it->second.heard == 0) return 0.0;
-  const auto sent =
-      static_cast<double>(it->second.last_seq - it->second.first_seq) + 1.0;
-  return std::min(1.0, static_cast<double>(it->second.heard) / sent);
-}
-
-std::vector<net::NodeId> LinkQualityTable::neighbors() const {
-  std::vector<net::NodeId> out;
-  out.reserve(links_.size());
-  // NOLINT-vanet(unordered-iter): order cannot escape — sorted by id below
-  for (const auto& [id, link] : links_) out.push_back(id);
-  std::sort(out.begin(), out.end());
-  return out;
+  const Link* link = find(neighbor);
+  if (link == nullptr || link->heard == 0) return 0.0;
+  const auto sent = static_cast<double>(link->last_seq - link->first_seq) + 1.0;
+  return std::min(1.0, static_cast<double>(link->heard) / sent);
 }
 
 }  // namespace vanet::routing

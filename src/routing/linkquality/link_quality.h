@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
@@ -67,10 +66,13 @@ class LinkQualityTable {
   /// receipt probability.
   double long_run_ratio(net::NodeId neighbor) const;
 
-  bool contains(net::NodeId neighbor) const { return links_.contains(neighbor); }
-  std::size_t size() const { return links_.size(); }
-  /// Live link neighbors, sorted by id (deterministic iteration).
-  std::vector<net::NodeId> neighbors() const;
+  bool contains(net::NodeId neighbor) const {
+    return find(neighbor) != nullptr;
+  }
+  std::size_t size() const { return ids_.size(); }
+  /// Live link neighbors, sorted by id (deterministic iteration). A view of
+  /// the table's own storage: valid until the next on_hello/on_report/erase.
+  const std::vector<net::NodeId>& neighbors() const { return ids_; }
 
   const EtxConfig& config() const { return cfg_; }
 
@@ -89,8 +91,16 @@ class LinkQualityTable {
   };
 
   double windowed_ratio(const Link& link) const;
+  /// The link with `neighbor`, or nullptr when there is none.
+  const Link* find(net::NodeId neighbor) const;
+  /// The link with `neighbor`, inserted in id order when there is none.
+  Link& find_or_insert(net::NodeId neighbor);
 
-  std::unordered_map<net::NodeId, Link> links_;
+  /// Live links in ascending id order: ids_[i] names links_[i]. A node has
+  /// tens of neighbors, so binary search beats hashing and iteration needs
+  /// neither a copy nor a sort.
+  std::vector<net::NodeId> ids_;
+  std::vector<Link> links_;
   EtxConfig cfg_;
 };
 

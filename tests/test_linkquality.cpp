@@ -1,6 +1,7 @@
 // Link-quality family (routing/linkquality/): estimator unit tests with
 // exact window arithmetic, adversarial cases (asymmetric links, neighbor
-// churn, re-admission), the EtxAgent route layer, the Nakagami convergence
+// churn, re-admission), the EtxAgent route layer and its differential test
+// against an ordered-map reference agent, the Nakagami convergence
 // property test against net/fading's closed-form receipt probability, and
 // the determinism contracts (jobs=1 == jobs=4 byte-identity for an etx
 // sweep, suppression accounting in the ScenarioReport).
@@ -9,10 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <queue>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/rng.h"
 #include "mobility/constant_velocity.h"
 #include "net/fading.h"
 #include "net/hello.h"
@@ -127,8 +135,8 @@ TEST(EtxAgent, RoutesThroughAdvertsAndDropsThemWithTheNeighbor) {
   net::HelloHeader h;
   h.seq = 0;
   h.links.push_back({0, 1.0});
-  h.routes.push_back({1, 0.0, 2});
-  h.routes.push_back({2, 1.0, 4});
+  h.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
+  h.routes.push_back({.dst = 2, .seq = 4, .dist = 1.0});
   for (std::uint32_t seq = 0; seq < 4; ++seq) {
     h.seq = seq;
     agent.on_hello(hello_from(1), h);
@@ -155,11 +163,11 @@ TEST(EtxAgent, PrefersReliableTwoHopOverLossyDirect) {
   EtxAgent agent{0, {}};
   net::HelloHeader via;
   via.links.push_back({0, 1.0});
-  via.routes.push_back({1, 0.0, 2});
-  via.routes.push_back({2, 1.0, 4});
+  via.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
+  via.routes.push_back({.dst = 2, .seq = 4, .dist = 1.0});
   net::HelloHeader direct;
   direct.links.push_back({0, 0.25});
-  direct.routes.push_back({2, 0.0, 4});
+  direct.routes.push_back({.dst = 2, .seq = 4, .dist = 0.0});
   for (std::uint32_t seq = 0; seq < 8; ++seq) {
     via.seq = seq;
     agent.on_hello(hello_from(1), via);
@@ -177,8 +185,8 @@ TEST(EtxAgent, BeaconCarriesLinkReportsAndDistanceVector) {
   EtxAgent agent{0, {}};
   net::HelloHeader in;
   in.links.push_back({0, 1.0});
-  in.routes.push_back({1, 0.0, 2});
-  in.routes.push_back({7, 2.0, 6});
+  in.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
+  in.routes.push_back({.dst = 7, .seq = 6, .dist = 2.0});
   for (std::uint32_t seq = 0; seq < 4; ++seq) {
     in.seq = seq;
     agent.on_hello(hello_from(1), in);
@@ -192,7 +200,276 @@ TEST(EtxAgent, BeaconCarriesLinkReportsAndDistanceVector) {
   ASSERT_EQ(out.routes.size(), 3u);
   EXPECT_EQ(out.routes[0].dst, 0u);
   EXPECT_DOUBLE_EQ(out.routes[0].dist, 0.0);
-  EXPECT_GT(extra, 0u);
+  // On-air cost is the wire model's, independent of the in-memory layout:
+  // 6 B per link report + 10 B per route entry.
+  EXPECT_EQ(extra, 6u * out.links.size() + 10u * out.routes.size());
+  EXPECT_EQ(extra, 36u);
+}
+
+// ------------------------------------------- differential vs ordered maps ---
+
+/// Reference oracle: the agent written over ordered maps, with a fresh
+/// priority queue per Dijkstra run that holds every relaxed node. The dense
+/// agent must match it entry for entry on every observable.
+class MapEtxAgent {
+ public:
+  explicit MapEtxAgent(net::NodeId self) : self_{self} {}
+
+  std::size_t fill_beacon(net::HelloHeader& h) {
+    for (const net::NodeId n : table_.neighbors()) {
+      h.links.push_back({n, table_.reverse_ratio(n)});
+    }
+    own_seq_ += 2;
+    compute_routes();
+    h.routes.push_back({.dst = self_, .seq = own_seq_, .dist = 0.0});
+    for (const auto& [dst, route] : routes_) {
+      if (route.dist >= LinkQualityTable::kMaxEtx) continue;
+      const auto seq = dst_seqs_.find(dst);
+      h.routes.push_back(
+          {.dst = dst,
+           .seq = seq != dst_seqs_.end() ? seq->second : route.seq,
+           .dist = route.dist});
+    }
+    for (auto& [dst, kill] : kills_) {
+      if (kill.beacons_left <= 0) continue;
+      --kill.beacons_left;
+      h.routes.push_back(
+          {.dst = dst, .seq = kill.seq, .dist = LinkQualityTable::kMaxEtx});
+    }
+    return 6 * h.links.size() + 10 * h.routes.size();
+  }
+
+  void on_hello(const net::Packet& p, const net::HelloHeader& h) {
+    table_.on_hello(p.origin, h.seq);
+    for (const auto& link : h.links) {
+      if (link.neighbor == self_) {
+        table_.on_report(p.origin, link.ratio);
+        break;
+      }
+    }
+    auto& slot = adverts_[p.origin];
+    slot.clear();
+    for (const auto& advert : h.routes) {
+      if (advert.dst == self_) continue;
+      if (advert.dist >= LinkQualityTable::kMaxEtx) {
+        const auto seq = dst_seqs_.find(advert.dst);
+        const std::uint32_t known = seq != dst_seqs_.end() ? seq->second : 0;
+        auto [kill, fresh] =
+            kills_.try_emplace(advert.dst, Kill{advert.seq, 3});
+        if (!fresh && advert.seq > kill->second.seq) {
+          kill->second = Kill{advert.seq, 3};
+        }
+        if (kill->second.seq <= known) kills_.erase(kill);
+        continue;
+      }
+      const auto kill = kills_.find(advert.dst);
+      if (kill != kills_.end()) {
+        if (advert.seq <= kill->second.seq) continue;
+        kills_.erase(kill);
+      }
+      auto [seq, fresh] = dst_seqs_.try_emplace(advert.dst, advert.seq);
+      if (!fresh && advert.seq > seq->second) seq->second = advert.seq;
+      slot.push_back(advert);
+    }
+    routes_dirty_ = true;
+  }
+
+  void on_neighbor_lost(net::NodeId lost) {
+    table_.erase(lost);
+    adverts_.erase(lost);
+    const auto seq = dst_seqs_.find(lost);
+    const std::uint32_t poison =
+        (seq != dst_seqs_.end() ? seq->second : 0) + 1;
+    auto [kill, fresh] = kills_.try_emplace(lost, Kill{poison, 3});
+    if (!fresh && poison > kill->second.seq) kill->second = Kill{poison, 3};
+    routes_dirty_ = true;
+  }
+
+  std::optional<net::NodeId> next_hop(net::NodeId dst) {
+    compute_routes();
+    const auto it = routes_.find(dst);
+    if (it == routes_.end() || it->second.dist >= LinkQualityTable::kMaxEtx) {
+      return std::nullopt;
+    }
+    return it->second.first_hop;
+  }
+
+  double distance_to(net::NodeId dst) {
+    if (dst == self_) return 0.0;
+    compute_routes();
+    const auto it = routes_.find(dst);
+    if (it == routes_.end()) return LinkQualityTable::kMaxEtx;
+    return std::min(it->second.dist, LinkQualityTable::kMaxEtx);
+  }
+
+  bool has_adverts_from(net::NodeId from) const {
+    return adverts_.contains(from);
+  }
+  bool has_kill_for(net::NodeId dst) const { return kills_.contains(dst); }
+
+ private:
+  struct Route {
+    double dist = LinkQualityTable::kMaxEtx;
+    net::NodeId first_hop = 0;
+    std::uint32_t seq = 0;
+  };
+  struct Kill {
+    std::uint32_t seq = 0;
+    int beacons_left = 0;
+  };
+
+  void compute_routes() {
+    if (!routes_dirty_) return;
+    routes_dirty_ = false;
+    routes_.clear();
+    using QueueEntry = std::pair<double, net::NodeId>;
+    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
+                        std::greater<QueueEntry>>
+        frontier;
+    for (const net::NodeId n : table_.neighbors()) {
+      const double cost = table_.etx(n);
+      if (cost >= LinkQualityTable::kMaxEtx) continue;
+      auto [it, fresh] = routes_.try_emplace(n);
+      if (fresh || cost < it->second.dist) {
+        it->second = Route{cost, n, 0};
+        frontier.push({cost, n});
+      }
+    }
+    while (!frontier.empty()) {
+      const auto [cost, node] = frontier.top();
+      frontier.pop();
+      const auto settled = routes_.find(node);
+      if (settled == routes_.end() || cost > settled->second.dist) continue;
+      const auto adverts = adverts_.find(node);
+      if (adverts == adverts_.end()) continue;
+      const net::NodeId first_hop = settled->second.first_hop;
+      for (const auto& advert : adverts->second) {
+        const auto kill = kills_.find(advert.dst);
+        if (kill != kills_.end() && advert.seq <= kill->second.seq) continue;
+        const double total = cost + advert.dist;
+        if (total >= LinkQualityTable::kMaxEtx) continue;
+        auto [it, fresh] = routes_.try_emplace(advert.dst);
+        if (fresh || total < it->second.dist) {
+          it->second = Route{total, first_hop, advert.seq};
+          frontier.push({total, advert.dst});
+        }
+      }
+    }
+  }
+
+  net::NodeId self_;
+  LinkQualityTable table_;
+  std::map<net::NodeId, std::vector<net::HelloRouteEntry>> adverts_;
+  std::map<net::NodeId, std::uint32_t> dst_seqs_;
+  std::map<net::NodeId, Kill> kills_;
+  std::uint32_t own_seq_ = 0;
+  std::map<net::NodeId, Route> routes_;
+  bool routes_dirty_ = true;
+};
+
+/// One random hello from `origin`. Distances are multiples of 0.5 (exact in
+/// binary, so equal-cost paths tie exactly) with a share of poisoned
+/// entries; sequences come from a narrow range, so stale adverts, kills
+/// and their overrides all collide often.
+net::HelloHeader random_hello(core::Rng& rng, net::NodeId origin,
+                              std::uint32_t seq, net::NodeId self,
+                              const std::vector<net::NodeId>& ids) {
+  const auto pick = [&] {
+    return ids[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+  };
+  net::HelloHeader h;
+  h.seq = seq;
+  for (std::int64_t i = rng.uniform_int(0, 3); i > 0; --i) {
+    h.links.push_back(
+        {pick(), 0.25 * static_cast<double>(rng.uniform_int(0, 4))});
+  }
+  if (rng.bernoulli(0.7)) {
+    h.links.push_back(
+        {self, 0.25 * static_cast<double>(rng.uniform_int(1, 4))});
+  }
+  h.routes.push_back({.dst = origin, .seq = 2 * seq, .dist = 0.0});
+  for (std::int64_t i = rng.uniform_int(0, 12); i > 0; --i) {
+    const bool poisoned = rng.bernoulli(0.15);
+    h.routes.push_back(
+        {.dst = rng.bernoulli(0.05) ? self : pick(),
+         .seq = static_cast<std::uint32_t>(rng.uniform_int(0, 12)),
+         .dist = poisoned ? LinkQualityTable::kMaxEtx
+                          : 0.5 * static_cast<double>(rng.uniform_int(1, 8))});
+  }
+  return h;
+}
+
+void expect_same_entries(const net::HelloHeader& a, const net::HelloHeader& b) {
+  ASSERT_EQ(a.links.size(), b.links.size());
+  for (std::size_t i = 0; i < a.links.size(); ++i) {
+    EXPECT_EQ(a.links[i].neighbor, b.links[i].neighbor) << "link " << i;
+    EXPECT_EQ(a.links[i].ratio, b.links[i].ratio) << "link " << i;
+  }
+  ASSERT_EQ(a.routes.size(), b.routes.size());
+  for (std::size_t i = 0; i < a.routes.size(); ++i) {
+    EXPECT_EQ(a.routes[i].dst, b.routes[i].dst) << "route " << i;
+    EXPECT_EQ(a.routes[i].seq, b.routes[i].seq) << "route " << i;
+    EXPECT_EQ(a.routes[i].dist, b.routes[i].dist) << "route " << i;
+  }
+}
+
+TEST(EtxAgent, DenseAgentMatchesOrderedMapReference) {
+  constexpr int kSeeds = 30;
+  constexpr int kSteps = 300;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    core::Rng rng{static_cast<std::uint64_t>(seed)};
+    // Sparse ids up to 300; self sits among them, not at 0.
+    std::vector<net::NodeId> ids(16);
+    for (net::NodeId& id : ids) {
+      id = static_cast<net::NodeId>(rng.uniform_int(0, 300));
+    }
+    const net::NodeId self = ids.front();
+    std::vector<net::NodeId> senders;
+    for (const net::NodeId id : ids) {
+      if (id != self) senders.push_back(id);
+    }
+    std::map<net::NodeId, std::uint32_t> next_seq;
+    EtxAgent dense{self, {}};
+    MapEtxAgent reference{self};
+
+    for (int step = 0; step < kSteps; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const net::NodeId who = senders[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(senders.size()) - 1))];
+      const double action = rng.uniform(0.0, 1.0);
+      if (action < 0.8) {
+        // A hello, after 0-2 lost beacons; a lost neighbor's next hello is
+        // its re-admission.
+        std::uint32_t& seq = next_seq[who];
+        seq += static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+        const net::HelloHeader h = random_hello(rng, who, seq++, self, ids);
+        dense.on_hello(hello_from(who), h);
+        reference.on_hello(hello_from(who), h);
+      } else {
+        dense.on_neighbor_lost(who);
+        reference.on_neighbor_lost(who);
+      }
+
+      for (const net::NodeId id : ids) {
+        EXPECT_EQ(dense.next_hop(id), reference.next_hop(id)) << "id " << id;
+        EXPECT_EQ(dense.distance_to(id), reference.distance_to(id))
+            << "id " << id;
+        EXPECT_EQ(dense.has_adverts_from(id), reference.has_adverts_from(id))
+            << "id " << id;
+        EXPECT_EQ(dense.has_kill_for(id), reference.has_kill_for(id))
+            << "id " << id;
+      }
+      EXPECT_FALSE(dense.has_adverts_from(1000));
+      EXPECT_EQ(dense.distance_to(1000), LinkQualityTable::kMaxEtx);
+      net::HelloHeader a;
+      net::HelloHeader b;
+      EXPECT_EQ(dense.fill_beacon(a), reference.fill_beacon(b));
+      expect_same_entries(a, b);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 // ----------------------------------------- Nakagami convergence property ---
