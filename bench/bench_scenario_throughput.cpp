@@ -80,9 +80,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
       if (arg == "--smoke") {
         // One cheap lattice row plus one map-aware row, so CI's
         // bench_compare guards the route-geometry path as well; the lossy
-        // family's etx, dsdv and yan rows, so it guards the ETX agent's
-        // digests; the scale family shrinks to its single 10k @ K=4 smoke
-        // row (see scale_sizes_for / scale_shards_for).
+        // family's etx row, so it guards the ETX agent's digests (see
+        // lossy_protocols_for); the scale family shrinks to its single
+        // 10k @ K=4 smoke row (see scale_sizes_for / scale_shards_for).
         opt.families = {"manhattan", "map-aware", "lossy", "scale"};
         opt.sizes = {100};
         opt.duration_s = 2.0;
@@ -202,8 +202,11 @@ const char* geometry_protocol_for(int vehicles) {
 /// Which protocols a lossy-family row runs (one bench row each). A function
 /// of the vehicle count alone, like geometry_protocol_for: the comparison
 /// set rides the sizes where all three finish quickly; the largest band
-/// keeps the link-quality hot path covered with the etx row alone.
-std::vector<std::string> lossy_protocols_for(int vehicles) {
+/// keeps the link-quality hot path covered with the etx row alone. Smoke
+/// runs only the etx row, the one that guards the ETX agent's digests.
+std::vector<std::string> lossy_protocols_for(int vehicles,
+                                             const Options& opt) {
+  if (opt.smoke) return {"etx"};
   if (vehicles < 750) return {"etx", "dsdv", "yan"};
   return {"etx"};
 }
@@ -212,8 +215,8 @@ std::vector<std::string> lossy_protocols_for(int vehicles) {
 /// `lossy`, which emits one row per compared protocol. "" keeps the
 /// family's own make_config choice.
 std::vector<std::string> protocols_for(const std::string& family,
-                                       int vehicles) {
-  if (family == "lossy") return lossy_protocols_for(vehicles);
+                                       int vehicles, const Options& opt) {
+  if (family == "lossy") return lossy_protocols_for(vehicles, opt);
   return {""};
 }
 
@@ -418,7 +421,7 @@ int main(int argc, char** argv) {
   bool first = true;
   for (const std::string& family : opt.families) {
     for (const int vehicles : sizes_for(family, opt)) {
-      for (const std::string& protocol : protocols_for(family, vehicles)) {
+      for (const std::string& protocol : protocols_for(family, vehicles, opt)) {
         for (const int shards : shard_counts_for(family, vehicles, opt)) {
           ScenarioConfig cfg = make_config(family, vehicles, opt);
           if (!protocol.empty()) cfg.protocol = protocol;

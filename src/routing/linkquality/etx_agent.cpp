@@ -55,6 +55,16 @@ std::size_t EtxAgent::fill_beacon(net::HelloHeader& h) {
   // DSDV's valid routes), then the current Dijkstra distances in id order.
   own_seq_ += 2;
   compute_routes();
+  const auto live_routes =
+      std::count_if(routes_.begin(), routes_.end(), [](const Route& r) {
+        return r.dist < LinkQualityTable::kMaxEtx;
+      });
+  const auto fresh_kills =
+      std::count_if(kills_.begin(), kills_.end(), [](const Kill& k) {
+        return k.active && k.beacons_left > 0;
+      });
+  h.routes.reserve(h.routes.size() + 1 + static_cast<std::size_t>(live_routes) +
+                   static_cast<std::size_t>(fresh_kills));
   h.routes.push_back({.dst = self_, .seq = own_seq_, .dist = 0.0});
   for (net::NodeId dst = 0; dst < routes_.size(); ++dst) {
     const double dist = routes_[dst].dist;
