@@ -1,9 +1,11 @@
 // E12 — microbenchmarks of the performance-critical primitives
 // (google-benchmark): event queue, spatial index, lifetime solvers,
-// survival/expectation integrals, IDM stepping, one MAC broadcast and the
-// ETX agent's beacon fill (with its Dijkstra rerun) and hello intake.
+// survival/expectation integrals, IDM stepping, one MAC broadcast, the
+// channel index's per-frame work, and the ETX agent's beacon fill (with its
+// Dijkstra rerun) and hello intake.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -215,6 +217,51 @@ void BM_MacBroadcastRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MacBroadcastRound);
+
+/// The channel layer's per-frame work in a steady stream of `arg` frames/ms
+/// over a 2 km square (250 m range, frames of 0.1-0.74 ms): the MAC's prune
+/// and carrier sense at the frame start, then the collision snapshot and 50
+/// receiver probes within range of the sender.
+void BM_ChannelFrameEnd(benchmark::State& state) {
+  constexpr double kRange = 250.0;
+  constexpr std::size_t kStream = 4096;
+  const core::SimTime gap = core::SimTime::micros(1000 / state.range(0));
+  const core::SimTime longest = core::SimTime::micros(740);
+  core::Rng rng{6};
+  std::vector<core::Vec2> pos(kStream);
+  std::vector<core::SimTime> duration(kStream);
+  for (std::size_t i = 0; i < kStream; ++i) {
+    pos[i] = {rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2000.0)};
+    duration[i] = core::SimTime::micros(rng.uniform_int(100, 740));
+  }
+  std::vector<core::Vec2> probes(50);
+  for (auto& p : probes) {
+    const double r = kRange * std::sqrt(rng.uniform(0.0, 1.0));
+    const double a = rng.uniform(0.0, 6.283185307179586);
+    p = {r * std::cos(a), r * std::sin(a)};
+  }
+  net::ChannelState cs{kRange};
+  core::SimTime now{};
+  std::size_t i = 0;
+  auto frame = [&] {
+    now += gap;
+    const core::Vec2 at = pos[i % kStream];
+    const core::SimTime end = now + duration[i % kStream];
+    cs.prune(now - longest);
+    benchmark::DoNotOptimize(cs.busy_until(at, now, kRange));
+    const auto h = cs.add(static_cast<net::NodeId>(i), now, end, at);
+    cs.begin_overlap(now, end, h, at, 2 * kRange);
+    int hits = 0;
+    for (const core::Vec2 d : probes) hits += cs.overlap_near(at + d, kRange);
+    benchmark::DoNotOptimize(hits);
+    ++i;
+  };
+  // Fill the index to its steady-state size before timing.
+  for (std::size_t k = 0; k < kStream; ++k) frame();
+  for (auto _ : state) frame();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChannelFrameEnd)->Arg(10)->Arg(50)->Arg(200);
 
 /// Hellos from neighbors 1..nbrs, each a clean link reporting this node and
 /// advertising `advert_len` routes: itself, then a shared block of distant

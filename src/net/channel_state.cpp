@@ -154,6 +154,8 @@ bool ChannelState::interference_at(core::Vec2 pos, core::SimTime start,
                                    core::SimTime end, double range,
                                    Handle self) const {
   VANET_ASSERT(range <= cell_size_);
+  VANET_ASSERT_MSG(start >= horizon_,
+                   "overlap query starts before the prune horizon");
   bool hit = false;
   const double bound = range * kAxisSlack;
   for_each_in_neighborhood(pos, [&](Handle h) {
@@ -171,15 +173,24 @@ bool ChannelState::interference_at(core::Vec2 pos, core::SimTime start,
 }
 
 void ChannelState::begin_overlap(core::SimTime start, core::SimTime end,
-                                 Handle self) {
+                                 Handle self, core::Vec2 center,
+                                 double reach) {
+  VANET_ASSERT_MSG(start >= horizon_,
+                   "overlap query starts before the prune horizon");
   overlap_x_.clear();
   overlap_y_.clear();
+  // Same conservative axis cutoff as overlap_near: an entry within `range`
+  // of a receiver within `reach - range` of `center` is within `reach` of
+  // `center`, and the slack keeps rounding from dropping it.
+  const double bound = reach * kAxisSlack;
   // by_end_ holds exactly the un-pruned transmissions; heap order is
   // irrelevant because overlap_near is an existence test.
   for (const Handle h : by_end_) {
     if (h == self) continue;
     const Tx& t = slots_[h];
-    if (t.start < end && t.end > start) {
+    if (t.start < end && t.end > start &&
+        std::abs(t.pos.x - center.x) <= bound &&
+        std::abs(t.pos.y - center.y) <= bound) {
       overlap_x_.push_back(t.pos.x);
       overlap_y_.push_back(t.pos.y);
     }
@@ -200,6 +211,7 @@ bool ChannelState::overlap_near(core::Vec2 pos, double range) const {
 }
 
 void ChannelState::prune(core::SimTime horizon) {
+  horizon_ = std::max(horizon_, horizon);
   while (!by_end_.empty() && slots_[by_end_.front()].end < horizon) {
     std::pop_heap(by_end_.begin(), by_end_.end(), EndsLater{slots_});
     const Handle h = by_end_.back();

@@ -16,9 +16,16 @@
 //    instead of std::unordered_map — the 9 bucket lookups per query were the
 //    second-hottest line of dense runs;
 //  - the per-frame collision loop snapshots the transmissions overlapping the
-//    frame once (begin_overlap) into a dense coordinate array, and each
-//    receiver answers with a linear scan (overlap_near) instead of re-walking
-//    buckets and re-testing the time window per receiver.
+//    frame and within reach of its sender once (begin_overlap) into a dense
+//    coordinate array, and each receiver answers with a linear scan
+//    (overlap_near) instead of re-walking buckets and re-testing the time
+//    window per receiver.
+//
+// Retention contract: prune(h) drops entries that ended before h, so a query
+// window starting before the highest horizon passed so far could miss a
+// collision. begin_overlap and interference_at abort on such a window; the
+// caller (Network) picks its horizon so that every frame still in flight or
+// in a shard mailbox starts at or after it.
 //
 // Determinism: queries compute a max / an existence test over a set that is
 // identical to the brute-force scan (distance cutoffs are inclusive, matching
@@ -71,17 +78,21 @@ class ChannelState {
                        double range, Handle self) const;
 
   /// Snapshot every transmission other than `self` overlapping (start, end)
-  /// in time. Subsequent overlap_near() calls answer the same existence test
-  /// as interference_at for that window — one time-filter pass per frame
-  /// instead of one per receiver. The snapshot is valid until the channel is
-  /// mutated (add/prune).
-  void begin_overlap(core::SimTime start, core::SimTime end, Handle self);
+  /// in time whose axis distance from `center` is at most `reach`.
+  /// Subsequent overlap_near(pos, range) calls answer the same existence test
+  /// as interference_at for that window at every `pos` within
+  /// `reach - range` of `center` (triangle inequality) — one filter pass per
+  /// frame instead of one per receiver. The snapshot is valid until the
+  /// channel is mutated (add/prune).
+  void begin_overlap(core::SimTime start, core::SimTime end, Handle self,
+                     core::Vec2 center, double reach);
 
   /// True when any snapshotted transmission is within `range` (inclusive) of
   /// `pos`. Requires a preceding begin_overlap().
   bool overlap_near(core::Vec2 pos, double range) const;
 
-  /// Drop every transmission that ended before `horizon`.
+  /// Drop every transmission that ended before `horizon`. Overlap queries
+  /// must afterwards start at or after the highest horizon passed.
   void prune(core::SimTime horizon);
 
   std::size_t size() const { return live_count_; }
@@ -141,6 +152,9 @@ class ChannelState {
   /// so prune() pops only expired entries instead of rescanning everything.
   std::vector<Handle> by_end_;
   std::size_t live_count_ = 0;
+  /// Highest horizon prune() was given (see the retention contract above).
+  core::SimTime horizon_ =
+      core::SimTime::micros(std::numeric_limits<std::int64_t>::min());
   /// begin_overlap snapshot: positions of the time-overlapping transmissions.
   std::vector<double> overlap_x_;
   std::vector<double> overlap_y_;

@@ -209,9 +209,12 @@ void Network::attempt_transmission(NodeId id) {
   }
   const core::SimTime now = sim_.now();
   // Prune before sensing so stale finished transmissions are not scanned.
-  // Keep recently finished transmissions long enough for overlap checks:
-  // the longest frame at the configured bitrate is well under 50 ms.
-  channel_.prune(now - core::SimTime::millis(50));
+  // Exact horizon: a frame still in flight started at or after
+  // now - longest_frame_, and only records ending after a frame's start can
+  // collide with it. Sharded runs keep prune_slack_ more, because a foreign
+  // frame is resolved up to that long after it ends (docs/ARCHITECTURE.md,
+  // "Ownership and the conservative window").
+  channel_.prune(now - prune_slack_ - longest_frame_);
   const core::Vec2 pos = position(id);
   const core::SimTime busy_until =
       channel_.busy_until(pos, now, interference_range_);
@@ -222,6 +225,7 @@ void Network::attempt_transmission(NodeId id) {
   }
   const Packet& p = node.queue.front().packet;
   const core::SimTime duration = frame_duration(p);
+  longest_frame_ = std::max(longest_frame_, duration);
   node.current_tx = channel_.add(id, now, now + duration, pos);
   node.transmitting = true;
   node.tx_until = now + duration;
@@ -262,9 +266,12 @@ void Network::finish_transmission(NodeId id) {
   // One time-window filter for the whole frame; each receiver below answers
   // the collision question with a linear scan of the snapshot (the channel is
   // not mutated inside this loop — receive handlers only enqueue frames and
-  // schedule events).
-  channel_.begin_overlap(tx.start, tx.end, self_tx);
-  grid_.query_radius_into(tx.pos, propagation_->max_range(), id, rx_scratch_);
+  // schedule events). Receivers lie within max_range of the sender, so only
+  // transmissions within max_range + interference_range of it can matter.
+  const double max_range = propagation_->max_range();
+  channel_.begin_overlap(tx.start, tx.end, self_tx, tx.pos,
+                         max_range + interference_range_);
+  grid_.query_radius_into(tx.pos, max_range, id, rx_scratch_);
   for (NodeId cand : rx_scratch_) {
     NodeImpl& rx_node = impl(cand);
     // Foreign receiver (sharded runs): its owning shard resolves the

@@ -18,6 +18,7 @@
 // wired network (fixed small delay, no loss) per Sec. V.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -147,7 +148,21 @@ class Network {
 
   /// Install the cross-shard handoff bridge (sharded engine only; see
   /// net/shard_bridge.h). Null (the default) keeps the serial fast path.
-  void set_shard_bridge(ShardBridge* bridge) { bridge_ = bridge; }
+  void set_shard_bridge(ShardBridge* bridge) {
+    bridge_ = bridge;
+    prune_slack_ = bridge != nullptr ? bridge->handoff_lateness()
+                                     : core::SimTime::zero();
+  }
+
+  /// Longest frame duration started so far (a monotone max). The channel
+  /// keeps a finished transmission this long (plus the shard hand-off
+  /// lateness) because a frame still in flight may overlap it.
+  core::SimTime longest_frame() const { return longest_frame_; }
+  /// Sharded runs: fold in the longest frame started on any shard, so
+  /// foreign frames resolved here find their overlapping local records.
+  void raise_longest_frame(core::SimTime d) {
+    longest_frame_ = std::max(longest_frame_, d);
+  }
 
   /// Resolve a reception handed off from another shard: the local receiver
   /// `rx` hears the foreign frame recorded in `tx`. Applies the half-duplex
@@ -215,6 +230,8 @@ class Network {
   std::uint64_t next_uid_ = 1;
   NetCounters counters_;
   ShardBridge* bridge_ = nullptr;  ///< null on every serial run
+  core::SimTime prune_slack_{};    ///< bridge_->handoff_lateness(), or zero
+  core::SimTime longest_frame_{};  ///< see longest_frame()
   /// False until the first set_node_up call: fault-free runs skip every
   /// per-reception down/recovery check behind this single flag, so the hot
   /// path (and its digests) is untouched when churn is not in play.

@@ -18,6 +18,7 @@
 // never touches any of this: the hot path is guarded by a single null check.
 #pragma once
 
+#include "core/sim_time.h"
 #include "net/channel_state.h"
 #include "net/packet.h"
 
@@ -40,6 +41,12 @@ class ShardBridge {
   /// Route a unicast decode verdict back to the (foreign) transmitter
   /// `tx_node`, completing its parked retry/fail bookkeeping.
   virtual void post_verdict(NodeId tx_node, bool delivered) = 0;
+
+  /// Longest delay between a posted frame's end and its resolution on the
+  /// owning shard. The receiving Network keeps its channel history this much
+  /// longer, so the foreign frame's collision check still sees every local
+  /// transmission it overlapped.
+  virtual core::SimTime handoff_lateness() const = 0;
 };
 
 }  // namespace vanet::net

@@ -42,6 +42,8 @@ class ShardRuntime::Bridge final : public net::ShardBridge {
     post(tx_node, std::move(h));
   }
 
+  core::SimTime handoff_lateness() const override { return kWindow; }
+
   std::uint64_t receptions = 0;
 
  private:
@@ -142,6 +144,18 @@ void ShardRuntime::distribute_mailboxes() {
   }
 }
 
+void ShardRuntime::share_longest_frame(
+    const std::vector<net::Network*>& nets) {
+  // A foreign frame that started before this barrier may be resolved on any
+  // shard, so every shard's channel must remember as far back as the longest
+  // frame started anywhere (see Network::attempt_transmission).
+  core::SimTime longest{};
+  for (const net::Network* n : nets) {
+    longest = std::max(longest, n->longest_frame());
+  }
+  for (net::Network* n : nets) n->raise_longest_frame(longest);
+}
+
 void ShardRuntime::run_shard_window(int shard, net::Network& net) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   // Resolve buffered handoffs first: the shard clock sits exactly at the
@@ -201,6 +215,7 @@ void ShardRuntime::run(core::Simulator& coordinator,
     next = std::min(next, end);
     window_end_ = next;
     final_window_ = next >= end;
+    share_longest_frame(nets);
     distribute_mailboxes();
     start_gate.arrive_and_wait();   // publish window, release workers
     finish_gate.arrive_and_wait();  // all shards reached the window edge

@@ -52,9 +52,9 @@ struct ScenarioConfig;
 
 namespace vanet::sim::sharded {
 
-/// Conservative lookahead window. Must stay far below the MAC's 50 ms
-/// channel-memory horizon: a cross-shard frame resolves at most one window
-/// late.
+/// Conservative lookahead window. A cross-shard frame resolves at most one
+/// window after it ends, so every Network keeps its channel history this
+/// much longer (ShardBridge::handoff_lateness).
 inline constexpr core::SimTime kWindow = core::SimTime::millis(1);
 
 /// One buffered cross-shard message: a reception handoff or, flowing the
@@ -109,6 +109,7 @@ class ShardRuntime {
   struct Shard;
 
   void distribute_mailboxes();
+  void share_longest_frame(const std::vector<net::Network*>& nets);
   void run_shard_window(int shard, net::Network& net);
 
   std::vector<int> node_shard_;  ///< node id -> owning shard

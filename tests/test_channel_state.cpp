@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -69,8 +71,8 @@ TEST(ChannelState, PruneDropsOnlyEntriesEndedBeforeHorizon) {
   EXPECT_EQ(cs.size(), 3u);
   cs.prune(SimTime::seconds(2.0));  // drops end=1 only (end < horizon)
   EXPECT_EQ(cs.size(), 2u);
-  // The end=2 entry survived and still answers overlap queries.
-  EXPECT_TRUE(cs.interference_at({0.0, 0.0}, SimTime::seconds(1.5),
+  // The survivors still answer overlap queries starting at the horizon.
+  EXPECT_TRUE(cs.interference_at({0.0, 0.0}, SimTime::seconds(2.0),
                                  SimTime::seconds(2.5), 100.0,
                                  ChannelState::kInvalidHandle));
   cs.prune(SimTime::seconds(10.0));
@@ -137,8 +139,9 @@ TEST(ChannelState, MatchesBruteForce) {
 
 TEST(ChannelState, OverlapSnapshotMatchesInterferenceAt) {
   // begin_overlap/overlap_near is the batched per-frame form of
-  // interference_at used by the collision loop; the two must agree on every
-  // probe position, including after prunes recycle slots.
+  // interference_at used by the collision loop; the two must agree at every
+  // receiver within max_range of the snapshot's center, including after
+  // prunes recycle slots.
   const double range = 150.0;
   ChannelState cs{range};
   core::Rng rng{7};
@@ -149,8 +152,10 @@ TEST(ChannelState, OverlapSnapshotMatchesInterferenceAt) {
     const SimTime end = start + SimTime::millis(rng.uniform_int(1, 50));
     handles.push_back(cs.add(static_cast<NodeId>(i), start, end, pos));
   }
-  for (int frame = 0; frame < 60; ++frame) {
-    if (frame == 30) {
+  int hits = 0;
+  int probes = 0;
+  for (int frame = 0; frame < 200; ++frame) {
+    if (frame == 100) {
       // Drop roughly the first half of the timeline, then refill a little.
       cs.prune(SimTime::millis(500));
       for (int i = 0; i < 40; ++i) {
@@ -162,18 +167,133 @@ TEST(ChannelState, OverlapSnapshotMatchesInterferenceAt) {
       }
     }
     const SimTime qstart = SimTime::millis(rng.uniform_int(500, 1000));
-    const SimTime qend = qstart + SimTime::millis(rng.uniform_int(1, 30));
+    const SimTime qend = qstart + SimTime::millis(rng.uniform_int(1, 200));
     const auto self =
         handles[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(handles.size()) - 1))];
-    cs.begin_overlap(qstart, qend, self);
+    const Vec2 center{rng.uniform(-1100.0, 1100.0),
+                      rng.uniform(-1100.0, 1100.0)};
+    // The receiver radius never exceeds the interference range.
+    const double max_range = rng.uniform(1.0, range);
+    cs.begin_overlap(qstart, qend, self, center, max_range + range);
     for (int p = 0; p < 40; ++p) {
-      const Vec2 pos{rng.uniform(-1100.0, 1100.0),
-                     rng.uniform(-1100.0, 1100.0)};
-      EXPECT_EQ(cs.overlap_near(pos, range),
-                cs.interference_at(pos, qstart, qend, range, self));
+      // Half uniform in the disk, half on its rim, where the snapshot's
+      // reach cutoff is tight.
+      const double angle = rng.uniform(0.0, 6.283185307179586);
+      const double r =
+          max_range * (p % 2 == 0 ? 1.0 : std::sqrt(rng.uniform(0.0, 1.0)));
+      const Vec2 pos = center + Vec2{r * std::cos(angle), r * std::sin(angle)};
+      if ((pos - center).norm() > max_range) continue;
+      const bool hit = cs.interference_at(pos, qstart, qend, range, self);
+      EXPECT_EQ(cs.overlap_near(pos, range), hit);
+      hits += hit ? 1 : 0;
+      ++probes;
     }
   }
+  // Both answers are common, so the comparison has teeth.
+  EXPECT_GT(hits, probes / 5);
+  EXPECT_LT(hits, probes - probes / 5);
+}
+
+TEST(ChannelState, OverlapSnapshotKeepsInterferersAtFullReach) {
+  // Receiver on the rim of the sender's 100 m reception disk, interferer
+  // exactly 150 m beyond it: 250 m = max_range + range from the sender.
+  ChannelState cs{150.0};
+  cs.add(1, SimTime::zero(), SimTime::seconds(1.0), {250.0, 0.0});
+  cs.begin_overlap(SimTime::zero(), SimTime::seconds(1.0),
+                   ChannelState::kInvalidHandle, {0.0, 0.0}, 250.0);
+  EXPECT_TRUE(cs.overlap_near({100.0, 0.0}, 150.0));
+  EXPECT_FALSE(cs.overlap_near({99.0, 0.0}, 150.0));
+}
+
+// Property: pruning at `now - longest frame` is exact. A frame stream runs
+// through two indexes, one pruned the way Network prunes and one never
+// pruned; carrier sense at every frame start and the collision answer at
+// every frame end must agree. Rare long frames make the horizon jump.
+TEST(ChannelState, ExactPruneHorizonMatchesUnprunedIndex) {
+  const double range = 200.0;
+  const double max_range = 150.0;
+  ChannelState pruned{range};
+  ChannelState full{range};
+  core::Rng rng{2024};
+  struct Frame {
+    ChannelState::Handle hp, hf;
+    SimTime start, end;
+    Vec2 pos;
+  };
+  std::vector<Frame> frames;
+  // In-flight frames as (end time, index), kept sorted by end time.
+  std::vector<std::pair<SimTime, std::size_t>> pending;
+  SimTime now = SimTime::zero();
+  SimTime longest = SimTime::zero();
+  std::size_t collisions = 0;
+  std::size_t checks = 0;
+  auto finish_due = [&](SimTime until) {
+    while (!pending.empty() && pending.front().first <= until) {
+      const Frame& f = frames[pending.front().second];
+      pending.erase(pending.begin());
+      const double reach = max_range + range;
+      pruned.begin_overlap(f.start, f.end, f.hp, f.pos, reach);
+      full.begin_overlap(f.start, f.end, f.hf, f.pos, reach);
+      for (int p = 0; p < 20; ++p) {
+        const Vec2 rx = f.pos + Vec2{rng.uniform(-100.0, 100.0),
+                                     rng.uniform(-100.0, 100.0)};
+        const bool hit = full.overlap_near(rx, range);
+        EXPECT_EQ(pruned.overlap_near(rx, range), hit);
+        EXPECT_EQ(pruned.interference_at(rx, f.start, f.end, range, f.hp),
+                  hit);
+        collisions += hit ? 1 : 0;
+        ++checks;
+      }
+    }
+  };
+  for (int i = 0; i < 10000; ++i) {
+    now = now + SimTime::micros(rng.uniform_int(1, 400));
+    finish_due(now);
+    pruned.prune(now - longest);
+    const Vec2 pos{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+    EXPECT_EQ(pruned.busy_until(pos, now, range),
+              full.busy_until(pos, now, range));
+    const SimTime duration =
+        rng.uniform(0.0, 1.0) < 0.01
+            ? SimTime::millis(rng.uniform_int(1, 60))
+            : SimTime::micros(rng.uniform_int(50, 740));
+    longest = std::max(longest, duration);
+    const SimTime end = now + duration;
+    frames.push_back({pruned.add(static_cast<NodeId>(i), now, end, pos),
+                      full.add(static_cast<NodeId>(i), now, end, pos), now,
+                      end, pos});
+    const auto at = std::upper_bound(
+        pending.begin(), pending.end(), std::make_pair(end, frames.size() - 1));
+    pending.insert(at, {end, frames.size() - 1});
+  }
+  finish_due(SimTime::max());
+  // The pruned index really did forget most of the stream, and the
+  // comparison saw both outcomes.
+  EXPECT_LT(pruned.size(), full.size() / 4);
+  EXPECT_GT(collisions, checks / 20);
+  EXPECT_LT(collisions, checks);
+}
+
+TEST(ChannelStateDeathTest, QueryBeforePruneHorizonAborts) {
+  ChannelState cs{100.0};
+  cs.add(0, SimTime::zero(), SimTime::seconds(1.0), {0.0, 0.0});
+  cs.prune(SimTime::seconds(2.0));
+  // A window starting before the horizon could have lost a collision.
+  EXPECT_DEATH(cs.begin_overlap(SimTime::seconds(1.5), SimTime::seconds(2.5),
+                                ChannelState::kInvalidHandle, {0.0, 0.0},
+                                200.0),
+               "prune horizon");
+  EXPECT_DEATH((void)cs.interference_at({0.0, 0.0}, SimTime::seconds(1.5),
+                                        SimTime::seconds(2.5), 100.0,
+                                        ChannelState::kInvalidHandle),
+               "prune horizon");
+  // A lower horizon later does not reopen the forgotten window.
+  cs.prune(SimTime::seconds(1.0));
+  EXPECT_DEATH(cs.begin_overlap(SimTime::seconds(1.5), SimTime::seconds(2.5),
+                                ChannelState::kInvalidHandle, {0.0, 0.0},
+                                200.0),
+               "prune horizon");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // MAC edge cases around the contended-channel hot path: half-duplex
-// rejection, same-instant frame ends, queue-capacity accounting, and
-// unicast retry exhaustion.
+// rejection, same-instant frame ends, queue-capacity accounting, unicast
+// retry exhaustion, and collisions with very long frames.
 //
 // Timing in these tests leans on two documented invariants: events at equal
 // timestamps dispatch in insertion order, and contention_window = 1 makes
@@ -136,6 +136,29 @@ TEST(MacEdge, RetryExhaustionInvokesFailureHandlerExactlyOncePerPacket) {
     EXPECT_EQ(count, 1) << "uid " << uid;
   }
   EXPECT_EQ(t.received[1].size(), 0u);
+}
+
+TEST(MacEdge, FrameLongerThanFiftyMillisecondsStillCollides) {
+  // Hidden terminals A--R--C (A and C cannot sense each other) at
+  // 10 kbit/s. A's 1000-byte frame lasts 0.832 s; C's 10-byte frame
+  // overlaps its first 40 ms, so R must lose A's frame to a collision. At
+  // t=200 ms a far node's attempt prunes the channel; that prune must keep
+  // C's record while A's frame is still in the air.
+  NetworkConfig cfg = deterministic_cfg();
+  cfg.bitrate_bps = 1e4;
+  MacNet t{{{0.0, 0.0}, {100.0, 0.0}, {200.0, 0.0}, {10000.0, 0.0}}, 120.0,
+           cfg};
+  const NodeId a = 0, r = 1, c = 2, far = 3;
+  t.net->send(a, t.data_packet(1000));
+  t.net->send(c, t.data_packet(10));
+  t.sim.schedule(core::SimTime::millis(200),
+                 [&] { t.net->send(far, t.data_packet(10)); });
+  t.sim.run_until(core::SimTime::seconds(2.0));
+  EXPECT_EQ(t.net->counters().frames_sent, 3u);
+  // R lost both C's frame and A's frame; nobody else hears anything.
+  EXPECT_EQ(t.net->counters().receptions_collided, 2u);
+  EXPECT_EQ(t.net->counters().receptions_ok, 0u);
+  EXPECT_TRUE(t.received[r].empty());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 //  - conservation: the sharded run originates exactly the packets the
 //    serial run does (the flow schedule is a pure function of the seed);
 //  - ownership: the shards' node stacks partition the node id space;
+//  - channel memory: a long foreign frame still finds the local records it
+//    overlapped when it is resolved at the next barrier;
 //  - config restrictions: unsupported combinations throw at construction.
 #include <gtest/gtest.h>
 
@@ -108,6 +110,20 @@ TEST(ShardedScenario, RepeatedRunsAreDeterministic) {
 TEST(ShardedScenario, EightWayOversubscribedStressMatchesOneWorker) {
   const ScenarioConfig cfg = lattice_config("flooding", 11);
   EXPECT_EQ(run_once(cfg, 8, 1), run_once(cfg, 8, 8));
+}
+
+// Channel memory across the cut: every shard prunes at now - W - D, with D
+// the longest frame started on any shard. At 200 kbit/s a 1500-byte data
+// frame lasts 61.6 ms against 2.9 ms hellos; with this seed the flow's first
+// data frame crosses into a shard that has only sent hellos (and pruned
+// since). Without the merged D that shard forgets local records the foreign
+// frame overlapped, and ChannelState's horizon check aborts the run.
+TEST(ShardedScenario, LongForeignFramesKeepTheirChannelHistory) {
+  ScenarioConfig cfg = lattice_config("greedy", 3);
+  cfg.net.bitrate_bps = 2e5;
+  cfg.traffic.payload_bytes = 1500;
+  cfg.traffic.flows = 1;
+  EXPECT_EQ(run_once(cfg, 2, 1), run_once(cfg, 2, 2));
 }
 
 // Every flow is scheduled by exactly one shard and the flow schedule is a
