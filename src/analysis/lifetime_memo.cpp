@@ -1,56 +1,13 @@
 #include "analysis/lifetime_memo.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "analysis/lifetime_distribution.h"
-#include "analysis/signal.h"
-#include "core/assert.h"
 
 namespace vanet::analysis {
 namespace {
 
-// Interpolation-grid shape (kInterp mode only). d0 is quantized over
-// (-r, r) and mu over [-kMuMax, kMuMax]; inputs outside the mu span fall
-// back to the exact path. 512 bins keep the worst-case bilinear error well
-// under the scoring noise floor for bench-sized geometries while bounding
-// the corner map at (kD0Bins+1)*(kMuBins+1) integrations.
-constexpr int kD0Bins = 512;
-constexpr int kMuBins = 512;
-constexpr double kMuMax = 64.0;  // m/s; |mu| beyond this is integrated exactly
-
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-// Same trapezoidal integral as LinkLifetimeDistribution::expected_lifetime,
-// minus the ctor preconditions: interpolation-grid corners can sit exactly on
-// |d0| == r (S(0+) < 1 there), which the distribution's "link must exist at
-// t=0" assert rejects. kInterp is results-changing by definition, so this
-// duplicate does not need to track the class bit-for-bit — but it does,
-// which makes interior corners verifiable against the class in tests.
-double raw_expected_lifetime(double r, double d0, double mu, double sigma,
-                             double horizon) {
-  const auto survival = [&](double t) {
-    const double denom = sigma * t;
-    const double upper = (r - d0 - mu * t) / denom;
-    const double lower = (-r - d0 - mu * t) / denom;
-    return normal_cdf(upper) - normal_cdf(lower);
-  };
-  double total = 0.0;
-  double t = 0.0;
-  double dt = 0.01;
-  double s_prev = t <= 0.0 ? 1.0 : survival(t);
-  while (t < horizon) {
-    const double step = std::min(dt, horizon - t);
-    const double s_next = survival(t + step);
-    total += 0.5 * (s_prev + s_next) * step;
-    t += step;
-    s_prev = s_next;
-    if (s_next < 1e-9) break;
-    dt = std::min(dt * 1.05, 4.0);
-  }
-  return total;
-}
 
 }  // namespace
 
@@ -69,9 +26,6 @@ std::size_t LifetimeMemo::KeyHash::operator()(const Key& k) const {
 
 double LifetimeMemo::expected_lifetime(double r, double d0, double mu,
                                        double sigma, double horizon) {
-  if (mode_ == Mode::kInterp && sigma > 0.0 && std::abs(mu) <= kMuMax) {
-    return interpolated(r, d0, mu, sigma, horizon);
-  }
   const Key key{bits(r), bits(d0), bits(mu), bits(sigma), bits(horizon)};
   auto [it, inserted] = exact_.try_emplace(key, 0.0);
   if (inserted) {
@@ -80,41 +34,6 @@ double LifetimeMemo::expected_lifetime(double r, double d0, double mu,
         LinkLifetimeDistribution{r, d0, mu, sigma}.expected_lifetime(horizon);
   } else {
     ++stats_.hits;
-  }
-  return it->second;
-}
-
-double LifetimeMemo::interpolated(double r, double d0, double mu, double sigma,
-                                  double horizon) {
-  VANET_ASSERT(r > 0.0);
-  // Continuous grid coordinates; d0 in (-r, r) maps to [0, kD0Bins].
-  const double x = (d0 / r + 1.0) * 0.5 * kD0Bins;
-  const double y = (mu / kMuMax + 1.0) * 0.5 * kMuBins;
-  const int i0 = std::clamp(static_cast<int>(x), 0, kD0Bins - 1);
-  const int j0 = std::clamp(static_cast<int>(y), 0, kMuBins - 1);
-  const double fx = std::clamp(x - i0, 0.0, 1.0);
-  const double fy = std::clamp(y - j0, 0.0, 1.0);
-  bool integrated = false;
-  const double v00 = corner_value(r, sigma, horizon, i0, j0, &integrated);
-  const double v10 = corner_value(r, sigma, horizon, i0 + 1, j0, &integrated);
-  const double v01 = corner_value(r, sigma, horizon, i0, j0 + 1, &integrated);
-  const double v11 =
-      corner_value(r, sigma, horizon, i0 + 1, j0 + 1, &integrated);
-  ++(integrated ? stats_.misses : stats_.hits);
-  return (1.0 - fx) * ((1.0 - fy) * v00 + fy * v01) +
-         fx * ((1.0 - fy) * v10 + fy * v11);
-}
-
-double LifetimeMemo::corner_value(double r, double sigma, double horizon,
-                                  int di, int mj, bool* integrated) {
-  const Key key{bits(r), static_cast<std::uint64_t>(di),
-                static_cast<std::uint64_t>(mj), bits(sigma), bits(horizon)};
-  auto [it, inserted] = corners_.try_emplace(key, 0.0);
-  if (inserted) {
-    *integrated = true;
-    const double d0 = (2.0 * di / kD0Bins - 1.0) * r;
-    const double mu = (2.0 * mj / kMuBins - 1.0) * kMuMax;
-    it->second = raw_expected_lifetime(r, d0, mu, sigma, horizon);
   }
   return it->second;
 }

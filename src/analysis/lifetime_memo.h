@@ -9,20 +9,12 @@
 // the same (d0, mu) pair recurs across every flood of the same tick — the
 // gvgrid route-geometry profile measured 43.7 M normal-CDF evaluations from
 // 130 k calls in one 10 s run (docs/PERFORMANCE.md). The memo collapses the
-// repeats:
+// repeats with a hash map keyed on the *bit patterns* of all five inputs. A
+// hit returns the exact double the integration produced, so scenario reports
+// are bit-identical to the uncached path by construction.
 //
-//  - kExact (default, `lifetime.memo=true`): a hash map keyed on the *bit
-//    patterns* of all five inputs. A hit returns the exact double the
-//    integration produced, so scenario reports are bit-identical to the
-//    uncached path by construction — this mode can never move a digest.
-//  - kInterp (`lifetime.interp=true`): bilinear interpolation between
-//    lazily-integrated corner values on a fixed (d0, mu) grid per
-//    (r, sigma, horizon). Much higher hit economy, but the returned values
-//    are approximations: results CHANGE, so this mode is opt-in and pinned
-//    by its own golden digest row (town-gvgrid-interp).
-//
-// Ownership: one instance per Scenario, shared by every per-node protocol
-// instance of that scenario (plumbed via ProtocolContext). Scenarios are
+// Ownership: one instance per NodeStack, shared by every per-node protocol
+// instance of that stack (plumbed via ProtocolContext). Stacks are
 // single-threaded, so the memo is deliberately unsynchronized; the
 // ExperimentEngine's parallelism is across scenarios, each with its own
 // memo. Entries live for the scenario's lifetime (speed parameters are
@@ -39,17 +31,10 @@ namespace vanet::analysis {
 
 class LifetimeMemo {
  public:
-  enum class Mode {
-    kExact,   ///< bit-exact memo: cached value == uncached value, always
-    kInterp,  ///< bilinear table: approximate values, results-changing
-  };
-
   struct Stats {
     std::uint64_t hits = 0;    ///< calls answered without a new integration
-    std::uint64_t misses = 0;  ///< calls that ran >= 1 numeric integration
+    std::uint64_t misses = 0;  ///< calls that ran the numeric integration
   };
-
-  explicit LifetimeMemo(Mode mode = Mode::kExact) : mode_{mode} {}
 
   /// E[min(T, horizon)] for LinkLifetimeDistribution{r, d0, mu, sigma} —
   /// served from cache when possible. Preconditions mirror the
@@ -57,7 +42,6 @@ class LifetimeMemo {
   double expected_lifetime(double r, double d0, double mu, double sigma,
                            double horizon);
 
-  Mode mode() const { return mode_; }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -69,26 +53,13 @@ class LifetimeMemo {
     std::size_t operator()(const Key& k) const;
   };
 
-  double interpolated(double r, double d0, double mu, double sigma,
-                      double horizon);
-  /// Corner value of the interpolation grid, integrated on first use
-  /// (sets *integrated when it was).
-  double corner_value(double r, double sigma, double horizon, int di, int mj,
-                      bool* integrated);
-
-  Mode mode_;
   Stats stats_;
   std::unordered_map<Key, double, KeyHash> exact_;
-  /// Interp corners, keyed (di, mj) — the (r, sigma, horizon) triple is a
-  /// per-run constant so one corner map suffices; the key guards against a
-  /// harness mixing triples.
-  std::unordered_map<Key, double, KeyHash> corners_;
 };
 
 /// Convenience for protocol code: memoized when `memo` is non-null (the
-/// scenario bound one), the plain exact integration otherwise (line/test
-/// harnesses without a scenario). Both paths return bit-identical values
-/// unless the memo is in kInterp mode.
+/// stack's memo), the plain integration otherwise (line/test harnesses
+/// without a scenario). Both paths return bit-identical values.
 double expected_lifetime_via(LifetimeMemo* memo, double r, double d0,
                              double mu, double sigma, double horizon);
 

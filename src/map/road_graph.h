@@ -122,8 +122,9 @@ class RoadGraph {
 /// disagree. The incremental density oracle (sim/scenario.cpp) only trusts a
 /// mobility model's self-reported segment when it is NOT flagged here —
 /// anything flagged falls back to the SegmentIndex query, which keeps the
-/// incremental refresh bit-identical to the full rescan. Conservative by
-/// construction: over-flagging only costs an index query, never correctness.
+/// incremental refresh bit-identical to querying the index for every
+/// vehicle. Conservative by construction: over-flagging only costs an index
+/// query, never correctness.
 /// Lattice graphs flag nothing (segments meet only at right angles).
 std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph,
                                               double clearance_m = 0.01,

@@ -1,6 +1,7 @@
 #include "mobility/mobility_manager.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/assert.h"
 
@@ -11,7 +12,11 @@ MobilityManager::MobilityManager(core::Simulator& sim,
                                  core::Rng& rng, core::SimTime tick)
     : sim_{sim}, model_{std::move(model)}, rng_{rng}, tick_{tick} {
   VANET_ASSERT(model_ != nullptr);
-  VANET_ASSERT(tick_ > core::SimTime::zero());
+  // Thrown (not asserted): a bad sweep value must become a structured failure
+  // row in the experiment engine, not a process abort.
+  if (tick_ <= core::SimTime::zero()) {
+    throw std::invalid_argument("mobility_tick_s must be > 0");
+  }
   rebuild_index();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 
 #include "core/assert.h"
 
@@ -40,8 +41,14 @@ std::vector<NodeId> NeighborTable::expire(core::SimTime now,
 
 HelloService::HelloService(Network& net, core::Rng& rng, HelloConfig cfg)
     : net_{net}, rng_{rng}, cfg_{cfg} {
-  VANET_ASSERT(cfg_.interval > core::SimTime::zero());
-  VANET_ASSERT(cfg_.expiry >= cfg_.interval);
+  // Thrown (not asserted): a bad sweep value must become a structured failure
+  // row in the experiment engine, not a process abort.
+  if (cfg_.interval <= core::SimTime::zero()) {
+    throw std::invalid_argument("hello.interval_s must be > 0");
+  }
+  if (cfg_.expiry < cfg_.interval) {
+    throw std::invalid_argument("hello.expiry_s must be >= hello.interval_s");
+  }
 }
 
 void HelloService::start(const std::vector<NodeId>& ids) {

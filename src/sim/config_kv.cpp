@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace vanet::sim {
 
@@ -24,16 +25,6 @@ std::string fmt_value(T v)
   requires std::is_integral_v<T>
 {
   return std::to_string(v);
-}
-
-std::string fmt_value(MobilityKind k) {
-  switch (k) {
-    case MobilityKind::kHighway: return "highway";
-    case MobilityKind::kManhattan: return "manhattan";
-    case MobilityKind::kTrace: return "trace";
-    case MobilityKind::kGraph: return "graph";
-  }
-  return "highway";
 }
 
 [[noreturn]] void bad_value(const std::string& key, const std::string& value,
@@ -99,25 +90,35 @@ Field string_field(std::string key, std::string& (*ref)(ScenarioConfig&)) {
   return f;
 }
 
-/// A routing::GeometryMode field: line (legacy plane) | route (map-aware).
-Field geometry_field(std::string key,
-                     routing::GeometryMode& (*ref)(ScenarioConfig&)) {
+/// An enum field, declared once as its (name, value) table. The table order
+/// is the order of the "expected a|b|c" error text, and its first name is
+/// what an out-of-table value reads back as.
+template <typename E>
+Field enum_field(std::string key, E& (*ref)(ScenarioConfig&),
+                 std::vector<std::pair<std::string, E>> names) {
+  std::string expected;
+  for (const auto& entry : names) {
+    if (!expected.empty()) expected += '|';
+    expected += entry.first;
+  }
   Field f;
   f.key = std::move(key);
-  f.get = [ref](const ScenarioConfig& cfg) {
-    return ref(const_cast<ScenarioConfig&>(cfg)) == routing::GeometryMode::kRoute
-               ? std::string("route")
-               : std::string("line");
-  };
-  f.set = [ref](ScenarioConfig& cfg, const std::string& k,
-                const std::string& v) {
-    if (v == "line") {
-      ref(cfg) = routing::GeometryMode::kLine;
-    } else if (v == "route") {
-      ref(cfg) = routing::GeometryMode::kRoute;
-    } else {
-      bad_value(k, v, "line|route");
+  f.get = [ref, names](const ScenarioConfig& cfg) {
+    const E current = ref(const_cast<ScenarioConfig&>(cfg));
+    for (const auto& [name, value] : names) {
+      if (value == current) return name;
     }
+    return names.front().first;
+  };
+  f.set = [ref, names, expected](ScenarioConfig& cfg, const std::string& k,
+                                 const std::string& v) {
+    for (const auto& [name, value] : names) {
+      if (name == v) {
+        ref(cfg) = value;
+        return;
+      }
+    }
+    bad_value(k, v, expected.c_str());
   };
   return f;
 }
@@ -147,6 +148,9 @@ std::vector<Field> build_fields() {
   auto num = [&fields](std::string key, auto ref) {
     fields.push_back(numeric_field(std::move(key), ref));
   };
+  const std::vector<std::pair<std::string, routing::GeometryMode>> geometry{
+      {"line", routing::GeometryMode::kLine},
+      {"route", routing::GeometryMode::kRoute}};
 
   // --- top level -----------------------------------------------------------
   num("seed", REF(seed));
@@ -220,26 +224,11 @@ std::vector<Field> build_fields() {
   }
   fields.push_back(string_field("map.file", REF(map.file)));
   num("map.trace_tolerance_m", REF(map.trace_tolerance_m));
-  {
-    Field f;
-    f.key = "mobility";
-    f.get = [](const ScenarioConfig& cfg) { return fmt_value(cfg.mobility); };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      if (v == "highway") {
-        cfg.mobility = MobilityKind::kHighway;
-      } else if (v == "manhattan") {
-        cfg.mobility = MobilityKind::kManhattan;
-      } else if (v == "trace") {
-        cfg.mobility = MobilityKind::kTrace;
-      } else if (v == "graph") {
-        cfg.mobility = MobilityKind::kGraph;
-      } else {
-        bad_value(k, v, "highway|manhattan|trace|graph");
-      }
-    };
-    fields.push_back(std::move(f));
-  }
+  fields.push_back(enum_field("mobility", REF(mobility),
+                              {{"highway", MobilityKind::kHighway},
+                               {"manhattan", MobilityKind::kManhattan},
+                               {"trace", MobilityKind::kTrace},
+                               {"graph", MobilityKind::kGraph}}));
   {
     // `vehicles` first so `vehicles_per_direction` re-settles it on parse
     // (see header comment about the alias).
@@ -278,31 +267,10 @@ std::vector<Field> build_fields() {
     fields.push_back(std::move(f));
   }
   num("comm_range_m", REF(comm_range_m));
-  {
-    Field f;
-    f.key = "phy.model";
-    f.get = [](const ScenarioConfig& cfg) {
-      switch (cfg.phy) {
-        case PhyModel::kShadowing: return std::string("shadowing");
-        case PhyModel::kNakagami: return std::string("nakagami");
-        case PhyModel::kUnitDisk: break;
-      }
-      return std::string("unitdisk");
-    };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      if (v == "unitdisk") {
-        cfg.phy = PhyModel::kUnitDisk;
-      } else if (v == "shadowing") {
-        cfg.phy = PhyModel::kShadowing;
-      } else if (v == "nakagami") {
-        cfg.phy = PhyModel::kNakagami;
-      } else {
-        bad_value(k, v, "unitdisk|shadowing|nakagami");
-      }
-    };
-    fields.push_back(std::move(f));
-  }
+  fields.push_back(enum_field("phy.model", REF(phy),
+                              {{"unitdisk", PhyModel::kUnitDisk},
+                               {"shadowing", PhyModel::kShadowing},
+                               {"nakagami", PhyModel::kNakagami}}));
   {
     // Validated here (not asserted in the scenario) so a bad sweep value
     // fails as a catchable config error.
@@ -333,12 +301,10 @@ std::vector<Field> build_fields() {
   num("yan_tickets", REF(yan_tickets));
   num("car_cell_m", REF(car_cell_m));
   num("sample_reachability", REF(sample_reachability));
-  num("density.incremental", REF(density_incremental));
-  num("lifetime.memo", REF(lifetime_memo));
-  num("lifetime.interp", REF(lifetime_interp));
-  fields.push_back(geometry_field("zone.geometry", REF(zone_geometry)));
-  fields.push_back(geometry_field("grid.geometry", REF(grid_geometry)));
-  fields.push_back(geometry_field("gvgrid.geometry", REF(gvgrid_geometry)));
+  fields.push_back(enum_field("zone.geometry", REF(zone_geometry), geometry));
+  fields.push_back(enum_field("grid.geometry", REF(grid_geometry), geometry));
+  fields.push_back(
+      enum_field("gvgrid.geometry", REF(gvgrid_geometry), geometry));
 
   // --- etx.* / flood.* (link-quality family; routing/linkquality/) ---------
   {
@@ -373,26 +339,10 @@ std::vector<Field> build_fields() {
     };
     fields.push_back(std::move(f));
   }
-  {
-    Field f;
-    f.key = "flood.suppression";
-    f.get = [](const ScenarioConfig& cfg) {
-      return cfg.flood_suppression == routing::FloodSuppression::kEtx
-                 ? std::string("etx")
-                 : std::string("none");
-    };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      if (v == "none") {
-        cfg.flood_suppression = routing::FloodSuppression::kNone;
-      } else if (v == "etx") {
-        cfg.flood_suppression = routing::FloodSuppression::kEtx;
-      } else {
-        bad_value(k, v, "none|etx");
-      }
-    };
-    fields.push_back(std::move(f));
-  }
+  fields.push_back(
+      enum_field("flood.suppression", REF(flood_suppression),
+                 {{"none", routing::FloodSuppression::kNone},
+                  {"etx", routing::FloodSuppression::kEtx}}));
 
   // --- highway.* -----------------------------------------------------------
   num("highway.length", REF(highway.length));

@@ -91,12 +91,6 @@ NodeStack::NodeStack(const SharedWorld& world, core::Simulator& loop,
                   [bridge](net::NodeId id) { return !bridge->owned(id); });
   }
 
-  if (cfg.lifetime_interp) {
-    lifetime_memo = std::make_unique<analysis::LifetimeMemo>(
-        analysis::LifetimeMemo::Mode::kInterp);
-  } else if (cfg.lifetime_memo) {
-    lifetime_memo = std::make_unique<analysis::LifetimeMemo>();
-  }
   seg_snapshot = std::make_unique<map::SegmentSnapshot>(world.segments);
 
   protocols.resize(net->node_count());
@@ -120,7 +114,7 @@ NodeStack::NodeStack(const SharedWorld& world, core::Simulator& loop,
     // caches.
     ctx.map = world.deps.road_graph.get();
     ctx.segments = &world.segments;
-    ctx.lifetime_memo = lifetime_memo.get();
+    ctx.lifetime_memo = &lifetime_memo;
     ctx.seg_snapshot = seg_snapshot.get();
     protocols[id]->bind(ctx);
 

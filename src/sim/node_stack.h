@@ -65,9 +65,8 @@ struct NodeStack {
   std::unique_ptr<net::HelloService> hello;  ///< null for hello-less protocols
   std::vector<net::NodeId> owned;            ///< ascending node ids
   // Caches shared (non-owning) with this stack's protocols; per stack
-  // because they are mutable and shards run concurrently. Null memo when
-  // `lifetime.memo=false` and `lifetime.interp=false`.
-  std::unique_ptr<analysis::LifetimeMemo> lifetime_memo;
+  // because they are mutable and shards run concurrently.
+  analysis::LifetimeMemo lifetime_memo;
   std::unique_ptr<map::SegmentSnapshot> seg_snapshot;
   routing::ProtocolEvents events;
   Metrics metrics;

@@ -67,10 +67,8 @@ TimedRun run_timed(const ScenarioConfig& cfg) {
   out.sched_oversize_callbacks = sched.oversize_callbacks;
   out.sched_peak_pending = sched.peak_pending;
   for (const NodeStack& stack : scenario.stacks()) {
-    if (const analysis::LifetimeMemo* memo = stack.lifetime_memo.get()) {
-      out.lifetime_memo_hits += memo->stats().hits;
-      out.lifetime_memo_misses += memo->stats().misses;
-    }
+    out.lifetime_memo_hits += stack.lifetime_memo.stats().hits;
+    out.lifetime_memo_misses += stack.lifetime_memo.stats().misses;
     const map::SegmentSnapshot::Stats& snap = stack.seg_snapshot->stats();
     out.seg_snapshot_queries += snap.queries;
     out.seg_snapshot_hits += snap.hits;

@@ -104,10 +104,9 @@ ScenarioReport assemble_report(const ScenarioConfig& cfg,
   r.observed_lifetime_mean_s = events.observed_route_lifetime.mean();
   if (cfg.protocol == "etx" ||
       cfg.flood_suppression != routing::FloodSuppression::kNone) {
-    r.linkquality_enabled = true;
-    r.etx_link_error_mean = events.etx_link_abs_error.mean();
-    r.etx_link_samples = events.etx_link_abs_error.count();
-    r.suppressed_rebroadcasts = events.suppressed_rebroadcasts;
+    r.linkquality = LinkQualityReport{events.etx_link_abs_error.mean(),
+                                      events.etx_link_abs_error.count(),
+                                      events.suppressed_rebroadcasts};
   }
   return r;
 }
@@ -172,26 +171,23 @@ std::string canonical_report_string(const ScenarioReport& r) {
   append_field(out, "preemptive_rebuilds", r.preemptive_rebuilds);
   append_field(out, "predicted_lifetime_mean_s", r.predicted_lifetime_mean_s);
   append_field(out, "observed_lifetime_mean_s", r.observed_lifetime_mean_s);
-  // Fault fields only exist in the canonical form of faulted runs: a report
-  // with fault_enabled=false serializes byte-identically to a pre-fault
-  // build, which is what keeps the historical golden digests valid.
-  if (r.fault_enabled) {
-    append_field(out, "faulted_originated", r.faulted_originated);
-    append_field(out, "faulted_delivered", r.faulted_delivered);
-    append_field(out, "pdr_under_fault", r.pdr_under_fault);
-    append_field(out, "node_outages", r.node_outages);
-    append_field(out, "node_restarts", r.node_restarts);
-    append_field(out, "segment_blocks", r.segment_blocks);
-    append_field(out, "frames_dropped_down", r.frames_dropped_down);
-    append_field(out, "recovery_latency_mean_s", r.recovery_latency_mean_s);
+  // Optional sections only exist in the canonical form of runs that produced
+  // them: a report without one serializes byte-identically to a build that
+  // predates it, which is what keeps the historical golden digests valid.
+  if (const auto& f = r.fault) {
+    append_field(out, "faulted_originated", f->faulted_originated);
+    append_field(out, "faulted_delivered", f->faulted_delivered);
+    append_field(out, "pdr_under_fault", f->pdr_under_fault);
+    append_field(out, "node_outages", f->node_outages);
+    append_field(out, "node_restarts", f->node_restarts);
+    append_field(out, "segment_blocks", f->segment_blocks);
+    append_field(out, "frames_dropped_down", f->frames_dropped_down);
+    append_field(out, "recovery_latency_mean_s", f->recovery_latency_mean_s);
   }
-  // Link-quality fields follow the same rule: only serialized when the etx
-  // protocol or a flood.suppression mode ran, so every pre-existing digest
-  // stays byte-identical.
-  if (r.linkquality_enabled) {
-    append_field(out, "etx_link_error_mean", r.etx_link_error_mean);
-    append_field(out, "etx_link_samples", r.etx_link_samples);
-    append_field(out, "suppressed_rebroadcasts", r.suppressed_rebroadcasts);
+  if (const auto& lq = r.linkquality) {
+    append_field(out, "etx_link_error_mean", lq->etx_link_error_mean);
+    append_field(out, "etx_link_samples", lq->etx_link_samples);
+    append_field(out, "suppressed_rebroadcasts", lq->suppressed_rebroadcasts);
   }
   return out;
 }
@@ -340,9 +336,7 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   // at tick time, so the 1 Hz refresh only queries the SegmentIndex for
   // vehicles the model cannot vouch for (near intersections, or on segments
   // whose interiors are geometrically ambiguous — none on lattices).
-  incremental_density_ =
-      cfg_.density_incremental && cfg_.mobility == MobilityKind::kGraph;
-  if (incremental_density_) {
+  if (graph_model_ != nullptr) {
     segment_ambiguous_ = map::ambiguous_interior_segments(*road_graph_);
     // Graph mobility proves driven segments (MobilityModel::reported_segment)
     // for positions it produced this tick; declining on any position mismatch
@@ -379,14 +373,14 @@ void Scenario::update_density() {
   std::vector<double> counts(road_graph_->segment_count(), 0.0);
   map::SegmentSnapshot& snapshot = *stacks_.front().seg_snapshot;
   for (const mobility::VehicleState& v : mobility_->vehicles()) {
-    // Incremental: through the first stack's snapshot, whose prover is the
-    // proven reported_segment + ambiguity mask and whose fallback is the same
-    // index query — digest-identical — and which warms the per-node entries
-    // the route-geometry protocols read. Otherwise (`density.incremental=
-    // false`, or no prover-capable mobility) direct index queries, which
-    // return exactly RoadGraph::segment_of_position(pos) — see
-    // map/segment_index.h — without the O(segments) scan per vehicle.
-    const int seg = incremental_density_
+    // Graph mobility: through the first stack's snapshot, whose prover is
+    // the proven reported_segment + ambiguity mask and whose fallback is the
+    // same index query — digest-identical — and which warms the per-node
+    // entries the route-geometry protocols read. Other mobility models
+    // prove nothing, so they query the index directly; it returns exactly
+    // RoadGraph::segment_of_position(pos) — see map/segment_index.h —
+    // without the O(segments) scan per vehicle.
+    const int seg = graph_model_ != nullptr
                         ? snapshot.segment_of(v.id, v.pos)
                         : segment_index_->nearest_segment(v.pos);
     counts[static_cast<std::size_t>(seg)] += 1.0;
@@ -467,26 +461,26 @@ ScenarioReport Scenario::report() const {
       assemble_report(cfg_, first.metrics, first.net->counters(), first.events,
                       reachable_samples_, total_samples_);
   if (fault_plan_) {
-    r.fault_enabled = true;
+    FaultReport& f = r.fault.emplace();
     // Classify both sides of the delivery ledger by *send* time against the
     // completed fault timeline (see Metrics::set_fault_tracking).
     for (const core::SimTime t : first.metrics.origination_times()) {
-      if (fault_plan_->fault_active_at(t)) ++r.faulted_originated;
+      if (fault_plan_->fault_active_at(t)) ++f.faulted_originated;
     }
     for (const core::SimTime t : first.metrics.first_delivery_sent_times()) {
-      if (fault_plan_->fault_active_at(t)) ++r.faulted_delivered;
+      if (fault_plan_->fault_active_at(t)) ++f.faulted_delivered;
     }
-    r.pdr_under_fault =
-        r.faulted_originated > 0
-            ? static_cast<double>(r.faulted_delivered) /
-                  static_cast<double>(r.faulted_originated)
+    f.pdr_under_fault =
+        f.faulted_originated > 0
+            ? static_cast<double>(f.faulted_delivered) /
+                  static_cast<double>(f.faulted_originated)
             : 0.0;
     const FaultCounters& fc = fault_plan_->counters();
-    r.node_outages = fc.node_outages;
-    r.node_restarts = fc.node_restarts;
-    r.segment_blocks = fc.segment_blocks;
-    r.frames_dropped_down = first.net->counters().frames_dropped_down;
-    r.recovery_latency_mean_s = first.net->recovery_latency().mean();
+    f.node_outages = fc.node_outages;
+    f.node_restarts = fc.node_restarts;
+    f.segment_blocks = fc.segment_blocks;
+    f.frames_dropped_down = first.net->counters().frames_dropped_down;
+    f.recovery_latency_mean_s = first.net->recovery_latency().mean();
   }
   return r;
 }

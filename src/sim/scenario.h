@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,25 +99,6 @@ struct ScenarioConfig {
   int yan_tickets = 4;
   double car_cell_m = 500.0;        ///< road-graph granularity for CAR
   bool sample_reachability = true;  ///< 1 Hz src-dst connectivity oracle
-  /// Density-oracle refresh strategy: vehicles whose mobility model proves
-  /// the segment they drive on (MobilityModel::reported_segment) skip the
-  /// per-vehicle SegmentIndex query at the 1 Hz refresh. Bit-identical to
-  /// the full rescan by construction (see ambiguous_interior_segments);
-  /// `density.incremental=false` forces the rescan, mainly for the
-  /// equivalence test.
-  bool density_incremental = true;
-  /// Exact memo in front of the link-lifetime integration
-  /// (analysis::LifetimeMemo): repeated (distance, relative-speed) inputs
-  /// return the cached integral. Bit-identical to direct integration by
-  /// construction; `lifetime.memo=false` disables it, mainly for the
-  /// equivalence test.
-  bool lifetime_memo = true;
-  /// Opt-in interpolation table for the link-lifetime integral
-  /// (`lifetime.interp=true`): bilinear between pre-integrated grid corners.
-  /// RESULTS-CHANGING — reports differ from the exact integration, so this
-  /// is off by default and pinned by its own golden digest row. Takes
-  /// precedence over `lifetime.memo` when enabled.
-  bool lifetime_interp = false;
   // Geometry backend of the road-geometry protocols (`zone.geometry` etc.,
   // values line|route — see routing::GeometryMode).
   routing::GeometryMode zone_geometry = routing::GeometryMode::kLine;
@@ -130,6 +112,26 @@ struct ScenarioConfig {
   routing::FloodSuppression flood_suppression = routing::FloodSuppression::kNone;
 
   TrafficConfig traffic;
+};
+
+/// Fault-injection results of a run with `fault.enabled=true`.
+struct FaultReport {
+  std::uint64_t faulted_originated = 0;  ///< sent while a fault was active
+  std::uint64_t faulted_delivered = 0;   ///< of those, delivered
+  double pdr_under_fault = 0.0;
+  std::uint64_t node_outages = 0;
+  std::uint64_t node_restarts = 0;
+  std::uint64_t segment_blocks = 0;
+  std::uint64_t frames_dropped_down = 0;
+  double recovery_latency_mean_s = 0.0;  ///< restart -> first decoded frame
+};
+
+/// Link-quality family results of a run with protocol=etx or a
+/// flood.suppression mode active.
+struct LinkQualityReport {
+  double etx_link_error_mean = 0.0;     ///< mean |estimated - analytic| ETX
+  std::uint64_t etx_link_samples = 0;   ///< links sampled for the error stat
+  std::uint64_t suppressed_rebroadcasts = 0;
 };
 
 /// Aggregated result of one run.
@@ -158,27 +160,11 @@ struct ScenarioReport {
   double predicted_lifetime_mean_s = 0.0;
   double observed_lifetime_mean_s = 0.0;
 
-  /// Fault-injection results. Appended to the canonical string — and hence
-  /// the digest — only when fault_enabled, so every pre-fault digest stays
-  /// byte-identical with the fault layer compiled in and disabled.
-  bool fault_enabled = false;
-  std::uint64_t faulted_originated = 0;  ///< sent while a fault was active
-  std::uint64_t faulted_delivered = 0;   ///< of those, delivered
-  double pdr_under_fault = 0.0;
-  std::uint64_t node_outages = 0;
-  std::uint64_t node_restarts = 0;
-  std::uint64_t segment_blocks = 0;
-  std::uint64_t frames_dropped_down = 0;
-  double recovery_latency_mean_s = 0.0;  ///< restart -> first decoded frame
-
-  /// Link-quality family results. Appended to the canonical string — and
-  /// hence the digest — only when linkquality_enabled (protocol=etx or a
-  /// flood.suppression mode active), so pre-existing digests stay
-  /// byte-identical.
-  bool linkquality_enabled = false;
-  double etx_link_error_mean = 0.0;     ///< mean |estimated - analytic| ETX
-  std::uint64_t etx_link_samples = 0;   ///< links sampled for the error stat
-  std::uint64_t suppressed_rebroadcasts = 0;
+  /// Optional sections: each is present only when its layer ran, and only a
+  /// present section is appended to the canonical string (and hence the
+  /// digest), so runs without it keep their historical digests.
+  std::optional<FaultReport> fault;
+  std::optional<LinkQualityReport> linkquality;
 };
 
 /// Canonical, lossless textual form of a report: every field on one
@@ -278,9 +264,8 @@ class Scenario {
   std::shared_ptr<routing::FerrySet> ferries_;
   std::shared_ptr<map::SegmentDensityOracle> density_;
   /// Segments whose interiors cannot prove nearest-segment identity; only
-  /// populated when the incremental density path is active (graph mobility).
+  /// populated under graph mobility, whose density refresh is incremental.
   std::vector<bool> segment_ambiguous_;
-  bool incremental_density_ = false;
   /// Declared before the stacks: they run on its loops and bridges.
   std::unique_ptr<sharded::ShardRuntime> shards_;
   /// A deque: stacks never move once built (their handlers capture them).

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace vanet::sim {
 namespace {
@@ -238,8 +243,38 @@ TEST(ConfigKv, GeometryModeKeysParseLineAndRouteOnly) {
 
   config_set(cfg, "map.trace_tolerance_m", "12.5");
   EXPECT_DOUBLE_EQ(cfg.map.trace_tolerance_m, 12.5);
-  config_set(cfg, "density.incremental", "false");
-  EXPECT_FALSE(cfg.density_incremental);
+}
+
+TEST(ConfigKv, EnumKeysNameEveryChoiceInTheirError) {
+  // Each enum key's error lists its whole name table, in table order.
+  const std::vector<std::pair<std::string, std::string>> expected{
+      {"mobility", "highway|manhattan|trace|graph"},
+      {"phy.model", "unitdisk|shadowing|nakagami"},
+      {"zone.geometry", "line|route"},
+      {"grid.geometry", "line|route"},
+      {"gvgrid.geometry", "line|route"},
+      {"flood.suppression", "none|etx"},
+  };
+  for (const auto& [key, names] : expected) {
+    ScenarioConfig cfg;
+    try {
+      config_set(cfg, key, "bogus");
+      FAIL() << key << ": expected throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string{e.what()}, "config key '" + key +
+                                           "': invalid value 'bogus' "
+                                           "(expected " + names + ")");
+    }
+    // Every listed name parses and reads back as itself.
+    std::size_t start = 0;
+    while (start <= names.size()) {
+      const std::size_t bar = std::min(names.find('|', start), names.size());
+      const std::string name = names.substr(start, bar - start);
+      config_set(cfg, key, name);
+      EXPECT_EQ(config_get(cfg, key), name) << key;
+      start = bar + 1;
+    }
+  }
 }
 
 TEST(ConfigKv, PhyModelKeyAndShadowingAlias) {

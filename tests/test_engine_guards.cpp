@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace vanet::sim {
 namespace {
@@ -52,6 +53,34 @@ TEST(EngineGuards, CaptureTurnsExceptionsIntoFailureRecords) {
   ASSERT_EQ(result.cells.size(), 1u);
   EXPECT_EQ(result.cells[0].failed_runs, 2u);
   EXPECT_TRUE(result.cells[0].agg.runs.empty());
+}
+
+TEST(EngineGuards, HostileConfigValuesBecomeFailureRowsNotAborts) {
+  // Values the config layer accepts but the simulation cannot run: each must
+  // surface as one captured failure naming its key, never a process abort.
+  struct Hostile {
+    std::string key, value, protocol;
+  };
+  const std::vector<Hostile> hostile{
+      {"mobility_tick_s", "0", "aodv"},
+      {"traffic.rate_pps", "0", "aodv"},
+      {"traffic.flows", "0", "aodv"},
+      {"traffic.stop_s", "0.1", "aodv"},
+      {"hello.interval_s", "0", "greedy"},
+      {"hello.expiry_s", "0.1", "greedy"},
+  };
+  for (const Hostile& h : hostile) {
+    ExperimentSpec spec;
+    spec.base = micro_highway();
+    spec.protocols = {h.protocol};
+    spec.axes = {{h.key, {h.value}}};
+    spec.seeds = {1};
+    const ExperimentResult result = ExperimentEngine{1}.run(spec);
+    ASSERT_EQ(result.failures.size(), 1u) << h.key << "=" << h.value;
+    EXPECT_EQ(result.failures[0].kind, "exception") << h.key;
+    EXPECT_NE(result.failures[0].error.find(h.key), std::string::npos)
+        << result.failures[0].error;
+  }
 }
 
 TEST(EngineGuards, MixedCellAggregatesOnlyHealthySeeds) {

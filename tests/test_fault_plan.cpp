@@ -85,9 +85,9 @@ TEST(FaultPlan, PlannedNodeOutageIsAppliedAndCounted) {
   Scenario s{cfg};
   s.run();
   const ScenarioReport r = s.report();
-  EXPECT_TRUE(r.fault_enabled);
-  EXPECT_EQ(r.node_outages, 2u);
-  EXPECT_EQ(r.node_restarts, 1u);  // node 1 never comes back
+  ASSERT_TRUE(r.fault.has_value());
+  EXPECT_EQ(r.fault->node_outages, 2u);
+  EXPECT_EQ(r.fault->node_restarts, 1u);  // node 1 never comes back
   EXPECT_FALSE(s.network().node_up(1));
   EXPECT_TRUE(s.network().node_up(0));
 }
@@ -116,8 +116,9 @@ TEST(FaultPlan, OverlappingFaultsLastWriterWins) {
   Scenario s{cfg};
   s.run();
   const ScenarioReport r = s.report();
-  EXPECT_EQ(r.node_outages, 1u);   // second crash found the node down
-  EXPECT_EQ(r.node_restarts, 1u);  // second restart found the node up
+  ASSERT_TRUE(r.fault.has_value());
+  EXPECT_EQ(r.fault->node_outages, 1u);   // second crash found the node down
+  EXPECT_EQ(r.fault->node_restarts, 1u);  // second restart found the node up
   const FaultPlan& plan = *s.fault_plan();
   EXPECT_TRUE(plan.fault_active_at(core::SimTime::seconds(4.0)));
   EXPECT_FALSE(plan.fault_active_at(core::SimTime::seconds(7.0)));
@@ -134,12 +135,14 @@ TEST(FaultPlan, SeededChurnCrashesAndRestartsNodes) {
   Scenario s{cfg};
   s.run();
   const ScenarioReport r = s.report();
-  EXPECT_GT(r.node_outages, 0u);
-  EXPECT_GT(r.node_restarts, 0u);
-  EXPECT_GE(r.node_outages, r.node_restarts);
+  ASSERT_TRUE(r.fault.has_value());
+  const FaultReport& f = *r.fault;
+  EXPECT_GT(f.node_outages, 0u);
+  EXPECT_GT(f.node_restarts, 0u);
+  EXPECT_GE(f.node_outages, f.node_restarts);
   // Classified traffic never exceeds the totals.
-  EXPECT_LE(r.faulted_originated, r.originated);
-  EXPECT_LE(r.faulted_delivered, r.delivered);
+  EXPECT_LE(f.faulted_originated, r.originated);
+  EXPECT_LE(f.faulted_delivered, r.delivered);
 }
 
 TEST(FaultPlan, RoadIncidentBlocksAndClearsSegments) {
@@ -151,7 +154,8 @@ TEST(FaultPlan, RoadIncidentBlocksAndClearsSegments) {
   Scenario s{cfg};
   s.run();
   const ScenarioReport r = s.report();
-  EXPECT_EQ(r.segment_blocks, 2u);
+  ASSERT_TRUE(r.fault.has_value());
+  EXPECT_EQ(r.fault->segment_blocks, 2u);
   ASSERT_NE(s.graph_model(), nullptr);
   EXPECT_FALSE(s.graph_model()->segment_blocked(0));  // cleared at 8 s
   EXPECT_TRUE(s.graph_model()->segment_blocked(3));   // never cleared

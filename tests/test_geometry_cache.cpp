@@ -1,8 +1,9 @@
 // The geometry-cache layer (docs/ARCHITECTURE.md "Scenario-owned caches"):
 // the lifetime memo, the per-tick segment snapshot and the corridor
-// pre-reject are pure caches in default configuration — every test here pins
-// either the bit-identity contract (cached answer == uncached answer, down
-// to the digest) or the counter semantics bench_compare.py watches.
+// pre-reject are pure caches — every test here pins either the bit-identity
+// contract (cached answer == uncached answer) or the counter semantics
+// bench_compare.py watches. The scenario-level proof is the golden
+// town-gvgrid-route row, whose digest matches the uncached integral.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -27,7 +28,7 @@ namespace {
 // ---- LifetimeMemo -----------------------------------------------------------
 
 TEST(LifetimeMemo, ExactModeIsBitIdenticalToDirectEvaluation) {
-  analysis::LifetimeMemo memo;  // default: exact mode
+  analysis::LifetimeMemo memo;
   std::mt19937 gen{7};
   std::uniform_real_distribution<double> d0_frac{-0.95, 0.95};
   std::uniform_real_distribution<double> mu_dist{-30.0, 30.0};
@@ -77,23 +78,6 @@ TEST(LifetimeMemo, ViaHelperFallsBackToDirectWithoutMemo) {
   EXPECT_EQ(
       analysis::expected_lifetime_via(&memo, 250.0, 100.0, 8.0, 4.0, 600.0),
       direct);
-}
-
-TEST(LifetimeMemo, InterpModeIsDeterministicAndCountsPerCall) {
-  analysis::LifetimeMemo memo{analysis::LifetimeMemo::Mode::kInterp};
-  const double v1 = memo.expected_lifetime(250.0, 100.0, 8.0, 4.0, 600.0);
-  // Counter semantics: exactly one hit or miss per logical call, not one per
-  // corner integration.
-  EXPECT_EQ(memo.stats().hits + memo.stats().misses, 1u);
-  const double v2 = memo.expected_lifetime(250.0, 100.0, 8.0, 4.0, 600.0);
-  EXPECT_EQ(v1, v2);  // repeat query: same corners, same bits
-  EXPECT_EQ(memo.stats().hits + memo.stats().misses, 2u);
-  EXPECT_GE(memo.stats().hits, 1u);
-  // Coarse sanity: the table approximates the direct integral.
-  const double direct =
-      analysis::LinkLifetimeDistribution{250.0, 100.0, 8.0, 4.0}
-          .expected_lifetime(600.0);
-  EXPECT_NEAR(v1, direct, 0.25 * direct + 1.0);
 }
 
 // ---- SegmentSnapshot --------------------------------------------------------
@@ -179,7 +163,7 @@ TEST(RouteCorridor, ContainsMatchesExactDistanceEverywhere) {
   }
 }
 
-// ---- Scenario-level equivalence and counters --------------------------------
+// ---- Scenario-level counters ------------------------------------------------
 
 sim::ScenarioConfig town_gvgrid_config() {
   sim::ScenarioConfig cfg;
@@ -193,27 +177,6 @@ sim::ScenarioConfig town_gvgrid_config() {
   cfg.gvgrid_geometry = routing::GeometryMode::kRoute;
   cfg.traffic.stop_s = 10.0;
   return cfg;
-}
-
-TEST(GeometryCache, LifetimeMemoOnOffIsDigestIdentical) {
-  // The whole point of the exact memo: turning it off must not move a single
-  // bit of the report. This is the scenario-level proof over the gvgrid
-  // kRoute hot path the memo accelerates.
-  sim::ScenarioConfig cfg = town_gvgrid_config();
-  cfg.lifetime_memo = true;
-  sim::Scenario with{cfg};
-  with.run();
-  cfg.lifetime_memo = false;
-  sim::Scenario without{cfg};
-  without.run();
-  EXPECT_EQ(sim::canonical_report_string(with.report()),
-            sim::canonical_report_string(without.report()));
-  // The memo actually ran on the 'with' leg.
-  const analysis::LifetimeMemo* memo =
-      with.stacks().front().lifetime_memo.get();
-  ASSERT_NE(memo, nullptr);
-  EXPECT_GT(memo->stats().hits + memo->stats().misses, 0u);
-  EXPECT_EQ(without.stacks().front().lifetime_memo, nullptr);
 }
 
 TEST(GeometryCache, TimedRunExportsCacheCounters) {
@@ -230,18 +193,6 @@ TEST(GeometryCache, TimedRunExportsCacheCounters) {
   // Graph mobility reports segments, so the prover should carry real weight;
   // the warm hit rate is what bench_compare.py regresses on.
   EXPECT_GT(run.seg_snapshot_hit_rate(), 0.5);
-}
-
-TEST(GeometryCache, InterpModeIsOptInAndChangesResults) {
-  // lifetime.interp is the one results-changing switch in the layer. Its
-  // physics are pinned by the town-gvgrid-interp golden row; here we only
-  // pin the plumbing: the flag reaches the scenario and takes precedence.
-  sim::ScenarioConfig cfg = town_gvgrid_config();
-  cfg.lifetime_interp = true;
-  sim::Scenario s{cfg};
-  const analysis::LifetimeMemo* memo = s.stacks().front().lifetime_memo.get();
-  ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(memo->mode(), analysis::LifetimeMemo::Mode::kInterp);
 }
 
 }  // namespace

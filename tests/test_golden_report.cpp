@@ -93,10 +93,9 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     configs["town-zone-route"] = cfg;
   }
   {
-    // The opt-in interpolated lifetime table (lifetime.interp): the only
-    // results-changing switch of the geometry-cache layer gets its own row so
-    // its physics are pinned too. Deliberately the same town + kRoute shape
-    // as the gvgrid hot path the table accelerates.
+    // The gvgrid route-geometry hot path on the same town: pins the
+    // memoized link-lifetime integral, the segment snapshot with its
+    // mobility prover, and the corridor pre-reject together.
     ScenarioConfig cfg;
     cfg.seed = 42;
     cfg.duration_s = 15.0;
@@ -106,9 +105,23 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.vehicles = 30;
     cfg.protocol = "gvgrid";
     cfg.gvgrid_geometry = routing::GeometryMode::kRoute;
-    cfg.lifetime_interp = true;
     cfg.traffic.stop_s = 15.0;
-    configs["town-gvgrid-interp"] = cfg;
+    configs["town-gvgrid-route"] = cfg;
+  }
+  {
+    // CAR on the irregular town: its 1 Hz density refresh goes through the
+    // mobility prover and the ambiguous-segment veto, which the lattice
+    // (graph-car) never exercises because no lattice segment is ambiguous.
+    ScenarioConfig cfg;
+    cfg.seed = 42;
+    cfg.duration_s = 15.0;
+    cfg.map.source = MapSource::kFile;
+    cfg.map.file = std::string{VANET_SOURCE_DIR} + "/maps/town.csv";
+    cfg.mobility = MobilityKind::kGraph;
+    cfg.vehicles = 30;
+    cfg.protocol = "car";
+    cfg.traffic.stop_s = 15.0;
+    configs["town-car"] = cfg;
   }
   {
     // Nakagami-m fast fading (phy.model=nakagami): pins the Gamma-tail

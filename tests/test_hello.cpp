@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "mobility/constant_velocity.h"
@@ -181,7 +182,7 @@ TEST(Hello, RsuFlagPropagates) {
   EXPECT_TRUE(nbr->rsu);
 }
 
-TEST(HelloDeathTest, ExpiryShorterThanIntervalAborts) {
+TEST(Hello, ExpiryShorterThanIntervalThrows) {
   core::Simulator sim;
   core::RngManager rngs{1};
   Network net{sim, nullptr, std::make_unique<UnitDiskModel>(100.0),
@@ -189,7 +190,11 @@ TEST(HelloDeathTest, ExpiryShorterThanIntervalAborts) {
   HelloConfig bad;
   bad.interval = core::SimTime::seconds(2.0);
   bad.expiry = core::SimTime::seconds(1.0);
-  EXPECT_DEATH(HelloService(net, rngs.stream("hello"), bad), "expiry");
+  EXPECT_THROW(HelloService(net, rngs.stream("hello"), bad),
+               std::invalid_argument);
+  bad.interval = core::SimTime::zero();
+  EXPECT_THROW(HelloService(net, rngs.stream("hello"), bad),
+               std::invalid_argument);
 }
 
 TEST(NeighborTable, SnapshotSortedAndExpireReturnsIds) {

@@ -582,9 +582,9 @@ TEST(EtxScenario, NodeOutageLeavesNoDanglingEstimatorState) {
     EXPECT_FALSE(etx->agent().next_hop(2).has_value()) << "node " << id;
   }
   const sim::ScenarioReport r = s.report();
-  EXPECT_TRUE(r.fault_enabled);
-  EXPECT_TRUE(r.linkquality_enabled);
-  EXPECT_EQ(r.node_outages, 1u);
+  EXPECT_TRUE(r.linkquality.has_value());
+  ASSERT_TRUE(r.fault.has_value());
+  EXPECT_EQ(r.fault->node_outages, 1u);
 }
 
 // ------------------------------------------------------ flood suppression ---
@@ -609,15 +609,15 @@ TEST(FloodSuppressionTest, EtxModeCancelsRebroadcastsAndReportsThem) {
   sim::Scenario plain{base};
   plain.run();
   const sim::ScenarioReport rp = plain.report();
-  EXPECT_FALSE(rp.linkquality_enabled);
+  EXPECT_FALSE(rp.linkquality.has_value());
 
   sim::ScenarioConfig sup = flooding_city();
   sup.flood_suppression = FloodSuppression::kEtx;
   sim::Scenario coordinated{sup};
   coordinated.run();
   const sim::ScenarioReport rs = coordinated.report();
-  EXPECT_TRUE(rs.linkquality_enabled);
-  EXPECT_GT(rs.suppressed_rebroadcasts, 0u);
+  ASSERT_TRUE(rs.linkquality.has_value());
+  EXPECT_GT(rs.linkquality->suppressed_rebroadcasts, 0u);
   // Every cancelled rebroadcast is a data frame that never hit the air.
   EXPECT_LT(rs.data_frames, rp.data_frames);
   // Coordination must not cost delivery on a clean channel.
@@ -631,8 +631,8 @@ TEST(FloodSuppressionTest, BiswasComposesSuppressionWithImplicitAcks) {
   sim::Scenario s{cfg};
   s.run();
   const sim::ScenarioReport r = s.report();
-  EXPECT_TRUE(r.linkquality_enabled);
-  EXPECT_GT(r.suppressed_rebroadcasts, 0u);
+  ASSERT_TRUE(r.linkquality.has_value());
+  EXPECT_GT(r.linkquality->suppressed_rebroadcasts, 0u);
   EXPECT_GT(r.delivered, 0u);
 }
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "map/builders.h"
+#include "map/segment_index.h"
 
 namespace vanet::sim {
 namespace {
@@ -355,27 +356,40 @@ TEST(Scenario, TraceMapCouplingNamesTheCsvLine) {
   std::remove(trace_path.c_str());
 }
 
-TEST(Scenario, IncrementalDensityOracleIsDigestIdenticalToFullRescan) {
-  // CAR consumes the density oracle every forwarding decision, so a single
-  // diverging count would change the report; equal digests prove the
-  // incremental refresh (model-reported segments + ambiguity veto) matches
-  // the full SegmentIndex rescan bit for bit — on the lattice and on the
-  // committed irregular town.
+TEST(Scenario, GraphMobilityReportedSegmentsHonourTheProverContract) {
+  // The density refresh under graph mobility trusts a vehicle's
+  // MobilityModel::reported_segment unless the segment is flagged ambiguous,
+  // so every such report must be exactly the SegmentIndex answer. Checked on
+  // every tick, on the lattice and on the committed irregular town.
   for (const bool town : {false, true}) {
     ScenarioConfig cfg = small_graph_scenario("car");
     if (town) {
       cfg.map.source = MapSource::kFile;
       cfg.map.file = std::string{VANET_SOURCE_DIR} + "/maps/town.csv";
     }
-    cfg.duration_s = 10.0;
-    cfg.density_incremental = true;
-    Scenario incremental{cfg};
-    incremental.run();
-    cfg.density_incremental = false;
-    Scenario rescan{cfg};
-    rescan.run();
-    EXPECT_EQ(report_digest(incremental.report()), report_digest(rescan.report()))
-        << (town ? "town" : "lattice");
+    const std::shared_ptr<map::RoadGraph> graph = build_road_graph(cfg);
+    const map::SegmentIndex index{*graph};
+    const std::vector<bool> ambiguous =
+        map::ambiguous_interior_segments(*graph);
+    core::RngManager rngs{cfg.seed};
+    const std::unique_ptr<mobility::MobilityModel> model =
+        make_mobility_model(cfg, graph, rngs, nullptr);
+    core::Rng& rng = rngs.stream("mobility");
+    std::size_t trusted = 0;
+    for (int tick = 0; tick < 200; ++tick) {
+      const std::vector<mobility::VehicleState>& vs = model->vehicles();
+      for (std::size_t i = 0; i < vs.size(); ++i) {
+        const int seg = model->reported_segment(i);
+        if (seg < 0 || ambiguous[static_cast<std::size_t>(seg)]) continue;
+        ++trusted;
+        ASSERT_EQ(seg, index.nearest_segment(vs[i].pos))
+            << (town ? "town" : "lattice") << " tick " << tick << " vehicle "
+            << vs[i].id;
+      }
+      model->step(cfg.mobility_tick_s, rng);
+    }
+    // The contract is only worth checking if the prover actually answers.
+    EXPECT_GT(trusted, 0u) << (town ? "town" : "lattice");
   }
 }
 

@@ -15,7 +15,7 @@ link in the given files (directories are scanned for *.md):
 
 Also round-trips documented config keys against the registry in
 src/sim/config_kv.cpp: any inline-code token that looks like a dotted
-config key (`lifetime.memo`, `traffic.rate_pps=200`, ...) and lives in a
+config key (`phy.model`, `traffic.rate_pps=200`, ...) and lives in a
 namespace the registry defines must be a registered key, so renaming or
 removing a key cannot leave stale documentation behind. Tokens outside the
 registry's namespaces (module paths, file names) are ignored.
@@ -33,14 +33,14 @@ LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 CODE_FENCE_RE = re.compile(r"^\s*(```|~~~)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 
-# A dotted lowercase token that could be a config key: `lifetime.memo`,
+# A dotted lowercase token that could be a config key: `phy.model`,
 # `highway.idm.desired_speed`, optionally with an `=value` suffix.
 KEY_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+")
 
 # Registration patterns in config_kv.cpp: the field-factory helpers plus
 # direct `f.key = "...";` assignments for the hand-rolled fields.
 CONFIG_KEY_DEF_RE = re.compile(
-    r'(?:num|numeric_field|string_field|geometry_field|simtime_field)'
+    r'(?:num|numeric_field|string_field|enum_field|simtime_field)'
     r'\(\s*"([a-z0-9_.]+)"'
     r'|f\.key\s*=\s*"([a-z0-9_.]+)"'
 )
@@ -97,8 +97,8 @@ def config_keys_of(path):
 def config_key_refs_of(path):
     """Yield (line_no, token) for inline-code tokens shaped like config keys.
 
-    Splits each `code span` on whitespace so `--set lifetime.memo=false`
-    yields `lifetime.memo`; `=value` suffixes are stripped, file names are
+    Splits each `code span` on whitespace so `--set phy.model=nakagami`
+    yields `phy.model`; `=value` suffixes are stripped, file names are
     dropped via FILE_SUFFIXES.
     """
     in_fence = False

@@ -23,7 +23,7 @@ FAKE_CONFIG_KV = """
   num("lifetime.interp", REF(lifetime_interp));
   num("traffic.rate_pps", REF(traffic.rate_pps));
   fields.push_back(string_field("map.file", REF(map.file)));
-  fields.push_back(geometry_field("zone.geometry", REF(zone_geometry)));
+  fields.push_back(enum_field("zone.geometry", REF(zone_geometry), geometry));
   fields.push_back(simtime_field("hello.interval_s", REF(hello.interval)));
   {
     Field f;
@@ -54,16 +54,17 @@ class ConfigKeyExtractionTest(unittest.TestCase):
             },
         )
 
-    def test_real_registry_contains_the_cache_keys(self):
-        # Round-trip against the actual repo file: the keys this PR
-        # documents must be registered.
+    def test_real_registry_contains_enum_and_numeric_keys(self):
+        # Round-trip against the actual repo file: keys registered through
+        # enum_field and num must both be extracted.
         real = pathlib.Path(__file__).resolve().parents[2] / (
             "src/sim/config_kv.cpp"
         )
         keys = check_docs.config_keys_of(real)
-        self.assertIn("lifetime.memo", keys)
-        self.assertIn("lifetime.interp", keys)
-        self.assertIn("density.incremental", keys)
+        self.assertIn("gvgrid.geometry", keys)
+        self.assertIn("phy.model", keys)
+        self.assertIn("traffic.rate_pps", keys)
+        self.assertNotIn("lifetime.memo", keys)
         self.assertGreater(len(keys), 40)
 
 
