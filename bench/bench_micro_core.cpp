@@ -1,10 +1,11 @@
 // E12 — microbenchmarks of the performance-critical primitives
-// (google-benchmark): event queue, spatial index, lifetime solvers,
-// survival/expectation integrals, IDM stepping, one MAC broadcast, the
-// channel index's per-frame work, and the ETX agent's beacon fill (with its
-// Dijkstra rerun) and hello intake.
+// (google-benchmark): event queue, spatial index, duplicate cache, lifetime
+// solvers, survival/expectation integrals, IDM stepping, one MAC broadcast,
+// the channel index's per-frame work, and the ETX agent's beacon fill (with
+// its Dijkstra rerun) and hello intake.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -19,6 +20,7 @@
 #include "mobility/idm_highway.h"
 #include "net/hello.h"
 #include "net/network.h"
+#include "routing/dup_cache.h"
 #include "routing/linkquality/etx_agent.h"
 
 namespace {
@@ -126,20 +128,70 @@ void BM_SchedulerRecurringTick(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerRecurringTick);
 
+/// Reception fan-out's grid query over a moving population: `arg` points
+/// drift through a 5 km square (a few escaping it); each iteration moves one
+/// point, round-robin, then asks who is within 250 m of another, the way the
+/// MAC asks once per finished frame between mobility ticks.
 void BM_SpatialGridQuery(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  core::SpatialGrid grid{250.0};
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr double kSide = 5000.0;
+  core::SpatialGrid grid{250.0, core::Box{{0.0, 0.0}, {kSide, kSide}}};
   core::Rng rng{1};
-  for (int i = 0; i < n; ++i) {
-    grid.insert(static_cast<core::SpatialGrid::Id>(i),
-                {rng.uniform(0.0, 5000.0), rng.uniform(0.0, 5000.0)});
+  std::vector<core::Vec2> pos(n);
+  std::vector<core::Vec2> vel(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos[i] = {rng.uniform(0.0, kSide), rng.uniform(0.0, kSide)};
+    vel[i] = {rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)};
+    grid.insert(static_cast<core::SpatialGrid::Id>(i), pos[i]);
   }
+  std::vector<core::SpatialGrid::Id> out;
+  std::size_t mover = 0;
+  std::size_t asker = n / 2;
   for (auto _ : state) {
-    auto out = grid.query_radius({2500.0, 2500.0}, 250.0);
-    benchmark::DoNotOptimize(out);
+    pos[mover] += vel[mover];
+    grid.update(static_cast<core::SpatialGrid::Id>(mover), pos[mover]);
+    mover = mover + 1 == n ? 0 : mover + 1;
+    grid.query_radius_into(pos[asker], 250.0,
+                           static_cast<core::SpatialGrid::Id>(asker), out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    asker = (asker + 7919) % n;
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpatialGridQuery)->Arg(100)->Arg(1000)->Arg(10000);
+
+/// A relay's duplicate check during floods: a cache of capacity `arg`, kept
+/// full, probed 7 times with a recent key (a duplicate) for each fresh key
+/// (which evicts the oldest). 40 is a node's share of a route-discovery
+/// burst; 4096 is the default capacity.
+void BM_DupCacheProbe(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  routing::DupCache cache{capacity};
+  std::vector<std::uint64_t> keys(1u << 16);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = routing::DupCache::key(static_cast<std::uint32_t>(i % 977),
+                                     static_cast<std::uint32_t>(i), 0);
+  }
+  std::size_t next = 0;
+  for (; next < capacity; ++next) cache.seen_or_insert(keys[next]);
+  core::Rng rng{9};
+  const auto recent =
+      static_cast<std::int64_t>(std::min<std::size_t>(capacity, 32));
+  std::vector<std::size_t> back(1024);
+  for (auto& b : back) b = static_cast<std::size_t>(rng.uniform_int(1, recent));
+  std::size_t k = 0;
+  for (auto _ : state) {
+    int seen = 0;
+    for (int j = 0; j < 7; ++j) {
+      seen += cache.seen_or_insert(keys[(next - back[k++ & 1023]) & 0xffff]);
+    }
+    seen += cache.seen_or_insert(keys[next++ & 0xffff]);
+    benchmark::DoNotOptimize(seen);
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_DupCacheProbe)->Arg(40)->Arg(4096);
 
 void BM_LinkLifetimeClosedForm(benchmark::State& state) {
   core::Rng rng{2};
@@ -240,7 +292,7 @@ void BM_ChannelFrameEnd(benchmark::State& state) {
     const double a = rng.uniform(0.0, 6.283185307179586);
     p = {r * std::cos(a), r * std::sin(a)};
   }
-  net::ChannelState cs{kRange};
+  net::ChannelState cs{kRange, core::Box{{0.0, 0.0}, {2000.0, 2000.0}}};
   core::SimTime now{};
   std::size_t i = 0;
   auto frame = [&] {

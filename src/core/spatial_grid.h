@@ -1,26 +1,30 @@
-// Uniform hash grid for radius queries over moving points.
+// Uniform grid for radius queries over moving points.
 //
 // The wireless channel asks "who is within r of this transmitter?" once per
 // transmission; a grid with cell size ~= the query radius answers that in
 // O(points in the 3x3 neighborhood) instead of O(N).
 //
-// Point records live in a dense vector indexed by id (ids are expected to be
-// small and dense — node ids are). Each slot keeps a direct pointer to its
-// bucket plus its index inside it, so the per-tick update() never hashes
-// unless the point crosses a cell boundary, and positions are stored inline
-// in the buckets: the query's candidate scan reads (id, pos) pairs
-// sequentially instead of chasing a random slot load per candidate — those
-// cache misses were the hottest line of dense reception fan-out.
+// Cells are a dense core::CellArray over a box fixed at construction (the
+// world's extent): a cell lookup is an index computation, not a hash probe.
+// Points outside the box are clamped into its border cells, which keeps every
+// answer exact and only costs speed where points stray far from the box.
 //
-// The bucket back-pointers make the grid self-referential, so it is
-// deliberately non-copyable and non-movable (its one owner, net::Network,
-// holds it by value and never moves it).
+// Each cell's bucket is kept sorted by id, with positions inline, so a query
+// scans (id, pos) pairs sequentially and each cell yields an id-sorted run of
+// hits; merging those few runs gives the deterministic id order callers
+// iterate in without sorting the whole result. Point records live in a dense
+// vector indexed by id (ids are expected to be small and dense — node ids
+// are) and remember their cell, so the per-tick update() of a point that
+// stays in its cell is a binary search in one small bucket.
+//
+// Queries reuse internal merge buffers: one grid must not be queried from
+// two threads at once (its one owner, net::Network, is single-threaded).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "core/cell_array.h"
 #include "core/vec2.h"
 
 namespace vanet::core {
@@ -29,21 +33,19 @@ class SpatialGrid {
  public:
   using Id = std::uint32_t;
 
-  /// `cell_size` should be on the order of the most common query radius.
-  explicit SpatialGrid(double cell_size);
-
-  SpatialGrid(const SpatialGrid&) = delete;
-  SpatialGrid& operator=(const SpatialGrid&) = delete;
+  /// `cell_size` should be on the order of the most common query radius;
+  /// `extent` is the box the points are expected to stay in (empty: one
+  /// cell, every query scans every point).
+  explicit SpatialGrid(double cell_size, const Box& extent = {});
 
   /// Insert `id` at `pos`; `id` must not already be present.
   void insert(Id id, Vec2 pos);
-  /// Move `id` to `pos`; `id` must be present. No hashing unless the cell
-  /// changed.
+  /// Move `id` to `pos`; `id` must be present.
   void update(Id id, Vec2 pos);
   /// Remove `id`; `id` must be present.
   void remove(Id id);
   bool contains(Id id) const {
-    return id < slots_.size() && slots_[id].present;
+    return id < slots_.size() && slots_[id] != kAbsent;
   }
   Vec2 position(Id id) const;
 
@@ -63,29 +65,27 @@ class SpatialGrid {
   std::size_t size() const { return count_; }
 
  private:
-  using CellKey = std::int64_t;
   /// Bucket element: position inline so queries scan sequentially.
   struct Item {
     Id id = 0;
     Vec2 pos;
   };
   using Bucket = std::vector<Item>;
-  struct Slot {
-    Bucket* bucket = nullptr;  ///< stable: map references survive rehash
-    std::uint32_t idx = 0;     ///< index of this point's Item in *bucket
-    CellKey cell = 0;
-    bool present = false;
-  };
+  /// slots_ value of an id that is not present.
+  static constexpr std::uint32_t kAbsent = static_cast<std::uint32_t>(-1);
 
-  CellKey key_for(Vec2 pos) const;
-  /// Swap-erase slot `id`'s Item out of its bucket, fixing the moved Item's
-  /// back-index.
-  void detach(Id id);
+  /// `id`'s Item in its bucket (which must hold it).
+  const Item& item(Id id) const;
+  void add_to(std::uint32_t cell, Id id, Vec2 pos);
+  void erase_from(std::uint32_t cell, Id id);
 
-  double cell_size_;
-  std::unordered_map<CellKey, Bucket> cells_;
-  std::vector<Slot> slots_;  ///< indexed by id
+  CellArray<Bucket> cells_;
+  std::vector<std::uint32_t> slots_;  ///< id -> cell index, or kAbsent
   std::size_t count_ = 0;
+  /// Query scratch: end offset in `out` of each cell's run of hits, and the
+  /// merge target.
+  mutable std::vector<std::uint32_t> run_ends_;
+  mutable std::vector<Id> merge_buf_;
 };
 
 }  // namespace vanet::core

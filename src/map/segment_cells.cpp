@@ -1,7 +1,10 @@
 #include "map/segment_cells.h"
 
+#include <map>
+#include <utility>
+
 #include "core/assert.h"
-#include "core/grid_key.h"
+#include "core/cell_array.h"
 
 namespace vanet::map {
 
@@ -9,16 +12,16 @@ SegmentCells::SegmentCells(const RoadGraph& graph, double cell_m)
     : graph_{graph}, cell_{cell_m} {
   VANET_ASSERT_MSG(cell_ > 0.0, "road cell size must be positive");
   VANET_ASSERT_MSG(graph.segment_count() > 0, "road cells over an empty graph");
-  std::unordered_map<std::int64_t, int> bucket_cell;
+  std::map<std::pair<std::int64_t, std::int64_t>, int> bucket_cell;
   seg_cell_.resize(graph.segment_count());
   for (std::size_t s = 0; s < graph.segment_count(); ++s) {
     const auto [a, b] = graph.segment_ends(static_cast<int>(s));
     const core::Vec2 mid =
         (graph.intersection_pos(a) + graph.intersection_pos(b)) / 2.0;
-    const std::int64_t key =
-        core::grid_cell_key(core::grid_cell_coord(mid.x, cell_),
-                            core::grid_cell_coord(mid.y, cell_));
-    auto [it, fresh] = bucket_cell.try_emplace(key, cell_count());
+    auto [it, fresh] =
+        bucket_cell.try_emplace({core::grid_cell_coord(mid.x, cell_),
+                                 core::grid_cell_coord(mid.y, cell_)},
+                                cell_count());
     if (fresh) {
       members_.emplace_back();
       anchors_.push_back({0.0, 0.0});

@@ -4,18 +4,27 @@
 #include <limits>
 
 #include "core/assert.h"
-#include "core/grid_key.h"
 
 namespace vanet::map {
 
-SegmentIndex::SegmentIndex(const RoadGraph& graph, double cell_size_m)
-    : graph_{graph} {
+namespace {
+
+double default_cell(const RoadGraph& graph, double cell_size_m) {
   VANET_ASSERT_MSG(graph.segment_count() > 0,
                    "segment index over an empty graph");
-  cell_ = cell_size_m > 0.0
-              ? cell_size_m
-              : std::max(1.0, graph.total_length() /
-                                  static_cast<double>(graph.segment_count()));
+  return cell_size_m > 0.0
+             ? cell_size_m
+             : std::max(1.0, graph.total_length() /
+                                 static_cast<double>(graph.segment_count()));
+}
+
+}  // namespace
+
+SegmentIndex::SegmentIndex(const RoadGraph& graph, double cell_size_m)
+    : graph_{graph},
+      cells_{default_cell(graph, cell_size_m),
+             core::Box{graph.bbox_min(), graph.bbox_max()}},
+      cell_{cells_.cell_size()} {
   bool first = true;
   for (std::size_t s = 0; s < graph.segment_count(); ++s) {
     const auto [a, b] = graph.segment_ends(static_cast<int>(s));
@@ -27,8 +36,7 @@ SegmentIndex::SegmentIndex(const RoadGraph& graph, double cell_size_m)
     const std::int64_t y1 = core::grid_cell_coord(std::max(pa.y, pb.y), cell_);
     for (std::int64_t cy = y0; cy <= y1; ++cy) {
       for (std::int64_t cx = x0; cx <= x1; ++cx) {
-        cells_[core::grid_cell_key(cx, cy)].push_back(
-            static_cast<std::int32_t>(s));
+        cells_.find(cx, cy)->push_back(static_cast<std::int32_t>(s));
       }
     }
     if (first) {
@@ -60,9 +68,9 @@ int SegmentIndex::nearest_segment(core::Vec2 pos) const {
   int best = -1;
   double best_dist = std::numeric_limits<double>::infinity();
   const auto consider_cell = [&](std::int64_t x, std::int64_t y) {
-    const auto it = cells_.find(core::grid_cell_key(x, y));
-    if (it == cells_.end()) return;
-    for (const std::int32_t s : it->second) {
+    const auto* cell = cells_.find(x, y);
+    if (cell == nullptr) return;
+    for (const std::int32_t s : *cell) {
       const auto [a, b] = graph_.segment_ends(s);
       const double d = core::distance_to_segment(
           pos, graph_.intersection_pos(a), graph_.intersection_pos(b));

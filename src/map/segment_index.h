@@ -17,9 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "core/cell_array.h"
 #include "core/vec2.h"
 #include "map/road_graph.h"
 
@@ -42,9 +42,9 @@ class SegmentIndex {
   int linear_scan(core::Vec2 pos) const;
 
   const RoadGraph& graph_;
-  double cell_ = 1.0;
-  /// Packed cell coordinate -> segment ids whose bbox overlaps the cell.
-  std::unordered_map<std::int64_t, std::vector<std::int32_t>> cells_;
+  /// Cell -> segment ids whose bbox overlaps the cell, over the graph's box.
+  core::CellArray<std::vector<std::int32_t>> cells_;
+  double cell_;
   // Cell-coordinate bounds of the occupied region, for ring-count capping.
   std::int64_t cx_min_ = 0, cx_max_ = 0, cy_min_ = 0, cy_max_ = 0;
 };

@@ -51,9 +51,18 @@ Trace Trace::load_csv(std::istream& in) {
         ok = false;
       }
     }
+    for (const double v : vals) ok = ok && std::isfinite(v);
     if (!ok) {
       throw std::runtime_error("trace csv: malformed line " +
                                std::to_string(line_no) + ": " + line);
+    }
+    const auto prev = trace.samples_.find(id);
+    if (prev != trace.samples_.end() && vals[0] < prev->second.back().t) {
+      throw std::runtime_error(
+          "trace csv: line " + std::to_string(line_no) +
+          " goes back in time for vehicle " + std::to_string(id) +
+          " (after line " + std::to_string(prev->second.back().line) +
+          "): " + line);
     }
     trace.add(id,
               TraceSample{vals[0], vals[1], vals[2], vals[3], vals[4], line_no});

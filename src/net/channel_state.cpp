@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/assert.h"
-#include "core/grid_key.h"
 
 namespace vanet::net {
 
@@ -28,65 +27,9 @@ constexpr double kAxisSlack = 1.0 + 1e-12;
 
 }  // namespace
 
-// ---- CellTable --------------------------------------------------------------
-
-std::vector<ChannelState::Handle>* ChannelState::CellTable::find(CellKey key) {
-  if (cells_.empty()) return nullptr;
-  std::size_t i = hash(key) & mask_;
-  for (;;) {
-    Cell& c = cells_[i];
-    if (c.key == key) return &c.items;
-    if (c.key == kEmptyKey) return nullptr;
-    i = (i + 1) & mask_;
-  }
-}
-
-const std::vector<ChannelState::Handle>* ChannelState::CellTable::find(
-    CellKey key) const {
-  return const_cast<CellTable*>(this)->find(key);
-}
-
-void ChannelState::CellTable::grow() {
-  const std::size_t new_cap = cells_.empty() ? 64 : cells_.size() * 2;
-  std::vector<Cell> old = std::move(cells_);
-  cells_.assign(new_cap, Cell{});
-  mask_ = new_cap - 1;
-  for (Cell& c : old) {
-    if (c.key == kEmptyKey) continue;
-    std::size_t i = hash(c.key) & mask_;
-    while (cells_[i].key != kEmptyKey) i = (i + 1) & mask_;
-    cells_[i] = std::move(c);
-  }
-}
-
-std::vector<ChannelState::Handle>& ChannelState::CellTable::get_or_insert(
-    CellKey key) {
-  // Grow at 70% load (cells are never erased, so `used_` only goes up).
-  if (cells_.empty() || (used_ + 1) * 10 >= cells_.size() * 7) grow();
-  std::size_t i = hash(key) & mask_;
-  for (;;) {
-    Cell& c = cells_[i];
-    if (c.key == key) return c.items;
-    if (c.key == kEmptyKey) {
-      c.key = key;
-      ++used_;
-      return c.items;
-    }
-    i = (i + 1) & mask_;
-  }
-}
-
-// ---- ChannelState -----------------------------------------------------------
-
-ChannelState::ChannelState(double interference_range)
-    : cell_size_{interference_range} {
-  VANET_ASSERT(interference_range > 0.0);
-}
-
-ChannelState::CellKey ChannelState::key_for(core::Vec2 pos) const {
-  return core::grid_cell_key(core::grid_cell_coord(pos.x, cell_size_),
-                             core::grid_cell_coord(pos.y, cell_size_));
-}
+ChannelState::ChannelState(double interference_range,
+                           const core::Box& extent)
+    : cells_{interference_range, extent} {}
 
 ChannelState::Handle ChannelState::add(NodeId tx, core::SimTime start,
                                        core::SimTime end, core::Vec2 pos) {
@@ -100,9 +43,9 @@ ChannelState::Handle ChannelState::add(NodeId tx, core::SimTime start,
     slots_.push_back(Tx{tx, start, end, pos});
     slot_cell_.push_back(0);
   }
-  const CellKey key = key_for(pos);
-  slot_cell_[h] = key;
-  cells_.get_or_insert(key).push_back(h);
+  const auto cell = static_cast<std::uint32_t>(cells_.index(pos));
+  slot_cell_[h] = cell;
+  cells_[cell].push_back(Entry{h, start, end, pos.x, pos.y});
   by_end_.push_back(h);
   std::push_heap(by_end_.begin(), by_end_.end(), EndsLater{slots_});
   ++live_count_;
@@ -115,35 +58,28 @@ const ChannelState::Tx& ChannelState::get(Handle h) const {
 }
 
 template <typename Fn>
-void ChannelState::for_each_in_neighborhood(core::Vec2 pos, Fn&& fn) const {
-  const std::int64_t ccx = core::grid_cell_coord(pos.x, cell_size_);
-  const std::int64_t ccy = core::grid_cell_coord(pos.y, cell_size_);
-  for (std::int64_t cx = ccx - 1; cx <= ccx + 1; ++cx) {
-    for (std::int64_t cy = ccy - 1; cy <= ccy + 1; ++cy) {
-      const auto* bucket = cells_.find(core::grid_cell_key(cx, cy));
-      if (bucket == nullptr) continue;
-      for (const Handle h : *bucket) {
-        if (fn(h)) return;
-      }
+void ChannelState::for_each_near(core::Vec2 pos, double bound, Fn&& fn) const {
+  const core::Vec2 half{bound, bound};
+  cells_.for_each(pos - half, pos + half, [&](const Bucket& bucket) {
+    for (const Entry& e : bucket) {
+      if (fn(e)) return true;
     }
-  }
+    return false;
+  });
 }
 
 core::SimTime ChannelState::busy_until(core::Vec2 pos, core::SimTime now,
                                        double range) const {
-  VANET_ASSERT(range <= cell_size_);
   core::SimTime busy = core::SimTime::zero();
   const double bound = range * kAxisSlack;
-  for_each_in_neighborhood(pos, [&](Handle h) {
-    const Tx& t = slots_[h];
-    if (t.end > now &&
+  for_each_near(pos, bound, [&](const Entry& e) {
+    if (e.end > now &&
         // Conservative axis prefilter (see kAxisSlack): only skips entries
         // the exact test below could never accept, so the max is unchanged.
-        std::abs(t.pos.x - pos.x) <= bound &&
-        std::abs(t.pos.y - pos.y) <= bound &&
+        std::abs(e.x - pos.x) <= bound && std::abs(e.y - pos.y) <= bound &&
         // norm() <= range: the MAC's historical inclusive-sqrt comparison.
-        (t.pos - pos).norm() <= range) {
-      busy = std::max(busy, t.end);
+        (core::Vec2{e.x, e.y} - pos).norm() <= range) {
+      busy = std::max(busy, e.end);
     }
     return false;
   });
@@ -153,21 +89,15 @@ core::SimTime ChannelState::busy_until(core::Vec2 pos, core::SimTime now,
 bool ChannelState::interference_at(core::Vec2 pos, core::SimTime start,
                                    core::SimTime end, double range,
                                    Handle self) const {
-  VANET_ASSERT(range <= cell_size_);
   VANET_ASSERT_MSG(start >= horizon_,
                    "overlap query starts before the prune horizon");
   bool hit = false;
   const double bound = range * kAxisSlack;
-  for_each_in_neighborhood(pos, [&](Handle h) {
-    if (h == self) return false;
-    const Tx& t = slots_[h];
-    if (t.start < end && t.end > start &&
-        std::abs(t.pos.x - pos.x) <= bound &&
-        std::abs(t.pos.y - pos.y) <= bound && (t.pos - pos).norm() <= range) {
-      hit = true;
-      return true;
-    }
-    return false;
+  for_each_near(pos, bound, [&](const Entry& e) {
+    hit = e.handle != self && e.start < end && e.end > start &&
+          std::abs(e.x - pos.x) <= bound && std::abs(e.y - pos.y) <= bound &&
+          (core::Vec2{e.x, e.y} - pos).norm() <= range;
+    return hit;
   });
   return hit;
 }
@@ -181,20 +111,18 @@ void ChannelState::begin_overlap(core::SimTime start, core::SimTime end,
   overlap_y_.clear();
   // Same conservative axis cutoff as overlap_near: an entry within `range`
   // of a receiver within `reach - range` of `center` is within `reach` of
-  // `center`, and the slack keeps rounding from dropping it.
+  // `center`, and the slack keeps rounding from dropping it. Snapshot order
+  // is irrelevant because overlap_near is an existence test.
   const double bound = reach * kAxisSlack;
-  // by_end_ holds exactly the un-pruned transmissions; heap order is
-  // irrelevant because overlap_near is an existence test.
-  for (const Handle h : by_end_) {
-    if (h == self) continue;
-    const Tx& t = slots_[h];
-    if (t.start < end && t.end > start &&
-        std::abs(t.pos.x - center.x) <= bound &&
-        std::abs(t.pos.y - center.y) <= bound) {
-      overlap_x_.push_back(t.pos.x);
-      overlap_y_.push_back(t.pos.y);
+  for_each_near(center, bound, [&](const Entry& e) {
+    if (e.handle != self && e.start < end && e.end > start &&
+        std::abs(e.x - center.x) <= bound &&
+        std::abs(e.y - center.y) <= bound) {
+      overlap_x_.push_back(e.x);
+      overlap_y_.push_back(e.y);
     }
-  }
+    return false;
+  });
 }
 
 bool ChannelState::overlap_near(core::Vec2 pos, double range) const {
@@ -216,12 +144,13 @@ void ChannelState::prune(core::SimTime horizon) {
     std::pop_heap(by_end_.begin(), by_end_.end(), EndsLater{slots_});
     const Handle h = by_end_.back();
     by_end_.pop_back();
-    auto* bucket = cells_.find(slot_cell_[h]);
-    VANET_ASSERT_MSG(bucket != nullptr, "pruned entry lost its cell");
+    Bucket& bucket = cells_[slot_cell_[h]];
     // Swap-erase: bucket order is immaterial (queries are max/existence).
-    auto it = std::find(bucket->begin(), bucket->end(), h);
-    *it = bucket->back();
-    bucket->pop_back();
+    auto it = std::find_if(bucket.begin(), bucket.end(),
+                           [h](const Entry& e) { return e.handle == h; });
+    VANET_ASSERT_MSG(it != bucket.end(), "pruned entry lost its cell");
+    *it = bucket.back();
+    bucket.pop_back();
     free_slots_.push_back(h);
     --live_count_;
   }

@@ -4,22 +4,23 @@
 // position?" (carrier sense) and "did any other transmission audible at this
 // receiver overlap this frame in time?" (collision). Both only care about
 // transmissions within the interference range, so entries are bucketed in a
-// uniform grid with cell size >= that range and a query scans the 3x3 cell
-// neighborhood instead of every active transmission in the network — the
-// linear `active_` scans this replaces were the dominant cost of dense
-// scenarios. Finished transmissions stay queryable until prune() passes their
-// end time, because collision checks look back at frames that ended while the
-// probed frame was still in flight.
+// dense core::CellArray over the world's extent (cell size >= that range) and
+// a query scans only the cells covering its range — the 3x3 neighborhood at
+// the MAC's radius — instead of every active transmission in the network.
+// Finished transmissions stay queryable until prune() passes their end time,
+// because collision checks look back at frames that ended while the probed
+// frame was still in flight.
 //
-// Two mechanical layers keep the queries cheap at 500+ vehicles:
-//  - cells live in a small open-addressed table (power-of-two, linear probe)
-//    instead of std::unordered_map — the 9 bucket lookups per query were the
-//    second-hottest line of dense runs;
+// Three mechanical layers keep the queries cheap at 500+ vehicles:
+//  - a cell is an index into one array (no hashing), and entries sit inline
+//    in their cell as {handle, start, end, x, y}, so a scan reads one
+//    contiguous run per cell instead of chasing a slot per candidate;
 //  - the per-frame collision loop snapshots the transmissions overlapping the
-//    frame and within reach of its sender once (begin_overlap) into a dense
-//    coordinate array, and each receiver answers with a linear scan
-//    (overlap_near) instead of re-walking buckets and re-testing the time
-//    window per receiver.
+//    frame and within reach of its sender once (begin_overlap, walking only
+//    the cells covering that reach) into a dense coordinate array, and each
+//    receiver answers with a linear scan (overlap_near) instead of re-walking
+//    buckets and re-testing the time window per receiver;
+//  - a min-heap on end time lets prune() touch only expired entries.
 //
 // Retention contract: prune(h) drops entries that ended before h, so a query
 // window starting before the highest horizon passed so far could miss a
@@ -29,15 +30,18 @@
 //
 // Determinism: queries compute a max / an existence test over a set that is
 // identical to the brute-force scan (distance cutoffs are inclusive, matching
-// the MAC's historical `<=` semantics, and the snapshot is a superset of any
-// receiver's 3x3 neighborhood filtered by the same predicates), so replacing
-// the scans changes no simulation outcome.
+// the MAC's historical `<=` semantics; the cells a query walks cover its whole
+// range, out-of-box positions included, because the cell array clamps
+// monotonically; and the snapshot is a superset of any receiver's candidates
+// filtered by the same predicates), so the index changes no simulation
+// outcome.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "core/cell_array.h"
 #include "core/sim_time.h"
 #include "core/vec2.h"
 #include "net/packet.h"
@@ -57,8 +61,10 @@ class ChannelState {
     core::Vec2 pos;
   };
 
-  /// `interference_range` is the largest radius queries will use (cell size).
-  explicit ChannelState(double interference_range);
+  /// `interference_range` is the largest radius point queries will use (the
+  /// cell size); `extent` is the box transmitters are expected to stay in.
+  explicit ChannelState(double interference_range,
+                        const core::Box& extent = {});
 
   /// Register a transmission; the handle stays valid until prune() passes
   /// `end` (a node keeps the handle of its in-flight frame).
@@ -98,56 +104,28 @@ class ChannelState {
   std::size_t size() const { return live_count_; }
 
  private:
-  using CellKey = std::int64_t;
-
-  /// Open-addressed cell-key -> bucket table (linear probe, power-of-two
-  /// capacity). Cells are never erased — a pruned bucket just goes empty and
-  /// its vector capacity is reused — so the table only ever grows to the
-  /// number of distinct cells the deployment area touches.
-  class CellTable {
-   public:
-    std::vector<Handle>* find(CellKey key);
-    const std::vector<Handle>* find(CellKey key) const;
-    std::vector<Handle>& get_or_insert(CellKey key);
-
-   private:
-    struct Cell {
-      CellKey key = kEmptyKey;
-      std::vector<Handle> items;
-    };
-    // grid_cell_key never produces INT64_MIN for simulated coordinates
-    // (it would require a cell x-coordinate of -2^31).
-    static constexpr CellKey kEmptyKey =
-        std::numeric_limits<CellKey>::min();
-    static std::size_t hash(CellKey key) {
-      auto x = static_cast<std::uint64_t>(key);
-      x ^= x >> 33;
-      x *= 0xff51afd7ed558ccdull;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
-    void grow();
-
-    std::vector<Cell> cells_;
-    std::size_t mask_ = 0;
-    std::size_t used_ = 0;
+  /// A transmission as its cell stores it: everything a query filters on,
+  /// inline.
+  struct Entry {
+    Handle handle = 0;
+    core::SimTime start{};
+    core::SimTime end{};
+    double x = 0.0;
+    double y = 0.0;
   };
+  using Bucket = std::vector<Entry>;
 
-  CellKey key_for(core::Vec2 pos) const;
-
-  /// Invoke `fn(handle)` for every entry bucketed in the 3x3 cell
-  /// neighborhood of `pos` — a superset of all entries within cell_size_ of
-  /// it, which is why queries assert range <= cell_size_. Stops early when
-  /// `fn` returns true. Both MAC point queries go through this one scan so
-  /// they can never disagree on the candidate set.
+  /// Invoke `fn(entry)` for every entry in the cells covering the square of
+  /// half-side `bound` around `pos` — a superset of all entries within
+  /// `bound` of it. Stops early when `fn` returns true. Every query goes
+  /// through this one walk so they can never disagree on the candidate set.
   template <typename Fn>
-  void for_each_in_neighborhood(core::Vec2 pos, Fn&& fn) const;
+  void for_each_near(core::Vec2 pos, double bound, Fn&& fn) const;
 
-  double cell_size_;
   std::vector<Tx> slots_;
-  std::vector<CellKey> slot_cell_;      ///< bucket of each slot
+  std::vector<std::uint32_t> slot_cell_;  ///< cell index of each slot
   std::vector<Handle> free_slots_;
-  CellTable cells_;
+  core::CellArray<Bucket> cells_;
   /// Min-heap on end time (lazily ordered: a plain heap via std::push_heap),
   /// so prune() pops only expired entries instead of rescanning everything.
   std::vector<Handle> by_end_;

@@ -7,9 +7,22 @@
 
 namespace vanet::net {
 
+namespace {
+
+/// `extent` grown over the vehicles' current positions.
+core::Box with_population(core::Box extent,
+                          const mobility::MobilityManager* mobility) {
+  if (mobility != nullptr) {
+    for (const auto& v : mobility->vehicles()) extent.expand(v.pos);
+  }
+  return extent;
+}
+
+}  // namespace
+
 Network::Network(core::Simulator& sim, mobility::MobilityManager* mobility,
                  std::unique_ptr<PropagationModel> propagation, core::Rng& rng,
-                 NetworkConfig cfg)
+                 NetworkConfig cfg, core::Box extent)
     : sim_{sim},
       mobility_{mobility},
       propagation_{(VANET_ASSERT(propagation != nullptr),
@@ -18,12 +31,17 @@ Network::Network(core::Simulator& sim, mobility::MobilityManager* mobility,
       cfg_{cfg},
       interference_range_{propagation_->max_range() *
                           cfg_.interference_range_factor},
-      grid_{std::max(50.0, propagation_->max_range())},
-      channel_{interference_range_} {
+      grid_{std::max(50.0, propagation_->max_range()),
+            with_population(extent, mobility)},
+      channel_{interference_range_, with_population(extent, mobility)} {
   VANET_ASSERT(cfg_.bitrate_bps > 0.0);
   VANET_ASSERT(cfg_.interference_range_factor >= 1.0);
   if (mobility_ != nullptr) {
     mobility_->add_tick_listener([this](core::SimTime) { on_mobility_tick(); });
+    // One allocation for the vehicle population: regrowing nodes_ would copy
+    // every NodeImpl (its deque and std::functions have no noexcept move).
+    nodes_.reserve(mobility_->vehicles().size());
+    pos_cache_.reserve(mobility_->vehicles().size());
   }
 }
 

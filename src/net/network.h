@@ -73,10 +73,13 @@ class Network {
   using ReceiveHandler = std::function<void(const Packet&)>;
   using UnicastFailHandler = std::function<void(const Packet&)>;
 
-  /// `mobility` may be null for fully static topologies (tests).
+  /// `mobility` may be null for fully static topologies (tests). The radio
+  /// grids are sized once, to `extent` (the road map's box, when there is
+  /// one) grown over the initial vehicle population; nodes straying outside
+  /// it stay exact, just slower to query.
   Network(core::Simulator& sim, mobility::MobilityManager* mobility,
           std::unique_ptr<PropagationModel> propagation, core::Rng& rng,
-          NetworkConfig cfg = {});
+          NetworkConfig cfg = {}, core::Box extent = {});
 
   /// Adds a node tracking the given vehicle. Node id == vehicle id; vehicle
   /// nodes must be added before any RSU so the id spaces align.

@@ -77,13 +77,14 @@ NodeStack::NodeStack(const SharedWorld& world, core::Simulator& loop,
                      net::ShardBridge* bridge)
     : sim{loop} {
   const ScenarioConfig& cfg = world.cfg;
-  net = std::make_unique<net::Network>(sim, &world.mobility,
-                                       make_propagation(cfg),
-                                       rngs.stream("net" + suffix), cfg.net);
+  const map::RoadGraph& graph = *world.deps.road_graph;
+  net = std::make_unique<net::Network>(
+      sim, &world.mobility, make_propagation(cfg), rngs.stream("net" + suffix),
+      cfg.net, core::Box{graph.bbox_min(), graph.bbox_max()});
   for (std::size_t v = 0; v < world.vehicle_count; ++v) {
     net->add_vehicle_node(static_cast<mobility::VehicleId>(v));
   }
-  if (cfg.rsu_count > 0) add_rsus(cfg, *world.deps.road_graph, *net);
+  if (cfg.rsu_count > 0) add_rsus(cfg, graph, *net);
   net->set_shard_bridge(bridge);
   owned = net->node_ids();
   if (bridge != nullptr) {

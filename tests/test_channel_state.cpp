@@ -1,4 +1,4 @@
-// ChannelState: the grid-bucketed interference index behind carrier sense
+// ChannelState: the cell-bucketed interference index behind carrier sense
 // and collision checks. Property-tested against the brute-force scans it
 // replaced in Network.
 #include "net/channel_state.h"
@@ -91,49 +91,76 @@ TEST(ChannelState, HandlesStayValidAcrossSlotReuse) {
   EXPECT_EQ(cs.get(b).pos, (Vec2{3.0, 4.0}));
 }
 
+/// Extents the channel index is sized to in the property tests: none (one
+/// cell), a box holding a small central patch of the soup (most entries and
+/// probes clamp into border cells), and the whole soup.
+std::vector<core::Box> test_extents() {
+  return {core::Box{},
+          core::Box{{-300.0, -200.0}, {250.0, 350.0}},
+          core::Box{{-1000.0, -1000.0}, {1000.0, 1000.0}}};
+}
+
+/// A position of the random soup: mostly in [-1000, 1000]^2, one in ten far
+/// outside it (negative coordinates included).
+Vec2 soup_pos(core::Rng& rng) {
+  const double lim = rng.uniform(0.0, 1.0) < 0.1 ? 6000.0 : 1000.0;
+  return {rng.uniform(-lim, lim), rng.uniform(-lim, lim)};
+}
+
 // Property: busy_until and interference_at match brute-force scans over a
-// random transmission soup, across positions near cell boundaries.
+// random transmission soup, across positions near cell boundaries and
+// outside the index's extent.
 TEST(ChannelState, MatchesBruteForce) {
   const double range = 150.0;
-  ChannelState cs{range};
-  core::Rng rng{42};
-  struct Entry {
-    ChannelState::Handle h;
-    NodeId tx;
-    SimTime start, end;
-    Vec2 pos;
-  };
-  std::vector<Entry> entries;
-  for (int i = 0; i < 200; ++i) {
-    const Vec2 pos{rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0)};
-    const SimTime start = SimTime::millis(rng.uniform_int(0, 1000));
-    const SimTime end = start + SimTime::millis(rng.uniform_int(1, 50));
-    const auto h = cs.add(static_cast<NodeId>(i), start, end, pos);
-    entries.push_back({h, static_cast<NodeId>(i), start, end, pos});
-  }
-  for (int probe = 0; probe < 100; ++probe) {
-    const Vec2 pos{rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0)};
-    const SimTime now = SimTime::millis(rng.uniform_int(0, 1050));
-
-    SimTime expect_busy = SimTime::zero();
-    for (const Entry& e : entries) {
-      if (e.end <= now) continue;
-      if ((e.pos - pos).norm() <= range) expect_busy = std::max(expect_busy, e.end);
+  for (const core::Box& extent : test_extents()) {
+    ChannelState cs{range, extent};
+    core::Rng rng{42};
+    struct Entry {
+      ChannelState::Handle h;
+      NodeId tx;
+      SimTime start, end;
+      Vec2 pos;
+    };
+    std::vector<Entry> entries;
+    for (int i = 0; i < 200; ++i) {
+      const Vec2 pos = soup_pos(rng);
+      const SimTime start = SimTime::millis(rng.uniform_int(0, 1000));
+      const SimTime end = start + SimTime::millis(rng.uniform_int(1, 50));
+      const auto h = cs.add(static_cast<NodeId>(i), start, end, pos);
+      entries.push_back({h, static_cast<NodeId>(i), start, end, pos});
     }
-    EXPECT_EQ(cs.busy_until(pos, now, range), expect_busy);
+    for (int probe = 0; probe < 200; ++probe) {
+      // Every other probe sits next to an entry, so far-out hits occur too.
+      const Vec2 near{rng.uniform(-range, range), rng.uniform(-range, range)};
+      const Vec2 pos =
+          probe % 2 == 0
+              ? soup_pos(rng)
+              : entries[static_cast<std::size_t>(probe % 200)].pos + near;
+      const SimTime now = SimTime::millis(rng.uniform_int(0, 1050));
 
-    const SimTime qstart = now;
-    const SimTime qend = now + SimTime::millis(20);
-    const auto self = entries[static_cast<std::size_t>(probe % 200)].h;
-    bool expect_hit = false;
-    for (const Entry& e : entries) {
-      if (e.h == self) continue;
-      if (e.start < qend && e.end > qstart && (e.pos - pos).norm() <= range) {
-        expect_hit = true;
-        break;
+      SimTime expect_busy = SimTime::zero();
+      for (const Entry& e : entries) {
+        if (e.end <= now) continue;
+        if ((e.pos - pos).norm() <= range) {
+          expect_busy = std::max(expect_busy, e.end);
+        }
       }
+      EXPECT_EQ(cs.busy_until(pos, now, range), expect_busy);
+
+      const SimTime qstart = now;
+      const SimTime qend = now + SimTime::millis(20);
+      const auto self = entries[static_cast<std::size_t>(probe % 200)].h;
+      bool expect_hit = false;
+      for (const Entry& e : entries) {
+        if (e.h == self) continue;
+        if (e.start < qend && e.end > qstart && (e.pos - pos).norm() <= range) {
+          expect_hit = true;
+          break;
+        }
+      }
+      EXPECT_EQ(cs.interference_at(pos, qstart, qend, range, self),
+                expect_hit);
     }
-    EXPECT_EQ(cs.interference_at(pos, qstart, qend, range, self), expect_hit);
   }
 }
 
@@ -141,58 +168,67 @@ TEST(ChannelState, OverlapSnapshotMatchesInterferenceAt) {
   // begin_overlap/overlap_near is the batched per-frame form of
   // interference_at used by the collision loop; the two must agree at every
   // receiver within max_range of the snapshot's center, including after
-  // prunes recycle slots.
+  // prunes recycle slots and for centers outside the index's extent.
   const double range = 150.0;
-  ChannelState cs{range};
-  core::Rng rng{7};
-  std::vector<ChannelState::Handle> handles;
-  for (int i = 0; i < 200; ++i) {
-    const Vec2 pos{rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0)};
-    const SimTime start = SimTime::millis(rng.uniform_int(0, 1000));
-    const SimTime end = start + SimTime::millis(rng.uniform_int(1, 50));
-    handles.push_back(cs.add(static_cast<NodeId>(i), start, end, pos));
-  }
-  int hits = 0;
-  int probes = 0;
-  for (int frame = 0; frame < 200; ++frame) {
-    if (frame == 100) {
-      // Drop roughly the first half of the timeline, then refill a little.
-      cs.prune(SimTime::millis(500));
-      for (int i = 0; i < 40; ++i) {
-        const Vec2 pos{rng.uniform(-1000.0, 1000.0),
-                       rng.uniform(-1000.0, 1000.0)};
-        const SimTime start = SimTime::millis(rng.uniform_int(500, 1000));
-        handles.push_back(cs.add(static_cast<NodeId>(200 + i), start,
-                                 start + SimTime::millis(20), pos));
+  for (const core::Box& extent : test_extents()) {
+    ChannelState cs{range, extent};
+    core::Rng rng{7};
+    std::vector<ChannelState::Handle> handles;
+    std::vector<Vec2> positions;
+    for (int i = 0; i < 200; ++i) {
+      const Vec2 pos = soup_pos(rng);
+      const SimTime start = SimTime::millis(rng.uniform_int(0, 1000));
+      const SimTime end = start + SimTime::millis(rng.uniform_int(1, 50));
+      handles.push_back(cs.add(static_cast<NodeId>(i), start, end, pos));
+      positions.push_back(pos);
+    }
+    int hits = 0;
+    int probes = 0;
+    for (int frame = 0; frame < 200; ++frame) {
+      if (frame == 100) {
+        // Drop roughly the first half of the timeline, then refill a little.
+        cs.prune(SimTime::millis(500));
+        for (int i = 0; i < 40; ++i) {
+          const Vec2 pos = soup_pos(rng);
+          const SimTime start = SimTime::millis(rng.uniform_int(500, 1000));
+          handles.push_back(cs.add(static_cast<NodeId>(200 + i), start,
+                                   start + SimTime::millis(20), pos));
+          positions.push_back(pos);
+        }
+      }
+      const SimTime qstart = SimTime::millis(rng.uniform_int(500, 1000));
+      const SimTime qend = qstart + SimTime::millis(rng.uniform_int(1, 200));
+      const auto pick = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(handles.size()) - 1));
+      const auto self = handles[pick];
+      // Mostly the soup's core; every fourth frame is centred on its own
+      // transmitter, wherever that is.
+      const Vec2 center =
+          frame % 4 == 0 ? positions[pick]
+                         : Vec2{rng.uniform(-1100.0, 1100.0),
+                                rng.uniform(-1100.0, 1100.0)};
+      // The receiver radius never exceeds the interference range.
+      const double max_range = rng.uniform(1.0, range);
+      cs.begin_overlap(qstart, qend, self, center, max_range + range);
+      for (int p = 0; p < 40; ++p) {
+        // Half uniform in the disk, half on its rim, where the snapshot's
+        // reach cutoff is tight.
+        const double angle = rng.uniform(0.0, 6.283185307179586);
+        const double r =
+            max_range * (p % 2 == 0 ? 1.0 : std::sqrt(rng.uniform(0.0, 1.0)));
+        const Vec2 pos =
+            center + Vec2{r * std::cos(angle), r * std::sin(angle)};
+        if ((pos - center).norm() > max_range) continue;
+        const bool hit = cs.interference_at(pos, qstart, qend, range, self);
+        EXPECT_EQ(cs.overlap_near(pos, range), hit);
+        hits += hit ? 1 : 0;
+        ++probes;
       }
     }
-    const SimTime qstart = SimTime::millis(rng.uniform_int(500, 1000));
-    const SimTime qend = qstart + SimTime::millis(rng.uniform_int(1, 200));
-    const auto self =
-        handles[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(handles.size()) - 1))];
-    const Vec2 center{rng.uniform(-1100.0, 1100.0),
-                      rng.uniform(-1100.0, 1100.0)};
-    // The receiver radius never exceeds the interference range.
-    const double max_range = rng.uniform(1.0, range);
-    cs.begin_overlap(qstart, qend, self, center, max_range + range);
-    for (int p = 0; p < 40; ++p) {
-      // Half uniform in the disk, half on its rim, where the snapshot's
-      // reach cutoff is tight.
-      const double angle = rng.uniform(0.0, 6.283185307179586);
-      const double r =
-          max_range * (p % 2 == 0 ? 1.0 : std::sqrt(rng.uniform(0.0, 1.0)));
-      const Vec2 pos = center + Vec2{r * std::cos(angle), r * std::sin(angle)};
-      if ((pos - center).norm() > max_range) continue;
-      const bool hit = cs.interference_at(pos, qstart, qend, range, self);
-      EXPECT_EQ(cs.overlap_near(pos, range), hit);
-      hits += hit ? 1 : 0;
-      ++probes;
-    }
+    // Both answers are common, so the comparison has teeth.
+    EXPECT_GT(hits, probes / 5);
+    EXPECT_LT(hits, probes - probes / 5);
   }
-  // Both answers are common, so the comparison has teeth.
-  EXPECT_GT(hits, probes / 5);
-  EXPECT_LT(hits, probes - probes / 5);
 }
 
 TEST(ChannelState, OverlapSnapshotKeepsInterferersAtFullReach) {
@@ -213,8 +249,9 @@ TEST(ChannelState, OverlapSnapshotKeepsInterferersAtFullReach) {
 TEST(ChannelState, ExactPruneHorizonMatchesUnprunedIndex) {
   const double range = 200.0;
   const double max_range = 150.0;
-  ChannelState pruned{range};
-  ChannelState full{range};
+  const core::Box area{{0.0, 0.0}, {1000.0, 1000.0}};
+  ChannelState pruned{range, area};
+  ChannelState full{range, area};
   core::Rng rng{2024};
   struct Frame {
     ChannelState::Handle hp, hf;

@@ -68,30 +68,75 @@ TEST(SpatialGrid, NegativeCoordinates) {
   EXPECT_EQ(g.query_radius({-115.0, -82.0}, 20.0).size(), 2u);
 }
 
-// Property: grid query matches brute force for random point clouds, across
-// cell sizes and query radii.
+// Property: grid query matches brute force, in exact id order, for random
+// point clouds under churn (insert/update/remove), across cell sizes and
+// query radii. The grid is sized to a box that holds only part of the cloud:
+// points far outside it and negative coordinates must stay exact.
 class SpatialGridProperty
     : public ::testing::TestWithParam<std::tuple<double, double, int>> {};
 
 TEST_P(SpatialGridProperty, MatchesBruteForce) {
   const auto [cell, radius, n] = GetParam();
-  SpatialGrid g{cell};
+  SpatialGrid g{cell, Box{{-500.0, -800.0}, {1200.0, 600.0}}};
   Rng rng{static_cast<std::uint64_t>(n) * 7919 + 13};
-  std::vector<Vec2> pts;
-  for (int i = 0; i < n; ++i) {
-    const Vec2 p{rng.uniform(-2000.0, 2000.0), rng.uniform(-2000.0, 2000.0)};
-    pts.push_back(p);
-    g.insert(static_cast<SpatialGrid::Id>(i), p);
-  }
-  for (int probe = 0; probe < 20; ++probe) {
-    const Vec2 c{rng.uniform(-2000.0, 2000.0), rng.uniform(-2000.0, 2000.0)};
+  // One in eight points lands far outside the sized box.
+  auto random_pos = [&rng] {
+    const double lim = rng.uniform(0.0, 1.0) < 0.125 ? 20000.0 : 2000.0;
+    return Vec2{rng.uniform(-lim, lim), rng.uniform(-lim, lim)};
+  };
+  std::vector<bool> present(static_cast<std::size_t>(n), false);
+  std::vector<Vec2> pts(static_cast<std::size_t>(n));
+  auto check = [&](Vec2 c, SpatialGrid::Id exclude) {
     std::vector<SpatialGrid::Id> expected;
     for (int i = 0; i < n; ++i) {
-      if ((pts[static_cast<std::size_t>(i)] - c).norm_sq() < radius * radius) {
-        expected.push_back(static_cast<SpatialGrid::Id>(i));
+      const auto id = static_cast<SpatialGrid::Id>(i);
+      if (present[id] && id != exclude &&
+          (pts[id] - c).norm_sq() < radius * radius) {
+        expected.push_back(id);
       }
     }
-    EXPECT_EQ(g.query_radius(c, radius), expected);
+    std::vector<SpatialGrid::Id> got{999999};  // stale contents are replaced
+    g.query_radius_into(c, radius, exclude, got);
+    EXPECT_EQ(got, expected);
+  };
+  for (int i = 0; i < n; ++i) {
+    pts[static_cast<std::size_t>(i)] = random_pos();
+    present[static_cast<std::size_t>(i)] = true;
+    g.insert(static_cast<SpatialGrid::Id>(i), pts[static_cast<std::size_t>(i)]);
+  }
+  for (int round = 0; round < 20; ++round) {
+    // Churn: a batch of random inserts, moves (small steps and jumps) and
+    // removals, then probes.
+    for (int op = 0; op < n / 2 + 1; ++op) {
+      const auto id = static_cast<SpatialGrid::Id>(rng.uniform_int(0, n - 1));
+      if (!present[id]) {
+        pts[id] = random_pos();
+        g.insert(id, pts[id]);
+        present[id] = true;
+      } else if (rng.uniform(0.0, 1.0) < 0.2) {
+        g.remove(id);
+        present[id] = false;
+      } else {
+        pts[id] = rng.uniform(0.0, 1.0) < 0.5
+                      ? pts[id] + Vec2{rng.uniform(-cell, cell),
+                                       rng.uniform(-cell, cell)}
+                      : random_pos();
+        g.update(id, pts[id]);
+      }
+      ASSERT_EQ(g.contains(id), present[id]);
+      if (present[id]) {
+        ASSERT_EQ(g.position(id), pts[id]);
+      }
+    }
+    EXPECT_EQ(g.size(), static_cast<std::size_t>(
+                            std::count(present.begin(), present.end(), true)));
+    for (int probe = 0; probe < 10; ++probe) {
+      const auto near = static_cast<SpatialGrid::Id>(rng.uniform_int(0, n - 1));
+      // Random centres, and centres on a (possibly far-out) point excluding
+      // it, the way reception fan-out queries.
+      check(random_pos(), SpatialGrid::kNoExclude);
+      check(pts[near], near);
+    }
   }
 }
 
@@ -100,6 +145,23 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(25.0, 100.0, 400.0),
                        ::testing::Values(30.0, 150.0, 600.0),
                        ::testing::Values(10, 100, 400)));
+
+TEST(SpatialGrid, FarOutsideTheBoxStaysExact) {
+  SpatialGrid g{100.0, Box{{0.0, 0.0}, {1000.0, 1000.0}}};
+  g.insert(1, {-1e12, 5.0});
+  g.insert(2, {-1e12 + 50.0, 5.0});
+  g.insert(3, {1e300, -1e300});
+  g.insert(4, {500.0, 500.0});
+  EXPECT_EQ(g.query_radius({-1e12, 0.0}, 60.0),
+            (std::vector<SpatialGrid::Id>{1, 2}));
+  EXPECT_EQ(g.query_radius({1e300, -1e300}, 1.0),
+            (std::vector<SpatialGrid::Id>{3}));
+  EXPECT_EQ(g.query_radius({500.0, 500.0}, 1e6),
+            (std::vector<SpatialGrid::Id>{4}));
+  g.update(1, {500.0, 550.0});
+  EXPECT_EQ(g.query_radius({500.0, 500.0}, 100.0),
+            (std::vector<SpatialGrid::Id>{1, 4}));
+}
 
 }  // namespace
 }  // namespace vanet::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/rng.h"
 #include "mobility/constant_velocity.h"
@@ -35,6 +36,45 @@ TEST(Trace, LoadSkipsCommentsAndRejectsGarbage) {
 
   std::stringstream short_line{"0.0,1,5.0\n"};
   EXPECT_THROW(Trace::load_csv(short_line), std::runtime_error);
+}
+
+/// The runtime_error message of loading `csv`, or "" when it loads.
+std::string load_error(const std::string& csv) {
+  std::stringstream in{csv};
+  try {
+    Trace::load_csv(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Trace, LoadRejectsNonFiniteFields) {
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    for (int field = 0; field < 5; ++field) {
+      std::string vals[5] = {"0.0", "5.0", "6.0", "2.0", "0.0"};
+      vals[field] = bad;
+      const std::string csv = "0.0,1,5.0,6.0,2.0,0.0\n" + vals[0] + ",2," +
+                              vals[1] + "," + vals[2] + "," + vals[3] + "," +
+                              vals[4] + "\n";
+      EXPECT_NE(load_error(csv).find("line 2"), std::string::npos)
+          << bad << " in field " << field;
+    }
+  }
+}
+
+TEST(Trace, LoadRejectsOutOfOrderSamplesPerVehicle) {
+  const std::string err = load_error(
+      "0.0,1,0.0,0.0,1.0,0.0\n"
+      "2.0,1,2.0,0.0,1.0,0.0\n"
+      "0.0,2,9.0,9.0,1.0,0.0\n"
+      "1.0,1,1.0,0.0,1.0,0.0\n");
+  EXPECT_NE(err.find("line 4"), std::string::npos) << err;
+  EXPECT_NE(err.find("vehicle 1"), std::string::npos) << err;
+  // Equal times and interleaved vehicles are fine.
+  EXPECT_EQ(load_error("1.0,1,0,0,1,0\n1.0,1,1,0,1,0\n0.5,2,0,0,1,0\n"
+                       "2.0,1,2,0,1,0\n"),
+            "");
 }
 
 TEST(Trace, RecorderCapturesModel) {
