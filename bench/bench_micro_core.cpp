@@ -1,8 +1,9 @@
 // E12 — microbenchmarks of the performance-critical primitives
 // (google-benchmark): event queue, spatial index, duplicate cache, lifetime
 // solvers, survival/expectation integrals, IDM stepping, one MAC broadcast,
-// the channel index's per-frame work, and the ETX agent's beacon fill (with
-// its Dijkstra rerun) and hello intake.
+// the channel index's per-frame work, the hello layer's neighbor-table
+// intake, and the ETX agent's beacon fill (with its Dijkstra rerun) and
+// hello intake.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -314,6 +315,50 @@ void BM_ChannelFrameEnd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChannelFrameEnd)->Arg(10)->Arg(50)->Arg(200);
+
+/// One simulated second of hello intake at a node hearing `arg` neighbors:
+/// each live neighbor's beacon lands once (a refresh, in no particular id
+/// order), a tenth of them fall silent and as many new ids join, and the
+/// node's periodic sweep expires those silent past the 3 s expiry. The
+/// node's own radio is down, so its beacons stop at the MAC door and the
+/// bench times the neighbor table, not the channel.
+void BM_HelloIntake(benchmark::State& state) {
+  const auto nbrs = static_cast<std::size_t>(state.range(0));
+  const std::size_t churn = std::max<std::size_t>(1, nbrs / 10);
+  core::Simulator sim;
+  core::RngManager rngs{12};
+  net::Network net{sim, nullptr, std::make_unique<net::UnitDiskModel>(250.0),
+                   rngs.stream("net")};
+  const net::NodeId self = net.add_rsu({0.0, 0.0});
+  net.set_node_up(self, false);
+  net::HelloService hello{net, rngs.stream("hello")};
+  hello.start({self});
+  core::Rng rng{13};
+  auto fresh_id = [&rng] {
+    return static_cast<net::NodeId>(rng.uniform_int(1, 1000000));
+  };
+  std::vector<net::NodeId> live(nbrs);
+  for (auto& id : live) id = fresh_id();
+  net::Packet p;
+  p.kind = net::PacketKind::kHello;
+  p.header = std::make_shared<net::HelloHeader>();
+  core::SimTime now{};
+  for (auto _ : state) {
+    for (const net::NodeId id : live) {
+      p.origin = id;
+      hello.on_frame(self, p);
+    }
+    for (std::size_t k = 0; k < churn; ++k) {
+      live[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(nbrs) - 1))] = fresh_id();
+    }
+    now += core::SimTime::seconds(1.0);
+    sim.run_until(now);  // the sweep (and the dropped beacon)
+  }
+  benchmark::DoNotOptimize(hello.table(self).size());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(nbrs));
+}
+BENCHMARK(BM_HelloIntake)->Arg(10)->Arg(50)->Arg(200);
 
 /// Hellos from neighbors 1..nbrs, each a clean link reporting this node and
 /// advertising `advert_len` routes: itself, then a shared block of distant

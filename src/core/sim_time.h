@@ -23,6 +23,10 @@ class SimTime {
   static constexpr SimTime seconds(double s) {
     return SimTime{static_cast<std::int64_t>(s * 1e6)};
   }
+  /// False for inf, nan and values whose microseconds overflow int64.
+  static constexpr bool fits_seconds(double s) {
+    return s * 1e6 >= -0x1p63 && s * 1e6 < 0x1p63;
+  }
   static constexpr SimTime zero() { return SimTime{0}; }
   static constexpr SimTime max() {
     return SimTime{std::numeric_limits<std::int64_t>::max()};

@@ -8,34 +8,29 @@
 
 namespace vanet::net {
 
-const NeighborInfo* NeighborTable::find(NodeId id) const {
-  auto it = map_.find(id);
-  return it != map_.end() ? &it->second : nullptr;
+void NeighborTable::update(const NeighborInfo& info) {
+  auto it = std::ranges::lower_bound(rows_, info.id, {}, &NeighborInfo::id);
+  if (it != rows_.end() && it->id == info.id) {
+    *it = info;
+  } else {
+    rows_.insert(it, info);
+  }
 }
 
-std::vector<NeighborInfo> NeighborTable::snapshot() const {
-  std::vector<NeighborInfo> out;
-  out.reserve(map_.size());
-  // NOLINT-vanet(unordered-iter): order cannot escape — sorted by id below
-  for (const auto& [id, info] : map_) out.push_back(info);
-  std::sort(out.begin(), out.end(),
-            [](const NeighborInfo& a, const NeighborInfo& b) { return a.id < b.id; });
-  return out;
+const NeighborInfo* NeighborTable::find(NodeId id) const {
+  auto it = std::ranges::lower_bound(rows_, id, {}, &NeighborInfo::id);
+  return it != rows_.end() && it->id == id ? &*it : nullptr;
 }
 
 std::vector<NodeId> NeighborTable::expire(core::SimTime now,
                                           core::SimTime expiry) {
+  // One in-order pass: the rows are id-sorted, so `gone` comes out sorted.
   std::vector<NodeId> gone;
-  // NOLINT-vanet(unordered-iter): expiry test is per-entry; `gone` is sorted below, erase order cannot escape
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (now - it->second.last_heard > expiry) {
-      gone.push_back(it->first);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::sort(gone.begin(), gone.end());
+  std::erase_if(rows_, [&](const NeighborInfo& row) {
+    if (now - row.last_heard <= expiry) return false;
+    gone.push_back(row.id);
+    return true;
+  });
   return gone;
 }
 
@@ -55,7 +50,7 @@ void HelloService::start(const std::vector<NodeId>& ids) {
   VANET_ASSERT_MSG(!started_, "HelloService::start called twice");
   started_ = true;
   for (NodeId id : ids) {
-    tables_.try_emplace(id);
+    node(id).has_table = true;
     // Desynchronise initial beacons across one interval. Beacons re-arm with
     // per-firing jitter (variable period), sweeps are strictly periodic;
     // both reuse one pool slot per node for the whole run.
@@ -74,12 +69,9 @@ core::SimTime HelloService::send_beacon(NodeId id) {
   header->vel = net_.velocity(id);
   header->acc = net_.acceleration(id);
   header->rsu = net_.is_rsu(id);
-  header->seq = beacon_seqs_[id]++;
-  std::size_t extra_bytes = 0;
-  if (auto ext = beacon_extensions_.find(id);
-      ext != beacon_extensions_.end() && ext->second) {
-    extra_bytes = ext->second(*header);
-  }
+  PerNode& n = nodes_[id];
+  header->seq = n.beacon_seq++;
+  const std::size_t extra_bytes = n.extension ? n.extension(*header) : 0;
 
   Packet p;
   p.kind = PacketKind::kHello;
@@ -99,48 +91,44 @@ core::SimTime HelloService::send_beacon(NodeId id) {
 }
 
 void HelloService::sweep(NodeId id) {
-  auto& table = tables_[id];
-  const auto gone = table.expire(net_.simulator().now(), cfg_.expiry);
-  auto cb = loss_callbacks_.find(id);
-  if (cb != loss_callbacks_.end() && cb->second) {
-    for (NodeId lost : gone) cb->second(lost);
+  PerNode& n = nodes_[id];
+  for (NodeId lost : n.table.expire(net_.simulator().now(), cfg_.expiry)) {
+    if (n.on_loss) n.on_loss(lost);
   }
 }
 
 void HelloService::on_frame(NodeId self, const Packet& p) {
   const auto* h = p.header_as<HelloHeader>();
   VANET_ASSERT_MSG(h != nullptr, "hello frame without HelloHeader");
-  NeighborInfo info;
-  info.id = p.origin;
-  info.pos = h->pos;
-  info.vel = h->vel;
-  info.acc = h->acc;
-  info.rsu = h->rsu;
-  info.last_heard = net_.simulator().now();
-  tables_[self].update(info);
-  if (auto obs = frame_observers_.find(self);
-      obs != frame_observers_.end() && obs->second) {
-    obs->second(p, *h);
-  }
+  PerNode& n = node(self);
+  n.has_table = true;
+  n.table.update({.id = p.origin, .pos = h->pos, .vel = h->vel, .acc = h->acc,
+                  .rsu = h->rsu, .last_heard = net_.simulator().now()});
+  if (n.observer) n.observer(p, *h);
+}
+
+HelloService::PerNode& HelloService::node(NodeId id) {
+  if (id >= nodes_.size()) nodes_.resize(std::size_t{id} + 1);
+  return nodes_[id];
 }
 
 const NeighborTable& HelloService::table(NodeId id) const {
-  auto it = tables_.find(id);
-  VANET_ASSERT_MSG(it != tables_.end(), "no table for node");
-  return it->second;
+  VANET_ASSERT_MSG(id < nodes_.size() && nodes_[id].has_table,
+                   "no table for node");
+  return nodes_[id].table;
 }
 
 void HelloService::set_loss_callback(NodeId id,
                                      std::function<void(NodeId)> fn) {
-  loss_callbacks_[id] = std::move(fn);
+  node(id).on_loss = std::move(fn);
 }
 
 void HelloService::set_beacon_extension(NodeId id, BeaconExtension fn) {
-  beacon_extensions_[id] = std::move(fn);
+  node(id).extension = std::move(fn);
 }
 
 void HelloService::set_frame_observer(NodeId id, FrameObserver fn) {
-  frame_observers_[id] = std::move(fn);
+  node(id).observer = std::move(fn);
 }
 
 }  // namespace vanet::net

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rng.h"
@@ -78,21 +77,25 @@ struct NeighborInfo {
   }
 };
 
+/// One node's neighbors as id-sorted rows: binary-search lookups and a
+/// deterministic id-order view. `snapshot()` and `find()` point into the rows
+/// and stay valid until the node's next hello intake or sweep (each its own
+/// event); routing handlers keep no `NeighborInfo*` past their own call.
 class NeighborTable {
  public:
-  void update(const NeighborInfo& info) { map_[info.id] = info; }
+  void update(const NeighborInfo& info);
   const NeighborInfo* find(NodeId id) const;
-  bool contains(NodeId id) const { return map_.contains(id); }
-  std::size_t size() const { return map_.size(); }
+  bool contains(NodeId id) const { return find(id) != nullptr; }
+  std::size_t size() const { return rows_.size(); }
 
-  /// Snapshot sorted by id (deterministic iteration for protocols).
-  std::vector<NeighborInfo> snapshot() const;
+  /// The rows in id order (a view; see the class comment for its lifetime).
+  const std::vector<NeighborInfo>& snapshot() const { return rows_; }
 
-  /// Remove entries older than `expiry`; returns the expired ids.
+  /// Remove entries older than `expiry`; returns the expired ids, sorted.
   std::vector<NodeId> expire(core::SimTime now, core::SimTime expiry);
 
  private:
-  std::unordered_map<NodeId, NeighborInfo> map_;
+  std::vector<NeighborInfo> rows_;  ///< sorted by id, ids unique
 };
 
 /// One service instance manages beacons + tables for every node in the
@@ -134,14 +137,22 @@ class HelloService {
   core::SimTime send_beacon(NodeId id);
   void sweep(NodeId id);
 
+  /// Everything the service keeps for one node, indexed by NodeId.
+  struct PerNode {
+    NeighborTable table;
+    bool has_table = false;  ///< started here, or heard a hello frame
+    std::uint32_t beacon_seq = 0;
+    std::function<void(NodeId)> on_loss;
+    BeaconExtension extension;
+    FrameObserver observer;
+  };
+  /// The slot of `id`; grows the array (sharded runs hear unstarted nodes).
+  PerNode& node(NodeId id);
+
   Network& net_;
   core::Rng& rng_;
   HelloConfig cfg_;
-  std::unordered_map<NodeId, NeighborTable> tables_;
-  std::unordered_map<NodeId, std::uint32_t> beacon_seqs_;
-  std::unordered_map<NodeId, std::function<void(NodeId)>> loss_callbacks_;
-  std::unordered_map<NodeId, BeaconExtension> beacon_extensions_;
-  std::unordered_map<NodeId, FrameObserver> frame_observers_;
+  std::vector<PerNode> nodes_;
   bool started_ = false;
 };
 

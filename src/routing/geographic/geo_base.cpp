@@ -40,8 +40,7 @@ bool GeoUnicastBase::try_forward(net::Packet& p) {
   // example, may prefer a short reliable hop over a marginal direct shot.
   const net::NeighborInfo* best = nullptr;
   double best_score = 0.0;
-  const auto snapshot = neighbors().snapshot();
-  for (const auto& cand : snapshot) {
+  for (const auto& cand : neighbors().snapshot()) {
     if (cand.id == p.origin || blacklisted(cand.id)) continue;
     const core::Vec2 cand_pos = cand.predicted_pos(now());
     const double progress =
@@ -53,7 +52,7 @@ bool GeoUnicastBase::try_forward(net::Packet& p) {
     const double score = score_candidate(cand, progress, distance);
     if (score > best_score) {
       best_score = score;
-      best = neighbors().find(cand.id);
+      best = &cand;
     }
   }
   if (best == nullptr) {

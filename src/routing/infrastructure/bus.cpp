@@ -28,7 +28,7 @@ const net::NeighborInfo* BusProtocol::bus_neighbor() const {
     if (!is_bus(nbr.id) || blacklisted(nbr.id)) continue;
     const double d = (nbr.predicted_pos(now()) - here).norm();
     if (best == nullptr || d < best_dist) {
-      best = neighbors().find(nbr.id);
+      best = &nbr;
       best_dist = d;
     }
   }
@@ -90,7 +90,7 @@ void BusProtocol::ferry_tick() {
       const double progress =
           my_dist - (dest - nbr.predicted_pos(now())).norm();
       if (progress > best_progress) {
-        best = neighbors().find(nbr.id);
+        best = &nbr;
         best_progress = progress;
       }
     }

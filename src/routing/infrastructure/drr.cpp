@@ -81,8 +81,7 @@ const net::NeighborInfo* DrrProtocol::rsu_neighbor() const {
     if (!nbr.rsu || blacklisted(nbr.id)) continue;
     const double d = (nbr.pos - here).norm();
     if (best == nullptr || d < best_dist) {
-      // Snapshot entries are values on the stack; look up the stable entry.
-      best = neighbors().find(nbr.id);
+      best = &nbr;
       best_dist = d;
     }
   }

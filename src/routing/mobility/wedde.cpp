@@ -5,7 +5,7 @@
 namespace vanet::routing {
 
 double WeddeProtocol::local_rating() const {
-  const auto nbrs = neighbors().snapshot();
+  const auto& nbrs = neighbors().snapshot();
   // Density term: saturating in the number of usable relays.
   const double density =
       std::min(1.0, static_cast<double>(nbrs.size()) / kHealthyNeighbors);

@@ -1,6 +1,7 @@
 #include "sim/config_kv.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -51,7 +52,7 @@ Field numeric_field(std::string key, T& (*ref)(ScenarioConfig&)) {
                 const std::string& v) {
     if constexpr (std::is_same_v<T, double>) {
       const auto parsed = parse_double_checked(v);
-      if (!parsed) bad_value(k, v, "a real number");
+      if (!parsed) bad_value(k, v, "a finite real number");
       ref(cfg) = *parsed;
     } else if constexpr (std::is_same_v<T, bool>) {
       const auto parsed = parse_bool_checked(v);
@@ -133,7 +134,9 @@ Field simtime_field(std::string key, core::SimTime& (*ref)(ScenarioConfig&)) {
   f.set = [ref](ScenarioConfig& cfg, const std::string& k,
                 const std::string& v) {
     const auto parsed = parse_double_checked(v);
-    if (!parsed) bad_value(k, v, "seconds as a real number");
+    if (!parsed || !core::SimTime::fits_seconds(*parsed)) {
+      bad_value(k, v, "seconds as a finite real number in range");
+    }
     ref(cfg) = core::SimTime::seconds(*parsed);
   };
   return f;
@@ -458,7 +461,7 @@ std::optional<double> parse_double_checked(const std::string& s) {
   const char* last = s.data() + s.size();
   auto [ptr, ec] = std::from_chars(first, last, value);
   if (ec != std::errc{} || ptr != last) return std::nullopt;
-  return value;
+  return std::isfinite(value) ? std::optional{value} : std::nullopt;
 }
 
 std::optional<bool> parse_bool_checked(const std::string& s) {

@@ -32,7 +32,8 @@
 namespace vanet::sim {
 
 /// Checked scalar parsing: the entire string must be consumed, otherwise
-/// nullopt. Used by config_set and by CLI flag parsing.
+/// nullopt; parse_double_checked also refuses inf and nan. Used by
+/// config_set and by CLI flag parsing.
 std::optional<long long> parse_int_checked(const std::string& s);
 std::optional<double> parse_double_checked(const std::string& s);
 /// Accepts true/false, 1/0, on/off, yes/no (case-sensitive).

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/assert.h"
+#include "sim/config_kv.h"
 
 namespace vanet::sim {
 
@@ -33,17 +34,11 @@ int parse_id(const std::string& entry, const std::string& tok) {
 }
 
 double parse_time(const std::string& entry, const std::string& tok) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &used);
-  } catch (const std::exception&) {
+  const auto v = parse_double_checked(tok);
+  if (!v || *v < 0.0 || !core::SimTime::fits_seconds(*v)) {
     bad_entry(entry, "bad time '" + tok + "'");
   }
-  if (used != tok.size() || !(v >= 0.0)) {
-    bad_entry(entry, "bad time '" + tok + "'");
-  }
-  return v;
+  return *v;
 }
 
 }  // namespace

@@ -175,6 +175,39 @@ TEST(ConfigKv, CheckedParsersRejectTrailingGarbage) {
   EXPECT_FALSE(parse_bool_checked("2").has_value());
 }
 
+TEST(ConfigKv, NonFiniteAndOverflowingNumbersRejected) {
+  for (const char* v : {"inf", "-inf", "nan", "infinity", "-nan"}) {
+    EXPECT_FALSE(parse_double_checked(v).has_value()) << v;
+  }
+  EXPECT_DOUBLE_EQ(parse_double_checked("1e300").value(), 1e300);
+  ScenarioConfig cfg;
+  for (const char* v : {"inf", "-inf", "nan"}) {
+    try {
+      config_set(cfg, "traffic.rate_pps", v);
+      FAIL() << "accepted traffic.rate_pps=" << v;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("a finite real number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Seconds keys also refuse a finite value whose microseconds overflow.
+  const core::SimTime before = cfg.hello.interval;
+  for (const char* v : {"inf", "-inf", "nan", "1e300", "-1e300"}) {
+    try {
+      config_set(cfg, "hello.interval_s", v);
+      FAIL() << "accepted hello.interval_s=" << v;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("seconds as a finite real number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(cfg.hello.interval, before);
+  config_set(cfg, "hello.interval_s", "9e6");  // 104 days still fits
+  EXPECT_EQ(cfg.hello.interval, core::SimTime::seconds(9e6));
+}
+
 TEST(ConfigKv, SerializeParseRoundTrip) {
   ScenarioConfig cfg;
   cfg.seed = 99;

@@ -62,6 +62,18 @@ TEST(FaultPlanParse, RejectsBadEntriesNamingThem) {
   expect_rejected("node:0:10:5", "node:0:10:5"); // until <= at
 }
 
+TEST(FaultPlanParse, RejectsNonFiniteAndOverflowingTimes) {
+  // Each would otherwise reach SimTime::seconds, whose int64 cast is
+  // undefined for them (an inf crash used to land at t=0).
+  for (const std::string t : {"inf", "-inf", "nan", "1e300", "1e400"}) {
+    expect_rejected("node:3:" + t, "bad time '" + t + "'");
+    expect_rejected("node:3:1:" + t, "bad time '" + t + "'");
+  }
+  const auto plan = parse_fault_plan("node:3:9e12");  // just below 2^63 us
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_DOUBLE_EQ(plan[0].at_s, 9e12);
+}
+
 // ------------------------------------------------- scenario integration ---
 
 ScenarioConfig faulted_highway() {

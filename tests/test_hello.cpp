@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "core/rng.h"
 #include "mobility/constant_velocity.h"
 #include "net/fading.h"
 
@@ -214,6 +217,120 @@ TEST(NeighborTable, SnapshotSortedAndExpireReturnsIds) {
   EXPECT_EQ(gone, (std::vector<NodeId>{1u, 5u}));
   EXPECT_EQ(t.size(), 1u);
   EXPECT_TRUE(t.contains(9u));
+}
+
+TEST(Hello, FrameAtUnstartedNodeBuildsTableLazily) {
+  // A sharded run starts only the shard's own nodes; frames still reach
+  // nodes it does not own, whose tables must appear on first reception.
+  HelloFixture f{50.0, 0.0};
+  f.mgr->start();
+  f.hello->start({1});
+  f.sim.run_until(core::SimTime::seconds(2.5));
+  ASSERT_EQ(f.hello->table(0).size(), 1u);
+  EXPECT_TRUE(f.hello->table(0).contains(1));
+  EXPECT_EQ(f.hello->table(1).size(), 0u);  // 0 never beacons
+}
+
+TEST(Hello, CallbacksRegisteredBeforeStartFire) {
+  HelloFixture f{40.0, 40.0};  // 1 drives out of range after ~1.5 s
+  std::vector<NodeId> lost;
+  int observed = 0;
+  int extended = 0;
+  f.hello->set_loss_callback(0, [&](NodeId id) { lost.push_back(id); });
+  f.hello->set_frame_observer(0, [&](const Packet&, const HelloHeader&) {
+    ++observed;
+  });
+  f.hello->set_beacon_extension(1, [&](HelloHeader&) -> std::size_t {
+    ++extended;
+    return 0;
+  });
+  f.mgr->start();
+  f.hello->start(f.net->node_ids());
+  f.sim.run_until(core::SimTime::seconds(8.0));
+  EXPECT_GE(observed, 1);
+  EXPECT_GE(extended, observed);
+  EXPECT_EQ(lost, (std::vector<NodeId>{1}));
+}
+
+/// The table's contract, stated as a std::map from id to row.
+struct ReferenceNeighborTable {
+  std::map<NodeId, NeighborInfo> rows;
+
+  void update(const NeighborInfo& info) { rows[info.id] = info; }
+  std::vector<NodeId> expire(core::SimTime now, core::SimTime expiry) {
+    std::vector<NodeId> gone;
+    for (auto it = rows.begin(); it != rows.end();) {
+      if (now - it->second.last_heard > expiry) {
+        gone.push_back(it->first);
+        it = rows.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return gone;
+  }
+};
+
+bool same_row(const NeighborInfo& a, const NeighborInfo& b) {
+  return a.id == b.id && a.pos.x == b.pos.x && a.pos.y == b.pos.y &&
+         a.vel.x == b.vel.x && a.rsu == b.rsu && a.last_heard == b.last_heard;
+}
+
+TEST(NeighborTable, MatchesReferenceModel) {
+  const core::SimTime expiry = core::SimTime::seconds(3.0);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const int universe : {4, 40, 400}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " universe " << universe);
+      // Ids span the whole range: the ends 0 and 0xfffffffe (the largest
+      // id that is not kBroadcastId) plus a random pool.
+      core::Rng rng{seed * 1000 + static_cast<std::uint64_t>(universe)};
+      std::vector<NodeId> ids{0u, 0xfffffffeu};
+      while (ids.size() < static_cast<std::size_t>(universe)) {
+        ids.push_back(static_cast<NodeId>(rng.uniform_int(1, 0xfffffffd)));
+      }
+      NeighborTable table;
+      ReferenceNeighborTable ref;
+      core::SimTime now{};
+      for (int step = 0; step < 4000; ++step) {
+        const NodeId id = ids[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+        const double op = rng.uniform(0.0, 1.0);
+        if (op < 0.6) {
+          NeighborInfo info;
+          info.id = id;
+          info.pos = {rng.uniform(-500.0, 500.0), rng.uniform(-500.0, 500.0)};
+          info.vel = {rng.uniform(-30.0, 30.0), 0.0};
+          info.rsu = rng.uniform(0.0, 1.0) < 0.1;
+          info.last_heard = now;
+          table.update(info);
+          ref.update(info);
+        } else if (op < 0.7) {
+          // Time moves in steps up to the expiry window, so entries both
+          // survive sweeps and lapse, and expired ids come back later.
+          now += core::SimTime::millis(rng.uniform_int(0, 1500));
+          ASSERT_EQ(table.expire(now, expiry), ref.expire(now, expiry))
+              << "step " << step;
+        } else {
+          const NeighborInfo* row = table.find(id);
+          const auto it = ref.rows.find(id);
+          ASSERT_EQ(row != nullptr, it != ref.rows.end()) << "step " << step;
+          ASSERT_EQ(table.contains(id), row != nullptr) << "step " << step;
+          if (row != nullptr) {
+            ASSERT_TRUE(same_row(*row, it->second)) << "step " << step;
+          }
+        }
+        const std::vector<NeighborInfo>& snap = table.snapshot();
+        ASSERT_EQ(table.size(), ref.rows.size()) << "step " << step;
+        ASSERT_EQ(snap.size(), ref.rows.size()) << "step " << step;
+        auto it = ref.rows.begin();
+        for (std::size_t k = 0; k < snap.size(); ++k, ++it) {
+          ASSERT_TRUE(same_row(snap[k], it->second))
+              << "step " << step << " row " << k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

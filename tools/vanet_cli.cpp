@@ -110,7 +110,7 @@ int checked_int32(const std::string& flag, const std::string& value) {
 double checked_double(const std::string& flag, const std::string& value) {
   const auto parsed = sim::parse_double_checked(value);
   if (!parsed) fail("invalid value '" + value + "' for " + flag +
-                    " (expected a number)");
+                    " (expected a finite number)");
   return *parsed;
 }
 
