@@ -5,11 +5,10 @@
 // routing family (zone/grid/gvgrid with route geometry over an imported
 // irregular map) and the `lossy` family (link-quality routing under
 // Nakagami fast fading: etx vs hop-count dsdv vs the paper's yan on the
-// same dense lattice) and the `scale` family (the sharded engine's
-// weak-scaling ladder: 10k-100k vehicles at shard counts fixed per band)
-// and a population sweep, and emits one machine-readable JSON
-// document: wall time, simulator events dispatched, events/sec and the
-// canonical report digest per run. CI runs `--smoke` and fails on malformed
+// same dense lattice) and the `scale` family (the large-population ladder:
+// 10k-50k vehicles at constant street density) and a population sweep, and
+// emits one machine-readable JSON document: wall time, simulator events
+// dispatched, events/sec and the canonical report digest per run. CI runs `--smoke` and fails on malformed
 // output; BENCH_*.json files in the repo root track the full sweep
 // before/after perf work (see docs/PERFORMANCE.md).
 //
@@ -18,13 +17,11 @@
 //       [--families highway,manhattan,trace,graph,map-aware,lossy,scale]
 //       [--sizes 100,250,500,1000] [--duration SECONDS] [--seed N]
 //
-// The `scale` family ignores --sizes and --duration: its population ladder,
-// shard counts and 5 s horizon are pure functions of the band, so any rerun
-// reproduces the committed baseline rows exactly (bench_compare keys on
-// family+vehicles+shards).
+// The `scale` family ignores --sizes and --duration: its population ladder
+// and 5 s horizon are fixed, so any rerun (smoke included) reproduces the
+// committed baseline rows exactly.
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -81,8 +78,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
         // One cheap lattice row plus one map-aware row, so CI's
         // bench_compare guards the route-geometry path as well; the lossy
         // family's etx row, so it guards the ETX agent's digests (see
-        // lossy_protocols_for); the scale family shrinks to its single
-        // 10k @ K=4 smoke row (see scale_sizes_for / scale_shards_for).
+        // lossy_protocols_for); the scale family shrinks to its 10k row
+        // (see scale_sizes_for).
         opt.families = {"manhattan", "map-aware", "lossy", "scale"};
         opt.sizes = {100};
         opt.duration_s = 2.0;
@@ -221,22 +218,11 @@ std::vector<std::string> protocols_for(const std::string& family,
 }
 
 /// The scale family's population ladder. Fixed — --sizes does not apply —
-/// so bench_compare always finds the committed (family, vehicles, shards)
-/// rows. Smoke keeps the single cheapest band.
+/// so bench_compare always finds the committed rows. Smoke keeps the single
+/// cheapest band.
 std::vector<int> scale_sizes_for(const Options& opt) {
   if (opt.smoke) return {10000};
-  return {10000, 25000, 50000, 100000};
-}
-
-/// Shard counts a scale row runs at, a pure function of the vehicle count
-/// (one bench row per K). The 50k band carries the full ladder — that is
-/// the row bench_compare's scaling-efficiency floor reads — and the 100k
-/// band skips the serial runs that would dominate sweep wall time.
-std::vector<int> scale_shards_for(int vehicles, const Options& opt) {
-  if (opt.smoke) return {4};
-  if (vehicles < 50000) return {1, 4};
-  if (vehicles < 100000) return {1, 2, 4, 8};
-  return {4, 8};
+  return {10000, 25000, 50000};
 }
 
 /// Lattice side (streets per axis) for a scale band: grows with the
@@ -247,16 +233,7 @@ std::vector<int> scale_shards_for(int vehicles, const Options& opt) {
 int scale_streets_for(int vehicles) {
   if (vehicles <= 10000) return 22;
   if (vehicles <= 25000) return 35;
-  if (vehicles <= 50000) return 50;
-  return 71;
-}
-
-/// Shard counts per (family, vehicles): 1 (the untouched serial engine) for
-/// everything except the scale family.
-std::vector<int> shard_counts_for(const std::string& family, int vehicles,
-                                  const Options& opt) {
-  if (family == "scale") return scale_shards_for(vehicles, opt);
-  return {1};
+  return 50;
 }
 
 std::vector<int> sizes_for(const std::string& family, const Options& opt) {
@@ -317,14 +294,13 @@ ScenarioConfig make_config(const std::string& family, int vehicles,
     cfg.nakagami_m = vehicles < 750 ? 1 : 3;
     cfg.protocol = "etx";  // the caller overrides per lossy_protocols_for row
   } else if (family == "scale") {
-    // Sharded-engine weak-scaling ladder: the lattice grows with the
-    // population (scale_streets_for) so density stays ~constant, greedy
-    // forwarding keeps per-packet work local (an AODV RREQ flood across
-    // 100k nodes would measure the flood, not the engine), and
-    // reachability sampling is off — a BFS over 100k nodes each second
-    // would dominate wall time. The 5 s horizon is fixed so full-sweep
-    // rows reproduce regardless of --duration (smoke's 2 s still applies:
-    // min() keeps whichever is cheaper).
+    // Large-population ladder: the lattice grows with the population
+    // (scale_streets_for) so density stays ~constant, greedy forwarding
+    // keeps per-packet work local (an AODV RREQ flood across 50k nodes
+    // would measure the flood, not the engine), and reachability sampling
+    // is off — a BFS over 50k nodes each second would dominate wall time.
+    // The 5 s horizon is fixed so every row, smoke included, reproduces
+    // regardless of --duration.
     cfg.mobility = MobilityKind::kManhattan;
     cfg.manhattan.streets_x = scale_streets_for(vehicles);
     cfg.manhattan.streets_y = scale_streets_for(vehicles);
@@ -333,7 +309,7 @@ ScenarioConfig make_config(const std::string& family, int vehicles,
     cfg.protocol = "greedy";
     cfg.traffic.flows = 50;
     cfg.sample_reachability = false;
-    cfg.duration_s = std::min(opt.duration_s, 5.0);
+    cfg.duration_s = 5.0;
     cfg.traffic.stop_s = cfg.duration_s;
   } else if (family == "trace") {
     // Deterministically record a Manhattan run and play it back, so the
@@ -369,8 +345,6 @@ void append_json_run(std::string& out, const std::string& family, int vehicles,
      << "      \"requested_vehicles\": " << vehicles << ",\n"
      << "      \"seed\": " << opt.seed << ",\n"
      << "      \"sim_duration_s\": " << sim_duration_s << ",\n"
-     << "      \"shards\": " << run.shards << ",\n"
-     << "      \"threads\": " << run.threads << ",\n"
      << "      \"wall_s\": " << run.wall_s << ",\n"
      << "      \"events_dispatched\": " << run.events_dispatched << ",\n"
      << "      \"events_per_sec\": " << run.events_per_sec() << ",\n"
@@ -412,9 +386,7 @@ int main(int argc, char** argv) {
   std::string json;
   json += "{\n";
   json += "  \"benchmark\": \"scenario_throughput\",\n";
-  // Hardware context for consumers: bench_compare only enforces the scale
-  // family's parallel-speedup floor when the recording machine actually had
-  // the cores (single-core CI boxes still check digests + per-row ev/s).
+  // Hardware context for readers comparing events/sec across documents.
   json += "  \"hw_threads\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"results\": [\n";
@@ -422,21 +394,17 @@ int main(int argc, char** argv) {
   for (const std::string& family : opt.families) {
     for (const int vehicles : sizes_for(family, opt)) {
       for (const std::string& protocol : protocols_for(family, vehicles, opt)) {
-        for (const int shards : shard_counts_for(family, vehicles, opt)) {
-          ScenarioConfig cfg = make_config(family, vehicles, opt);
-          if (!protocol.empty()) cfg.protocol = protocol;
-          cfg.shards = shards;
-          const TimedRun run = vanet::sim::run_timed(cfg);
-          if (!first) json += ",\n";
-          first = false;
-          append_json_run(json, family, vehicles, cfg.duration_s, opt, run);
-          std::cerr << family << "/" << vehicles << " (" << cfg.protocol
-                    << ", K=" << run.shards << "x" << run.threads
-                    << "t): " << run.events_dispatched << " events in "
-                    << run.wall_s << " s ("
-                    << static_cast<std::uint64_t>(run.events_per_sec())
-                    << " events/sec)\n";
-        }
+        ScenarioConfig cfg = make_config(family, vehicles, opt);
+        if (!protocol.empty()) cfg.protocol = protocol;
+        const TimedRun run = vanet::sim::run_timed(cfg);
+        if (!first) json += ",\n";
+        first = false;
+        append_json_run(json, family, vehicles, cfg.duration_s, opt, run);
+        std::cerr << family << "/" << vehicles << " (" << cfg.protocol
+                  << "): " << run.events_dispatched << " events in "
+                  << run.wall_s << " s ("
+                  << static_cast<std::uint64_t>(run.events_per_sec())
+                  << " events/sec)\n";
       }
     }
   }

@@ -71,13 +71,6 @@ class Simulator {
   /// Run until the queue drains or `end` is reached (events at `end` included).
   void run_until(SimTime end);
 
-  /// Run every event strictly before `end`, then advance now() to `end`.
-  /// The window-barrier primitive of the sharded engine: consecutive calls
-  /// with increasing `end` values dispatch exactly the events run_until(last)
-  /// would, in the same (time, seq) order, but with safe pause points at each
-  /// window edge where cross-shard work may be injected at time `end`.
-  void run_before(SimTime end);
-
   /// Timestamp of the earliest pending event, or SimTime::max() when idle.
   SimTime next_event_time() const {
     return queue_.empty() ? SimTime::max() : queue_.next_time();

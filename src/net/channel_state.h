@@ -25,8 +25,8 @@
 // Retention contract: prune(h) drops entries that ended before h, so a query
 // window starting before the highest horizon passed so far could miss a
 // collision. begin_overlap and interference_at abort on such a window; the
-// caller (Network) picks its horizon so that every frame still in flight or
-// in a shard mailbox starts at or after it.
+// caller (Network) picks its horizon so that every frame still in flight
+// starts at or after it.
 //
 // Determinism: queries compute a max / an existence test over a set that is
 // identical to the brute-force scan (distance cutoffs are inclusive, matching
@@ -79,7 +79,8 @@ class ChannelState {
                            double range) const;
 
   /// True when any transmission other than `self` overlaps (start, end) in
-  /// time and is within `range` (inclusive) of `pos`.
+  /// time and is within `range` (inclusive) of `pos`. The per-query form of
+  /// overlap_near, which the tests check the snapshot against.
   bool interference_at(core::Vec2 pos, core::SimTime start, core::SimTime end,
                        double range, Handle self) const;
 

@@ -113,9 +113,8 @@ class HelloService {
 
   HelloService(Network& net, core::Rng& rng, HelloConfig cfg = {});
 
-  /// Start beaconing for `ids` (a scenario's node stack passes the nodes it
-  /// owns: every node on serial runs, the shard's own on sharded ones).
-  /// Tables for other nodes still build up lazily as their frames arrive
+  /// Start beaconing for `ids` (a scenario passes every node). Tables for
+  /// nodes not started here still build up lazily as their frames arrive
   /// via on_frame.
   void start(const std::vector<NodeId>& ids);
 
@@ -146,7 +145,7 @@ class HelloService {
     BeaconExtension extension;
     FrameObserver observer;
   };
-  /// The slot of `id`; grows the array (sharded runs hear unstarted nodes).
+  /// The slot of `id`; grows the array (frames can reach unstarted nodes).
   PerNode& node(NodeId id);
 
   Network& net_;

@@ -106,7 +106,6 @@ void Network::set_node_up(NodeId id, bool up) {
     node.queue.clear();
     node.transmitting = false;
     node.current_tx = ChannelState::kInvalidHandle;
-    node.awaiting_verdict = false;  // a late cross-shard verdict is dropped
     recovery_pending_[id] = false;
   } else {
     recovery_pending_[id] = true;
@@ -207,7 +206,7 @@ void Network::send(NodeId from, Packet p) {
     return;
   }
   node.queue.push_back(QueuedFrame{std::move(p), 0});
-  if (!node.transmitting && !node.attempt_pending && !node.awaiting_verdict) {
+  if (!node.transmitting && !node.attempt_pending) {
     schedule_attempt(node, random_backoff(rng_));
   }
 }
@@ -221,18 +220,13 @@ void Network::schedule_attempt(NodeImpl& node, core::SimTime delay) {
 void Network::attempt_transmission(NodeId id) {
   NodeImpl& node = impl(id);
   node.attempt_pending = false;
-  if (!node.up || node.transmitting || node.awaiting_verdict ||
-      node.queue.empty()) {
-    return;
-  }
+  if (!node.up || node.transmitting || node.queue.empty()) return;
   const core::SimTime now = sim_.now();
   // Prune before sensing so stale finished transmissions are not scanned.
   // Exact horizon: a frame still in flight started at or after
   // now - longest_frame_, and only records ending after a frame's start can
-  // collide with it. Sharded runs keep prune_slack_ more, because a foreign
-  // frame is resolved up to that long after it ends (docs/ARCHITECTURE.md,
-  // "Ownership and the conservative window").
-  channel_.prune(now - prune_slack_ - longest_frame_);
+  // collide with it.
+  channel_.prune(now - longest_frame_);
   const core::Vec2 pos = position(id);
   const core::SimTime busy_until =
       channel_.busy_until(pos, now, interference_range_);
@@ -277,9 +271,6 @@ void Network::finish_transmission(NodeId id) {
 
   const bool fade_free = propagation_->always_receives_in_range();
   bool intended_received = false;
-  // Sharded runs: did we hand the intended unicast receiver off to its
-  // owning shard? If so the retry/fail decision waits for its verdict.
-  bool verdict_pending = false;
 
   // One time-window filter for the whole frame; each receiver below answers
   // the collision question with a linear scan of the snapshot (the channel is
@@ -292,17 +283,6 @@ void Network::finish_transmission(NodeId id) {
   grid_.query_radius_into(tx.pos, max_range, id, rx_scratch_);
   for (NodeId cand : rx_scratch_) {
     NodeImpl& rx_node = impl(cand);
-    // Foreign receiver (sharded runs): its owning shard resolves the
-    // reception at the next window barrier. Only frames addressed to it
-    // cross the cut; the owning shard counts the fade/collision outcome.
-    if (bridge_ != nullptr && !bridge_->owned(cand)) {
-      if (packet.rx == kBroadcastId || packet.rx == cand) {
-        const bool want_verdict = packet.rx == cand;
-        bridge_->post_reception(tx, packet, cand, want_verdict);
-        if (want_verdict) verdict_pending = true;
-      }
-      continue;
-    }
     // A crashed radio hears nothing (and consumes no fade draw, so churn
     // perturbs no other node's randomness).
     if (!rx_node.up) continue;
@@ -334,77 +314,8 @@ void Network::finish_transmission(NodeId id) {
   }
 
   // Unicast retry / failure bookkeeping.
-  if (verdict_pending) {
-    // The intended receiver lives on another shard: park the frame at the
-    // queue front until complete_unicast() delivers its verdict. The MAC
-    // stays idle meanwhile (send/attempt check awaiting_verdict), so at most
-    // one verdict per node is ever outstanding.
-    node.awaiting_verdict = true;
-    return;
-  }
   bool keep_frame = false;
   if (packet.rx != kBroadcastId && !intended_received) {
-    if (frame.attempts < cfg_.unicast_retry_limit) {
-      ++frame.attempts;
-      ++counters_.unicast_retries;
-      keep_frame = true;
-    } else {
-      ++counters_.unicast_failures;
-      if (node.on_unicast_fail) node.on_unicast_fail(packet);
-    }
-  }
-  if (!keep_frame) node.queue.pop_front();
-  if (!node.queue.empty() && !node.attempt_pending) {
-    schedule_attempt(node, cfg_.slot_time + random_backoff(rng_));
-  }
-}
-
-void Network::deliver_foreign(const ChannelState::Tx& tx, const Packet& packet,
-                              NodeId rx, bool want_verdict) {
-  NodeImpl& rx_node = impl(rx);
-  bool delivered = false;
-  if (rx_node.up) {
-    // Half duplex, conservatively: any local transmission still (or again)
-    // on the air after the foreign frame started blocks reception. This is
-    // a superset of the serial check (which also requires tx_until <= now)
-    // because the foreign frame resolves up to one window late, when the
-    // receiver may have started a newer frame of its own.
-    const bool half_duplex_busy =
-        rx_node.transmitting || rx_node.tx_until > tx.start;
-    // Collision against this shard's channel only; the sender's own record
-    // lives on its shard, so no self handle to exclude here.
-    if (half_duplex_busy) {
-      // Counted nowhere: the serial path skips silently too.
-    } else if (channel_.interference_at(position(rx), tx.start, tx.end,
-                                        interference_range_,
-                                        ChannelState::kInvalidHandle)) {
-      ++counters_.receptions_collided;
-    } else {
-      if (churn_active_ && recovery_pending_[rx]) {
-        recovery_pending_[rx] = false;
-        recovery_latency_.add((sim_.now() - recovery_started_[rx]).as_seconds());
-      }
-      ++counters_.receptions_ok;
-      delivered = packet.rx == rx;
-      if (rx_node.on_receive) rx_node.on_receive(packet);
-    }
-  }
-  if (want_verdict && bridge_ != nullptr) {
-    bridge_->post_verdict(tx.tx, delivered);
-  }
-}
-
-void Network::complete_unicast(NodeId id, bool delivered) {
-  NodeImpl& node = impl(id);
-  // A crash while the verdict was in flight already cleared the parked
-  // frame; the late verdict is dropped.
-  if (!node.awaiting_verdict) return;
-  node.awaiting_verdict = false;
-  VANET_ASSERT(!node.queue.empty());
-  QueuedFrame& frame = node.queue.front();
-  const Packet packet = frame.packet;
-  bool keep_frame = false;
-  if (!delivered) {
     if (frame.attempts < cfg_.unicast_retry_limit) {
       ++frame.attempts;
       ++counters_.unicast_retries;

@@ -18,7 +18,6 @@
 // wired network (fixed small delay, no loss) per Sec. V.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -34,7 +33,6 @@
 #include "net/channel_state.h"
 #include "net/packet.h"
 #include "net/propagation.h"
-#include "net/shard_bridge.h"
 
 namespace vanet::net {
 
@@ -149,36 +147,6 @@ class Network {
   /// Carrier-sense / collision radius (max_range * interference_range_factor).
   double interference_range() const { return interference_range_; }
 
-  /// Install the cross-shard handoff bridge (sharded engine only; see
-  /// net/shard_bridge.h). Null (the default) keeps the serial fast path.
-  void set_shard_bridge(ShardBridge* bridge) {
-    bridge_ = bridge;
-    prune_slack_ = bridge != nullptr ? bridge->handoff_lateness()
-                                     : core::SimTime::zero();
-  }
-
-  /// Longest frame duration started so far (a monotone max). The channel
-  /// keeps a finished transmission this long (plus the shard hand-off
-  /// lateness) because a frame still in flight may overlap it.
-  core::SimTime longest_frame() const { return longest_frame_; }
-  /// Sharded runs: fold in the longest frame started on any shard, so
-  /// foreign frames resolved here find their overlapping local records.
-  void raise_longest_frame(core::SimTime d) {
-    longest_frame_ = std::max(longest_frame_, d);
-  }
-
-  /// Resolve a reception handed off from another shard: the local receiver
-  /// `rx` hears the foreign frame recorded in `tx`. Applies the half-duplex
-  /// and collision checks against THIS shard's channel state (cross-shard
-  /// fidelity contract documented in docs/ARCHITECTURE.md), dispatches the
-  /// receive handler, and answers with bridge->post_verdict when requested.
-  void deliver_foreign(const ChannelState::Tx& tx, const Packet& packet,
-                       NodeId rx, bool want_verdict);
-
-  /// Complete the parked unicast bookkeeping of `id` once the foreign
-  /// intended receiver's verdict arrives (retry, fail handler, next attempt).
-  void complete_unicast(NodeId id, bool delivered);
-
  private:
   struct QueuedFrame {
     Packet packet;
@@ -196,9 +164,6 @@ class Network {
     bool transmitting = false;
     core::SimTime tx_until{};
     bool attempt_pending = false;
-    /// Unicast frame at queue front is parked until a cross-shard decode
-    /// verdict arrives (sharded runs only; see ShardBridge).
-    bool awaiting_verdict = false;
     /// Channel record of the in-flight frame while `transmitting`.
     ChannelState::Handle current_tx = ChannelState::kInvalidHandle;
   };
@@ -232,9 +197,10 @@ class Network {
   std::vector<NodeId> rx_scratch_;
   std::uint64_t next_uid_ = 1;
   NetCounters counters_;
-  ShardBridge* bridge_ = nullptr;  ///< null on every serial run
-  core::SimTime prune_slack_{};    ///< bridge_->handoff_lateness(), or zero
-  core::SimTime longest_frame_{};  ///< see longest_frame()
+  /// Longest frame duration started so far (a monotone max). The channel
+  /// keeps a finished transmission this long, because a frame still in
+  /// flight may overlap it.
+  core::SimTime longest_frame_{};
   /// False until the first set_node_up call: fault-free runs skip every
   /// per-reception down/recovery check behind this single flag, so the hot
   /// path (and its digests) is untouched when churn is not in play.

@@ -124,6 +124,23 @@ Field enum_field(std::string key, E& (*ref)(ScenarioConfig&),
   return f;
 }
 
+/// `value` as seconds that convert to core::SimTime, or a config error.
+double checked_seconds(const std::string& key, const std::string& value) {
+  const auto parsed = parse_double_checked(value);
+  if (!parsed || !core::SimTime::fits_seconds(*parsed)) {
+    bad_value(key, value, "seconds as a finite real number in range");
+  }
+  return *parsed;
+}
+
+/// A plain `double` seconds field; it must convert to core::SimTime.
+Field seconds_field(std::string key, double& (*ref)(ScenarioConfig&)) {
+  Field f = numeric_field(std::move(key), ref);
+  f.set = [ref](ScenarioConfig& cfg, const std::string& k,
+                const std::string& v) { ref(cfg) = checked_seconds(k, v); };
+  return f;
+}
+
 /// A SimTime field exposed in seconds.
 Field simtime_field(std::string key, core::SimTime& (*ref)(ScenarioConfig&)) {
   Field f;
@@ -133,11 +150,7 @@ Field simtime_field(std::string key, core::SimTime& (*ref)(ScenarioConfig&)) {
   };
   f.set = [ref](ScenarioConfig& cfg, const std::string& k,
                 const std::string& v) {
-    const auto parsed = parse_double_checked(v);
-    if (!parsed || !core::SimTime::fits_seconds(*parsed)) {
-      bad_value(k, v, "seconds as a finite real number in range");
-    }
-    ref(cfg) = core::SimTime::seconds(*parsed);
+    ref(cfg) = core::SimTime::seconds(checked_seconds(k, v));
   };
   return f;
 }
@@ -151,56 +164,17 @@ std::vector<Field> build_fields() {
   auto num = [&fields](std::string key, auto ref) {
     fields.push_back(numeric_field(std::move(key), ref));
   };
+  auto seconds = [&fields](std::string key, auto ref) {
+    fields.push_back(seconds_field(std::move(key), ref));
+  };
   const std::vector<std::pair<std::string, routing::GeometryMode>> geometry{
       {"line", routing::GeometryMode::kLine},
       {"route", routing::GeometryMode::kRoute}};
 
   // --- top level -----------------------------------------------------------
   num("seed", REF(seed));
-  num("duration_s", REF(duration_s));
-  num("mobility_tick_s", REF(mobility_tick_s));
-  {
-    // Sharded engine selector: a count, or "auto" for the hardware thread
-    // count (stored as 0; see resolve_shard_count). Serializes back as
-    // "auto" so a round-tripped config resolves on the machine that runs
-    // it, not the one that wrote it.
-    Field f;
-    f.key = "scenario.shards";
-    f.get = [](const ScenarioConfig& cfg) {
-      return cfg.shards == 0 ? std::string("auto") : fmt_value(cfg.shards);
-    };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      if (v == "auto") {
-        cfg.shards = 0;
-        return;
-      }
-      const auto parsed = parse_int_checked(v);
-      if (!parsed || *parsed <= 0 ||
-          *parsed > std::numeric_limits<int>::max()) {
-        bad_value(k, v, "a positive integer or 'auto'");
-      }
-      cfg.shards = static_cast<int>(*parsed);
-    };
-    fields.push_back(std::move(f));
-  }
-  {
-    Field f;
-    f.key = "scenario.shard_threads";
-    f.get = [](const ScenarioConfig& cfg) {
-      return fmt_value(cfg.shard_threads);
-    };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      const auto parsed = parse_int_checked(v);
-      if (!parsed || *parsed < 0 ||
-          *parsed > std::numeric_limits<int>::max()) {
-        bad_value(k, v, "a non-negative integer (0 = one thread per shard)");
-      }
-      cfg.shard_threads = static_cast<int>(*parsed);
-    };
-    fields.push_back(std::move(f));
-  }
+  seconds("duration_s", REF(duration_s));
+  seconds("mobility_tick_s", REF(mobility_tick_s));
   {
     // `map.source` precedes `mobility` so the parse order lets an explicit
     // mobility line re-settle the alias (see the header comment).
@@ -381,8 +355,8 @@ std::vector<Field> build_fields() {
   num("traffic.flows", REF(traffic.flows));
   num("traffic.rate_pps", REF(traffic.rate_pps));
   num("traffic.payload_bytes", REF(traffic.payload_bytes));
-  num("traffic.start_s", REF(traffic.start_s));
-  num("traffic.stop_s", REF(traffic.stop_s));
+  seconds("traffic.start_s", REF(traffic.start_s));
+  seconds("traffic.stop_s", REF(traffic.stop_s));
   num("traffic.min_pair_distance_m", REF(traffic.min_pair_distance_m));
 
   // --- hello.* (times in seconds) ------------------------------------------
@@ -412,10 +386,10 @@ std::vector<Field> build_fields() {
   // --- fault.* (deterministic fault injection; sim/fault_plan.h) -----------
   num("fault.enabled", REF(fault.enabled));
   fields.push_back(string_field("fault.plan", REF(fault.plan)));
-  num("fault.vehicle_mtbf_s", REF(fault.vehicle_mtbf_s));
-  num("fault.vehicle_downtime_s", REF(fault.vehicle_downtime_s));
-  num("fault.rsu_mtbf_s", REF(fault.rsu_mtbf_s));
-  num("fault.rsu_downtime_s", REF(fault.rsu_downtime_s));
+  seconds("fault.vehicle_mtbf_s", REF(fault.vehicle_mtbf_s));
+  seconds("fault.vehicle_downtime_s", REF(fault.vehicle_downtime_s));
+  seconds("fault.rsu_mtbf_s", REF(fault.rsu_mtbf_s));
+  seconds("fault.rsu_downtime_s", REF(fault.rsu_downtime_s));
 
   return fields;
 }

@@ -234,8 +234,6 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec,
   struct RunProfile {
     double wall_s = 0.0;
     std::uint64_t events = 0;
-    int shards = 1;
-    int threads = 1;
   };
   std::vector<RunProfile> profiles(spec.profile ? n_runs : 0);
 
@@ -263,8 +261,6 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec,
           RunProfile& prof = profiles[job];
           prof.wall_s = std::chrono::duration<double>(t1 - t0).count();
           prof.events = scenario.events_dispatched();
-          prof.shards = scenario.shard_count();
-          prof.threads = scenario.shard_thread_count();
         } else {
           scenario.run();
         }
@@ -379,8 +375,6 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec,
           rec.profiled = true;
           rec.wall_s = prof.wall_s;
           rec.events_dispatched = prof.events;
-          rec.shards = prof.shards;
-          rec.threads = prof.threads;
         }
         for (ReportSink* sink : sinks) sink->on_run(rec);
       }

@@ -75,9 +75,9 @@ struct ExperimentSpec {
   /// Failure capture / watchdog / retry policy (see RunGuards).
   RunGuards guards;
   /// Per-run throughput capture: time each run's Scenario::run() and record
-  /// events dispatched + effective shards/threads into the run and aggregate
-  /// records (RunRecord::profiled gates the extra sink fields, so an
-  /// unprofiled sweep's output stays byte-identical to historical output).
+  /// it with the events dispatched into the run and aggregate records
+  /// (RunRecord::profiled gates the extra sink fields, so an unprofiled
+  /// sweep's output stays byte-identical to historical output).
   /// Wall-clock readings are inherently nondeterministic, so a profiled
   /// sweep's JSONL is NOT byte-comparable across jobs=1 / jobs=N — use it
   /// for perf harnesses (bench_scenario_throughput, CI smoke), never for

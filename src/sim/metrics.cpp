@@ -1,6 +1,5 @@
 #include "sim/metrics.h"
 
-#include <algorithm>
 #include <vector>
 
 namespace vanet::sim {
@@ -29,35 +28,6 @@ bool Metrics::record_delivery(std::uint32_t flow, std::uint32_t seq,
   ++fs.delivered;
   fs.delay_ms.add(delay);
   return true;
-}
-
-void Metrics::merge_from(const Metrics& other) {
-  originated_ += other.originated_;
-  delivered_ += other.delivered_;
-  duplicates_ += other.duplicates_;
-  delay_ms_.merge(other.delay_ms_);
-  hops_.merge(other.hops_);
-  // NOLINT-vanet(unordered-iter): keys are sorted before any merge happens
-  std::vector<std::uint64_t> keys(other.seen_.begin(), other.seen_.end());
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) seen_.insert(key);
-  std::vector<std::uint32_t> flow_ids;
-  // NOLINT-vanet(unordered-iter): ids are sorted before any merge happens
-  for (const auto& [id, fs] : other.flows_) flow_ids.push_back(id);
-  std::sort(flow_ids.begin(), flow_ids.end());
-  for (const std::uint32_t id : flow_ids) {
-    const FlowStats& src = other.flows_.at(id);
-    FlowStats& dst = flows_[id];
-    dst.originated += src.originated;
-    dst.delivered += src.delivered;
-    dst.delay_ms.merge(src.delay_ms);
-  }
-  origination_times_.insert(origination_times_.end(),
-                            other.origination_times_.begin(),
-                            other.origination_times_.end());
-  first_delivery_sent_times_.insert(first_delivery_sent_times_.end(),
-                                    other.first_delivery_sent_times_.begin(),
-                                    other.first_delivery_sent_times_.end());
 }
 
 const Metrics::FlowStats& Metrics::flow_stats(std::uint32_t flow) const {

@@ -51,14 +51,6 @@ class Metrics {
   /// Stats for one flow (zero-initialised if never seen).
   const FlowStats& flow_stats(std::uint32_t flow) const;
 
-  /// Fold another collector into this one (sharded runs merge the per-shard
-  /// collectors in shard order). Deterministic: per-flow state merges in
-  /// ascending flow id and the running stats combine with the same
-  /// fixed-order merge the parallel experiment engine relies on. Callers
-  /// guarantee disjoint (flow, seq) delivery sets — each delivery lands on
-  /// exactly one shard (the destination's owner) — so dedup stays exact.
-  void merge_from(const Metrics& other);
-
   std::uint64_t originated() const { return originated_; }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t duplicate_deliveries() const { return duplicates_; }

@@ -73,41 +73,34 @@ void add_rsus(const ScenarioConfig& cfg, const map::RoadGraph& graph,
 }  // namespace
 
 NodeStack::NodeStack(const SharedWorld& world, core::Simulator& loop,
-                     core::RngManager& rngs, const std::string& suffix,
-                     net::ShardBridge* bridge)
+                     core::RngManager& rngs)
     : sim{loop} {
   const ScenarioConfig& cfg = world.cfg;
   const map::RoadGraph& graph = *world.deps.road_graph;
   net = std::make_unique<net::Network>(
-      sim, &world.mobility, make_propagation(cfg), rngs.stream("net" + suffix),
+      sim, &world.mobility, make_propagation(cfg), rngs.stream("net"),
       cfg.net, core::Box{graph.bbox_min(), graph.bbox_max()});
   for (std::size_t v = 0; v < world.vehicle_count; ++v) {
     net->add_vehicle_node(static_cast<mobility::VehicleId>(v));
   }
   if (cfg.rsu_count > 0) add_rsus(cfg, graph, *net);
-  net->set_shard_bridge(bridge);
-  owned = net->node_ids();
-  if (bridge != nullptr) {
-    std::erase_if(owned,
-                  [bridge](net::NodeId id) { return !bridge->owned(id); });
-  }
 
   seg_snapshot = std::make_unique<map::SegmentSnapshot>(world.segments);
 
   protocols.resize(net->node_count());
-  for (const net::NodeId id : owned) {
-    protocols[id] = routing::ProtocolRegistry::make(cfg.protocol, world.deps);
+  for (auto& protocol : protocols) {
+    protocol = routing::ProtocolRegistry::make(cfg.protocol, world.deps);
   }
-  if (!owned.empty() && protocols[owned.front()]->wants_hello()) {
-    hello = std::make_unique<net::HelloService>(
-        *net, rngs.stream("hello" + suffix), cfg.hello);
+  if (protocols.front()->wants_hello()) {
+    hello = std::make_unique<net::HelloService>(*net, rngs.stream("hello"),
+                                                cfg.hello);
   }
-  for (const net::NodeId id : owned) {
+  for (const net::NodeId id : net->node_ids()) {
     routing::ProtocolContext ctx;
     ctx.sim = &sim;
     ctx.net = net.get();
     ctx.hello = hello.get();
-    ctx.rng = &rngs.stream("proto" + suffix);
+    ctx.rng = &rngs.stream("proto");
     ctx.events = &events;
     ctx.self = id;
     // Every protocol sees the same shared road topology the vehicles drive
@@ -140,15 +133,11 @@ NodeStack::NodeStack(const SharedWorld& world, core::Simulator& loop,
   traffic = std::make_unique<CbrTraffic>(sim, *net, std::move(raw),
                                          world.vehicle_count, metrics,
                                          rngs.stream("traffic"), cfg.traffic);
-  if (bridge != nullptr) {
-    traffic->set_source_filter(
-        [bridge](net::NodeId id) { return bridge->owned(id); });
-  }
 }
 
 void NodeStack::start() {
-  if (hello) hello->start(owned);
-  for (const net::NodeId id : owned) protocols[id]->start();
+  if (hello) hello->start(net->node_ids());
+  for (const auto& protocol : protocols) protocol->start();
   traffic->start();
 }
 

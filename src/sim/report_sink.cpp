@@ -158,8 +158,7 @@ void JsonlSink::on_run(const RunRecord& rec) {
   if (rec.profiled) {
     out_ << ",\"wall_s\":" << num(rec.wall_s)
          << ",\"events_dispatched\":" << rec.events_dispatched
-         << ",\"events_per_sec\":" << num(rec.events_per_sec())
-         << ",\"shards\":" << rec.shards << ",\"threads\":" << rec.threads;
+         << ",\"events_per_sec\":" << num(rec.events_per_sec());
   }
   out_ << "}\n";
 }

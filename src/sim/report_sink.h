@@ -33,9 +33,7 @@ struct RunRecord {
   /// extra sink fields so unprofiled sweeps emit byte-identical output.
   bool profiled = false;
   double wall_s = 0.0;                  ///< wall-clock inside Scenario::run()
-  std::uint64_t events_dispatched = 0;  ///< events across every loop
-  int shards = 1;                       ///< effective sharding of the run
-  int threads = 1;
+  std::uint64_t events_dispatched = 0;
   double events_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(events_dispatched) / wall_s : 0.0;
   }

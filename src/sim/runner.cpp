@@ -60,21 +60,18 @@ TimedRun run_timed(const ScenarioConfig& cfg) {
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
   out.events_dispatched = scenario.events_dispatched();
-  out.shards = scenario.shard_count();
-  out.threads = scenario.shard_thread_count();
-  const core::EventQueue::AllocStats sched = scenario.scheduler_stats();
+  const core::EventQueue::AllocStats& sched = scenario.scheduler_stats();
   out.sched_slab_allocs = sched.slab_allocations;
   out.sched_oversize_callbacks = sched.oversize_callbacks;
   out.sched_peak_pending = sched.peak_pending;
-  for (const NodeStack& stack : scenario.stacks()) {
-    out.lifetime_memo_hits += stack.lifetime_memo.stats().hits;
-    out.lifetime_memo_misses += stack.lifetime_memo.stats().misses;
-    const map::SegmentSnapshot::Stats& snap = stack.seg_snapshot->stats();
-    out.seg_snapshot_queries += snap.queries;
-    out.seg_snapshot_hits += snap.hits;
-    out.seg_snapshot_proven += snap.proven;
-    out.seg_snapshot_index_queries += snap.index_queries;
-  }
+  const NodeStack& stack = scenario.stack();
+  out.lifetime_memo_hits = stack.lifetime_memo.stats().hits;
+  out.lifetime_memo_misses = stack.lifetime_memo.stats().misses;
+  const map::SegmentSnapshot::Stats& snap = stack.seg_snapshot->stats();
+  out.seg_snapshot_queries = snap.queries;
+  out.seg_snapshot_hits = snap.hits;
+  out.seg_snapshot_proven = snap.proven;
+  out.seg_snapshot_index_queries = snap.index_queries;
   out.report = scenario.report();
   return out;
 }

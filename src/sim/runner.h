@@ -48,13 +48,8 @@ AggregateReport run_seeds(const ScenarioConfig& base, int n_seeds);
 struct TimedRun {
   ScenarioReport report;
   double wall_s = 0.0;                  ///< wall-clock time inside run()
-  std::uint64_t events_dispatched = 0;  ///< events across every loop of the run
+  std::uint64_t events_dispatched = 0;
   std::size_t vehicles = 0;
-  // Effective sharding of the run (1/1 on the serial path). Bench rows carry
-  // these so bench_compare.py can key scale-family rows by shard count and
-  // judge scaling efficiency only where real parallelism ran.
-  int shards = 1;
-  int threads = 1;
   // Scheduler allocation telemetry (EventQueue::AllocStats): slab growths
   // happen only during warm-up and oversize_callbacks must stay ~0, so
   // steady-state scheduling allocates nothing per event.

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 #include "core/assert.h"
 #include "map/builders.h"
-#include "sim/sharded/shard_runtime.h"
 
 namespace vanet::sim {
 
@@ -60,8 +58,8 @@ void validate_trace_against_map(const ScenarioConfig& cfg,
   }
 }
 
-/// The protocol-independent report core from one stack's collectors, or
-/// from every shard's merged ones. report() adds the fault block on top.
+/// The protocol-independent report core from the stack's collectors.
+/// report() adds the fault block on top.
 ScenarioReport assemble_report(const ScenarioConfig& cfg,
                                const Metrics& metrics,
                                const net::NetCounters& c,
@@ -109,42 +107,6 @@ ScenarioReport assemble_report(const ScenarioConfig& cfg,
                                       events.suppressed_rebroadcasts};
   }
   return r;
-}
-
-void merge_events(routing::ProtocolEvents& into,
-                  const routing::ProtocolEvents& from) {
-  into.discoveries_started += from.discoveries_started;
-  into.routes_established += from.routes_established;
-  into.route_breaks += from.route_breaks;
-  into.preemptive_rebuilds += from.preemptive_rebuilds;
-  into.data_forwarded += from.data_forwarded;
-  into.data_dropped_no_route += from.data_dropped_no_route;
-  into.data_dropped_ttl += from.data_dropped_ttl;
-  into.rreq_at_target += from.rreq_at_target;
-  into.rrep_sent += from.rrep_sent;
-  into.rrep_relayed += from.rrep_relayed;
-  into.rrep_stranded += from.rrep_stranded;
-  into.predicted_route_lifetime.merge(from.predicted_route_lifetime);
-  into.observed_route_lifetime.merge(from.observed_route_lifetime);
-  into.suppressed_rebroadcasts += from.suppressed_rebroadcasts;
-  into.etx_link_abs_error.merge(from.etx_link_abs_error);
-}
-
-void add_counters(net::NetCounters& into, const net::NetCounters& from) {
-  into.frames_enqueued += from.frames_enqueued;
-  into.frames_sent += from.frames_sent;
-  into.frames_dropped_queue += from.frames_dropped_queue;
-  into.frames_dropped_down += from.frames_dropped_down;
-  into.receptions_ok += from.receptions_ok;
-  into.receptions_collided += from.receptions_collided;
-  into.receptions_faded += from.receptions_faded;
-  into.unicast_retries += from.unicast_retries;
-  into.unicast_failures += from.unicast_failures;
-  into.backbone_frames += from.backbone_frames;
-  into.bytes_sent += from.bytes_sent;
-  into.data_frames_sent += from.data_frames_sent;
-  into.control_frames_sent += from.control_frames_sent;
-  into.hello_frames_sent += from.hello_frames_sent;
 }
 
 }  // namespace
@@ -202,15 +164,6 @@ std::string report_digest(const ScenarioReport& r) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
   return std::string{buf};
-}
-
-int resolve_shard_count(const ScenarioConfig& cfg) {
-  if (cfg.shards < 0) {
-    throw std::invalid_argument("scenario.shards must be >= 0 (0 = auto)");
-  }
-  if (cfg.shards != 0) return cfg.shards;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return static_cast<int>(std::clamp(hw, 1u, 8u));
 }
 
 std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg) {
@@ -277,7 +230,6 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
 }
 
 Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} {
-  const int requested_shards = resolve_shard_count(cfg_);
   road_graph_ = build_road_graph(cfg_);
   segment_index_ = std::make_unique<map::SegmentIndex>(*road_graph_);
   if (cfg_.mobility == MobilityKind::kTrace &&
@@ -288,10 +240,6 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
       make_mobility_model(cfg_, road_graph_, rngs_, &graph_model_);
   vehicle_count_ = model->vehicles().size();
   VANET_ASSERT_MSG(vehicle_count_ >= 2, "scenario needs at least two vehicles");
-  if (requested_shards > 1) {
-    shards_ = std::make_unique<sharded::ShardRuntime>(
-        cfg_, *road_graph_, *segment_index_, model->vehicles());
-  }
   mobility_ = std::make_unique<mobility::MobilityManager>(
       sim_, std::move(model), rngs_.stream("mobility"),
       core::SimTime::seconds(cfg_.mobility_tick_s));
@@ -323,14 +271,7 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   deps.flood_suppression = cfg_.flood_suppression;
   const SharedWorld world{cfg_, std::move(deps), *segment_index_, *mobility_,
                           vehicle_count_};
-  if (shards_ == nullptr) {
-    stacks_.emplace_back(world, sim_, rngs_, "", nullptr);
-  } else {
-    for (int s = 0; s < shards_->shards(); ++s) {
-      stacks_.emplace_back(world, shards_->simulator(s), shards_->rngs(s),
-                           ".shard" + std::to_string(s), &shards_->bridge(s));
-    }
-  }
+  stack_.emplace(world, sim_, rngs_);
 
   // Incremental density refresh: graph mobility proves per-vehicle segments
   // at tick time, so the 1 Hz refresh only queries the SegmentIndex for
@@ -342,7 +283,7 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
     // for positions it produced this tick; declining on any position mismatch
     // keeps the prover safe against non-current (stamped or extrapolated)
     // positions a protocol might feed the snapshot.
-    stacks_.front().seg_snapshot->set_prover(
+    stack_->seg_snapshot->set_prover(
         [this](std::uint32_t id, core::Vec2 pos) -> int {
           const std::size_t i = mobility_->model_index(id);
           if (i == mobility::MobilityManager::npos) return -1;
@@ -361,9 +302,9 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   // bit-identical to a build without the fault subsystem.
   if (cfg_.fault.enabled) {
     fault_plan_ = std::make_unique<FaultPlan>(
-        sim_, *stacks_.front().net, graph_model_, rngs_.stream("fault"),
-        cfg_.fault, cfg_.duration_s);
-    stacks_.front().metrics.set_fault_tracking(true);
+        sim_, *stack_->net, graph_model_, rngs_.stream("fault"), cfg_.fault,
+        cfg_.duration_s);
+    stack_->metrics.set_fault_tracking(true);
   }
 }
 
@@ -371,9 +312,9 @@ Scenario::~Scenario() = default;
 
 void Scenario::update_density() {
   std::vector<double> counts(road_graph_->segment_count(), 0.0);
-  map::SegmentSnapshot& snapshot = *stacks_.front().seg_snapshot;
+  map::SegmentSnapshot& snapshot = *stack_->seg_snapshot;
   for (const mobility::VehicleState& v : mobility_->vehicles()) {
-    // Graph mobility: through the first stack's snapshot, whose prover is
+    // Graph mobility: through the stack's snapshot, whose prover is
     // the proven reported_segment + ambiguity mask and whose fallback is the
     // same index query — digest-identical — and which warms the per-node
     // entries the route-geometry protocols read. Other mobility models
@@ -399,9 +340,7 @@ void Scenario::schedule_density_updates() {
 }
 
 void Scenario::sample_reachability() {
-  // Every stack mirrors the same geometry and draws the same flow list (the
-  // unsuffixed "traffic" stream), so the first one answers for the run.
-  const NodeStack& stack = stacks_.front();
+  const NodeStack& stack = *stack_;
   const auto& flows = stack.traffic->flows();
   if (!flows.empty()) {
     // One component labeling answers every flow at this instant; running a
@@ -420,54 +359,29 @@ void Scenario::run() {
   if (ran_) return;
   ran_ = true;
   mobility_->start();
-  for (NodeStack& stack : stacks_) stack.start();
+  stack_->start();
   if (fault_plan_) fault_plan_->start();
   if (cfg_.sample_reachability) {
     // Sample over the traffic window only (flows exist after start()).
     sim_.schedule(core::SimTime::seconds(cfg_.traffic.start_s),
                   [this] { sample_reachability(); });
   }
-  const core::SimTime end = core::SimTime::seconds(cfg_.duration_s);
-  if (shards_ == nullptr) {
-    sim_.run_until(end);
-    return;
-  }
-  std::vector<net::Network*> nets;
-  for (NodeStack& stack : stacks_) nets.push_back(stack.net.get());
-  shards_->run(sim_, nets, end);
+  sim_.run_until(core::SimTime::seconds(cfg_.duration_s));
 }
 
 ScenarioReport Scenario::report() const {
-  const NodeStack& first = stacks_.front();
-  if (shards_ != nullptr) {
-    // Shard order 0..K-1 is fixed, so merged RunningStats (order-sensitive
-    // in floating point) are as deterministic as everything else. Sharded
-    // runs never have a fault block (faults are excluded by the shard
-    // restrictions).
-    Metrics metrics;
-    net::NetCounters counters{};
-    routing::ProtocolEvents events;
-    for (const NodeStack& stack : stacks_) {
-      metrics.merge_from(stack.metrics);
-      add_counters(counters, stack.net->counters());
-      merge_events(events, stack.events);
-    }
-    return assemble_report(cfg_, metrics, counters, events, reachable_samples_,
-                           total_samples_);
-  }
-  // A single stack is read directly: merging into an empty collector is not
-  // guaranteed bit-exact.
+  const NodeStack& stack = *stack_;
   ScenarioReport r =
-      assemble_report(cfg_, first.metrics, first.net->counters(), first.events,
+      assemble_report(cfg_, stack.metrics, stack.net->counters(), stack.events,
                       reachable_samples_, total_samples_);
   if (fault_plan_) {
     FaultReport& f = r.fault.emplace();
     // Classify both sides of the delivery ledger by *send* time against the
     // completed fault timeline (see Metrics::set_fault_tracking).
-    for (const core::SimTime t : first.metrics.origination_times()) {
+    for (const core::SimTime t : stack.metrics.origination_times()) {
       if (fault_plan_->fault_active_at(t)) ++f.faulted_originated;
     }
-    for (const core::SimTime t : first.metrics.first_delivery_sent_times()) {
+    for (const core::SimTime t : stack.metrics.first_delivery_sent_times()) {
       if (fault_plan_->fault_active_at(t)) ++f.faulted_delivered;
     }
     f.pdr_under_fault =
@@ -479,49 +393,10 @@ ScenarioReport Scenario::report() const {
     f.node_outages = fc.node_outages;
     f.node_restarts = fc.node_restarts;
     f.segment_blocks = fc.segment_blocks;
-    f.frames_dropped_down = first.net->counters().frames_dropped_down;
-    f.recovery_latency_mean_s = first.net->recovery_latency().mean();
+    f.frames_dropped_down = stack.net->counters().frames_dropped_down;
+    f.recovery_latency_mean_s = stack.net->recovery_latency().mean();
   }
   return r;
-}
-
-routing::RoutingProtocol& Scenario::protocol_at(net::NodeId id) {
-  for (NodeStack& stack : stacks_) {
-    if (stack.protocols.at(id)) return *stack.protocols[id];
-  }
-  throw std::out_of_range("protocol_at: no stack owns node " +
-                          std::to_string(id));
-}
-
-int Scenario::shard_thread_count() const {
-  return shards_ != nullptr ? shards_->threads() : 1;
-}
-
-std::vector<const core::Simulator*> Scenario::event_loops() const {
-  std::vector<const core::Simulator*> loops{&sim_};
-  if (shards_ != nullptr) {
-    for (const NodeStack& stack : stacks_) loops.push_back(&stack.sim);
-  }
-  return loops;
-}
-
-std::uint64_t Scenario::events_dispatched() const {
-  std::uint64_t total = 0;
-  for (const core::Simulator* loop : event_loops()) {
-    total += loop->events_dispatched();
-  }
-  return total;
-}
-
-core::EventQueue::AllocStats Scenario::scheduler_stats() const {
-  core::EventQueue::AllocStats total{};
-  for (const core::Simulator* loop : event_loops()) {
-    const core::EventQueue::AllocStats& s = loop->scheduler_stats();
-    total.slab_allocations += s.slab_allocations;
-    total.oversize_callbacks += s.oversize_callbacks;
-    total.peak_pending = std::max(total.peak_pending, s.peak_pending);
-  }
-  return total;
 }
 
 }  // namespace vanet::sim

@@ -1,11 +1,10 @@
 // Scenario assembly: mobility + radio + protocol + traffic in one object.
 //
-// A Scenario owns the whole simulation for one run, serial or sharded.
-// Configurations are plain data so benches can sweep them; the same seed
-// always reproduces the same run bit-for-bit.
+// A Scenario owns the whole simulation for one run. Configurations are
+// plain data so benches can sweep them; the same seed always reproduces the
+// same run bit-for-bit.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,19 +52,6 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
   double duration_s = 60.0;
   double mobility_tick_s = 0.1;
-
-  /// Sharded engine (`scenario.shards`, src/sim/sharded/): partition the
-  /// road graph into this many regions, each with its own event loop and
-  /// worker thread. 1 (default) is the serial path — bit-identical to every
-  /// historical digest. 0 = auto (hardware threads, capped at 8). Values
-  /// > 1 require phy=unitdisk, no RSUs and no fault plan (the cross-shard
-  /// handoff contract; see docs/ARCHITECTURE.md "Sharded engine").
-  int shards = 1;
-  /// Worker threads driving the shards (`scenario.shard_threads`): 0 = one
-  /// per shard; 1 = the serial reference execution of the same sharded
-  /// model. Any thread count produces bit-identical results by construction
-  /// (the digest-equivalence tests pin threads=1 against threads=K).
-  int shard_threads = 0;
 
   MapSpec map;                      ///< road topology source (see src/map/)
   MobilityKind mobility = MobilityKind::kHighway;
@@ -177,14 +163,6 @@ std::string canonical_report_string(const ScenarioReport& r);
 /// prove perf refactors leave the physics untouched.
 std::string report_digest(const ScenarioReport& r);
 
-namespace sharded {
-class ShardRuntime;
-}  // namespace sharded
-
-/// Effective shard count for `cfg` on this machine: cfg.shards, with 0
-/// (auto) resolving to the hardware thread count capped at 8. Always >= 1.
-int resolve_shard_count(const ScenarioConfig& cfg);
-
 /// The first two construction stages, public so benches can time them
 /// standalone: the road topology, and the populated mobility model (drawing
 /// from `rngs`' "mobility-init" stream).
@@ -194,9 +172,8 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
     core::RngManager& rngs, mobility::GraphMobilityModel** graph_model_out);
 
 /// One run. The Scenario owns the shared world (map, mobility, ferries,
-/// density and reachability oracles, fault plan) and one NodeStack per
-/// event loop (see sim/node_stack.h): a single stack on the coordinator loop
-/// when serial, one per shard when `scenario.shards` resolves above 1.
+/// density and reachability oracles, fault plan), the event loop and the
+/// NodeStack that simulates the nodes on it (see sim/node_stack.h).
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig cfg);
@@ -207,34 +184,30 @@ class Scenario {
 
   ScenarioReport report() const;
 
-  /// True when this run executes on the sharded engine (effective shards
-  /// > 1).
-  bool is_sharded() const { return shards_ != nullptr; }
-  /// Effective shard / worker-thread counts (1/1 on the serial path).
-  int shard_count() const { return static_cast<int>(stacks_.size()); }
-  int shard_thread_count() const;
-  /// Events dispatched across every event loop of the run (coordinator plus
-  /// any shard loops), and the summed scheduler allocation telemetry.
-  std::uint64_t events_dispatched() const;
-  core::EventQueue::AllocStats scheduler_stats() const;
-  /// The shard runtime (null on the serial path); tests reach through this
-  /// for partition/ownership introspection.
-  sharded::ShardRuntime* shard_runtime() { return shards_.get(); }
-  /// One stack on serial runs, one per shard otherwise.
-  const std::deque<NodeStack>& stacks() const { return stacks_; }
+  /// Always false; perfbench/bench_workloads.cpp is the only caller, and
+  /// the next change to that benchmark deletes both the call and this.
+  bool is_sharded() const { return false; }
+  /// Events dispatched by the run's event loop, and its scheduler
+  /// allocation telemetry.
+  std::uint64_t events_dispatched() const { return sim_.events_dispatched(); }
+  const core::EventQueue::AllocStats& scheduler_stats() const {
+    return sim_.scheduler_stats();
+  }
+  /// The per-node half of the run: network, hello, protocols, traffic,
+  /// collectors and caches.
+  const NodeStack& stack() const { return *stack_; }
 
-  /// The coordinator loop: the only loop on serial runs.
   core::Simulator& simulator() { return sim_; }
   mobility::MobilityManager& mobility() { return *mobility_; }
-  // The first stack's components: the whole network on serial runs, shard
-  // 0's replica and collectors on sharded ones.
-  net::Network& network() { return *stacks_.front().net; }
-  net::HelloService* hello() { return stacks_.front().hello.get(); }
-  Metrics& metrics() { return stacks_.front().metrics; }
-  routing::ProtocolEvents& events() { return stacks_.front().events; }
-  const CbrTraffic& traffic() const { return *stacks_.front().traffic; }
-  /// Node `id`'s protocol instance, on whichever stack owns it.
-  routing::RoutingProtocol& protocol_at(net::NodeId id);
+  net::Network& network() { return *stack_->net; }
+  net::HelloService* hello() { return stack_->hello.get(); }
+  Metrics& metrics() { return stack_->metrics; }
+  routing::ProtocolEvents& events() { return stack_->events; }
+  const CbrTraffic& traffic() const { return *stack_->traffic; }
+  /// Node `id`'s protocol instance.
+  routing::RoutingProtocol& protocol_at(net::NodeId id) {
+    return *stack_->protocols.at(id);
+  }
   const ScenarioConfig& config() const { return cfg_; }
   /// Null unless `fault.enabled=true`.
   FaultPlan* fault_plan() { return fault_plan_.get(); }
@@ -248,8 +221,6 @@ class Scenario {
   void update_density();
   void schedule_density_updates();
   void sample_reachability();
-  /// The coordinator loop, then every shard loop.
-  std::vector<const core::Simulator*> event_loops() const;
 
   ScenarioConfig cfg_;
   core::Simulator sim_;
@@ -266,10 +237,8 @@ class Scenario {
   /// Segments whose interiors cannot prove nearest-segment identity; only
   /// populated under graph mobility, whose density refresh is incremental.
   std::vector<bool> segment_ambiguous_;
-  /// Declared before the stacks: they run on its loops and bridges.
-  std::unique_ptr<sharded::ShardRuntime> shards_;
-  /// A deque: stacks never move once built (their handlers capture them).
-  std::deque<NodeStack> stacks_;
+  /// Never moves once built: its handlers capture its address.
+  std::optional<NodeStack> stack_;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::uint64_t reachable_samples_ = 0;
   std::uint64_t total_samples_ = 0;

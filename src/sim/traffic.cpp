@@ -80,13 +80,6 @@ void CbrTraffic::start() {
   for (std::size_t f = 0; f < flows_.size(); ++f) {
     Flow& flow = flows_[f];
     if (flow.packets_left == 0) continue;
-    if (source_filter_ && !source_filter_(flow.src)) {
-      // Another shard owns this source; it schedules the identical flow
-      // from its own copy of this loop. The seq-block slice is still
-      // consumed below so every shard's reservation layout matches.
-      seq_base += flow.packets_left;
-      continue;
-    }
     sim_.schedule_recurring_at(
         core::SimTime::seconds(flow.next_t), seq_base, flow.packets_left,
         [this, f](core::SimTime) { return fire_flow(f); });

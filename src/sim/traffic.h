@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/rng.h"
@@ -38,15 +37,6 @@ class CbrTraffic {
   /// Choose endpoints and schedule all packet transmissions.
   void start();
 
-  /// Sharded runs: install before start(). Every RNG draw (endpoint
-  /// selection, per-flow stagger) and the sequence-block reservation still
-  /// happen for ALL flows — the flow list is a pure function of the seed on
-  /// every shard — but only flows whose source the filter accepts are
-  /// scheduled, so each shard originates exactly its owned traffic.
-  void set_source_filter(std::function<bool(net::NodeId)> fn) {
-    source_filter_ = std::move(fn);
-  }
-
   struct Flow {
     net::NodeId src = 0;
     net::NodeId dst = 0;
@@ -72,7 +62,6 @@ class CbrTraffic {
   core::Rng& rng_;
   TrafficConfig cfg_;
   std::vector<Flow> flows_;
-  std::function<bool(net::NodeId)> source_filter_;  ///< null: schedule all
 };
 
 }  // namespace vanet::sim

@@ -1,6 +1,5 @@
-// vanet_cli flag parsing, end to end through the built binary: flags that
-// mirror a config key parse through sim::config_set, and a bad value is a
-// usage error (exit 2) before any run starts.
+// vanet_cli flag parsing, end to end through the built binary: an unknown
+// flag or config key is a usage error (exit 2) before any run starts.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -29,33 +28,18 @@ CliResult run_cli(const std::string& args) {
   return result;
 }
 
-TEST(Cli, ShardFlagsRejectBadValuesAsUsageErrors) {
-  for (const char* args :
-       {"run --shards 0", "run --shards x", "run --shards -2",
-        "run --shard-threads -1", "run --shard-threads many"}) {
-    const CliResult r = run_cli(args);
-    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.out;
-    EXPECT_NE(r.out.find("vanet_cli: --shard"), std::string::npos)
-        << args << "\n" << r.out;
-  }
-}
-
-/// The `--keys` table cell after `key`, trimmed ("" when the key is absent).
-std::string key_value(const std::string& table, const std::string& key) {
-  const std::size_t at = table.find("| " + key + " ");
-  if (at == std::string::npos) return "";
-  const std::size_t start = table.find('|', at + 1) + 1;
-  const std::size_t end = table.find('|', start);
-  const std::string cell = table.substr(start, end - start);
-  const std::size_t first = cell.find_first_not_of(' ');
-  return cell.substr(first, cell.find_last_not_of(' ') - first + 1);
-}
-
-TEST(Cli, ShardFlagsSetTheirConfigKeys) {
-  const CliResult r = run_cli("--shards auto --shard-threads 3 --keys");
-  ASSERT_EQ(r.exit_code, 0) << r.out;
-  EXPECT_EQ(key_value(r.out, "scenario.shards"), "auto") << r.out;
-  EXPECT_EQ(key_value(r.out, "scenario.shard_threads"), "3") << r.out;
+TEST(Cli, RemovedShardOptionsAreUsageErrors) {
+  // The region-sharded engine is gone: its flag and keys must fail loudly
+  // instead of silently running the serial engine.
+  const CliResult flag = run_cli("run --shards 4");
+  EXPECT_EQ(flag.exit_code, 2) << flag.out;
+  EXPECT_NE(flag.out.find("unknown option '--shards'"), std::string::npos)
+      << flag.out;
+  const CliResult key = run_cli("run --set scenario.shards=2");
+  EXPECT_EQ(key.exit_code, 2) << key.out;
+  EXPECT_NE(key.out.find("unknown config key 'scenario.shards'"),
+            std::string::npos)
+      << key.out;
 }
 
 }  // namespace

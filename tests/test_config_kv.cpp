@@ -191,19 +191,26 @@ TEST(ConfigKv, NonFiniteAndOverflowingNumbersRejected) {
           << e.what();
     }
   }
-  // Seconds keys also refuse a finite value whose microseconds overflow.
-  const core::SimTime before = cfg.hello.interval;
-  for (const char* v : {"inf", "-inf", "nan", "1e300", "-1e300"}) {
-    try {
-      config_set(cfg, "hello.interval_s", v);
-      FAIL() << "accepted hello.interval_s=" << v;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("seconds as a finite real number"),
-                std::string::npos)
-          << e.what();
+  // Seconds keys also refuse a finite value whose microseconds overflow:
+  // the SimTime ones and the plain doubles the engine converts to SimTime.
+  for (const char* key :
+       {"hello.interval_s", "duration_s", "mobility_tick_s", "traffic.start_s",
+        "traffic.stop_s", "fault.vehicle_mtbf_s", "fault.vehicle_downtime_s",
+        "fault.rsu_mtbf_s", "fault.rsu_downtime_s"}) {
+    const std::string before = config_get(cfg, key);
+    for (const char* v : {"inf", "-inf", "nan", "1e300", "-1e300"}) {
+      try {
+        config_set(cfg, key, v);
+        FAIL() << "accepted " << key << "=" << v;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(
+            std::string(e.what()).find("seconds as a finite real number"),
+            std::string::npos)
+            << e.what();
+      }
     }
+    EXPECT_EQ(config_get(cfg, key), before) << key;
   }
-  EXPECT_EQ(cfg.hello.interval, before);
   config_set(cfg, "hello.interval_s", "9e6");  // 104 days still fits
   EXPECT_EQ(cfg.hello.interval, core::SimTime::seconds(9e6));
 }

@@ -259,7 +259,7 @@ TEST(Experiment, MarkdownAndJsonlSinksEmitOneRecordPerCell) {
 
 // ExperimentSpec::profile gates the throughput fields: off (the default)
 // emits not a byte of them — historical JSONL stays byte-identical — and on
-// adds wall/events/shards/threads to run records and the means to
+// adds wall time, events and events/sec to run records and the means to
 // aggregates. Wall-clock values are nondeterministic, so the test checks
 // presence and the deterministic fields only.
 TEST(Experiment, ProfileCaptureGatesSinkFields) {
@@ -277,7 +277,7 @@ TEST(Experiment, ProfileCaptureGatesSinkFields) {
   engine.run(spec, profiled_sink);
 
   EXPECT_EQ(plain.str().find("wall_s"), std::string::npos);
-  EXPECT_EQ(plain.str().find("shards"), std::string::npos);
+  EXPECT_EQ(plain.str().find("events_dispatched"), std::string::npos);
 
   std::istringstream lines(profiled.str());
   std::string line;
@@ -288,8 +288,6 @@ TEST(Experiment, ProfileCaptureGatesSinkFields) {
       EXPECT_NE(line.find("\"wall_s\":"), std::string::npos);
       EXPECT_NE(line.find("\"events_dispatched\":"), std::string::npos);
       EXPECT_NE(line.find("\"events_per_sec\":"), std::string::npos);
-      EXPECT_NE(line.find("\"shards\":1"), std::string::npos);
-      EXPECT_NE(line.find("\"threads\":1"), std::string::npos);
     }
     if (line.find("\"type\":\"aggregate\"") != std::string::npos) {
       ++aggs;
@@ -299,31 +297,6 @@ TEST(Experiment, ProfileCaptureGatesSinkFields) {
   }
   EXPECT_EQ(runs, 1);
   EXPECT_EQ(aggs, 1);
-}
-
-// A profiled sweep over the sharded engine records the effective shard and
-// worker-thread counts of each run — the fields bench_compare keys scale
-// rows by.
-TEST(Experiment, ProfileCaptureRecordsEffectiveShardCounts) {
-  ExperimentSpec spec;
-  spec.base.mobility = MobilityKind::kManhattan;
-  spec.base.manhattan.streets_x = 4;
-  spec.base.manhattan.streets_y = 4;
-  spec.base.manhattan.block = 200.0;
-  spec.base.vehicles = 24;
-  spec.base.duration_s = 4.0;
-  spec.base.traffic.flows = 2;
-  spec.base.traffic.start_s = 1.0;
-  spec.base.traffic.stop_s = 3.0;
-  spec.base.shards = 2;
-  spec.protocols = {"greedy"};
-  spec.seeds = {1};
-  spec.profile = true;
-
-  std::ostringstream out;
-  JsonlSink sink{out, /*include_runs=*/true};
-  ExperimentEngine{1}.run(spec, sink);
-  EXPECT_NE(out.str().find("\"shards\":2,\"threads\":2"), std::string::npos);
 }
 
 }  // namespace

@@ -220,8 +220,8 @@ TEST(NeighborTable, SnapshotSortedAndExpireReturnsIds) {
 }
 
 TEST(Hello, FrameAtUnstartedNodeBuildsTableLazily) {
-  // A sharded run starts only the shard's own nodes; frames still reach
-  // nodes it does not own, whose tables must appear on first reception.
+  // Beacons started for only some nodes still reach the others, whose
+  // tables must appear on first reception.
   HelloFixture f{50.0, 0.0};
   f.mgr->start();
   f.hello->start({1});

@@ -5,12 +5,10 @@ Usage:
     bench_compare.py BASELINE.json FRESH.json [--perf-tolerance 0.15]
 
 Runs are matched by (family, protocol, requested_vehicles, seed,
-sim_duration_s, shards); a baseline can therefore carry both the full sweep
-and the CI `--smoke` rows, and the comparison uses whatever subset the fresh
-file exercised. The protocol is part of the key so a family whose protocol
-varies per row (map-aware) can never be compared against the wrong baseline
-row, and the shard count is part of the key so the `scale` family's K-ladder
-rows (same population, different sharding) never collide.
+sim_duration_s); a baseline can therefore carry both the full sweep and the
+CI `--smoke` rows, and the comparison uses whatever subset the fresh file
+exercised. The protocol is part of the key so a family whose protocol varies
+per row (map-aware) can never be compared against the wrong baseline row.
 
 Exit status 1 (regression) when any matched run:
   - disagrees on `report_digest` or `events_dispatched` — the physics moved,
@@ -24,16 +22,6 @@ Exit status 1 (regression) when any matched run:
     counters and both saw enough lookups for the rate to mean anything.
 Also fails when no runs matched at all, so a renamed config cannot silently
 disable the check.
-
-Scaling-efficiency floor (sharded engine, docs/PERFORMANCE.md "Sharded
-scaling"): when the FRESH document carries the scale family's 50k-vehicle
-row at both K=1 and K=4, the K=4 row must reach at least 2x the K=1
-events/sec — but only when the fresh document's recorded `hw_threads` is at
-least 4. A single-core recording machine (this repo's committed baselines
-included, where K=4 runs 4 worker threads on 1 core) cannot exhibit parallel
-speedup, so the floor is skipped with a printed note rather than failed;
-digest and events_dispatched checks still apply to every scale row
-regardless, because determinism is machine-independent.
 
 Perf numbers only compare like with like when baseline and fresh ran on the
 same class of machine; the digest check is machine-independent and is the
@@ -84,14 +72,6 @@ def cache_rate_failures(name, baseline, fresh):
     return out
 
 
-# Scaling-efficiency floor for the sharded engine (scale family). The 50k
-# band is the one that carries the full K-ladder in the committed sweep.
-SCALING_FLOOR_VEHICLES = 50000
-SCALING_FLOOR_SHARDS = 4
-SCALING_FLOOR_SPEEDUP = 2.0
-SCALING_FLOOR_MIN_HW_THREADS = 4
-
-
 def key_of(run):
     return (
         run["family"],
@@ -100,8 +80,6 @@ def key_of(run):
         run.get("requested_vehicles", run["vehicles"]),
         run["seed"],
         run["sim_duration_s"],
-        # Pre-sharding rows predate the field and were all serial.
-        run.get("shards", 1),
     )
 
 
@@ -113,79 +91,8 @@ def load_doc(path):
     return doc
 
 
-def runs_of(doc):
-    return {key_of(r): r for r in doc["results"]}
-
-
 def load_runs(path):
-    return runs_of(load_doc(path))
-
-
-def scaling_floor_failures(runs, hw_threads):
-    """(failures, notes) for the sharded engine's parallel-speedup floor.
-
-    `runs` is the fresh document's key->run map and `hw_threads` its recorded
-    hardware concurrency (None for documents that predate the field). For
-    every (protocol, seed, duration) cell where the scale family's
-    SCALING_FLOOR_VEHICLES row exists at both K=1 and K=SCALING_FLOOR_SHARDS,
-    the sharded row must reach SCALING_FLOOR_SPEEDUP x the serial
-    events/sec. Skipped — with a note, never silently — when the row pair is
-    absent or the recording machine lacked the cores to show a speedup.
-    """
-    serial, parallel = {}, {}
-    for k, run in runs.items():
-        family, protocol, vehicles, seed, duration, shards = k
-        if family != "scale" or vehicles != SCALING_FLOOR_VEHICLES:
-            continue
-        cell = (protocol, seed, duration)
-        if shards == 1:
-            serial[cell] = run
-        elif shards == SCALING_FLOOR_SHARDS:
-            parallel[cell] = run
-    cells = sorted(set(serial) & set(parallel))
-    if not cells:
-        return [], [
-            "scaling floor: no scale/%d row pair at K=1 and K=%d; skipped"
-            % (SCALING_FLOOR_VEHICLES, SCALING_FLOOR_SHARDS)
-        ]
-    if hw_threads is None or hw_threads < SCALING_FLOOR_MIN_HW_THREADS:
-        return [], [
-            "scaling floor: recorded hw_threads=%s < %d; skipped "
-            "(a single-core machine cannot show parallel speedup; digest "
-            "checks still apply)"
-            % (hw_threads, SCALING_FLOOR_MIN_HW_THREADS)
-        ]
-    failures, notes = [], []
-    for cell in cells:
-        protocol, seed, duration = cell
-        s, p = serial[cell], parallel[cell]
-        speedup = p["events_per_sec"] / s["events_per_sec"]
-        name = "scale[%s]/%d seed=%s dur=%ss" % (
-            protocol,
-            SCALING_FLOOR_VEHICLES,
-            seed,
-            duration,
-        )
-        if speedup < SCALING_FLOOR_SPEEDUP:
-            failures.append(
-                "%s: K=%d speedup %.2fx < %.1fx floor over K=1 "
-                "(%.0f -> %.0f ev/s on hw_threads=%d)"
-                % (
-                    name,
-                    SCALING_FLOOR_SHARDS,
-                    speedup,
-                    SCALING_FLOOR_SPEEDUP,
-                    s["events_per_sec"],
-                    p["events_per_sec"],
-                    hw_threads,
-                )
-            )
-        else:
-            notes.append(
-                "%s: K=%d speedup %.2fx (floor %.1fx) ok"
-                % (name, SCALING_FLOOR_SHARDS, speedup, SCALING_FLOOR_SPEEDUP)
-            )
-    return failures, notes
+    return {key_of(r): r for r in load_doc(path)["results"]}
 
 
 def main():
@@ -200,10 +107,8 @@ def main():
     )
     args = parser.parse_args()
 
-    baseline_doc = load_doc(args.baseline)
-    fresh_doc = load_doc(args.fresh)
-    baseline = runs_of(baseline_doc)
-    fresh = runs_of(fresh_doc)
+    baseline = load_runs(args.baseline)
+    fresh = load_runs(args.fresh)
 
     matched = sorted(set(baseline) & set(fresh))
     if not matched:
@@ -217,7 +122,7 @@ def main():
     failures = []
     for k in matched:
         b, f = baseline[k], fresh[k]
-        name = "{}[{}]/{} seed={} dur={}s K={}".format(*k)
+        name = "{}[{}]/{} seed={} dur={}s".format(*k)
 
         if f["report_digest"] != b["report_digest"]:
             failures.append(
@@ -254,15 +159,6 @@ def main():
             if not any(x.startswith(name) for x in failures)
             else f"{name}: FAILED"
         )
-
-    # Parallel-speedup floor over the fresh document alone (it is a property
-    # of the fresh measurement, not a baseline diff).
-    floor_failures, floor_notes = scaling_floor_failures(
-        fresh, fresh_doc.get("hw_threads")
-    )
-    for note in floor_notes:
-        print(f"note: {note}")
-    failures.extend(floor_failures)
 
     if failures:
         print("\nbench_compare FAILURES:", file=sys.stderr)

@@ -1,11 +1,6 @@
-"""Self-tests for bench_compare (the bench-JSON regression gate).
-
-Covers the run-matching key (shard-aware, backward compatible with
-pre-sharding bench JSONs) and both branches of the sharded engine's
-scaling-efficiency floor: enforced when the fresh document records enough
-hardware threads, skipped-with-a-note when the recording machine was too
-small or the row pair is absent. Runs under the stdlib runner (no pytest
-dependency in the container/CI image):
+"""Self-tests for bench_compare's run-matching key (the bench-JSON
+regression gate). Runs under the stdlib runner (no pytest dependency in the
+container/CI image):
 
     python3 -m unittest discover -s tools/tests -v
 """
@@ -19,107 +14,23 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import bench_compare  # noqa: E402
 
 
-def scale_row(vehicles, shards, events_per_sec, seed=1, duration=5,
-              protocol="greedy"):
-    return {
-        "family": "scale",
-        "protocol": protocol,
-        "vehicles": vehicles,
-        "requested_vehicles": vehicles,
-        "seed": seed,
-        "sim_duration_s": duration,
-        "shards": shards,
-        "threads": shards,
-        "events_dispatched": 1000000,
-        "events_per_sec": events_per_sec,
-        "report_digest": "d",
-    }
-
-
-def runs_of(rows):
-    return {bench_compare.key_of(r): r for r in rows}
-
-
 class KeyOfTest(unittest.TestCase):
-    def test_shards_distinguish_scale_ladder_rows(self):
-        k1 = bench_compare.key_of(scale_row(50000, 1, 1e5))
-        k4 = bench_compare.key_of(scale_row(50000, 4, 3e5))
-        self.assertNotEqual(k1, k4)
-        self.assertEqual(k1[:-1], k4[:-1])
-
-    def test_pre_sharding_rows_default_to_serial(self):
-        old = {
+    def test_older_rows_match_current_rows(self):
+        # Older bench JSONs lack the protocol field, and the committed ones
+        # still carry per-row `shards`/`threads` fields; neither may split a
+        # row from its current counterpart.
+        current = {
             "family": "manhattan",
+            "protocol": "",
             "vehicles": 100,
             "seed": 1,
             "sim_duration_s": 10,
         }
-        new = dict(old, shards=1, threads=1, protocol="")
-        self.assertEqual(bench_compare.key_of(old), bench_compare.key_of(new))
-
-
-class ScalingFloorTest(unittest.TestCase):
-    def floor(self, rows, hw_threads):
-        return bench_compare.scaling_floor_failures(runs_of(rows), hw_threads)
-
-    def test_enforced_and_failing_on_multicore_recording(self):
-        rows = [scale_row(50000, 1, 100000.0), scale_row(50000, 4, 150000.0)]
-        failures, notes = self.floor(rows, hw_threads=8)
-        self.assertEqual(len(failures), 1)
-        self.assertIn("1.50x", failures[0])
-        self.assertIn("2.0x floor", failures[0])
-        self.assertEqual(notes, [])
-
-    def test_enforced_and_passing_on_multicore_recording(self):
-        rows = [scale_row(50000, 1, 100000.0), scale_row(50000, 4, 230000.0)]
-        failures, notes = self.floor(rows, hw_threads=4)
-        self.assertEqual(failures, [])
-        self.assertEqual(len(notes), 1)
-        self.assertIn("2.30x", notes[0])
-
-    def test_skipped_on_single_core_recording(self):
-        # This repo's committed baselines: the row pair exists but the
-        # machine had one hardware thread, so the floor must skip (with a
-        # note), never fail.
-        rows = [scale_row(50000, 1, 100000.0), scale_row(50000, 4, 90000.0)]
-        failures, notes = self.floor(rows, hw_threads=1)
-        self.assertEqual(failures, [])
-        self.assertEqual(len(notes), 1)
-        self.assertIn("hw_threads=1", notes[0])
-        self.assertIn("skipped", notes[0])
-
-    def test_skipped_when_document_predates_hw_threads(self):
-        rows = [scale_row(50000, 1, 100000.0), scale_row(50000, 4, 90000.0)]
-        failures, notes = self.floor(rows, hw_threads=None)
-        self.assertEqual(failures, [])
-        self.assertIn("skipped", notes[0])
-
-    def test_skipped_without_the_50k_row_pair(self):
-        # Smoke documents only carry the 10k @ K=4 row: no pair, no floor.
-        rows = [scale_row(10000, 4, 200000.0, duration=2)]
-        failures, notes = self.floor(rows, hw_threads=16)
-        self.assertEqual(failures, [])
-        self.assertEqual(len(notes), 1)
-        self.assertIn("no scale/50000 row pair", notes[0])
-
-    def test_other_families_never_trip_the_floor(self):
-        rows = [
-            dict(scale_row(50000, 1, 100000.0), family="manhattan"),
-            dict(scale_row(50000, 4, 90000.0), family="manhattan"),
-        ]
-        failures, notes = self.floor(rows, hw_threads=8)
-        self.assertEqual(failures, [])
-        self.assertIn("no scale/50000 row pair", notes[0])
-
-    def test_pairs_match_within_a_cell_only(self):
-        # K=1 at seed 1 and K=4 at seed 2 are different cells: no pair.
-        rows = [
-            scale_row(50000, 1, 100000.0, seed=1),
-            scale_row(50000, 4, 90000.0, seed=2),
-        ]
-        failures, notes = self.floor(rows, hw_threads=8)
-        self.assertEqual(failures, [])
-        self.assertIn("no scale/50000 row pair", notes[0])
+        pre_protocol = {k: v for k, v in current.items() if k != "protocol"}
+        with_shards = dict(current, shards=1, threads=1)
+        key = bench_compare.key_of(current)
+        self.assertEqual(bench_compare.key_of(pre_protocol), key)
+        self.assertEqual(bench_compare.key_of(with_shards), key)
 
 
 if __name__ == "__main__":

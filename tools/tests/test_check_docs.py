@@ -22,6 +22,7 @@ FAKE_CONFIG_KV = """
   num("lifetime.memo", REF(lifetime_memo));
   num("lifetime.interp", REF(lifetime_interp));
   num("traffic.rate_pps", REF(traffic.rate_pps));
+  seconds("traffic.start_s", REF(traffic.start_s));
   fields.push_back(string_field("map.file", REF(map.file)));
   fields.push_back(enum_field("zone.geometry", REF(zone_geometry), geometry));
   fields.push_back(simtime_field("hello.interval_s", REF(hello.interval)));
@@ -47,6 +48,7 @@ class ConfigKeyExtractionTest(unittest.TestCase):
                 "lifetime.memo",
                 "lifetime.interp",
                 "traffic.rate_pps",
+                "traffic.start_s",
                 "map.file",
                 "zone.geometry",
                 "hello.interval_s",

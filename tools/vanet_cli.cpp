@@ -51,12 +51,6 @@ using namespace vanet;
       << "  --duration S         simulated seconds (default 60)\n"
       << "  --range M            unit-disk radio range (default 250)\n"
       << "  --shadowing          log-normal shadowing channel instead\n"
-      << "  --shards K           region-sharded engine with K event loops\n"
-      << "                       (default 1 = serial; 'auto' = hw threads;\n"
-      << "                       requires the unit-disk PHY, no RSUs/faults)\n"
-      << "  --shard-threads N    worker threads driving the shards\n"
-      << "                       (default 0 = one per shard; any N is\n"
-      << "                       bit-identical to any other)\n"
       << "  --rsus N             roadside units (default 0)\n"
       << "  --buses N            bus ferries (default 0)\n"
       << "  --flows N            CBR flows (default 8)\n"
@@ -200,21 +194,16 @@ int main(int argc, char** argv) {
       if (n <= 0) fail("--vehicles must be positive");
       sim::config_set(spec.base, "vehicles", std::to_string(n));
     } else if (arg == "--duration") {
-      spec.base.duration_s = checked_double(arg, next());
+      const std::string value = next();
+      try {
+        sim::config_set(spec.base, "duration_s", value);
+      } catch (const std::invalid_argument& e) {
+        fail(arg + ": " + e.what());
+      }
     } else if (arg == "--range") {
       spec.base.comm_range_m = checked_double(arg, next());
     } else if (arg == "--shadowing") {
       spec.base.phy = sim::PhyModel::kShadowing;
-    } else if (arg == "--shards" || arg == "--shard-threads") {
-      const std::string value = next();
-      try {
-        sim::config_set(spec.base,
-                        arg == "--shards" ? "scenario.shards"
-                                          : "scenario.shard_threads",
-                        value);
-      } catch (const std::invalid_argument& e) {
-        fail(arg + ": " + e.what());
-      }
     } else if (arg == "--rsus") {
       spec.base.rsu_count = checked_int32(arg, next());
     } else if (arg == "--buses") {
