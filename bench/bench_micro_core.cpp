@@ -248,7 +248,7 @@ void BM_IdmHighwayStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * model.vehicles().size());
 }
-BENCHMARK(BM_IdmHighwayStep)->Arg(40)->Arg(80);
+BENCHMARK(BM_IdmHighwayStep)->Arg(40)->Arg(70)->Arg(80)->Arg(500);
 
 void BM_MacBroadcastRound(benchmark::State& state) {
   for (auto _ : state) {

@@ -69,16 +69,31 @@ class IdmHighwayModel final : public MobilityModel {
   double idm_accel(double v, double v0, double gap, double leader_speed) const;
   void sync_world_state(VehicleId id);
   /// Leader gap/speed for a hypothetical car at (direction, lane, s); returns
-  /// false when the lane is empty apart from `self`.
+  /// false when the lane is empty apart from `self`. Ties in distance go to
+  /// the lowest id.
   bool leader_of(VehicleId self, int lane, double s, double& gap,
                  double& leader_speed) const;
+  /// leader_of over the lane list `ids`, where `past` is its first car
+  /// beyond `s`.
+  bool leader_in(const std::vector<VehicleId>& ids,
+                 std::vector<VehicleId>::const_iterator past, VehicleId self,
+                 double s, double& gap, double& leader_speed) const;
   bool follower_of(VehicleId self, int lane, double s, double& gap,
                    double& follower_speed) const;
-  void maybe_change_lane(VehicleId id, core::Rng& rng);
+  void maybe_change_lane(VehicleId id);
+
+  /// Strict (s, id) order of the lane lists.
+  bool before(VehicleId a, VehicleId b) const;
+  /// Index of the (direction, lane) list in `lanes_`.
+  std::size_t lane_slot(int direction, int lane) const;
+  void insert_into_lane(VehicleId id);
+  void erase_from_lane(VehicleId id);
 
   HighwayConfig cfg_;
   std::vector<VehicleState> states_;  // world-frame mirror of cars_
   std::vector<Car> cars_;             // indexed by VehicleId
+  // One list per (direction, lane), sorted by (s, id).
+  std::vector<std::vector<VehicleId>> lanes_;
 };
 
 }  // namespace vanet::mobility

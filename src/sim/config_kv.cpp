@@ -41,42 +41,52 @@ struct Field {
       set;  ///< (cfg, key-for-errors, value)
 };
 
+/// `v` parsed as a `T`, or nothing when it is malformed or out of range.
 template <typename T>
-Field numeric_field(std::string key, T& (*ref)(ScenarioConfig&)) {
+std::optional<T> parse_numeric(const std::string& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return parse_double_checked(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return parse_bool_checked(v);
+  } else {
+    const auto parsed = parse_int_checked(v);
+    if (!parsed || !std::in_range<T>(*parsed)) return std::nullopt;
+    return static_cast<T>(*parsed);
+  }
+}
+
+template <typename T>
+constexpr const char* numeric_expected() {
+  if constexpr (std::is_same_v<T, double>) return "a finite real number";
+  if constexpr (std::is_same_v<T, bool>) return "true|false";
+  if constexpr (std::is_unsigned_v<T>) return "a non-negative integer in range";
+  return "an integer in range";
+}
+
+/// A numeric field whose value must satisfy `ok`, described by `expected`.
+/// Validated here so a bad sweep value fails as a catchable config error
+/// instead of an assertion inside the code that consumes it.
+template <typename T>
+Field checked_field(std::string key, T& (*ref)(ScenarioConfig&),
+                    bool (*ok)(T), const char* expected) {
   Field f;
   f.key = std::move(key);
   f.get = [ref](const ScenarioConfig& cfg) {
     return fmt_value(ref(const_cast<ScenarioConfig&>(cfg)));
   };
-  f.set = [ref](ScenarioConfig& cfg, const std::string& k,
-                const std::string& v) {
-    if constexpr (std::is_same_v<T, double>) {
-      const auto parsed = parse_double_checked(v);
-      if (!parsed) bad_value(k, v, "a finite real number");
-      ref(cfg) = *parsed;
-    } else if constexpr (std::is_same_v<T, bool>) {
-      const auto parsed = parse_bool_checked(v);
-      if (!parsed) bad_value(k, v, "true|false");
-      ref(cfg) = *parsed;
-    } else {
-      const auto parsed = parse_int_checked(v);
-      if (!parsed) bad_value(k, v, "an integer");
-      if constexpr (std::is_unsigned_v<T>) {
-        if (*parsed < 0 ||
-            static_cast<unsigned long long>(*parsed) >
-                std::numeric_limits<T>::max()) {
-          bad_value(k, v, "a non-negative integer in range");
-        }
-      } else {
-        if (*parsed < std::numeric_limits<T>::min() ||
-            *parsed > std::numeric_limits<T>::max()) {
-          bad_value(k, v, "an integer in range");
-        }
-      }
-      ref(cfg) = static_cast<T>(*parsed);
-    }
+  f.set = [ref, ok, expected](ScenarioConfig& cfg, const std::string& k,
+                              const std::string& v) {
+    const auto parsed = parse_numeric<T>(v);
+    if (!parsed || !ok(*parsed)) bad_value(k, v, expected);
+    ref(cfg) = *parsed;
   };
   return f;
+}
+
+template <typename T>
+Field numeric_field(std::string key, T& (*ref)(ScenarioConfig&)) {
+  return checked_field(
+      std::move(key), ref, +[](T) { return true; }, numeric_expected<T>());
 }
 
 Field string_field(std::string key, std::string& (*ref)(ScenarioConfig&)) {
@@ -224,25 +234,11 @@ std::vector<Field> build_fields() {
     };
     fields.push_back(std::move(f));
   }
-  {
-    // A zero population builds a nodeless network; reject it here so sweeps
-    // and --set fail loudly instead of tripping the Scenario invariant.
-    Field f;
-    f.key = "vehicles_per_direction";
-    f.get = [](const ScenarioConfig& cfg) {
-      return fmt_value(cfg.vehicles_per_direction);
-    };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      const auto parsed = parse_int_checked(v);
-      if (!parsed || *parsed <= 0 ||
-          *parsed > std::numeric_limits<int>::max()) {
-        bad_value(k, v, "a positive integer");
-      }
-      cfg.vehicles_per_direction = static_cast<int>(*parsed);
-    };
-    fields.push_back(std::move(f));
-  }
+  // A zero population builds a nodeless network; reject it here so sweeps
+  // and --set fail loudly instead of tripping the Scenario invariant.
+  fields.push_back(checked_field(
+      "vehicles_per_direction", REF(vehicles_per_direction),
+      +[](int v) { return v > 0; }, "a positive integer"));
   num("comm_range_m", REF(comm_range_m));
   fields.push_back(enum_field("phy.model", REF(phy),
                               {{"unitdisk", PhyModel::kUnitDisk},
@@ -284,52 +280,34 @@ std::vector<Field> build_fields() {
       enum_field("gvgrid.geometry", REF(gvgrid_geometry), geometry));
 
   // --- etx.* / flood.* (link-quality family; routing/linkquality/) ---------
-  {
-    // Bounds mirror the LinkQualityTable assertions so a bad sweep value
-    // fails as a catchable config error, not a crash inside the estimator.
-    Field f;
-    f.key = "etx.window";
-    f.get = [](const ScenarioConfig& cfg) { return fmt_value(cfg.etx.window); };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      const auto parsed = parse_int_checked(v);
-      if (!parsed || *parsed < 1 || *parsed > 64) {
-        bad_value(k, v, "an integer in [1, 64]");
-      }
-      cfg.etx.window = static_cast<int>(*parsed);
-    };
-    fields.push_back(std::move(f));
-  }
-  {
-    Field f;
-    f.key = "etx.hello_weight";
-    f.get = [](const ScenarioConfig& cfg) {
-      return fmt_value(cfg.etx.hello_weight);
-    };
-    f.set = [](ScenarioConfig& cfg, const std::string& k,
-               const std::string& v) {
-      const auto parsed = parse_double_checked(v);
-      if (!parsed || !(*parsed > 0.0) || *parsed > 1.0) {
-        bad_value(k, v, "a real number in (0, 1]");
-      }
-      cfg.etx.hello_weight = *parsed;
-    };
-    fields.push_back(std::move(f));
-  }
+  // Bounds mirror the LinkQualityTable assertions.
+  fields.push_back(checked_field(
+      "etx.window", REF(etx.window),
+      +[](int v) { return v >= 1 && v <= 64; }, "an integer in [1, 64]"));
+  fields.push_back(checked_field(
+      "etx.hello_weight", REF(etx.hello_weight),
+      +[](double v) { return v > 0.0 && v <= 1.0; }, "a real number in (0, 1]"));
   fields.push_back(
       enum_field("flood.suppression", REF(flood_suppression),
                  {{"none", routing::FloodSuppression::kNone},
                   {"etx", routing::FloodSuppression::kEtx}}));
 
   // --- highway.* -----------------------------------------------------------
-  num("highway.length", REF(highway.length));
-  num("highway.lanes_per_direction", REF(highway.lanes_per_direction));
+  fields.push_back(checked_field(
+      "highway.length", REF(highway.length),
+      +[](double v) { return v > 0.0; }, "a positive real number"));
+  // The model keeps one list per (direction, lane), so the count is bounded.
+  fields.push_back(checked_field(
+      "highway.lanes_per_direction", REF(highway.lanes_per_direction),
+      +[](int v) { return v >= 1 && v <= 64; }, "an integer in [1, 64]"));
   num("highway.bidirectional", REF(highway.bidirectional));
   num("highway.lane_width", REF(highway.lane_width));
   num("highway.median_gap", REF(highway.median_gap));
   num("highway.lane_change_prob", REF(highway.lane_change_prob));
   num("highway.idm.desired_speed", REF(highway.idm.desired_speed));
-  num("highway.idm.desired_speed_stddev", REF(highway.idm.desired_speed_stddev));
+  fields.push_back(checked_field(
+      "highway.idm.desired_speed_stddev", REF(highway.idm.desired_speed_stddev),
+      +[](double v) { return v >= 0.0; }, "a non-negative real number"));
   num("highway.idm.time_headway", REF(highway.idm.time_headway));
   num("highway.idm.min_gap", REF(highway.idm.min_gap));
   num("highway.idm.max_accel", REF(highway.idm.max_accel));

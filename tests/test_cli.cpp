@@ -42,4 +42,18 @@ TEST(Cli, RemovedShardOptionsAreUsageErrors) {
       << key.out;
 }
 
+TEST(Cli, HighwayValuesTheModelCannotBuildAreUsageErrors) {
+  // Each of these used to abort inside the highway model (exit 134).
+  for (const char* kv :
+       {"highway.lanes_per_direction=0", "highway.lanes_per_direction=-1",
+        "highway.length=0", "highway.length=-100",
+        "highway.idm.desired_speed_stddev=-1"}) {
+    const CliResult r = run_cli(std::string{"run --duration 15 --set "} + kv);
+    EXPECT_EQ(r.exit_code, 2) << kv << "\n" << r.out;
+    const std::string key{kv, std::string{kv}.find('=')};
+    EXPECT_NE(r.out.find("config key '" + key + "'"), std::string::npos)
+        << r.out;
+  }
+}
+
 }  // namespace

@@ -152,6 +152,29 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
                std::invalid_argument);
   EXPECT_THROW(config_set(cfg, "rsu_count", "-9999999999999"),
                std::invalid_argument);
+  // Highway values the IDM model cannot be built with. A rejected value
+  // leaves the config as it was.
+  const int lanes = cfg.highway.lanes_per_direction;
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"highway.lanes_per_direction", "0"},
+           {"highway.lanes_per_direction", "-1"},
+           {"highway.lanes_per_direction", "65"},
+           {"highway.length", "0"},
+           {"highway.length", "-2000"},
+           {"highway.idm.desired_speed_stddev", "-1"}}) {
+    try {
+      config_set(cfg, key, value);
+      ADD_FAILURE() << key << "=" << value << ": expected throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + value + "'"), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(cfg.highway.lanes_per_direction, lanes);
+  EXPECT_NO_THROW(config_set(cfg, "highway.lanes_per_direction", "64"));
+  EXPECT_NO_THROW(config_set(cfg, "highway.idm.desired_speed_stddev", "0"));
   try {
     config_set(cfg, "traffic.rate_pps", "fast");
     FAIL() << "expected throw";

@@ -40,8 +40,8 @@ KEY_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+")
 # Registration patterns in config_kv.cpp: the field-factory helpers plus
 # direct `f.key = "...";` assignments for the hand-rolled fields.
 CONFIG_KEY_DEF_RE = re.compile(
-    r'(?:num|numeric_field|seconds|seconds_field|string_field|enum_field|'
-    r'simtime_field)'
+    r'(?:num|numeric_field|checked_field|seconds|seconds_field|string_field|'
+    r'enum_field|simtime_field)'
     r'\(\s*"([a-z0-9_.]+)"'
     r'|f\.key\s*=\s*"([a-z0-9_.]+)"'
 )

@@ -26,6 +26,9 @@ FAKE_CONFIG_KV = """
   fields.push_back(string_field("map.file", REF(map.file)));
   fields.push_back(enum_field("zone.geometry", REF(zone_geometry), geometry));
   fields.push_back(simtime_field("hello.interval_s", REF(hello.interval)));
+  fields.push_back(checked_field(
+      "etx.window", REF(etx.window),
+      +[](int v) { return v >= 1 && v <= 64; }, "an integer in [1, 64]"));
   {
     Field f;
     f.key = "map.source";
@@ -52,6 +55,7 @@ class ConfigKeyExtractionTest(unittest.TestCase):
                 "map.file",
                 "zone.geometry",
                 "hello.interval_s",
+                "etx.window",
                 "map.source",
             },
         )
