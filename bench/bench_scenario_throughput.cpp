@@ -264,9 +264,7 @@ ScenarioConfig make_config(const std::string& family, int vehicles,
     cfg.mobility = MobilityKind::kGraph;
     cfg.vehicles = vehicles;
     cfg.protocol = geometry_protocol_for(vehicles);
-    cfg.zone_geometry = vanet::routing::GeometryMode::kRoute;
-    cfg.grid_geometry = vanet::routing::GeometryMode::kRoute;
-    cfg.gvgrid_geometry = vanet::routing::GeometryMode::kRoute;
+    cfg.geometry = vanet::routing::GeometryMode::kRoute;
   } else if (family == "highway") {
     cfg.mobility = MobilityKind::kHighway;
     cfg.vehicles_per_direction = vehicles / 2;
@@ -353,10 +351,6 @@ void append_json_run(std::string& out, const std::string& family, int vehicles,
      << ",\n"
      << "      \"sched_peak_pending\": " << run.sched_peak_pending << ",\n"
      << "      \"sched_allocs_per_event\": " << run.sched_allocs_per_event()
-     << ",\n"
-     << "      \"lifetime_memo_hits\": " << run.lifetime_memo_hits << ",\n"
-     << "      \"lifetime_memo_misses\": " << run.lifetime_memo_misses << ",\n"
-     << "      \"lifetime_memo_hit_rate\": " << run.lifetime_memo_hit_rate()
      << ",\n"
      << "      \"seg_snapshot_queries\": " << run.seg_snapshot_queries << ",\n"
      << "      \"seg_snapshot_hits\": " << run.seg_snapshot_hits << ",\n"

@@ -3,11 +3,11 @@
 // protocol families over it with graph-constrained mobility — the vehicles
 // drive on exactly the graph the routing layer reasons about, including a
 // geometry protocol (zone) whose corridors follow the road route
-// (`zone.geometry=route`) instead of the straight source→destination line.
+// (`geometry=route`) instead of the straight source→destination line.
 //
 // The same CSV path accepts converted real road networks:
 //   ./build/vanet_cli run --set map.source=file --set map.file=maps/town.csv
-//       --protocols car,greedy,zone --set zone.geometry=route
+//       --protocols car,greedy,zone --set geometry=route
 //
 //   ./build/example_custom_map
 #include <cstdio>
@@ -50,7 +50,7 @@ int main() {
   // 3. Drive 50 vehicles over the reloaded map and compare a probability-
   //    family protocol (CAR: anchor paths over the road graph), a geographic
   //    protocol (greedy forwarding), and a geometry protocol whose corridor
-  //    follows the road route (zone with `zone.geometry=route`) — all on
+  //    follows the road route (zone with `geometry=route`) — all on
   //    identical topology, with per-protocol delivery counts.
   sim::Table table(
       {"protocol", "family", "geometry", "PDR", "delay ms", "hops",
@@ -65,7 +65,7 @@ int main() {
     cfg.protocol = protocol;
     // Zone flooding stays on streets that lead to the destination: corridors
     // are road routes (map::RouteCorridor), not straight lines across blocks.
-    cfg.zone_geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = routing::GeometryMode::kRoute;
     cfg.duration_s = 60.0;
     cfg.traffic.flows = 8;
     cfg.traffic.rate_pps = 1.0;

@@ -355,41 +355,6 @@ bool Network::backbone_connected(NodeId a, NodeId b) const {
   return a_in && b_in && a != b;
 }
 
-std::vector<NodeId> Network::nodes_within(NodeId id, double range) const {
-  return grid_.query_radius(position(id), range, id);
-}
-
-bool Network::reachable(NodeId from, NodeId to, double range) const {
-  if (churn_active_ && (!impl(from).up || !impl(to).up)) return false;
-  if (from == to) return true;
-  std::vector<bool> visited(nodes_.size(), false);
-  std::vector<NodeId> frontier{from};
-  visited[from] = true;
-  const bool backbone_live = !backbone_.empty();
-  while (!frontier.empty()) {
-    const NodeId u = frontier.back();
-    frontier.pop_back();
-    auto visit = [&](NodeId v) {
-      if (churn_active_ && !nodes_[v].up) return false;  // down: no relay
-      if (v == to) return true;
-      if (!visited[v]) {
-        visited[v] = true;
-        frontier.push_back(v);
-      }
-      return false;
-    };
-    for (NodeId v : nodes_within(u, range)) {
-      if (visit(v)) return true;
-    }
-    if (backbone_live && impl(u).rsu) {
-      for (NodeId v : backbone_) {
-        if (v != u && visit(v)) return true;
-      }
-    }
-  }
-  return false;
-}
-
 std::vector<std::uint32_t> Network::reachability_components(double range) const {
   const auto n = static_cast<std::uint32_t>(nodes_.size());
   // CSR adjacency of the range-disk graph: one grid query per node instead of

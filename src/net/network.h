@@ -126,19 +126,12 @@ class Network {
   double max_range() const { return propagation_->max_range(); }
   const PropagationModel& propagation() const { return *propagation_; }
 
-  /// Ground-truth candidates within `range` of node `id` (sorted by id).
-  /// Used by scenario wiring and oracle baselines, not by protocols.
-  std::vector<NodeId> nodes_within(NodeId id, double range) const;
-
-  /// Ground-truth multi-hop reachability: BFS over the `range`-disk graph
-  /// (RSU backbone links included). Oracle for experiment calibration — a
-  /// routing protocol can never deliver between nodes this returns false for.
-  bool reachable(NodeId from, NodeId to, double range) const;
-
-  /// Connected-component label per node of the `range`-disk graph (backbone
-  /// links included): `labels[a] == labels[b]` iff `reachable(a, b, range)`.
-  /// Builds one CSR adjacency and labels all components in a single
-  /// traversal — the batch form of `reachable` for many-pair queries.
+  /// Ground-truth multi-hop reachability, the oracle for experiment
+  /// calibration: a connected-component label per node of the `range`-disk
+  /// graph (RSU backbone links included). A routing protocol can never
+  /// deliver between nodes with different labels. A down node is its own
+  /// component. Builds one CSR adjacency and labels every component in a
+  /// single traversal.
   std::vector<std::uint32_t> reachability_components(double range) const;
 
   const NetCounters& counters() const { return counters_; }

@@ -8,7 +8,7 @@
 // table (deterministic tie-break by id). Forwarding is additionally confined
 // to a corridor toward the destination (LORA-DCBF's directional flooding).
 //
-// Two cell/corridor geometries (GeometryMode, `grid.geometry`):
+// Two cell/corridor geometries (GeometryMode, `geometry`):
 //  - kLine (default): fixed square coordinate cells (reference point = the
 //    square's centre) and a straight src→dst corridor.
 //  - kRoute: cells are groups of road segments (map::SegmentCells) — a

@@ -5,7 +5,7 @@
 // (Fig. 6) is flooding confined to the section of road that actually leads
 // to the destination.
 //
-// Two corridor geometries (GeometryMode, selected via `zone.geometry`):
+// Two corridor geometries (GeometryMode, selected via `geometry`):
 //  - kLine (default): the legacy straight src→dst segment — faithful on
 //    lattice maps, where every point near the line is near a road.
 //  - kRoute: the corridor follows the shortest road route between the

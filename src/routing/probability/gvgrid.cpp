@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/lifetime_memo.h"
-
 namespace vanet::routing {
 
 bool GvGridProtocol::inside_route_corridor(const RreqHeader& h) const {
@@ -51,8 +49,7 @@ LinkEval GvGridProtocol::evaluate_link(const RreqHeader& h) const {
   const double reliability = std::clamp(dist.survival(horizon_), 1e-6, 1.0);
   ev.reliability = reliability;
   ev.cost = -std::log(reliability);
-  ev.lifetime = analysis::expected_lifetime_via(lifetime_memo(), r, d0, mu,
-                                                sigma_, /*horizon=*/600.0);
+  ev.lifetime = dist.expected_lifetime(/*horizon=*/600.0);
   return ev;
 }
 

@@ -8,7 +8,7 @@
 //
 // GVGrid's defining trait in the source paper is that candidate routes follow
 // the road grid between source and destination. GeometryMode::kRoute
-// (`gvgrid.geometry=route`) restores that on imported maps: RREQ links are
+// (`geometry=route`) restores that on imported maps: RREQ links are
 // admitted only when the evaluating node lies within a corridor around the
 // shortest road route from the request origin to the target
 // (map::RouteCorridor), so discovery floods along streets that lead there

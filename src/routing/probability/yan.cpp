@@ -5,8 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "analysis/lifetime_memo.h"
-
 namespace vanet::routing {
 
 namespace {
@@ -14,22 +12,21 @@ namespace {
 constexpr double kDurationHorizon = 600.0;
 
 /// Expected 1-D stochastic lifetime between two kinematic states, truncated
-/// at the ranking horizon. `memo` may be null (direct integration then).
-double expected_duration(analysis::LifetimeMemo* memo, core::Vec2 pos_a,
-                         core::Vec2 vel_a, core::Vec2 pos_b, core::Vec2 vel_b,
-                         double r, double sigma) {
+/// at the ranking horizon.
+double expected_duration(core::Vec2 pos_a, core::Vec2 vel_a, core::Vec2 pos_b,
+                         core::Vec2 vel_b, double r, double sigma) {
   const core::Vec2 axis = pos_b - pos_a;
   const double d0 = axis.norm();
   if (d0 >= r * 0.999 || d0 <= 0.0) return 0.0;
   const core::Vec2 unit = axis / d0;
   const double mu = (vel_b - vel_a).dot(unit);
-  return analysis::expected_lifetime_via(memo, r, d0, mu, sigma,
-                                         kDurationHorizon);
+  return analysis::LinkLifetimeDistribution{r, d0, mu, sigma}
+      .expected_lifetime(kDurationHorizon);
 }
 }  // namespace
 
 double YanProtocol::expected_link_duration(const net::NeighborInfo& nbr) const {
-  return expected_duration(lifetime_memo(), network().position(self()),
+  return expected_duration(network().position(self()),
                            network().velocity(self()), nbr.predicted_pos(now()),
                            nbr.vel, network().nominal_range(), kSpeedSigma);
 }
@@ -37,7 +34,7 @@ double YanProtocol::expected_link_duration(const net::NeighborInfo& nbr) const {
 LinkEval YanProtocol::evaluate_link(const RreqHeader& h) const {
   LinkEval ev;
   ev.lifetime = expected_duration(
-      lifetime_memo(), h.prev_pos, h.prev_vel, network().position(self()),
+      h.prev_pos, h.prev_vel, network().position(self()),
       network().velocity(self()), network().nominal_range(), kSpeedSigma);
   ev.usable = ev.lifetime > 0.5;
   return ev;

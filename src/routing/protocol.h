@@ -16,10 +16,6 @@
 #include "net/network.h"
 #include "net/packet.h"
 
-namespace vanet::analysis {
-class LifetimeMemo;
-}  // namespace vanet::analysis
-
 namespace vanet::map {
 class RoadGraph;
 class SegmentIndex;
@@ -87,11 +83,10 @@ struct ProtocolContext {
   // optional and fall back to their GeometryMode::kLine path.
   const map::RoadGraph* map = nullptr;
   const map::SegmentIndex* segments = nullptr;
-  // Scenario-owned caches (null in bare harnesses — protocols fall back to
-  // direct computation; cached and uncached paths are bit-identical, see
+  // Scenario-owned segment cache (null in bare harnesses — protocols fall
+  // back to direct index queries; both paths are bit-identical, see
   // docs/ARCHITECTURE.md "Scenario-owned caches"). Mutable shared state, but
   // scenarios are single-threaded so no synchronisation is needed.
-  analysis::LifetimeMemo* lifetime_memo = nullptr;
   map::SegmentSnapshot* seg_snapshot = nullptr;
 };
 
@@ -141,8 +136,7 @@ class RoutingProtocol {
   const map::RoadGraph& road_map() const;
   const map::SegmentIndex& segment_index() const;
 
-  /// Scenario-owned caches; null when the binder did not supply them.
-  analysis::LifetimeMemo* lifetime_memo() const { return ctx_.lifetime_memo; }
+  /// Scenario-owned segment cache; null when the binder did not supply it.
   map::SegmentSnapshot* seg_snapshot() const { return ctx_.seg_snapshot; }
   /// Nearest segment to node `id` at its current position `pos`: the
   /// scenario snapshot when bound, a direct index query otherwise.

@@ -110,12 +110,12 @@ std::vector<ProtocolInfo> build_registry() {
   r.push_back({"zone", Category::kGeographic, "[22] Zone",
                "corridor-restricted flooding", "data only",
                [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<ZoneProtocol>(d.zone_geometry);
+                 return std::make_unique<ZoneProtocol>(d.geometry);
                }});
   r.push_back({"grid", Category::kGeographic, "[20] CarNet / [26] LORA-DCBF",
                "grid cells with gateway election", "data + hello",
                [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<GridGatewayProtocol>(d.grid_geometry);
+                 return std::make_unique<GridGatewayProtocol>(d.geometry);
                }});
   r.push_back({"rover", Category::kGeographic, "[25] ROVER",
                "zone-confined AODV discovery", "RREQ/RREP/RERR (in-zone)",
@@ -131,7 +131,7 @@ std::vector<ProtocolInfo> build_registry() {
   r.push_back({"gvgrid", Category::kProbability, "[28] GVGrid",
                "P(link survives horizon), normal speeds", "RREQ/RREP + hello",
                [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<GvGridProtocol>(d.gvgrid_geometry);
+                 return std::make_unique<GvGridProtocol>(d.geometry);
                }});
   r.push_back({"niude", Category::kProbability, "[16] NiuDe (DeReQ)",
                "availability x density, delay bound", "RREQ/RREP + hello",

@@ -26,11 +26,10 @@ struct ProtocolDeps {
   std::shared_ptr<const map::SegmentDensityOracle> density;  ///< CAR
   std::shared_ptr<const FerrySet> ferries;                   ///< Bus
   int yan_tickets = 4;                                       ///< Yan TBP budget
-  // Geometry backend of the road-geometry protocols (kLine = legacy plane;
-  // kRoute additionally needs the map bound via ProtocolContext).
-  GeometryMode zone_geometry = GeometryMode::kLine;
-  GeometryMode grid_geometry = GeometryMode::kLine;
-  GeometryMode gvgrid_geometry = GeometryMode::kLine;
+  // Geometry backend of the road-geometry protocols zone, grid and gvgrid
+  // (kLine = legacy plane; kRoute additionally needs the map bound via
+  // ProtocolContext).
+  GeometryMode geometry = GeometryMode::kLine;
   // Link-quality family (routing/linkquality/): the estimator knobs shared
   // by `etx` and the flooding suppression mode, and the suppression mode
   // itself (`flood.suppression`, applied to flooding + biswas).

@@ -177,9 +177,6 @@ std::vector<Field> build_fields() {
   auto seconds = [&fields](std::string key, auto ref) {
     fields.push_back(seconds_field(std::move(key), ref));
   };
-  const std::vector<std::pair<std::string, routing::GeometryMode>> geometry{
-      {"line", routing::GeometryMode::kLine},
-      {"route", routing::GeometryMode::kRoute}};
 
   // --- top level -----------------------------------------------------------
   num("seed", REF(seed));
@@ -239,7 +236,9 @@ std::vector<Field> build_fields() {
   fields.push_back(checked_field(
       "vehicles_per_direction", REF(vehicles_per_direction),
       +[](int v) { return v > 0; }, "a positive integer"));
-  num("comm_range_m", REF(comm_range_m));
+  fields.push_back(checked_field(
+      "comm_range_m", REF(comm_range_m), +[](double v) { return v > 0.0; },
+      "a positive real number"));
   fields.push_back(enum_field("phy.model", REF(phy),
                               {{"unitdisk", PhyModel::kUnitDisk},
                                {"shadowing", PhyModel::kShadowing},
@@ -274,10 +273,9 @@ std::vector<Field> build_fields() {
   num("yan_tickets", REF(yan_tickets));
   num("car_cell_m", REF(car_cell_m));
   num("sample_reachability", REF(sample_reachability));
-  fields.push_back(enum_field("zone.geometry", REF(zone_geometry), geometry));
-  fields.push_back(enum_field("grid.geometry", REF(grid_geometry), geometry));
-  fields.push_back(
-      enum_field("gvgrid.geometry", REF(gvgrid_geometry), geometry));
+  fields.push_back(enum_field("geometry", REF(geometry),
+                              {{"line", routing::GeometryMode::kLine},
+                               {"route", routing::GeometryMode::kRoute}}));
 
   // --- etx.* / flood.* (link-quality family; routing/linkquality/) ---------
   // Bounds mirror the LinkQualityTable assertions.
@@ -315,9 +313,17 @@ std::vector<Field> build_fields() {
   num("highway.idm.vehicle_length", REF(highway.idm.vehicle_length));
 
   // --- manhattan.* ---------------------------------------------------------
-  num("manhattan.streets_x", REF(manhattan.streets_x));
-  num("manhattan.streets_y", REF(manhattan.streets_y));
-  num("manhattan.block", REF(manhattan.block));
+  // How many streets a lattice needs depends on the mobility model, so the
+  // scenario checks the rest where it builds one.
+  fields.push_back(checked_field(
+      "manhattan.streets_x", REF(manhattan.streets_x),
+      +[](int v) { return v >= 1; }, "a positive integer"));
+  fields.push_back(checked_field(
+      "manhattan.streets_y", REF(manhattan.streets_y),
+      +[](int v) { return v >= 1; }, "a positive integer"));
+  fields.push_back(checked_field(
+      "manhattan.block", REF(manhattan.block),
+      +[](double v) { return v > 0.0; }, "a positive real number"));
   num("manhattan.speed_mean", REF(manhattan.speed_mean));
   num("manhattan.speed_stddev", REF(manhattan.speed_stddev));
   num("manhattan.turn_prob_left", REF(manhattan.turn_prob_left));
@@ -339,19 +345,28 @@ std::vector<Field> build_fields() {
 
   // --- hello.* (times in seconds) ------------------------------------------
   fields.push_back(simtime_field("hello.interval_s", REF(hello.interval)));
-  num("hello.jitter_fraction", REF(hello.jitter_fraction));
+  // A jitter of a whole interval or more could re-arm a beacon in the past.
+  fields.push_back(checked_field(
+      "hello.jitter_fraction", REF(hello.jitter_fraction),
+      +[](double v) { return v >= 0.0 && v < 1.0; }, "a real number in [0, 1)"));
   fields.push_back(simtime_field("hello.expiry_s", REF(hello.expiry)));
   num("hello.beacon_bytes", REF(hello.beacon_bytes));
 
   // --- net.* ---------------------------------------------------------------
-  num("net.bitrate_bps", REF(net.bitrate_bps));
+  fields.push_back(checked_field(
+      "net.bitrate_bps", REF(net.bitrate_bps),
+      +[](double v) { return v > 0.0; }, "a positive real number"));
   fields.push_back(simtime_field("net.slot_time_s", REF(net.slot_time)));
-  num("net.contention_window", REF(net.contention_window));
+  fields.push_back(checked_field(
+      "net.contention_window", REF(net.contention_window),
+      +[](int v) { return v >= 1; }, "a positive integer"));
   num("net.unicast_retry_limit", REF(net.unicast_retry_limit));
   num("net.queue_capacity", REF(net.queue_capacity));
   num("net.phy_overhead_bytes", REF(net.phy_overhead_bytes));
   fields.push_back(simtime_field("net.backbone_delay_s", REF(net.backbone_delay)));
-  num("net.interference_range_factor", REF(net.interference_range_factor));
+  fields.push_back(checked_field(
+      "net.interference_range_factor", REF(net.interference_range_factor),
+      +[](double v) { return v >= 1.0; }, "a real number >= 1"));
 
   // --- signal.* ------------------------------------------------------------
   num("signal.tx_power_dbm", REF(signal.tx_power_dbm));

@@ -4,9 +4,8 @@
 
 namespace vanet::sim {
 
-void Metrics::record_originated(std::uint32_t flow, core::SimTime now) {
+void Metrics::record_originated(core::SimTime now) {
   ++originated_;
-  ++flows_[flow].originated;
   if (fault_tracking_) origination_times_.push_back(now);
 }
 
@@ -21,19 +20,9 @@ bool Metrics::record_delivery(std::uint32_t flow, std::uint32_t seq,
   }
   ++delivered_;
   if (fault_tracking_) first_delivery_sent_times_.push_back(sent_at);
-  const double delay = (now - sent_at).as_millis();
-  delay_ms_.add(delay);
+  delay_ms_.add((now - sent_at).as_millis());
   hops_.add(static_cast<double>(hops));
-  FlowStats& fs = flows_[flow];
-  ++fs.delivered;
-  fs.delay_ms.add(delay);
   return true;
-}
-
-const Metrics::FlowStats& Metrics::flow_stats(std::uint32_t flow) const {
-  static const FlowStats kEmpty;
-  auto it = flows_.find(flow);
-  return it != flows_.end() ? it->second : kEmpty;
 }
 
 double Metrics::pdr() const {

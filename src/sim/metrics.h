@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -15,20 +14,7 @@ namespace vanet::sim {
 /// hop statistics. Duplicate deliveries of the same (flow, seq) are ignored.
 class Metrics {
  public:
-  /// Per-flow accumulators (delays in milliseconds).
-  struct FlowStats {
-    std::uint64_t originated = 0;
-    std::uint64_t delivered = 0;
-    analysis::RunningStats delay_ms;
-    double pdr() const {
-      return originated > 0
-                 ? static_cast<double>(delivered) / static_cast<double>(originated)
-                 : 0.0;
-    }
-  };
-
-  void record_originated(std::uint32_t flow = 0,
-                         core::SimTime now = core::SimTime::zero());
+  void record_originated(core::SimTime now = core::SimTime::zero());
 
   /// Returns true when this was the first delivery of (flow, seq).
   bool record_delivery(std::uint32_t flow, std::uint32_t seq,
@@ -48,9 +34,6 @@ class Metrics {
     return first_delivery_sent_times_;
   }
 
-  /// Stats for one flow (zero-initialised if never seen).
-  const FlowStats& flow_stats(std::uint32_t flow) const;
-
   std::uint64_t originated() const { return originated_; }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t duplicate_deliveries() const { return duplicates_; }
@@ -68,7 +51,6 @@ class Metrics {
   analysis::RunningStats delay_ms_;
   analysis::RunningStats hops_;
   std::unordered_set<std::uint64_t> seen_;
-  std::unordered_map<std::uint32_t, FlowStats> flows_;
   bool fault_tracking_ = false;
   std::vector<core::SimTime> origination_times_;
   std::vector<core::SimTime> first_delivery_sent_times_;

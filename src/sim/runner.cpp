@@ -64,10 +64,8 @@ TimedRun run_timed(const ScenarioConfig& cfg) {
   out.sched_slab_allocs = sched.slab_allocations;
   out.sched_oversize_callbacks = sched.oversize_callbacks;
   out.sched_peak_pending = sched.peak_pending;
-  const NodeStack& stack = scenario.stack();
-  out.lifetime_memo_hits = stack.lifetime_memo.stats().hits;
-  out.lifetime_memo_misses = stack.lifetime_memo.stats().misses;
-  const map::SegmentSnapshot::Stats& snap = stack.seg_snapshot->stats();
+  const map::SegmentSnapshot::Stats& snap =
+      scenario.segment_snapshot().stats();
   out.seg_snapshot_queries = snap.queries;
   out.seg_snapshot_hits = snap.hits;
   out.seg_snapshot_proven = snap.proven;

@@ -56,24 +56,15 @@ struct TimedRun {
   std::uint64_t sched_slab_allocs = 0;
   std::uint64_t sched_oversize_callbacks = 0;
   std::size_t sched_peak_pending = 0;
-  // Scenario cache telemetry: the lifetime memo (analysis::LifetimeMemo) and
-  // the per-tick segment snapshot (map::SegmentSnapshot). bench_compare.py
-  // watches the warm hit rates — a drop means a cache key regressed.
-  std::uint64_t lifetime_memo_hits = 0;
-  std::uint64_t lifetime_memo_misses = 0;
+  // Scenario cache telemetry: the per-tick segment snapshot
+  // (map::SegmentSnapshot). bench_compare.py watches its warm hit rate — a
+  // drop means a cache key regressed.
   std::uint64_t seg_snapshot_queries = 0;
   std::uint64_t seg_snapshot_hits = 0;    ///< served from the per-node entry
   std::uint64_t seg_snapshot_proven = 0;  ///< answered by the mobility prover
   std::uint64_t seg_snapshot_index_queries = 0;  ///< fell through to the index
   double events_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(events_dispatched) / wall_s : 0.0;
-  }
-  /// Fraction of lifetime-scoring calls served without a new integration.
-  double lifetime_memo_hit_rate() const {
-    const std::uint64_t total = lifetime_memo_hits + lifetime_memo_misses;
-    return total > 0 ? static_cast<double>(lifetime_memo_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
   }
   /// Fraction of segment queries served without touching the SegmentIndex
   /// (per-node entry hits plus prover answers).

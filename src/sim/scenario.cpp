@@ -7,6 +7,7 @@
 
 #include "core/assert.h"
 #include "map/builders.h"
+#include "net/fading.h"
 
 namespace vanet::sim {
 
@@ -58,7 +59,66 @@ void validate_trace_against_map(const ScenarioConfig& cfg,
   }
 }
 
-/// The protocol-independent report core from the stack's collectors.
+std::unique_ptr<net::PropagationModel> make_propagation(
+    const ScenarioConfig& cfg) {
+  switch (cfg.phy) {
+    case PhyModel::kShadowing:
+      return std::make_unique<net::LogNormalShadowingModel>(cfg.signal);
+    case PhyModel::kNakagami:
+      // Thrown (not asserted): a bad sweep axis must become a structured
+      // failure row in the experiment engine, not a process abort.
+      if (cfg.nakagami_m < 1) {
+        throw std::invalid_argument("phy.nakagami_m must be >= 1");
+      }
+      return std::make_unique<net::NakagamiFadingModel>(cfg.signal,
+                                                        cfg.nakagami_m);
+    case PhyModel::kUnitDisk:
+      break;
+  }
+  return std::make_unique<net::UnitDiskModel>(cfg.comm_range_m);
+}
+
+/// Places cfg.rsu_count RSUs evenly over the deployment area and wires them
+/// into the backbone.
+void add_rsus(const ScenarioConfig& cfg, const map::RoadGraph& graph,
+              net::Network& net) {
+  if (cfg.mobility == MobilityKind::kHighway) {
+    const double spacing = cfg.highway.length / cfg.rsu_count;
+    for (int k = 0; k < cfg.rsu_count; ++k) {
+      // On the median between the carriageways.
+      net.add_rsu({(k + 0.5) * spacing, -cfg.highway.median_gap / 2.0});
+    }
+  } else {
+    // Scenarios with a real map (graph mobility, or any imported file map —
+    // including trace playback over one) cover the actual map extent, which
+    // need not start at the origin; the synthetic urban kinds keep the
+    // configured lattice dimensions.
+    double x0 = 0.0, y0 = 0.0;
+    double w = (cfg.manhattan.streets_x - 1) * cfg.manhattan.block;
+    double h = (cfg.manhattan.streets_y - 1) * cfg.manhattan.block;
+    if (cfg.mobility == MobilityKind::kGraph ||
+        cfg.map.source == MapSource::kFile) {
+      x0 = graph.bbox_min().x;
+      y0 = graph.bbox_min().y;
+      w = graph.bbox_max().x - x0;
+      h = graph.bbox_max().y - y0;
+    }
+    const int per_side = std::max(
+        1, static_cast<int>(std::lround(std::sqrt(cfg.rsu_count))));
+    int placed = 0;
+    for (int i = 0; i < per_side && placed < cfg.rsu_count; ++i) {
+      for (int j = 0; j < per_side && placed < cfg.rsu_count; ++j) {
+        const double x = per_side == 1 ? w / 2.0 : i * w / (per_side - 1);
+        const double y = per_side == 1 ? h / 2.0 : j * h / (per_side - 1);
+        net.add_rsu({x0 + x, y0 + y});
+        ++placed;
+      }
+    }
+  }
+  net.connect_backbone();
+}
+
+/// The protocol-independent report core from the scenario's collectors.
 /// report() adds the fault block on top.
 ScenarioReport assemble_report(const ScenarioConfig& cfg,
                                const Metrics& metrics,
@@ -185,6 +245,11 @@ std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg) {
       cfg.mobility == MobilityKind::kGraph) {
     // Urban lattice; kGraph shares the Manhattan dimensions so the two urban
     // models are directly comparable on the same topology.
+    if (cfg.manhattan.streets_x < 2 && cfg.manhattan.streets_y < 2) {
+      throw std::invalid_argument(
+          "a road lattice needs at least 2 intersections "
+          "(manhattan.streets_x x manhattan.streets_y)");
+    }
     return std::make_shared<map::RoadGraph>(
         cfg.manhattan.streets_x, cfg.manhattan.streets_y, cfg.manhattan.block);
   }
@@ -208,6 +273,11 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
                       rngs.stream("mobility-init"));
     model = std::move(highway);
   } else if (cfg.mobility == MobilityKind::kManhattan) {
+    if (cfg.manhattan.streets_x < 2 || cfg.manhattan.streets_y < 2) {
+      throw std::invalid_argument(
+          "manhattan mobility needs manhattan.streets_x >= 2 and "
+          "manhattan.streets_y >= 2");
+    }
     auto grid = std::make_unique<mobility::ManhattanGridModel>(cfg.manhattan);
     grid->populate(cfg.vehicles, rngs.stream("mobility-init"));
     model = std::move(grid);
@@ -264,14 +334,68 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   deps.density = density_;
   deps.ferries = ferries_;
   deps.yan_tickets = cfg_.yan_tickets;
-  deps.zone_geometry = cfg_.zone_geometry;
-  deps.grid_geometry = cfg_.grid_geometry;
-  deps.gvgrid_geometry = cfg_.gvgrid_geometry;
+  deps.geometry = cfg_.geometry;
   deps.etx = cfg_.etx;
   deps.flood_suppression = cfg_.flood_suppression;
-  const SharedWorld world{cfg_, std::move(deps), *segment_index_, *mobility_,
-                          vehicle_count_};
-  stack_.emplace(world, sim_, rngs_);
+
+  // The nodes, drawing from the "net", "hello", "proto" and "traffic"
+  // streams in that order.
+  net_ = std::make_unique<net::Network>(
+      sim_, mobility_.get(), make_propagation(cfg_), rngs_.stream("net"),
+      cfg_.net, core::Box{road_graph_->bbox_min(), road_graph_->bbox_max()});
+  for (std::size_t v = 0; v < vehicle_count_; ++v) {
+    net_->add_vehicle_node(static_cast<mobility::VehicleId>(v));
+  }
+  if (cfg_.rsu_count > 0) add_rsus(cfg_, *road_graph_, *net_);
+
+  seg_snapshot_ = std::make_unique<map::SegmentSnapshot>(*segment_index_);
+
+  protocols_.resize(net_->node_count());
+  for (auto& protocol : protocols_) {
+    protocol = routing::ProtocolRegistry::make(cfg_.protocol, deps);
+  }
+  if (protocols_.front()->wants_hello()) {
+    hello_ = std::make_unique<net::HelloService>(*net_, rngs_.stream("hello"),
+                                                 cfg_.hello);
+  }
+  for (const net::NodeId id : net_->node_ids()) {
+    routing::ProtocolContext ctx;
+    ctx.sim = &sim_;
+    ctx.net = net_.get();
+    ctx.hello = hello_.get();
+    ctx.rng = &rngs_.stream("proto");
+    ctx.events = &events_;
+    ctx.self = id;
+    // Every protocol sees the road topology the vehicles drive on
+    // (non-owning; the scenario outlives its protocols) and the shared
+    // segment cache.
+    ctx.map = road_graph_.get();
+    ctx.segments = segment_index_.get();
+    ctx.seg_snapshot = seg_snapshot_.get();
+    protocols_[id]->bind(ctx);
+
+    net_->set_receive_handler(id, [this, id](const net::Packet& p) {
+      if (p.kind == net::PacketKind::kHello) {
+        if (hello_) hello_->on_frame(id, p);
+        return;
+      }
+      protocols_[id]->handle_frame(p);
+    });
+    net_->set_unicast_fail_handler(id, [this, id](const net::Packet& p) {
+      protocols_[id]->handle_unicast_failure(p);
+    });
+    protocols_[id]->set_deliver_callback([this](const net::Packet& p) {
+      metrics_.record_delivery(p.flow, p.seq, p.created_at, sim_.now(),
+                               p.hops);
+    });
+  }
+
+  std::vector<routing::RoutingProtocol*> raw;
+  raw.reserve(protocols_.size());
+  for (auto& p : protocols_) raw.push_back(p.get());
+  traffic_ = std::make_unique<CbrTraffic>(sim_, *net_, std::move(raw),
+                                          vehicle_count_, metrics_,
+                                          rngs_.stream("traffic"), cfg_.traffic);
 
   // Incremental density refresh: graph mobility proves per-vehicle segments
   // at tick time, so the 1 Hz refresh only queries the SegmentIndex for
@@ -283,7 +407,7 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
     // for positions it produced this tick; declining on any position mismatch
     // keeps the prover safe against non-current (stamped or extrapolated)
     // positions a protocol might feed the snapshot.
-    stack_->seg_snapshot->set_prover(
+    seg_snapshot_->set_prover(
         [this](std::uint32_t id, core::Vec2 pos) -> int {
           const std::size_t i = mobility_->model_index(id);
           if (i == mobility::MobilityManager::npos) return -1;
@@ -302,9 +426,9 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   // bit-identical to a build without the fault subsystem.
   if (cfg_.fault.enabled) {
     fault_plan_ = std::make_unique<FaultPlan>(
-        sim_, *stack_->net, graph_model_, rngs_.stream("fault"), cfg_.fault,
+        sim_, *net_, graph_model_, rngs_.stream("fault"), cfg_.fault,
         cfg_.duration_s);
-    stack_->metrics.set_fault_tracking(true);
+    metrics_.set_fault_tracking(true);
   }
 }
 
@@ -312,9 +436,8 @@ Scenario::~Scenario() = default;
 
 void Scenario::update_density() {
   std::vector<double> counts(road_graph_->segment_count(), 0.0);
-  map::SegmentSnapshot& snapshot = *stack_->seg_snapshot;
   for (const mobility::VehicleState& v : mobility_->vehicles()) {
-    // Graph mobility: through the stack's snapshot, whose prover is
+    // Graph mobility: through the shared snapshot, whose prover is
     // the proven reported_segment + ambiguity mask and whose fallback is the
     // same index query — digest-identical — and which warms the per-node
     // entries the route-geometry protocols read. Other mobility models
@@ -322,7 +445,7 @@ void Scenario::update_density() {
     // RoadGraph::segment_of_position(pos) — see map/segment_index.h —
     // without the O(segments) scan per vehicle.
     const int seg = graph_model_ != nullptr
-                        ? snapshot.segment_of(v.id, v.pos)
+                        ? seg_snapshot_->segment_of(v.id, v.pos)
                         : segment_index_->nearest_segment(v.pos);
     counts[static_cast<std::size_t>(seg)] += 1.0;
   }
@@ -340,13 +463,12 @@ void Scenario::schedule_density_updates() {
 }
 
 void Scenario::sample_reachability() {
-  const NodeStack& stack = *stack_;
-  const auto& flows = stack.traffic->flows();
+  const auto& flows = traffic_->flows();
   if (!flows.empty()) {
     // One component labeling answers every flow at this instant; running a
     // BFS per flow re-derived the same adjacency per pair.
     const std::vector<std::uint32_t> labels =
-        stack.net->reachability_components(stack.net->nominal_range());
+        net_->reachability_components(net_->nominal_range());
     for (const auto& flow : flows) {
       ++total_samples_;
       if (labels[flow.src] == labels[flow.dst]) ++reachable_samples_;
@@ -359,7 +481,9 @@ void Scenario::run() {
   if (ran_) return;
   ran_ = true;
   mobility_->start();
-  stack_->start();
+  if (hello_) hello_->start(net_->node_ids());
+  for (const auto& protocol : protocols_) protocol->start();
+  traffic_->start();
   if (fault_plan_) fault_plan_->start();
   if (cfg_.sample_reachability) {
     // Sample over the traffic window only (flows exist after start()).
@@ -370,18 +494,17 @@ void Scenario::run() {
 }
 
 ScenarioReport Scenario::report() const {
-  const NodeStack& stack = *stack_;
   ScenarioReport r =
-      assemble_report(cfg_, stack.metrics, stack.net->counters(), stack.events,
+      assemble_report(cfg_, metrics_, net_->counters(), events_,
                       reachable_samples_, total_samples_);
   if (fault_plan_) {
     FaultReport& f = r.fault.emplace();
     // Classify both sides of the delivery ledger by *send* time against the
     // completed fault timeline (see Metrics::set_fault_tracking).
-    for (const core::SimTime t : stack.metrics.origination_times()) {
+    for (const core::SimTime t : metrics_.origination_times()) {
       if (fault_plan_->fault_active_at(t)) ++f.faulted_originated;
     }
-    for (const core::SimTime t : stack.metrics.first_delivery_sent_times()) {
+    for (const core::SimTime t : metrics_.first_delivery_sent_times()) {
       if (fault_plan_->fault_active_at(t)) ++f.faulted_delivered;
     }
     f.pdr_under_fault =
@@ -393,8 +516,8 @@ ScenarioReport Scenario::report() const {
     f.node_outages = fc.node_outages;
     f.node_restarts = fc.node_restarts;
     f.segment_blocks = fc.segment_blocks;
-    f.frames_dropped_down = stack.net->counters().frames_dropped_down;
-    f.recovery_latency_mean_s = stack.net->recovery_latency().mean();
+    f.frames_dropped_down = net_->counters().frames_dropped_down;
+    f.recovery_latency_mean_s = net_->recovery_latency().mean();
   }
   return r;
 }

@@ -12,13 +12,19 @@
 
 #include "core/rng.h"
 #include "core/simulator.h"
+#include "map/segment_index.h"
+#include "map/segment_snapshot.h"
 #include "mobility/graph_mobility.h"
 #include "mobility/idm_highway.h"
 #include "mobility/manhattan_grid.h"
 #include "mobility/mobility_manager.h"
 #include "mobility/trace.h"
+#include "net/hello.h"
+#include "net/network.h"
+#include "routing/registry.h"
 #include "sim/fault_plan.h"
-#include "sim/node_stack.h"
+#include "sim/metrics.h"
+#include "sim/traffic.h"
 
 namespace vanet::sim {
 
@@ -85,11 +91,9 @@ struct ScenarioConfig {
   int yan_tickets = 4;
   double car_cell_m = 500.0;        ///< road-graph granularity for CAR
   bool sample_reachability = true;  ///< 1 Hz src-dst connectivity oracle
-  // Geometry backend of the road-geometry protocols (`zone.geometry` etc.,
-  // values line|route — see routing::GeometryMode).
-  routing::GeometryMode zone_geometry = routing::GeometryMode::kLine;
-  routing::GeometryMode grid_geometry = routing::GeometryMode::kLine;
-  routing::GeometryMode gvgrid_geometry = routing::GeometryMode::kLine;
+  /// Geometry backend of the road-geometry protocols zone, grid and gvgrid
+  /// (`geometry` key, values line|route — see routing::GeometryMode).
+  routing::GeometryMode geometry = routing::GeometryMode::kLine;
 
   /// Link-quality estimator knobs (`etx.*` keys), shared by the `etx`
   /// protocol and ETX-ordered flood suppression (`flood.suppression=etx`,
@@ -171,13 +175,17 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
     const ScenarioConfig& cfg, const std::shared_ptr<map::RoadGraph>& graph,
     core::RngManager& rngs, mobility::GraphMobilityModel** graph_model_out);
 
-/// One run. The Scenario owns the shared world (map, mobility, ferries,
-/// density and reachability oracles, fault plan), the event loop and the
-/// NodeStack that simulates the nodes on it (see sim/node_stack.h).
+/// One run. The Scenario owns the event loop, the world (map, mobility,
+/// ferries, density and reachability oracles, fault plan) and the nodes on
+/// it: the network, the hello service, one protocol per node, the traffic
+/// source, the collectors and the segment cache the protocols share.
 class Scenario {
  public:
   explicit Scenario(ScenarioConfig cfg);
   ~Scenario();
+  // Handlers capture the scenario's address.
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
 
   /// Run the full configured duration (idempotent; runs once).
   void run();
@@ -193,20 +201,21 @@ class Scenario {
   const core::EventQueue::AllocStats& scheduler_stats() const {
     return sim_.scheduler_stats();
   }
-  /// The per-node half of the run: network, hello, protocols, traffic,
-  /// collectors and caches.
-  const NodeStack& stack() const { return *stack_; }
+  /// The per-tick segment cache the protocols share.
+  const map::SegmentSnapshot& segment_snapshot() const {
+    return *seg_snapshot_;
+  }
 
   core::Simulator& simulator() { return sim_; }
   mobility::MobilityManager& mobility() { return *mobility_; }
-  net::Network& network() { return *stack_->net; }
-  net::HelloService* hello() { return stack_->hello.get(); }
-  Metrics& metrics() { return stack_->metrics; }
-  routing::ProtocolEvents& events() { return stack_->events; }
-  const CbrTraffic& traffic() const { return *stack_->traffic; }
+  net::Network& network() { return *net_; }
+  net::HelloService* hello() { return hello_.get(); }
+  Metrics& metrics() { return metrics_; }
+  routing::ProtocolEvents& events() { return events_; }
+  const CbrTraffic& traffic() const { return *traffic_; }
   /// Node `id`'s protocol instance.
   routing::RoutingProtocol& protocol_at(net::NodeId id) {
-    return *stack_->protocols.at(id);
+    return *protocols_.at(id);
   }
   const ScenarioConfig& config() const { return cfg_; }
   /// Null unless `fault.enabled=true`.
@@ -237,8 +246,15 @@ class Scenario {
   /// Segments whose interiors cannot prove nearest-segment identity; only
   /// populated under graph mobility, whose density refresh is incremental.
   std::vector<bool> segment_ambiguous_;
-  /// Never moves once built: its handlers capture its address.
-  std::optional<NodeStack> stack_;
+  // The nodes.
+  std::unique_ptr<net::Network> net_;
+  std::unique_ptr<net::HelloService> hello_;  ///< null for hello-less protocols
+  std::unique_ptr<map::SegmentSnapshot> seg_snapshot_;
+  routing::ProtocolEvents events_;
+  Metrics metrics_;
+  /// Indexed by node id.
+  std::vector<std::unique_ptr<routing::RoutingProtocol>> protocols_;
+  std::unique_ptr<CbrTraffic> traffic_;
   std::unique_ptr<FaultPlan> fault_plan_;
   std::uint64_t reachable_samples_ = 0;
   std::uint64_t total_samples_ = 0;

@@ -97,7 +97,7 @@ core::SimTime CbrTraffic::fire_flow(std::size_t flow_idx) {
 
 void CbrTraffic::send_packet(std::size_t flow_idx, std::uint32_t seq) {
   const Flow& flow = flows_[flow_idx];
-  metrics_.record_originated(static_cast<std::uint32_t>(flow_idx), sim_.now());
+  metrics_.record_originated(sim_.now());
   protocols_[flow.src]->originate(flow.dst, static_cast<std::uint32_t>(flow_idx),
                                   seq, cfg_.payload_bytes);
 }

@@ -56,4 +56,33 @@ TEST(Cli, HighwayValuesTheModelCannotBuildAreUsageErrors) {
   }
 }
 
+TEST(Cli, ValuesTheRadioMacHelloAndLatticeAssertAgainstAreUsageErrors) {
+  // Each of these used to abort the process (exit 134).
+  for (const char* kv :
+       {"comm_range_m=0", "comm_range_m=-5", "net.bitrate_bps=0",
+        "net.contention_window=0", "net.interference_range_factor=0.5",
+        "hello.jitter_fraction=-1", "hello.jitter_fraction=5",
+        "manhattan.block=0", "manhattan.streets_x=0"}) {
+    const CliResult r = run_cli(
+        std::string{"run --duration 8 --vehicles 20 --seeds 1 --protocols "
+                    "greedy --mobility manhattan --set "} +
+        kv);
+    EXPECT_EQ(r.exit_code, 2) << kv << "\n" << r.out;
+    const std::string key{kv, std::string{kv}.find('=')};
+    EXPECT_NE(r.out.find("config key '" + key + "'"), std::string::npos)
+        << r.out;
+  }
+  // One street each way is too few for the Manhattan model: a failed run,
+  // not an abort. Graph mobility drives a one-street lattice fine.
+  const std::string one_street =
+      "run --duration 8 --vehicles 20 --seeds 1 --protocols greedy "
+      "--set manhattan.streets_x=1 --mobility ";
+  const CliResult manhattan = run_cli(one_street + "manhattan");
+  EXPECT_EQ(manhattan.exit_code, 1) << manhattan.out;
+  EXPECT_NE(manhattan.out.find("manhattan.streets_x"), std::string::npos)
+      << manhattan.out;
+  const CliResult graph = run_cli(one_street + "graph");
+  EXPECT_EQ(graph.exit_code, 0) << graph.out;
+}
+
 }  // namespace

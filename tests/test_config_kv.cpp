@@ -162,7 +162,20 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
            {"highway.lanes_per_direction", "65"},
            {"highway.length", "0"},
            {"highway.length", "-2000"},
-           {"highway.idm.desired_speed_stddev", "-1"}}) {
+           {"highway.idm.desired_speed_stddev", "-1"},
+           // Values the radio, MAC, hello and lattice code assert against.
+           {"comm_range_m", "0"},
+           {"comm_range_m", "-250"},
+           {"net.bitrate_bps", "0"},
+           {"net.contention_window", "0"},
+           {"net.contention_window", "-3"},
+           {"net.interference_range_factor", "0.5"},
+           {"hello.jitter_fraction", "-1"},
+           {"hello.jitter_fraction", "1"},
+           {"hello.jitter_fraction", "5"},
+           {"manhattan.block", "0"},
+           {"manhattan.streets_x", "0"},
+           {"manhattan.streets_y", "-2"}}) {
     try {
       config_set(cfg, key, value);
       ADD_FAILURE() << key << "=" << value << ": expected throw";
@@ -175,6 +188,11 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
   EXPECT_EQ(cfg.highway.lanes_per_direction, lanes);
   EXPECT_NO_THROW(config_set(cfg, "highway.lanes_per_direction", "64"));
   EXPECT_NO_THROW(config_set(cfg, "highway.idm.desired_speed_stddev", "0"));
+  EXPECT_NO_THROW(config_set(cfg, "hello.jitter_fraction", "0"));
+  EXPECT_NO_THROW(config_set(cfg, "net.interference_range_factor", "1"));
+  EXPECT_NO_THROW(config_set(cfg, "net.contention_window", "1"));
+  // A one-street lattice is a valid road for graph mobility.
+  EXPECT_NO_THROW(config_set(cfg, "manhattan.streets_x", "1"));
   try {
     config_set(cfg, "traffic.rate_pps", "fast");
     FAIL() << "expected throw";
@@ -293,16 +311,15 @@ TEST(ConfigKv, RoundTripEveryKeyIndividually) {
 
 TEST(ConfigKv, GeometryModeKeysParseLineAndRouteOnly) {
   ScenarioConfig cfg;
-  EXPECT_EQ(config_get(cfg, "zone.geometry"), "line");
-  config_set(cfg, "zone.geometry", "route");
-  EXPECT_EQ(cfg.zone_geometry, routing::GeometryMode::kRoute);
-  config_set(cfg, "grid.geometry", "route");
-  config_set(cfg, "gvgrid.geometry", "route");
-  EXPECT_EQ(cfg.grid_geometry, routing::GeometryMode::kRoute);
-  EXPECT_EQ(cfg.gvgrid_geometry, routing::GeometryMode::kRoute);
-  EXPECT_EQ(config_get(cfg, "gvgrid.geometry"), "route");
-  EXPECT_THROW(config_set(cfg, "zone.geometry", "plane"),
-               std::invalid_argument);
+  EXPECT_EQ(config_get(cfg, "geometry"), "line");
+  config_set(cfg, "geometry", "route");
+  EXPECT_EQ(cfg.geometry, routing::GeometryMode::kRoute);
+  EXPECT_EQ(config_get(cfg, "geometry"), "route");
+  EXPECT_THROW(config_set(cfg, "geometry", "plane"), std::invalid_argument);
+  // One key serves zone, grid and gvgrid; the per-protocol keys are gone.
+  for (const char* old : {"zone.geometry", "grid.geometry", "gvgrid.geometry"}) {
+    EXPECT_FALSE(config_has_key(old)) << old;
+  }
 
   config_set(cfg, "map.trace_tolerance_m", "12.5");
   EXPECT_DOUBLE_EQ(cfg.map.trace_tolerance_m, 12.5);
@@ -313,9 +330,7 @@ TEST(ConfigKv, EnumKeysNameEveryChoiceInTheirError) {
   const std::vector<std::pair<std::string, std::string>> expected{
       {"mobility", "highway|manhattan|trace|graph"},
       {"phy.model", "unitdisk|shadowing|nakagami"},
-      {"zone.geometry", "line|route"},
-      {"grid.geometry", "line|route"},
-      {"gvgrid.geometry", "line|route"},
+      {"geometry", "line|route"},
       {"flood.suppression", "none|etx"},
   };
   for (const auto& [key, names] : expected) {

@@ -8,7 +8,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "sim/config_kv.h"
 
 namespace vanet::sim {
 namespace {
@@ -60,6 +63,8 @@ TEST(EngineGuards, HostileConfigValuesBecomeFailureRowsNotAborts) {
   // surface as one captured failure naming its key, never a process abort.
   struct Hostile {
     std::string key, value, protocol;
+    /// Settings applied to the base config first.
+    std::vector<std::pair<std::string, std::string>> base = {};
   };
   const std::vector<Hostile> hostile{
       {"mobility_tick_s", "0", "aodv"},
@@ -68,10 +73,17 @@ TEST(EngineGuards, HostileConfigValuesBecomeFailureRowsNotAborts) {
       {"traffic.stop_s", "0.1", "aodv"},
       {"hello.interval_s", "0", "greedy"},
       {"hello.expiry_s", "0.1", "greedy"},
+      // How many streets a lattice needs depends on the mobility model.
+      {"manhattan.streets_x", "1", "aodv",
+       {{"mobility", "manhattan"}, {"vehicles", "10"}}},
+      {"manhattan.streets_y", "1", "aodv",
+       {{"mobility", "graph"}, {"vehicles", "10"},
+        {"manhattan.streets_x", "1"}}},
   };
   for (const Hostile& h : hostile) {
     ExperimentSpec spec;
     spec.base = micro_highway();
+    for (const auto& [key, value] : h.base) config_set(spec.base, key, value);
     spec.protocols = {h.protocol};
     spec.axes = {{h.key, {h.value}}};
     spec.seeds = {1};

@@ -1,16 +1,13 @@
 // The geometry-cache layer (docs/ARCHITECTURE.md "Scenario-owned caches"):
-// the lifetime memo, the per-tick segment snapshot and the corridor
-// pre-reject are pure caches — every test here pins either the bit-identity
-// contract (cached answer == uncached answer) or the counter semantics
-// bench_compare.py watches. The scenario-level proof is the golden
-// town-gvgrid-route row, whose digest matches the uncached integral.
+// the per-tick segment snapshot and the corridor pre-reject are pure caches
+// — every test here pins either the bit-identity contract (cached answer ==
+// uncached answer) or the counter semantics bench_compare.py watches. The
+// scenario-level proof is the golden town-gvgrid-route row.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
 
-#include "analysis/lifetime_distribution.h"
-#include "analysis/lifetime_memo.h"
 #include "map/road_graph.h"
 #include "map/route_corridor.h"
 #include "map/segment_index.h"
@@ -24,61 +21,6 @@
 
 namespace vanet {
 namespace {
-
-// ---- LifetimeMemo -----------------------------------------------------------
-
-TEST(LifetimeMemo, ExactModeIsBitIdenticalToDirectEvaluation) {
-  analysis::LifetimeMemo memo;
-  std::mt19937 gen{7};
-  std::uniform_real_distribution<double> d0_frac{-0.95, 0.95};
-  std::uniform_real_distribution<double> mu_dist{-30.0, 30.0};
-  for (int i = 0; i < 50; ++i) {
-    const double r = 250.0;
-    const double d0 = d0_frac(gen) * r;
-    const double mu = mu_dist(gen);
-    const double sigma = (i % 5 == 0) ? 0.0 : 4.0;
-    const double direct =
-        analysis::LinkLifetimeDistribution{r, d0, mu, sigma}.expected_lifetime(
-            600.0);
-    const double first = memo.expected_lifetime(r, d0, mu, sigma, 600.0);
-    const double second = memo.expected_lifetime(r, d0, mu, sigma, 600.0);
-    // Bit-identity, not tolerance: the memo stores the direct result.
-    EXPECT_EQ(first, direct);
-    EXPECT_EQ(second, direct);
-  }
-  EXPECT_EQ(memo.stats().misses, 50u);
-  EXPECT_EQ(memo.stats().hits, 50u);
-}
-
-TEST(LifetimeMemo, SignOfZeroAndDistinctKeysDoNotAlias) {
-  analysis::LifetimeMemo memo;
-  // -0.0 and +0.0 have different bit patterns, so they occupy different
-  // entries — but each caches the correct value for its own input.
-  const double a = memo.expected_lifetime(250.0, 0.0, 5.0, 4.0, 600.0);
-  const double b = memo.expected_lifetime(250.0, -0.0, 5.0, 4.0, 600.0);
-  EXPECT_EQ(memo.stats().misses, 2u);
-  const double direct_pos =
-      analysis::LinkLifetimeDistribution{250.0, 0.0, 5.0, 4.0}
-          .expected_lifetime(600.0);
-  const double direct_neg =
-      analysis::LinkLifetimeDistribution{250.0, -0.0, 5.0, 4.0}
-          .expected_lifetime(600.0);
-  EXPECT_EQ(a, direct_pos);
-  EXPECT_EQ(b, direct_neg);
-}
-
-TEST(LifetimeMemo, ViaHelperFallsBackToDirectWithoutMemo) {
-  const double direct =
-      analysis::LinkLifetimeDistribution{250.0, 100.0, 8.0, 4.0}
-          .expected_lifetime(600.0);
-  EXPECT_EQ(analysis::expected_lifetime_via(nullptr, 250.0, 100.0, 8.0, 4.0,
-                                            600.0),
-            direct);
-  analysis::LifetimeMemo memo;
-  EXPECT_EQ(
-      analysis::expected_lifetime_via(&memo, 250.0, 100.0, 8.0, 4.0, 600.0),
-      direct);
-}
 
 // ---- SegmentSnapshot --------------------------------------------------------
 
@@ -174,17 +116,13 @@ sim::ScenarioConfig town_gvgrid_config() {
   cfg.mobility = sim::MobilityKind::kGraph;
   cfg.vehicles = 30;
   cfg.protocol = "gvgrid";
-  cfg.gvgrid_geometry = routing::GeometryMode::kRoute;
+  cfg.geometry = routing::GeometryMode::kRoute;
   cfg.traffic.stop_s = 10.0;
   return cfg;
 }
 
 TEST(GeometryCache, TimedRunExportsCacheCounters) {
   sim::TimedRun run = sim::run_timed(town_gvgrid_config());
-  // Memo: gvgrid scores links through it; something must have happened.
-  EXPECT_GT(run.lifetime_memo_hits + run.lifetime_memo_misses, 0u);
-  EXPECT_GE(run.lifetime_memo_hit_rate(), 0.0);
-  EXPECT_LE(run.lifetime_memo_hit_rate(), 1.0);
   // Snapshot: every query is a hit, a prover answer or an index query.
   EXPECT_GT(run.seg_snapshot_queries, 0u);
   EXPECT_EQ(run.seg_snapshot_hits + run.seg_snapshot_proven +

@@ -88,7 +88,7 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.mobility = MobilityKind::kGraph;
     cfg.vehicles = 30;
     cfg.protocol = "zone";
-    cfg.zone_geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = routing::GeometryMode::kRoute;
     cfg.traffic.stop_s = 15.0;
     configs["town-zone-route"] = cfg;
   }
@@ -104,7 +104,7 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.mobility = MobilityKind::kGraph;
     cfg.vehicles = 30;
     cfg.protocol = "gvgrid";
-    cfg.gvgrid_geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = routing::GeometryMode::kRoute;
     cfg.traffic.stop_s = 15.0;
     configs["town-gvgrid-route"] = cfg;
   }

@@ -50,18 +50,6 @@ TEST(Metrics, DelayAndHopStats) {
   EXPECT_DOUBLE_EQ(m.hops().mean(), 4.0);
 }
 
-TEST(Metrics, PerFlowBreakdown) {
-  Metrics m;
-  m.record_originated(1);
-  m.record_originated(1);
-  m.record_originated(2);
-  m.record_delivery(1, 0, core::SimTime::zero(), core::SimTime::millis(10), 2);
-  EXPECT_DOUBLE_EQ(m.flow_stats(1).pdr(), 0.5);
-  EXPECT_DOUBLE_EQ(m.flow_stats(1).delay_ms.mean(), 10.0);
-  EXPECT_DOUBLE_EQ(m.flow_stats(2).pdr(), 0.0);
-  EXPECT_EQ(m.flow_stats(99).originated, 0u);  // unseen flow: zeros
-}
-
 TEST(Metrics, EmptyPdrIsZero) {
   Metrics m;
   EXPECT_DOUBLE_EQ(m.pdr(), 0.0);

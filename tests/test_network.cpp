@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -175,19 +176,26 @@ TEST(Network, VehicleNodesTrackMobility) {
   net.send(0, p);
   sim.run_until(core::SimTime::seconds(4.0));
   EXPECT_EQ(received, 1);
-  EXPECT_EQ(net.nodes_within(0, 100.0).size(), 0u);
+  EXPECT_NE(net.reachability_components(100.0)[0],
+            net.reachability_components(100.0)[1]);
+}
+
+/// True when `a` and `b` share a component of the `range`-disk graph.
+bool connected(const Network& net, NodeId a, NodeId b, double range) {
+  const std::vector<std::uint32_t> labels = net.reachability_components(range);
+  return labels[a] == labels[b];
 }
 
 TEST(Network, ReachabilityOracle) {
   // Chain 0-1-2 with 80 m spacing (connected at 100 m) plus an isolated
   // node 3 at 500 m.
   StaticNet t{{{0.0, 0.0}, {80.0, 0.0}, {160.0, 0.0}, {500.0, 0.0}}};
-  EXPECT_TRUE(t.net->reachable(0, 2, 100.0));
-  EXPECT_TRUE(t.net->reachable(2, 0, 100.0));
-  EXPECT_TRUE(t.net->reachable(1, 1, 100.0));
-  EXPECT_FALSE(t.net->reachable(0, 3, 100.0));
+  EXPECT_TRUE(connected(*t.net, 0, 2, 100.0));
+  EXPECT_TRUE(connected(*t.net, 2, 0, 100.0));
+  EXPECT_TRUE(connected(*t.net, 1, 1, 100.0));
+  EXPECT_FALSE(connected(*t.net, 0, 3, 100.0));
   // A longer radio closes the gap.
-  EXPECT_TRUE(t.net->reachable(0, 3, 400.0));
+  EXPECT_TRUE(connected(*t.net, 0, 3, 400.0));
 }
 
 TEST(Network, ReachabilityCrossesBackbone) {
@@ -200,9 +208,9 @@ TEST(Network, ReachabilityCrossesBackbone) {
   const NodeId b = net.add_rsu({5000.0, 0.0});
   const NodeId near_a = net.add_rsu({60.0, 0.0});
   const NodeId near_b = net.add_rsu({5060.0, 0.0});
-  EXPECT_FALSE(net.reachable(near_a, near_b, 100.0));
+  EXPECT_FALSE(connected(net, near_a, near_b, 100.0));
   net.connect_backbone();
-  EXPECT_TRUE(net.reachable(near_a, near_b, 100.0));
+  EXPECT_TRUE(connected(net, near_a, near_b, 100.0));
   (void)a;
   (void)b;
 }
@@ -302,12 +310,12 @@ TEST(Network, RestartRecordsRecoveryLatency) {
 TEST(Network, ReachabilityIgnoresDownNodes) {
   // Chain 0-1-2 with 80 m spacing; node 1 is the only relay.
   StaticNet t{{{0.0, 0.0}, {80.0, 0.0}, {160.0, 0.0}}};
-  EXPECT_TRUE(t.net->reachable(0, 2, 100.0));
+  EXPECT_TRUE(connected(*t.net, 0, 2, 100.0));
   t.net->set_node_up(1, false);
-  EXPECT_FALSE(t.net->reachable(0, 2, 100.0));
-  EXPECT_FALSE(t.net->reachable(0, 1, 100.0));  // down endpoint
+  EXPECT_FALSE(connected(*t.net, 0, 2, 100.0));
+  EXPECT_FALSE(connected(*t.net, 0, 1, 100.0));  // down endpoint
   t.net->set_node_up(1, true);
-  EXPECT_TRUE(t.net->reachable(0, 2, 100.0));
+  EXPECT_TRUE(connected(*t.net, 0, 2, 100.0));
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(RoadGeometry, ZoneRouteCorridorDropsOffRoadRelays) {
     LineFixtureOptions opt;
     opt.range = 600.0;
     opt.road_graph = u_road();
-    opt.deps.zone_geometry = mode;
+    opt.deps.geometry = mode;
     LineFixture f{"zone", gap_relay_topology(), opt};
     f.run_to(0.5);
     f.send(0, 1, /*seq=*/1);
@@ -66,7 +66,7 @@ TEST(RoadGeometry, ZoneRouteForwardsAlongTheRoadRoute) {
   LineFixtureOptions opt;
   opt.range = 600.0;
   opt.road_graph = u_road();
-  opt.deps.zone_geometry = routing::GeometryMode::kRoute;
+  opt.deps.geometry = routing::GeometryMode::kRoute;
   LineFixture f{"zone",
                 {{{0.0, 0.0}, {0.0, 0.0}},      // 0: src
                  {{1000.0, 0.0}, {0.0, 0.0}},   // 1: dst
@@ -82,7 +82,7 @@ TEST(RoadGeometry, ZoneRouteForwardsAlongTheRoadRoute) {
   // A line-mode zone would have dropped these relays (550 m off the line),
   // and indeed must: same topology, legacy geometry.
   LineFixtureOptions line_opt = opt;
-  line_opt.deps.zone_geometry = routing::GeometryMode::kLine;
+  line_opt.deps.geometry = routing::GeometryMode::kLine;
   LineFixture line{"zone",
                    {{{0.0, 0.0}, {0.0, 0.0}},
                     {{1000.0, 0.0}, {0.0, 0.0}},
@@ -101,7 +101,7 @@ TEST(RoadGeometry, GridRoadCellsElectOneGatewayPerStreet) {
   LineFixtureOptions opt;
   opt.range = 500.0;  // auto cell = 400 m: one road cell per U leg
   opt.road_graph = u_road();
-  opt.deps.grid_geometry = routing::GeometryMode::kRoute;
+  opt.deps.geometry = routing::GeometryMode::kRoute;
   LineFixture f{"grid",
                 {{{0.0, 450.0}, {0.0, 0.0}},   // 0: west leg, 50 m from anchor
                  {{0.0, 150.0}, {0.0, 0.0}},   // 1: west leg, 350 m from anchor
@@ -125,7 +125,7 @@ TEST(RoadGeometry, GvGridRouteConfinesDiscoveryToRoads) {
     LineFixtureOptions opt;
     opt.range = 600.0;
     opt.road_graph = u_road();
-    opt.deps.gvgrid_geometry = mode;
+    opt.deps.geometry = mode;
     LineFixture f{"gvgrid", gap_relay_topology(), opt};
     f.run_to(2.0);
     f.send(0, 1, /*seq=*/1);
@@ -160,9 +160,7 @@ TEST(RoadGeometry, RouteModeReducesToLineModeOnLatticeMaps) {
         cfg.protocol = protocol;
         cfg.traffic.flows = 4;
         cfg.traffic.stop_s = 8.0;
-        cfg.zone_geometry = mode;
-        cfg.grid_geometry = mode;
-        cfg.gvgrid_geometry = mode;
+        cfg.geometry = mode;
         sim::Scenario s{cfg};
         s.run();
         reports[i++] = s.report();
@@ -188,9 +186,9 @@ TEST(RoadGeometry, LatticeGatewayElectionAgreesAcrossModes) {
     opt.range = 250.0;
     opt.road_graph = lattice;
     opt.seed = 1000 + static_cast<std::uint64_t>(round);
-    opt.deps.grid_geometry = routing::GeometryMode::kLine;
+    opt.deps.geometry = routing::GeometryMode::kLine;
     LineFixture line{"grid", specs, opt};
-    opt.deps.grid_geometry = routing::GeometryMode::kRoute;
+    opt.deps.geometry = routing::GeometryMode::kRoute;
     LineFixture route{"grid", specs, opt};
     line.run_to(2.5);
     route.run_to(2.5);

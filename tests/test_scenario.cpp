@@ -271,9 +271,7 @@ TEST(Scenario, GeometryProtocolsRouteOverTheCommittedTownMap) {
     cfg.map.source = MapSource::kFile;
     cfg.map.file = town;
     cfg.vehicles = 50;
-    cfg.zone_geometry = routing::GeometryMode::kRoute;
-    cfg.grid_geometry = routing::GeometryMode::kRoute;
-    cfg.gvgrid_geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = routing::GeometryMode::kRoute;
     Scenario s{cfg};
     EXPECT_FALSE(s.road_graph().is_grid());
     s.run();

@@ -16,10 +16,10 @@ Exit status 1 (regression) when any matched run:
   - slowed down by more than --perf-tolerance in events/sec (default 15%);
   - reports a warm scheduler heap-fallback (`sched_oversize_callbacks` above
     0.1% of dispatched events) — the small-buffer optimisation went cold;
-  - shows a geometry-cache warm hit rate (lifetime memo / segment snapshot,
-    see docs/ARCHITECTURE.md "Scenario-owned caches") more than 5 points
-    below the baseline rate — only enforced when both runs expose the
-    counters and both saw enough lookups for the rate to mean anything.
+  - shows a segment-snapshot warm hit rate (see docs/ARCHITECTURE.md
+    "Scenario-owned caches") more than 5 points below the baseline rate —
+    only enforced when both runs expose the counters and both saw enough
+    lookups for the rate to mean anything.
 Also fails when no runs matched at all, so a renamed config cannot silently
 disable the check.
 
@@ -38,11 +38,6 @@ import sys
 # rates only compare when both runs saw at least MIN_CACHE_SAMPLE lookups.
 CACHE_RATE_CHECKS = (
     # (label, rate field, fields summed for the lookup count)
-    (
-        "lifetime memo",
-        "lifetime_memo_hit_rate",
-        ("lifetime_memo_hits", "lifetime_memo_misses"),
-    ),
     ("segment snapshot", "seg_snapshot_hit_rate", ("seg_snapshot_queries",)),
 )
 MIN_CACHE_SAMPLE = 1000

@@ -3,6 +3,7 @@
 
 Usage:
     check_docs.py [FILE_OR_DIR ...]      # default: README.md docs/
+    check_docs.py README.md docs --cli ./build/vanet_cli
 
 Checks every `[text](target)` and bare `(path/to/file.md)` style markdown
 link in the given files (directories are scanned for *.md):
@@ -13,12 +14,12 @@ link in the given files (directories are scanned for *.md):
   - http(s)/mailto links are not fetched (CI must not depend on the
     network) — they are only reported with --list-external.
 
-Also round-trips documented config keys against the registry in
-src/sim/config_kv.cpp: any inline-code token that looks like a dotted
-config key (`phy.model`, `traffic.rate_pps=200`, ...) and lives in a
-namespace the registry defines must be a registered key, so renaming or
-removing a key cannot leave stale documentation behind. Tokens outside the
-registry's namespaces (module paths, file names) are ignored.
+With --cli, also round-trips documented config keys against the live
+registry, the table `vanet_cli --keys` prints: any inline-code token that
+looks like a dotted config key (`phy.model`, `traffic.rate_pps=200`, ...)
+and lives in a namespace the registry defines must be a registered key, so
+renaming or removing a key cannot leave stale documentation behind. Tokens
+outside the registry's namespaces (module paths, file names) are ignored.
 
 Exit status 1 when any relative link is broken or any documented config
 key is unknown, listing every failure.
@@ -27,7 +28,10 @@ key is unknown, listing every failure.
 import argparse
 import pathlib
 import re
+import subprocess
 import sys
+
+from check_protocols_md import parse_md_table
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 CODE_FENCE_RE = re.compile(r"^\s*(```|~~~)")
@@ -36,15 +40,6 @@ CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 # A dotted lowercase token that could be a config key: `phy.model`,
 # `highway.idm.desired_speed`, optionally with an `=value` suffix.
 KEY_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+")
-
-# Registration patterns in config_kv.cpp: the field-factory helpers plus
-# direct `f.key = "...";` assignments for the hand-rolled fields.
-CONFIG_KEY_DEF_RE = re.compile(
-    r'(?:num|numeric_field|checked_field|seconds|seconds_field|string_field|'
-    r'enum_field|simtime_field)'
-    r'\(\s*"([a-z0-9_.]+)"'
-    r'|f\.key\s*=\s*"([a-z0-9_.]+)"'
-)
 
 # Dotted tokens ending in a file suffix are file names, not config keys
 # (`traffic.cpp` is a source file even though `traffic` is a key namespace).
@@ -87,11 +82,19 @@ def links_of(path):
             yield line_no, m.group(1)
 
 
-def config_keys_of(path):
-    """The set of config keys registered in config_kv.cpp."""
-    keys = set()
-    for m in CONFIG_KEY_DEF_RE.finditer(path.read_text(encoding="utf-8")):
-        keys.add(m.group(1) or m.group(2))
+def config_keys_of(keys_table):
+    """The set of config keys in `vanet_cli --keys` output (a markdown table)."""
+    return {row["key"] for row in parse_md_table(keys_table.splitlines(), ["key"])}
+
+
+def cli_config_keys(cli):
+    """The live key registry of the `cli` binary."""
+    out = subprocess.run(
+        [cli, "--keys"], check=True, capture_output=True, text=True
+    ).stdout
+    keys = config_keys_of(out)
+    if not keys:
+        sys.exit(f"check_docs: could not parse `{cli} --keys` output")
     return keys
 
 
@@ -121,14 +124,13 @@ def config_key_refs_of(path):
                 yield line_no, token
 
 
-def check_config_keys(files, config_kv):
+def check_config_keys(files, keys):
     """Return (refs_checked, failures) for documented-key round-tripping.
 
     Only tokens whose first dotted component is a namespace the registry
-    actually defines are held to the round-trip rule; everything else
-    (`json.dumps` in an example, a module path) is out of scope.
+    (`keys`) actually defines are held to the round-trip rule; everything
+    else (`json.dumps` in an example, a module path) is out of scope.
     """
-    keys = config_keys_of(config_kv)
     namespaces = {k.split(".", 1)[0] for k in keys if "." in k}
     failures = []
     refs = 0
@@ -139,8 +141,8 @@ def check_config_keys(files, config_kv):
             refs += 1
             if token not in keys:
                 failures.append(
-                    f"{md}:{line_no}: config key '{token}' is not "
-                    f"registered in {config_kv}"
+                    f"{md}:{line_no}: config key '{token}' is not in "
+                    f"`vanet_cli --keys`"
                 )
     return refs, failures
 
@@ -150,13 +152,9 @@ def main():
     parser.add_argument("paths", nargs="*", default=["README.md", "docs"])
     parser.add_argument("--list-external", action="store_true")
     parser.add_argument(
-        "--config-kv",
-        default=str(
-            pathlib.Path(__file__).resolve().parent.parent
-            / "src" / "sim" / "config_kv.cpp"
-        ),
-        help="config registry to round-trip documented keys against "
-        "(default: src/sim/config_kv.cpp next to this script)",
+        "--cli",
+        help="vanet_cli binary whose `--keys` table documented config keys "
+        "are round-tripped against (default: no key check)",
     )
     args = parser.parse_args()
 
@@ -192,12 +190,11 @@ def main():
                     broken.append(f"{where}: no heading for anchor '#{anchor}'")
 
     key_refs = 0
-    config_kv = pathlib.Path(args.config_kv)
-    if config_kv.exists():
-        key_refs, key_failures = check_config_keys(files, config_kv)
+    if args.cli:
+        key_refs, key_failures = check_config_keys(
+            files, cli_config_keys(args.cli)
+        )
         broken.extend(key_failures)
-    else:
-        print(f"check_docs: note: no {config_kv}, config-key check skipped")
 
     if broken:
         print("check_docs: broken links:", file=sys.stderr)
