@@ -50,34 +50,22 @@ void YanProtocol::forward_rreq(const net::Packet& p, const RreqHeader& h) {
   // tickets on the best few. Probes are steered toward the target — among
   // neighbors that make geographic progress the most stable ones win; only
   // when nobody progresses may a probe step sideways (local recovery).
-  struct Candidate {
-    net::NodeId id;
-    double duration;
-  };
   const core::Vec2 target_pos = network().position(h.target);
   const double my_dist = (target_pos - network().position(self())).norm();
-  std::vector<Candidate> candidates;
-  std::vector<Candidate> fallback;
-  for (const auto& nbr : neighbors().snapshot()) {
-    if (nbr.id == h.rreq_origin || nbr.id == p.tx) continue;
-    const double d = expected_link_duration(nbr);
-    if (d <= 0.5) continue;
-    const double progress =
-        my_dist - (target_pos - nbr.predicted_pos(now())).norm();
-    (progress > 1.0 ? candidates : fallback).push_back({nbr.id, d});
-  }
-  if (candidates.empty()) candidates = std::move(fallback);
+  const std::vector<ProbeCandidate> candidates = rank_probe_candidates(
+      neighbors().snapshot(), h.rreq_origin, p.tx,
+      [&](const net::NeighborInfo& nbr) {
+        return my_dist - (target_pos - nbr.predicted_pos(now())).norm();
+      },
+      [this](const net::NeighborInfo& nbr) {
+        return expected_link_duration(nbr);
+      });
   if (candidates.empty()) {
     // Sparse corner: fall back to a broadcast so discovery can still work.
     net::Packet copy = p;
     schedule(jitter(10.0), [this, copy]() mutable { broadcast(std::move(copy)); });
     return;
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.duration != b.duration) return a.duration > b.duration;
-              return a.id < b.id;
-            });
   const int tickets = std::max(1, h.tickets);
   const int fanout =
       std::min({tickets, kMaxFanout, static_cast<int>(candidates.size())});

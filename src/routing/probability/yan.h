@@ -10,10 +10,60 @@
 // with a minimum-stability admission threshold.
 #pragma once
 
+#include <algorithm>
+#include <vector>
+
 #include "analysis/lifetime_distribution.h"
 #include "routing/on_demand.h"
 
 namespace vanet::routing {
+
+/// A neighbor a probe may be unicast to, with its expected link duration.
+struct ProbeCandidate {
+  net::NodeId id;
+  double duration;
+};
+
+/// Yan's probe ranking over one node's neighbor rows. Rows with id `skip_a`
+/// or `skip_b` (the RREQ origin and the hop it came from) never qualify.
+/// Neighbors with `progress` > 1 m toward the target are the forward
+/// candidates; each is scored with `score` and kept when its duration
+/// exceeds 0.5 s. Only when none is kept are the other neighbors (a NaN
+/// progress among them) scored and kept by the same rule: the probe steps
+/// sideways. The result is best first (duration desc, then id asc).
+///
+/// `score` must be pure (no RNG draw, no state): a sideways neighbor is
+/// scored only when the fallback is read, and a forward one only once.
+template <typename Progress, typename Score>
+std::vector<ProbeCandidate> rank_probe_candidates(
+    const std::vector<net::NeighborInfo>& rows, net::NodeId skip_a,
+    net::NodeId skip_b, Progress&& progress, Score&& score) {
+  std::vector<ProbeCandidate> ranked;
+  std::vector<const net::NeighborInfo*> sideways;
+  for (const auto& nbr : rows) {
+    if (nbr.id == skip_a || nbr.id == skip_b) continue;
+    if (!(progress(nbr) > 1.0)) {
+      sideways.push_back(&nbr);
+      continue;
+    }
+    const double d = score(nbr);
+    if (d <= 0.5) continue;
+    ranked.push_back({nbr.id, d});
+  }
+  if (ranked.empty()) {
+    for (const net::NeighborInfo* nbr : sideways) {
+      const double d = score(*nbr);
+      if (d <= 0.5) continue;
+      ranked.push_back({nbr->id, d});
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const ProbeCandidate& a, const ProbeCandidate& b) {
+              if (a.duration != b.duration) return a.duration > b.duration;
+              return a.id < b.id;
+            });
+  return ranked;
+}
 
 class YanProtocol : public OnDemandBase {
  public:

@@ -267,8 +267,12 @@ std::vector<Field> build_fields() {
     };
     fields.push_back(std::move(f));
   }
-  num("rsu_count", REF(rsu_count));
-  num("bus_count", REF(bus_count));
+  fields.push_back(checked_field(
+      "rsu_count", REF(rsu_count), +[](int v) { return v >= 0; },
+      "a non-negative integer"));
+  fields.push_back(checked_field(
+      "bus_count", REF(bus_count), +[](int v) { return v >= 0; },
+      "a non-negative integer"));
   fields.push_back(string_field("protocol", REF(protocol)));
   num("yan_tickets", REF(yan_tickets));
   num("car_cell_m", REF(car_cell_m));

@@ -6,6 +6,8 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -83,6 +85,30 @@ TEST(Cli, ValuesTheRadioMacHelloAndLatticeAssertAgainstAreUsageErrors) {
       << manhattan.out;
   const CliResult graph = run_cli(one_street + "graph");
   EXPECT_EQ(graph.exit_code, 0) << graph.out;
+}
+
+TEST(Cli, RadioAndInfrastructureFlagsHoldTheConfigBounds) {
+  // --range 0/-5 used to abort in the propagation model (exit 134); negative
+  // RSU and bus counts used to run. Each flag goes through its config key.
+  const std::string base =
+      "run --duration 8 --vehicles 20 --seeds 1 --protocols greedy "
+      "--mobility manhattan ";
+  for (const auto& [args, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--range 0", "comm_range_m"},
+           {"--range -5", "comm_range_m"},
+           {"--range abc", "comm_range_m"},
+           {"--rsus -1", "rsu_count"},
+           {"--buses -3", "bus_count"},
+           {"--set rsu_count=-1", "rsu_count"},
+           {"--set bus_count=-1", "bus_count"}}) {
+    const CliResult r = run_cli(base + args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.out;
+    EXPECT_NE(r.out.find("config key '" + key + "'"), std::string::npos)
+        << args << "\n" << r.out;
+  }
+  const CliResult ok = run_cli(base + "--range 200 --rsus 0 --buses 2");
+  EXPECT_EQ(ok.exit_code, 0) << ok.out;
 }
 
 }  // namespace

@@ -175,7 +175,10 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
            {"hello.jitter_fraction", "5"},
            {"manhattan.block", "0"},
            {"manhattan.streets_x", "0"},
-           {"manhattan.streets_y", "-2"}}) {
+           {"manhattan.streets_y", "-2"},
+           // Negative infrastructure counts used to run as if zero.
+           {"rsu_count", "-1"},
+           {"bus_count", "-1"}}) {
     try {
       config_set(cfg, key, value);
       ADD_FAILURE() << key << "=" << value << ": expected throw";

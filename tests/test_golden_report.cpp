@@ -64,6 +64,25 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     configs["manhattan-yan"] = cfg;
   }
   {
+    // Table I's congested highway (4 km, 70 vehicles per direction, IDM
+    // desired speed 12 m/s), shortened: dense neighbor tables where Yan's
+    // probe ranking spends its link-lifetime integrals, and where forward
+    // candidates almost always exist so sideways neighbors go unscored.
+    ScenarioConfig cfg;
+    cfg.seed = 1337;
+    cfg.duration_s = 20.0;
+    cfg.mobility = MobilityKind::kHighway;
+    cfg.highway.length = 4000.0;
+    cfg.highway.idm.desired_speed = 12.0;
+    cfg.vehicles_per_direction = 70;
+    cfg.protocol = "yan";
+    cfg.traffic.flows = 8;
+    cfg.traffic.rate_pps = 1.0;
+    cfg.traffic.stop_s = 20.0;
+    cfg.traffic.min_pair_distance_m = 700.0;
+    configs["highway-yan-congested"] = cfg;
+  }
+  {
     // Graph-constrained mobility with the protocol that routes over the same
     // graph: pins the map subsystem (trip planning, density via the segment
     // index, CAR anchor paths) exactly like the other kinds pin theirs.

@@ -108,6 +108,17 @@ double checked_double(const std::string& flag, const std::string& value) {
   return *parsed;
 }
 
+/// `flag VALUE` as `--set key=VALUE`: the config key's bounds apply, and a
+/// rejected value is a usage error naming the flag and the key.
+void set_key(sim::ScenarioConfig& cfg, const std::string& flag,
+             const std::string& key, const std::string& value) {
+  try {
+    sim::config_set(cfg, key, value);
+  } catch (const std::invalid_argument& e) {
+    fail(flag + ": " + e.what());
+  }
+}
+
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
   std::string item;
@@ -194,20 +205,15 @@ int main(int argc, char** argv) {
       if (n <= 0) fail("--vehicles must be positive");
       sim::config_set(spec.base, "vehicles", std::to_string(n));
     } else if (arg == "--duration") {
-      const std::string value = next();
-      try {
-        sim::config_set(spec.base, "duration_s", value);
-      } catch (const std::invalid_argument& e) {
-        fail(arg + ": " + e.what());
-      }
+      set_key(spec.base, arg, "duration_s", next());
     } else if (arg == "--range") {
-      spec.base.comm_range_m = checked_double(arg, next());
+      set_key(spec.base, arg, "comm_range_m", next());
     } else if (arg == "--shadowing") {
       spec.base.phy = sim::PhyModel::kShadowing;
     } else if (arg == "--rsus") {
-      spec.base.rsu_count = checked_int32(arg, next());
+      set_key(spec.base, arg, "rsu_count", next());
     } else if (arg == "--buses") {
-      spec.base.bus_count = checked_int32(arg, next());
+      set_key(spec.base, arg, "bus_count", next());
     } else if (arg == "--flows") {
       spec.base.traffic.flows = checked_int32(arg, next());
     } else if (arg == "--rate") {
