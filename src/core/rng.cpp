@@ -26,19 +26,9 @@ double Rng::normal(double mean, double stddev) {
   return std::normal_distribution<double>{mean, stddev}(engine_);
 }
 
-double Rng::lognormal(double mu, double sigma) {
-  VANET_ASSERT(sigma >= 0.0);
-  return std::lognormal_distribution<double>{mu, sigma}(engine_);
-}
-
 double Rng::exponential(double rate) {
   VANET_ASSERT(rate > 0.0);
   return std::exponential_distribution<double>{rate}(engine_);
-}
-
-double Rng::gamma(double shape, double scale) {
-  VANET_ASSERT(shape > 0.0 && scale > 0.0);
-  return std::gamma_distribution<double>{shape, scale}(engine_);
 }
 
 namespace {

@@ -24,10 +24,7 @@ class Rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   bool bernoulli(double p);
   double normal(double mean, double stddev);
-  /// Log-normal with the given *underlying* normal parameters.
-  double lognormal(double mu, double sigma);
   double exponential(double rate);
-  double gamma(double shape, double scale);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -133,18 +133,4 @@ void SpatialGrid::query_radius_into(Vec2 center, double radius, Id exclude,
   if (src != out.data()) std::copy(src, src + out.size(), out.data());
 }
 
-std::vector<SpatialGrid::Id> SpatialGrid::query_radius(Vec2 center,
-                                                       double radius) const {
-  std::vector<Id> out;
-  query_radius_into(center, radius, kNoExclude, out);
-  return out;
-}
-
-std::vector<SpatialGrid::Id> SpatialGrid::query_radius(Vec2 center, double radius,
-                                                       Id exclude) const {
-  std::vector<Id> out;
-  query_radius_into(center, radius, exclude, out);
-  return out;
-}
-
 }  // namespace vanet::core

@@ -49,16 +49,12 @@ class SpatialGrid {
   }
   Vec2 position(Id id) const;
 
-  /// Ids strictly within `radius` of `center` (excluding `exclude` if given).
-  /// Results are sorted by id for determinism.
-  std::vector<Id> query_radius(Vec2 center, double radius) const;
-  std::vector<Id> query_radius(Vec2 center, double radius, Id exclude) const;
-
   /// `exclude` value meaning "exclude nothing" for query_radius_into.
   static constexpr Id kNoExclude = static_cast<Id>(-1);
 
-  /// As query_radius, but replaces the contents of `out` instead of
-  /// allocating — the hot-path form (reception fan-out runs once per frame).
+  /// Replaces the contents of `out` with the ids strictly within `radius` of
+  /// `center`, except `exclude`, sorted by id for determinism. Fills a
+  /// caller-owned buffer: reception fan-out runs once per frame.
   void query_radius_into(Vec2 center, double radius, Id exclude,
                          std::vector<Id>& out) const;
 

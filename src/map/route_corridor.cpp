@@ -54,12 +54,6 @@ int RouteCorridor::entry_intersection(const RoadGraph& graph, int segment,
 
 RouteCorridor RouteCorridor::between(const RoadGraph& graph,
                                      const SegmentIndex& index, core::Vec2 src,
-                                     core::Vec2 dst) {
-  return between(graph, index, src, dst, -1, -1);
-}
-
-RouteCorridor RouteCorridor::between(const RoadGraph& graph,
-                                     const SegmentIndex& index, core::Vec2 src,
                                      core::Vec2 dst, int src_seg,
                                      int dst_seg) {
   VANET_ASSERT_MSG(&index.graph() == &graph,

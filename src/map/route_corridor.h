@@ -44,15 +44,12 @@ class RouteCorridor {
   RouteCorridor() = default;
 
   /// Corridor between `src` and `dst` (see header comment). `graph` must be
-  /// the graph `index` was built over and must outlive the corridor.
-  static RouteCorridor between(const RoadGraph& graph, const SegmentIndex& index,
-                               core::Vec2 src, core::Vec2 dst);
-
-  /// Same corridor, with the endpoint segments already resolved by the
-  /// caller (a SegmentSnapshot hit or a segment id stamped into a packet
-  /// header). A negative id falls back to the index query; a non-negative id
-  /// MUST equal index.nearest_segment of the matching position, so both
-  /// overloads build bit-identical corridors.
+  /// the graph `index` was built over and must outlive the corridor. The
+  /// endpoint segments may come resolved by the caller (a SegmentSnapshot
+  /// hit or a segment id stamped into a packet header); a negative id falls
+  /// back to the index query, and a non-negative id MUST equal
+  /// index.nearest_segment of the matching position, so both build
+  /// bit-identical corridors.
   static RouteCorridor between(const RoadGraph& graph, const SegmentIndex& index,
                                core::Vec2 src, core::Vec2 dst, int src_seg,
                                int dst_seg);

@@ -1,7 +1,6 @@
 #include "mobility/mobility_manager.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/assert.h"
 
@@ -12,11 +11,6 @@ MobilityManager::MobilityManager(core::Simulator& sim,
                                  core::Rng& rng, core::SimTime tick)
     : sim_{sim}, model_{std::move(model)}, rng_{rng}, tick_{tick} {
   VANET_ASSERT(model_ != nullptr);
-  // Thrown (not asserted): a bad sweep value must become a structured failure
-  // row in the experiment engine, not a process abort.
-  if (tick_ <= core::SimTime::zero()) {
-    throw std::invalid_argument("mobility_tick_s must be > 0");
-  }
   rebuild_index();
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 
 #include "core/assert.h"
 
@@ -35,16 +34,7 @@ std::vector<NodeId> NeighborTable::expire(core::SimTime now,
 }
 
 HelloService::HelloService(Network& net, core::Rng& rng, HelloConfig cfg)
-    : net_{net}, rng_{rng}, cfg_{cfg} {
-  // Thrown (not asserted): a bad sweep value must become a structured failure
-  // row in the experiment engine, not a process abort.
-  if (cfg_.interval <= core::SimTime::zero()) {
-    throw std::invalid_argument("hello.interval_s must be > 0");
-  }
-  if (cfg_.expiry < cfg_.interval) {
-    throw std::invalid_argument("hello.expiry_s must be >= hello.interval_s");
-  }
-}
+    : net_{net}, rng_{rng}, cfg_{cfg} {}
 
 void HelloService::start(const std::vector<NodeId>& ids) {
   VANET_ASSERT_MSG(!started_, "HelloService::start called twice");

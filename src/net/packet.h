@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 
 #include "core/sim_time.h"
 
@@ -23,8 +22,6 @@ enum class PacketKind : std::uint8_t {
   kControl,  ///< protocol control (RREQ/RREP/RERR/updates/probes)
   kHello,    ///< neighbor beacons
 };
-
-std::string_view to_string(PacketKind kind);
 
 /// Registry of concrete header types. Every Header subclass stamps its tag at
 /// construction and exposes it as `static constexpr HeaderTag kTag`;

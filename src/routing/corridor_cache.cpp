@@ -6,14 +6,6 @@ const map::RouteCorridor& CorridorCache::between(const map::RoadGraph& graph,
                                                  const map::SegmentIndex& index,
                                                  std::uint64_t key,
                                                  core::Vec2 src,
-                                                 core::Vec2 dst) {
-  return between(graph, index, key, src, dst, -1, -1);
-}
-
-const map::RouteCorridor& CorridorCache::between(const map::RoadGraph& graph,
-                                                 const map::SegmentIndex& index,
-                                                 std::uint64_t key,
-                                                 core::Vec2 src,
                                                  core::Vec2 dst, int src_seg,
                                                  int dst_seg) {
   Entry& e = entries_[key];

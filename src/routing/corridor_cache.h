@@ -25,19 +25,14 @@ namespace vanet::routing {
 
 class CorridorCache {
  public:
-  /// Corridor between `src` and `dst` on `graph`, cached under `key`.
-  /// The returned reference is valid until the next between() call.
-  const map::RouteCorridor& between(const map::RoadGraph& graph,
-                                    const map::SegmentIndex& index,
-                                    std::uint64_t key, core::Vec2 src,
-                                    core::Vec2 dst);
-
-  /// Same lookup with the endpoint segments already resolved (a
-  /// SegmentSnapshot hit or a segment id stamped into the packet header at
-  /// origination). A negative id falls back to the per-call index query; a
-  /// non-negative id MUST equal index.nearest_segment of the matching
-  /// position, so both overloads refresh at the same packets and return
-  /// bit-identical corridors.
+  /// Corridor between `src` and `dst` on `graph`, cached under `key`, with
+  /// the endpoint segments already resolved (a SegmentSnapshot hit or a
+  /// segment id stamped into the packet header at origination). A negative
+  /// id falls back to the per-call index query; a non-negative id MUST equal
+  /// index.nearest_segment of the matching position, so resolved and
+  /// unresolved ids refresh at the same packets and return bit-identical
+  /// corridors. The returned reference is valid until the next between()
+  /// call.
   const map::RouteCorridor& between(const map::RoadGraph& graph,
                                     const map::SegmentIndex& index,
                                     std::uint64_t key, core::Vec2 src,

@@ -183,10 +183,4 @@ std::unique_ptr<RoutingProtocol> ProtocolRegistry::make(
   return info->make(deps);
 }
 
-std::vector<std::string_view> ProtocolRegistry::names() {
-  std::vector<std::string_view> out;
-  for (const auto& info : all()) out.push_back(info.name);
-  return out;
-}
-
 }  // namespace vanet::routing

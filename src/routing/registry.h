@@ -54,7 +54,6 @@ class ProtocolRegistry {
   /// Throws std::invalid_argument for unknown names or missing dependencies.
   static std::unique_ptr<RoutingProtocol> make(std::string_view name,
                                                const ProtocolDeps& deps);
-  static std::vector<std::string_view> names();
 };
 
 }  // namespace vanet::routing

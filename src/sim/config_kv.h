@@ -1,10 +1,19 @@
-// String key/value view over ScenarioConfig.
+// String key/value view over ScenarioConfig, and the one place a config is
+// validated.
 //
 // Every scalar field of ScenarioConfig (including the nested highway.*,
 // manhattan.*, traffic.*, hello.*, net.* and signal.* blocks) is addressable
 // by a dotted string key. This is the substrate for `--set key=value` CLI
 // overrides, declarative sweep axes over arbitrary knobs, and round-trip
 // serialization of a run's full provenance (see experiment.h).
+//
+// Validation has two entry points over one set of rules. Each key carries
+// its bound: config_set rejects a value outside it, so a bad `--set` is a
+// usage error and a bad sweep value a spec error before any run starts.
+// validate_config checks the same bounds on a whole config (which code may
+// have filled in directly) plus the rules no single key can express, such
+// as hello.expiry_s >= hello.interval_s; Scenario calls it first, so a bad
+// combination becomes a captured failure row in ExperimentEngine.
 //
 // The in-memory mobility trace (`cfg.trace`) is data, not a knob, and is not
 // part of the key/value view; serialize_config() documents its presence via
@@ -51,9 +60,14 @@ bool config_has_key(const std::string& key);
 std::string config_get(const ScenarioConfig& cfg, const std::string& key);
 
 /// Write one field from a string. Throws std::invalid_argument for unknown
-/// keys or unparseable values (the message names both key and value).
+/// keys and for values that do not parse or lie outside the key's bound (the
+/// message names both key and value); the config is then left unchanged.
 void config_set(ScenarioConfig& cfg, const std::string& key,
                 const std::string& value);
+
+/// Throws std::invalid_argument, naming the keys involved, unless every
+/// field is inside its key's bound and the fields agree with each other.
+void validate_config(const ScenarioConfig& cfg);
 
 /// "key=value\n" lines for every key, in config_keys() order. Numeric values
 /// use shortest round-trip formatting, so parse_config inverts this exactly.

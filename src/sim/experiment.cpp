@@ -9,8 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "routing/registry.h"
-
 namespace vanet::sim {
 
 namespace {
@@ -78,14 +76,10 @@ std::vector<ExperimentCell> expand(const ExperimentSpec& spec) {
   if (spec.guards.retries < 0) {
     throw std::invalid_argument("ExperimentSpec: guards.retries < 0");
   }
+  // Protocol names, like every axis value, are checked by config_set (the
+  // `protocol` key's bound) as the cells are built below.
   std::vector<std::string> protocols = spec.protocols;
   if (protocols.empty()) protocols.push_back(spec.base.protocol);
-  for (const std::string& p : protocols) {
-    if (routing::ProtocolRegistry::find(p) == nullptr) {
-      throw std::invalid_argument("ExperimentSpec: unknown protocol '" + p +
-                                  "'");
-    }
-  }
   for (std::size_t i = 0; i < spec.axes.size(); ++i) {
     for (std::size_t j = i + 1; j < spec.axes.size(); ++j) {
       if (spec.axes[i].key == spec.axes[j].key) {
@@ -112,21 +106,12 @@ std::vector<ExperimentCell> expand(const ExperimentSpec& spec) {
           "ExperimentSpec: 'seed' cannot be a sweep axis — use the seeds "
           "list");
     }
-    if (axis.key == "protocol") {
-      if (!spec.protocols.empty()) {
-        // The axis would overwrite every cell's protocol, silently discarding
-        // the protocols list and duplicating cells.
-        throw std::invalid_argument(
-            "ExperimentSpec: use either the protocols list or a 'protocol' "
-            "sweep axis, not both");
-      }
-      // Catch typos up front rather than mid-matrix inside a worker thread.
-      for (const std::string& p : axis.values) {
-        if (routing::ProtocolRegistry::find(p) == nullptr) {
-          throw std::invalid_argument("ExperimentSpec: unknown protocol '" + p +
-                                      "' on the protocol axis");
-        }
-      }
+    if (axis.key == "protocol" && !spec.protocols.empty()) {
+      // The axis would overwrite every cell's protocol, silently discarding
+      // the protocols list and duplicating cells.
+      throw std::invalid_argument(
+          "ExperimentSpec: use either the protocols list or a 'protocol' "
+          "sweep axis, not both");
     }
   }
   // Which protocols actually appear in the matrix (list or protocol axis)?

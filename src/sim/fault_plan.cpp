@@ -144,15 +144,6 @@ void FaultPlan::schedule_churn_crash(net::NodeId id, core::SimTime at) {
 void FaultPlan::start() {
   VANET_ASSERT_MSG(!started_, "FaultPlan::start called twice");
   started_ = true;
-  if (!cfg_.enabled) return;
-
-  if (cfg_.vehicle_mtbf_s < 0.0 || cfg_.rsu_mtbf_s < 0.0) {
-    throw std::invalid_argument("fault: mtbf must be >= 0");
-  }
-  if ((cfg_.vehicle_mtbf_s > 0.0 && cfg_.vehicle_downtime_s <= 0.0) ||
-      (cfg_.rsu_mtbf_s > 0.0 && cfg_.rsu_downtime_s <= 0.0)) {
-    throw std::invalid_argument("fault: downtime must be > 0 when churn is on");
-  }
 
   // Validate the whole plan before scheduling anything, so a bad spec fails
   // cleanly with no events enqueued.

@@ -13,9 +13,10 @@
 //
 // Every random draw comes from the dedicated "fault" RNG stream, so enabling
 // or tuning faults never perturbs mobility, MAC, protocol or traffic
-// randomness — and with `fault.enabled=false` the plan is never constructed,
-// no stream is derived and no event is scheduled: runs are bit-identical to
-// a build without this subsystem (pinned by the golden digests).
+// randomness — and with no plan and no churn configured the plan is never
+// constructed, no stream is derived and no event is scheduled: runs are
+// bit-identical to a build without this subsystem (pinned by the golden
+// digests).
 //
 // Overlap semantics are last-writer-wins: transitions are applied
 // idempotently (a crash of an already-down node is a no-op) and a restart
@@ -39,13 +40,18 @@ namespace vanet::sim {
 
 /// `fault.*` scenario keys (see config_kv.cpp / docs/ROBUSTNESS.md).
 struct FaultConfig {
-  bool enabled = false;          ///< master switch; false = zero side effects
   std::string plan;              ///< planned faults, parse_fault_plan syntax
   double vehicle_mtbf_s = 0.0;   ///< mean time between vehicle radio crashes;
                                  ///< 0 disables vehicle churn
   double vehicle_downtime_s = 10.0;
   double rsu_mtbf_s = 0.0;       ///< mean time between RSU outages; 0 = off
   double rsu_downtime_s = 20.0;
+
+  /// Faults are injected iff a plan or a churn rate is configured; an
+  /// inactive config has zero side effects.
+  bool active() const {
+    return !plan.empty() || vehicle_mtbf_s > 0.0 || rsu_mtbf_s > 0.0;
+  }
 };
 
 /// One entry of the planned schedule.

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "core/assert.h"
 #include "map/builders.h"
 #include "net/fading.h"
+#include "sim/config_kv.h"
 
 namespace vanet::sim {
 
@@ -65,11 +65,6 @@ std::unique_ptr<net::PropagationModel> make_propagation(
     case PhyModel::kShadowing:
       return std::make_unique<net::LogNormalShadowingModel>(cfg.signal);
     case PhyModel::kNakagami:
-      // Thrown (not asserted): a bad sweep axis must become a structured
-      // failure row in the experiment engine, not a process abort.
-      if (cfg.nakagami_m < 1) {
-        throw std::invalid_argument("phy.nakagami_m must be >= 1");
-      }
       return std::make_unique<net::NakagamiFadingModel>(cfg.signal,
                                                         cfg.nakagami_m);
     case PhyModel::kUnitDisk:
@@ -228,28 +223,17 @@ std::string report_digest(const ScenarioReport& r) {
 
 std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg) {
   if (cfg.map.source == MapSource::kFile) {
-    if (cfg.mobility != MobilityKind::kGraph &&
-        cfg.mobility != MobilityKind::kTrace) {
-      throw std::invalid_argument(
-          "map.source=file requires graph or trace mobility — the highway / "
-          "manhattan models synthesize their own geometry and would not "
-          "drive on the imported map");
+    try {
+      return std::make_shared<map::RoadGraph>(
+          map::load_edge_list_csv_file(cfg.map.file));
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("map.file '" + cfg.map.file + "': " + e.what());
     }
-    if (cfg.map.file.empty()) {
-      throw std::invalid_argument("map.source=file requires map.file=PATH");
-    }
-    return std::make_shared<map::RoadGraph>(
-        map::load_edge_list_csv_file(cfg.map.file));
   }
   if (cfg.mobility == MobilityKind::kManhattan ||
       cfg.mobility == MobilityKind::kGraph) {
     // Urban lattice; kGraph shares the Manhattan dimensions so the two urban
     // models are directly comparable on the same topology.
-    if (cfg.manhattan.streets_x < 2 && cfg.manhattan.streets_y < 2) {
-      throw std::invalid_argument(
-          "a road lattice needs at least 2 intersections "
-          "(manhattan.streets_x x manhattan.streets_y)");
-    }
     return std::make_shared<map::RoadGraph>(
         cfg.manhattan.streets_x, cfg.manhattan.streets_y, cfg.manhattan.block);
   }
@@ -273,11 +257,6 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
                       rngs.stream("mobility-init"));
     model = std::move(highway);
   } else if (cfg.mobility == MobilityKind::kManhattan) {
-    if (cfg.manhattan.streets_x < 2 || cfg.manhattan.streets_y < 2) {
-      throw std::invalid_argument(
-          "manhattan mobility needs manhattan.streets_x >= 2 and "
-          "manhattan.streets_y >= 2");
-    }
     auto grid = std::make_unique<mobility::ManhattanGridModel>(cfg.manhattan);
     grid->populate(cfg.vehicles, rngs.stream("mobility-init"));
     model = std::move(grid);
@@ -288,18 +267,13 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
     if (graph_model_out != nullptr) *graph_model_out = graph_model.get();
     model = std::move(graph_model);
   } else {
-    auto playback = std::make_unique<mobility::TracePlaybackModel>(cfg.trace);
-    // Node ids mirror vehicle ids, so the trace must use dense ids.
-    const auto& vs = playback->vehicles();
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-      VANET_ASSERT_MSG(vs[i].id == i, "trace vehicle ids must be dense 0..N-1");
-    }
-    model = std::move(playback);
+    model = std::make_unique<mobility::TracePlaybackModel>(cfg.trace);
   }
   return model;
 }
 
 Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} {
+  validate_config(cfg_);
   road_graph_ = build_road_graph(cfg_);
   segment_index_ = std::make_unique<map::SegmentIndex>(*road_graph_);
   if (cfg_.mobility == MobilityKind::kTrace &&
@@ -309,7 +283,6 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   std::unique_ptr<mobility::MobilityModel> model =
       make_mobility_model(cfg_, road_graph_, rngs_, &graph_model_);
   vehicle_count_ = model->vehicles().size();
-  VANET_ASSERT_MSG(vehicle_count_ >= 2, "scenario needs at least two vehicles");
   mobility_ = std::make_unique<mobility::MobilityManager>(
       sim_, std::move(model), rngs_.stream("mobility"),
       core::SimTime::seconds(cfg_.mobility_tick_s));
@@ -421,10 +394,10 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   }
   schedule_density_updates();
 
-  // Disabled means *nothing* happens: the "fault" stream is never derived,
-  // no event is scheduled and metrics keep their lean path — provably
-  // bit-identical to a build without the fault subsystem.
-  if (cfg_.fault.enabled) {
+  // Without a plan or churn *nothing* happens: the "fault" stream is never
+  // derived, no event is scheduled and metrics keep their lean path —
+  // provably bit-identical to a build without the fault subsystem.
+  if (cfg_.fault.active()) {
     fault_plan_ = std::make_unique<FaultPlan>(
         sim_, *net_, graph_model_, rngs_.stream("fault"), cfg_.fault,
         cfg_.duration_s);

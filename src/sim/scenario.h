@@ -78,9 +78,9 @@ struct ScenarioConfig {
   analysis::LogNormalParams signal; ///< shadowing/fading params (and REAR model)
   net::NetworkConfig net;
 
-  /// Deterministic fault injection (`fault.*` keys; sim/fault_plan.h). With
-  /// enabled=false nothing is constructed: no "fault" RNG stream, no events,
-  /// runs bit-identical to a fault-free build.
+  /// Deterministic fault injection (`fault.*` keys; sim/fault_plan.h).
+  /// Without a plan or churn nothing is constructed: no "fault" RNG stream,
+  /// no events, runs bit-identical to a fault-free build.
   FaultConfig fault;
 
   int rsu_count = 0;                ///< evenly placed roadside units
@@ -104,7 +104,7 @@ struct ScenarioConfig {
   TrafficConfig traffic;
 };
 
-/// Fault-injection results of a run with `fault.enabled=true`.
+/// Fault-injection results of a run with faults configured.
 struct FaultReport {
   std::uint64_t faulted_originated = 0;  ///< sent while a fault was active
   std::uint64_t faulted_delivered = 0;   ///< of those, delivered
@@ -169,7 +169,8 @@ std::string report_digest(const ScenarioReport& r);
 
 /// The first two construction stages, public so benches can time them
 /// standalone: the road topology, and the populated mobility model (drawing
-/// from `rngs`' "mobility-init" stream).
+/// from `rngs`' "mobility-init" stream). Both expect a config that
+/// validate_config (sim/config_kv.h) accepts.
 std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg);
 std::unique_ptr<mobility::MobilityModel> make_mobility_model(
     const ScenarioConfig& cfg, const std::shared_ptr<map::RoadGraph>& graph,
@@ -181,6 +182,8 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
 /// source, the collectors and the segment cache the protocols share.
 class Scenario {
  public:
+  /// Checks `cfg` with validate_config before building anything, so a bad
+  /// config throws std::invalid_argument naming its keys.
   explicit Scenario(ScenarioConfig cfg);
   ~Scenario();
   // Handlers capture the scenario's address.
@@ -218,7 +221,7 @@ class Scenario {
     return *protocols_.at(id);
   }
   const ScenarioConfig& config() const { return cfg_; }
-  /// Null unless `fault.enabled=true`.
+  /// Null unless faults are configured (FaultConfig::active).
   FaultPlan* fault_plan() { return fault_plan_.get(); }
   /// Null unless the scenario uses graph mobility.
   mobility::GraphMobilityModel* graph_model() { return graph_model_; }

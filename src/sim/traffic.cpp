@@ -1,7 +1,5 @@
 #include "sim/traffic.h"
 
-#include <stdexcept>
-
 #include "core/assert.h"
 
 namespace vanet::sim {
@@ -18,15 +16,6 @@ CbrTraffic::CbrTraffic(core::Simulator& sim, net::Network& net,
       rng_{rng},
       cfg_{cfg} {
   VANET_ASSERT(vehicle_count_ >= 2);
-  // Thrown (not asserted): a bad sweep value must become a structured failure
-  // row in the experiment engine, not a process abort.
-  if (cfg_.flows < 1) throw std::invalid_argument("traffic.flows must be >= 1");
-  if (!(cfg_.rate_pps > 0.0)) {
-    throw std::invalid_argument("traffic.rate_pps must be > 0");
-  }
-  if (!(cfg_.stop_s > cfg_.start_s)) {
-    throw std::invalid_argument("traffic.stop_s must be > traffic.start_s");
-  }
 }
 
 void CbrTraffic::pick_flows() {

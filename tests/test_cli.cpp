@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -109,6 +110,65 @@ TEST(Cli, RadioAndInfrastructureFlagsHoldTheConfigBounds) {
   }
   const CliResult ok = run_cli(base + "--range 200 --rsus 0 --buses 2");
   EXPECT_EQ(ok.exit_code, 0) << ok.out;
+}
+
+TEST(Cli, CommandLinesThatAbortedOrHungFailCleanly) {
+  // Each of these aborted on a VANET_ASSERT (exit 134) or never finished.
+  // A value outside its key's bound is a usage error (exit 2); a config no
+  // single key rejects is a failure row (exit 1). Either way the key is named.
+  const std::string base =
+      "run --duration 8 --vehicles 20 --seeds 1 --protocols aodv "
+      "--mobility graph ";
+  for (const auto& [args, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--set traffic.rate_pps=1e9", "traffic.rate_pps"},
+           {"--set traffic.stop_s=1e9", "traffic.stop_s"},
+           {"--set duration_s=1e9", "duration_s"},
+           {"--set graph.replan_prob=-1", "graph.replan_prob"},
+           {"--set graph.replan_prob=1e9", "graph.replan_prob"},
+           {"--set graph.speed_stddev=-1", "graph.speed_stddev"},
+           {"--mobility manhattan --set manhattan.speed_stddev=-1",
+            "manhattan.speed_stddev"},
+           {"--set manhattan.block=1e308", "manhattan.block"},
+           {"--mobility highway --set highway.length=1e308", "highway.length"},
+           {"--vehicles 1", "vehicles"},
+           {"--set traffic.rate_pps=1e308", "traffic.rate_pps"},
+           {"--rate 1e308", "traffic.rate_pps"},
+           {"--set net.slot_time_s=-1", "net.slot_time_s"}}) {
+    const CliResult r = run_cli(base + args);
+    EXPECT_TRUE(r.exit_code == 1 || r.exit_code == 2)
+        << args << ": exit " << r.exit_code << "\n" << r.out;
+    EXPECT_NE(r.out.find(key), std::string::npos) << args << "\n" << r.out;
+  }
+}
+
+TEST(Cli, EveryFlagTakesHostileValuesWithoutAborting) {
+  // Every flag --help lists, with each hostile value as its argument, after
+  // a base that runs a tiny scenario: exit 0 (ran), 1 (failure rows) or 2
+  // (usage error) — never an abort or a hang.
+  const CliResult help = run_cli("--help");
+  ASSERT_EQ(help.exit_code, 0) << help.out;
+  std::set<std::string> flags;
+  for (std::size_t at = help.out.find("--"); at != std::string::npos;
+       at = help.out.find("--", at + 2)) {
+    const std::size_t end =
+        help.out.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at + 2);
+    if (end > at + 2) flags.insert(help.out.substr(at, end - at));
+  }
+  ASSERT_GT(flags.size(), 20u) << help.out;
+  const std::string base =
+      "run --duration 2 --vehicles 10 --seeds 1 --flows 2 --mobility graph "
+      "--set traffic.start_s=0.2 --set traffic.stop_s=1.8 --max-events 300000 ";
+  const CliResult healthy = run_cli(base);
+  ASSERT_EQ(healthy.exit_code, 0) << healthy.out;
+  for (const std::string& flag : flags) {
+    for (const char* value : {"0", "-1", "1e9", "1e308", "nan", "", "x"}) {
+      const std::string args = base + flag + " '" + value + "'";
+      const CliResult r = run_cli(args);
+      EXPECT_TRUE(r.exit_code >= 0 && r.exit_code <= 2)
+          << args << ": exit " << r.exit_code << "\n" << r.out;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -385,17 +386,18 @@ TEST(ConfigKv, PhyModelKeyAndShadowingAlias) {
 
 TEST(ConfigKv, FaultKeysRoundTrip) {
   ScenarioConfig cfg;
-  EXPECT_EQ(config_get(cfg, "fault.enabled"), "false");
-  config_set(cfg, "fault.enabled", "true");
+  // No switch: faults are on iff a plan or a churn rate is set.
+  EXPECT_FALSE(config_has_key("fault.enabled"));
+  EXPECT_FALSE(cfg.fault.active());
   config_set(cfg, "fault.plan", "node:3:10:60;seg:2:15");
+  EXPECT_TRUE(cfg.fault.active());
   config_set(cfg, "fault.vehicle_mtbf_s", "120");
   config_set(cfg, "fault.rsu_downtime_s", "33.5");
-  EXPECT_TRUE(cfg.fault.enabled);
   EXPECT_EQ(cfg.fault.plan, "node:3:10:60;seg:2:15");
   EXPECT_DOUBLE_EQ(cfg.fault.vehicle_mtbf_s, 120.0);
   EXPECT_DOUBLE_EQ(cfg.fault.rsu_downtime_s, 33.5);
   const ScenarioConfig parsed = parse_config(serialize_config(cfg));
-  EXPECT_TRUE(parsed.fault.enabled);
+  EXPECT_TRUE(parsed.fault.active());
   EXPECT_EQ(parsed.fault.plan, "node:3:10:60;seg:2:15");
   EXPECT_DOUBLE_EQ(parsed.fault.vehicle_mtbf_s, 120.0);
   EXPECT_DOUBLE_EQ(parsed.fault.rsu_downtime_s, 33.5);
@@ -403,6 +405,38 @@ TEST(ConfigKv, FaultKeysRoundTrip) {
   // maybe-uninitialized on the temporary's string members after inlining.
   const ScenarioConfig defaults;
   EXPECT_NE(config_digest(parsed), config_digest(defaults));
+}
+
+TEST(ConfigKv, ValidateConfigAppliesEachKeysBoundToTheStruct) {
+  EXPECT_NO_THROW(validate_config(ScenarioConfig{}));
+  // Values written straight into the struct, past config_set: the same
+  // bound rejects them, naming the key and the value.
+  const std::vector<std::pair<std::string, void (*)(ScenarioConfig&)>> bad{
+      {"graph.replan_prob",
+       [](ScenarioConfig& c) { c.graph.replan_prob = -1.0; }},
+      {"traffic.rate_pps",
+       [](ScenarioConfig& c) { c.traffic.rate_pps = std::nan(""); }},
+      {"manhattan.block",
+       [](ScenarioConfig& c) { c.manhattan.block = HUGE_VAL; }},
+      {"highway.lane_width",
+       [](ScenarioConfig& c) { c.highway.lane_width = HUGE_VAL; }},
+      {"protocol", [](ScenarioConfig& c) { c.protocol = "olsr"; }},
+      {"net.slot_time_s",
+       [](ScenarioConfig& c) { c.net.slot_time = core::SimTime::micros(-1); }},
+      {"phy.nakagami_m", [](ScenarioConfig& c) { c.nakagami_m = 0; }},
+  };
+  for (const auto& [key, corrupt] : bad) {
+    ScenarioConfig cfg;
+    corrupt(cfg);
+    try {
+      validate_config(cfg);
+      ADD_FAILURE() << key << ": accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("config key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ConfigKv, ParseSkipsCommentsAndRejectsGarbage) {

@@ -59,19 +59,38 @@ TEST(EngineGuards, CaptureTurnsExceptionsIntoFailureRecords) {
 }
 
 TEST(EngineGuards, HostileConfigValuesBecomeFailureRowsNotAborts) {
-  // Values the config layer accepts but the simulation cannot run: each must
-  // surface as one captured failure naming its key, never a process abort.
+  // A value outside its key's bound is a spec error before any run: the
+  // sweep expansion throws naming the key.
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"mobility_tick_s", "0"},
+           {"traffic.rate_pps", "0"},
+           {"traffic.flows", "0"},
+           {"hello.interval_s", "0"}}) {
+    ExperimentSpec spec;
+    spec.base = micro_highway();
+    spec.protocols = {"greedy"};
+    spec.axes = {{key, {value}}};
+    spec.seeds = {1};
+    try {
+      expand(spec);
+      ADD_FAILURE() << key << "=" << value << ": expansion accepted it";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(key), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // A combination no single key can reject runs into validate_config in the
+  // Scenario constructor: one captured failure naming its keys, never a
+  // process abort.
   struct Hostile {
     std::string key, value, protocol;
     /// Settings applied to the base config first.
     std::vector<std::pair<std::string, std::string>> base = {};
   };
   const std::vector<Hostile> hostile{
-      {"mobility_tick_s", "0", "aodv"},
-      {"traffic.rate_pps", "0", "aodv"},
-      {"traffic.flows", "0", "aodv"},
       {"traffic.stop_s", "0.1", "aodv"},
-      {"hello.interval_s", "0", "greedy"},
       {"hello.expiry_s", "0.1", "greedy"},
       // How many streets a lattice needs depends on the mobility model.
       {"manhattan.streets_x", "1", "aodv",

@@ -1,8 +1,8 @@
 // Deterministic fault injection (sim/fault_plan.h): plan parsing, planned
 // outages and road incidents end-to-end through a Scenario, seeded churn,
-// the fault_active_at() oracle, and the two determinism contracts —
-// fault.enabled=false perturbs nothing, and faulted runs are bit-identical
-// for equal seeds regardless of worker count.
+// the fault_active_at() oracle, and the two determinism contracts — a fault
+// layer that injects nothing perturbs nothing, and faulted runs are
+// bit-identical for equal seeds regardless of worker count.
 #include "sim/fault_plan.h"
 
 #include <gtest/gtest.h>
@@ -92,7 +92,6 @@ ScenarioConfig faulted_highway() {
 
 TEST(FaultPlan, PlannedNodeOutageIsAppliedAndCounted) {
   ScenarioConfig cfg = faulted_highway();
-  cfg.fault.enabled = true;
   cfg.fault.plan = "node:0:2:8; node:1:3";
   Scenario s{cfg};
   s.run();
@@ -106,7 +105,6 @@ TEST(FaultPlan, PlannedNodeOutageIsAppliedAndCounted) {
 
 TEST(FaultPlan, TimelineOracleTracksAppliedTransitions) {
   ScenarioConfig cfg = faulted_highway();
-  cfg.fault.enabled = true;
   cfg.fault.plan = "node:2:4:9";
   Scenario s{cfg};
   s.run();
@@ -123,7 +121,6 @@ TEST(FaultPlan, OverlappingFaultsLastWriterWins) {
   // node is already down) and the *first* restart wins — one outage window
   // from 2 s to 6 s, not two.
   ScenarioConfig cfg = faulted_highway();
-  cfg.fault.enabled = true;
   cfg.fault.plan = "node:0:2:6; node:0:3:10";
   Scenario s{cfg};
   s.run();
@@ -141,7 +138,6 @@ TEST(FaultPlan, SeededChurnCrashesAndRestartsNodes) {
   ScenarioConfig cfg = faulted_highway();
   cfg.duration_s = 30.0;
   cfg.traffic.stop_s = 29.0;
-  cfg.fault.enabled = true;
   cfg.fault.vehicle_mtbf_s = 10.0;  // aggressive: ~3 crashes per vehicle
   cfg.fault.vehicle_downtime_s = 2.0;
   Scenario s{cfg};
@@ -161,7 +157,6 @@ TEST(FaultPlan, RoadIncidentBlocksAndClearsSegments) {
   ScenarioConfig cfg = faulted_highway();
   cfg.mobility = MobilityKind::kGraph;
   cfg.vehicles = 20;
-  cfg.fault.enabled = true;
   cfg.fault.plan = "seg:0:2:8; seg:3:4";
   Scenario s{cfg};
   s.run();
@@ -176,38 +171,37 @@ TEST(FaultPlan, RoadIncidentBlocksAndClearsSegments) {
 TEST(FaultPlan, BadPlansAreRejectedBeforeRunning) {
   {
     ScenarioConfig cfg = faulted_highway();
-    cfg.fault.enabled = true;
     cfg.fault.plan = "node:9999:2";  // node id out of range
     Scenario s{cfg};
     EXPECT_THROW(s.run(), std::invalid_argument);
   }
   {
     ScenarioConfig cfg = faulted_highway();  // highway: no graph mobility
-    cfg.fault.enabled = true;
     cfg.fault.plan = "seg:0:2";
     Scenario s{cfg};
     EXPECT_THROW(s.run(), std::invalid_argument);
   }
   {
+    // A churn value outside its key's bound fails before the scenario is
+    // built.
     ScenarioConfig cfg = faulted_highway();
-    cfg.fault.enabled = true;
     cfg.fault.vehicle_mtbf_s = -1.0;
-    Scenario s{cfg};
-    EXPECT_THROW(s.run(), std::invalid_argument);
+    EXPECT_THROW(Scenario{cfg}, std::invalid_argument);
   }
 }
 
 // ----------------------------------------------------------- determinism ---
 
 TEST(FaultPlan, DisabledFaultLayerPerturbsNoOtherStream) {
-  // Enabling the subsystem with *zero* configured faults must leave every
-  // non-fault line of the canonical report byte-identical to a run without
-  // it: the "fault" RNG stream is derived (or not) without perturbing the
-  // draws of any other stream.
+  // Switching the subsystem on with a fault that never fires (its only
+  // entry starts after the horizon) must leave every non-fault line of the
+  // canonical report byte-identical to a run without it: the "fault" RNG
+  // stream is derived (or not) without perturbing the draws of any other
+  // stream.
   ScenarioConfig cfg = faulted_highway();
   Scenario off{cfg};
   off.run();
-  cfg.fault.enabled = true;  // no plan, no churn
+  cfg.fault.plan = "node:0:99";  // after the 12 s horizon
   Scenario on{cfg};
   on.run();
 
@@ -222,7 +216,6 @@ TEST(FaultPlan, DisabledFaultLayerPerturbsNoOtherStream) {
 
 TEST(FaultPlan, FaultedRunsAreSeedDeterministic) {
   ScenarioConfig cfg = faulted_highway();
-  cfg.fault.enabled = true;
   cfg.fault.plan = "node:0:2:8";
   cfg.fault.vehicle_mtbf_s = 15.0;
   Scenario a{cfg};
@@ -237,7 +230,6 @@ TEST(FaultPlan, FaultedSweepIsIdenticalAcrossWorkerCounts) {
   // jobs=4, faults and all.
   ExperimentSpec spec;
   spec.base = faulted_highway();
-  spec.base.fault.enabled = true;
   spec.base.fault.plan = "node:0:2:8";
   spec.base.fault.vehicle_mtbf_s = 20.0;
   spec.base.fault.vehicle_downtime_s = 3.0;

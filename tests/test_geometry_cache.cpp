@@ -87,7 +87,7 @@ TEST(RouteCorridor, ContainsMatchesExactDistanceEverywhere) {
   g.add_segment(2, 3);
   const map::SegmentIndex idx{g};
   const map::RouteCorridor c =
-      map::RouteCorridor::between(g, idx, {10.0, 20.0}, {990.0, 30.0});
+      map::RouteCorridor::between(g, idx, {10.0, 20.0}, {990.0, 30.0}, -1, -1);
   ASSERT_TRUE(c.route_found());
   std::mt19937 gen{23};
   std::uniform_real_distribution<double> coord{-300.0, 1300.0};

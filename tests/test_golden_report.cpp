@@ -199,7 +199,6 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.mobility = MobilityKind::kGraph;
     cfg.vehicles = 30;
     cfg.protocol = "aodv";
-    cfg.fault.enabled = true;
     cfg.fault.plan = "node:2:3:9; seg:1:4:11";
     cfg.fault.vehicle_mtbf_s = 30.0;
     cfg.fault.vehicle_downtime_s = 4.0;
@@ -217,7 +216,6 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.rsu_count = 2;
     cfg.phy = PhyModel::kShadowing;
     cfg.protocol = "greedy";
-    cfg.fault.enabled = true;
     cfg.fault.vehicle_mtbf_s = 25.0;
     cfg.fault.vehicle_downtime_s = 5.0;
     cfg.fault.rsu_mtbf_s = 40.0;

@@ -6,11 +6,13 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
 #include "mobility/constant_velocity.h"
 #include "net/fading.h"
+#include "sim/config_kv.h"
 
 namespace vanet::net {
 namespace {
@@ -186,18 +188,20 @@ TEST(Hello, RsuFlagPropagates) {
 }
 
 TEST(Hello, ExpiryShorterThanIntervalThrows) {
-  core::Simulator sim;
-  core::RngManager rngs{1};
-  Network net{sim, nullptr, std::make_unique<UnitDiskModel>(100.0),
-              rngs.stream("net")};
-  HelloConfig bad;
-  bad.interval = core::SimTime::seconds(2.0);
-  bad.expiry = core::SimTime::seconds(1.0);
-  EXPECT_THROW(HelloService(net, rngs.stream("hello"), bad),
-               std::invalid_argument);
-  bad.interval = core::SimTime::zero();
-  EXPECT_THROW(HelloService(net, rngs.stream("hello"), bad),
-               std::invalid_argument);
+  // The hello timing rules live with the config keys (sim/config_kv.h): a
+  // scenario never builds a HelloService from a config that breaks them.
+  sim::ScenarioConfig cfg;
+  cfg.hello.interval = core::SimTime::seconds(2.0);
+  cfg.hello.expiry = core::SimTime::seconds(1.0);
+  try {
+    sim::validate_config(cfg);
+    FAIL() << "accepted expiry < interval";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("hello.expiry_s"), std::string::npos)
+        << e.what();
+  }
+  cfg.hello.interval = core::SimTime::zero();
+  EXPECT_THROW(sim::validate_config(cfg), std::invalid_argument);
 }
 
 TEST(NeighborTable, SnapshotSortedAndExpireReturnsIds) {

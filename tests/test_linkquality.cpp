@@ -566,7 +566,6 @@ TEST(EtxScenario, NodeOutageLeavesNoDanglingEstimatorState) {
   cfg.manhattan.block = 120.0;
   cfg.vehicles = 12;
   cfg.protocol = "etx";
-  cfg.fault.enabled = true;
   cfg.fault.plan = "node:2:3";  // down at t=3, never restarts
   cfg.traffic.flows = 4;
   cfg.traffic.stop_s = 12.0;

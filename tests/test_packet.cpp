@@ -51,11 +51,5 @@ TEST(Packet, Defaults) {
   EXPECT_GT(p.ttl, 0);
 }
 
-TEST(PacketKind, Names) {
-  EXPECT_EQ(to_string(PacketKind::kData), "data");
-  EXPECT_EQ(to_string(PacketKind::kControl), "control");
-  EXPECT_EQ(to_string(PacketKind::kHello), "hello");
-}
-
 }  // namespace
 }  // namespace vanet::net

@@ -35,7 +35,7 @@ TEST(RouteCorridor, FollowsTheRoadRouteNotTheStraightLine) {
   const RoadGraph g = u_graph();
   const SegmentIndex idx{g};
   const RouteCorridor c =
-      RouteCorridor::between(g, idx, {0.0, 10.0}, {1000.0, 10.0});
+      RouteCorridor::between(g, idx, {0.0, 10.0}, {1000.0, 10.0}, -1, -1);
   ASSERT_TRUE(c.route_found());
   // The whole U: the route 0-1-2-3 and the endpoint segments (already on it).
   EXPECT_EQ(c.segments(), (std::vector<int>{0, 1, 2}));
@@ -58,7 +58,7 @@ TEST(RouteCorridor, MidBlockEndpointsAreAlwaysCovered) {
   g.add_segment(3, spur);  // seg 3: east spur
   const SegmentIndex idx{g};
   const RouteCorridor c =
-      RouteCorridor::between(g, idx, {0.0, 400.0}, {1390.0, 20.0});
+      RouteCorridor::between(g, idx, {0.0, 400.0}, {1390.0, 20.0}, -1, -1);
   ASSERT_TRUE(c.route_found());
   // Route 0→spur plus nothing new (endpoint segments 0 and 3 are on it).
   EXPECT_EQ(c.segments(), (std::vector<int>{0, 1, 2, 3}));
@@ -75,7 +75,7 @@ TEST(RouteCorridor, DisconnectedEndpointsReportNoRoute) {
   g.add_segment(2, 3);
   const SegmentIndex idx{g};
   const RouteCorridor c =
-      RouteCorridor::between(g, idx, {100.0, 0.0}, {100.0, 5000.0});
+      RouteCorridor::between(g, idx, {100.0, 0.0}, {100.0, 5000.0}, -1, -1);
   EXPECT_FALSE(c.route_found());
   // Still carries the endpoint segments so distance queries stay meaningful.
   EXPECT_EQ(c.segments(), (std::vector<int>{0, 1}));
@@ -92,7 +92,7 @@ TEST(RouteCorridor, SameIntersectionEndpointsYieldTheLocalStreet) {
   const RoadGraph g = u_graph();
   const SegmentIndex idx{g};
   const RouteCorridor c =
-      RouteCorridor::between(g, idx, {0.0, 480.0}, {10.0, 450.0});
+      RouteCorridor::between(g, idx, {0.0, 480.0}, {10.0, 450.0}, -1, -1);
   ASSERT_TRUE(c.route_found());
   EXPECT_EQ(c.segments(), (std::vector<int>{0}));
   EXPECT_DOUBLE_EQ(c.length(), 1000.0);

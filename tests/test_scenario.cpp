@@ -335,6 +335,7 @@ TEST(Scenario, TraceMapCouplingNamesTheCsvLine) {
     out << "# time,id,x,y,speed,angle\n";
     out << "0,0,100,0,10,0\n";
     out << "1,0,200,500,10,0\n";  // line 3: 500 m off the street
+    out << "0,1,300,0,10,0\n";    // a second vehicle: flows need two
   }
 
   ScenarioConfig cfg;

@@ -11,6 +11,15 @@
 namespace vanet::core {
 namespace {
 
+/// query_radius_into into a fresh vector.
+std::vector<SpatialGrid::Id> query(
+    const SpatialGrid& g, Vec2 center, double radius,
+    SpatialGrid::Id exclude = SpatialGrid::kNoExclude) {
+  std::vector<SpatialGrid::Id> out;
+  g.query_radius_into(center, radius, exclude, out);
+  return out;
+}
+
 TEST(SpatialGrid, InsertQueryRemove) {
   SpatialGrid g{100.0};
   g.insert(1, {0.0, 0.0});
@@ -18,9 +27,9 @@ TEST(SpatialGrid, InsertQueryRemove) {
   g.insert(3, {500.0, 0.0});
   EXPECT_EQ(g.size(), 3u);
   EXPECT_TRUE(g.contains(2));
-  EXPECT_EQ(g.query_radius({0.0, 0.0}, 100.0), (std::vector<SpatialGrid::Id>{1, 2}));
+  EXPECT_EQ(query(g, {0.0, 0.0}, 100.0), (std::vector<SpatialGrid::Id>{1, 2}));
   g.remove(2);
-  EXPECT_EQ(g.query_radius({0.0, 0.0}, 100.0), (std::vector<SpatialGrid::Id>{1}));
+  EXPECT_EQ(query(g, {0.0, 0.0}, 100.0), (std::vector<SpatialGrid::Id>{1}));
   EXPECT_FALSE(g.contains(2));
 }
 
@@ -28,7 +37,7 @@ TEST(SpatialGrid, QueryExcludesSelf) {
   SpatialGrid g{100.0};
   g.insert(7, {0.0, 0.0});
   g.insert(8, {10.0, 0.0});
-  EXPECT_EQ(g.query_radius({0.0, 0.0}, 50.0, 7),
+  EXPECT_EQ(query(g, {0.0, 0.0}, 50.0, 7),
             (std::vector<SpatialGrid::Id>{8}));
 }
 
@@ -37,16 +46,16 @@ TEST(SpatialGrid, RadiusIsStrict) {
   g.insert(1, {0.0, 0.0});
   g.insert(2, {100.0, 0.0});
   // Exactly at the radius: excluded (strict <).
-  EXPECT_TRUE(g.query_radius({0.0, 0.0}, 100.0, 1).empty());
-  EXPECT_EQ(g.query_radius({0.0, 0.0}, 100.01, 1).size(), 1u);
+  EXPECT_TRUE(query(g, {0.0, 0.0}, 100.0, 1).empty());
+  EXPECT_EQ(query(g, {0.0, 0.0}, 100.01, 1).size(), 1u);
 }
 
 TEST(SpatialGrid, UpdateMovesAcrossCells) {
   SpatialGrid g{100.0};
   g.insert(1, {0.0, 0.0});
   g.update(1, {1000.0, 1000.0});
-  EXPECT_TRUE(g.query_radius({0.0, 0.0}, 200.0).empty());
-  EXPECT_EQ(g.query_radius({1000.0, 1000.0}, 10.0).size(), 1u);
+  EXPECT_TRUE(query(g, {0.0, 0.0}, 200.0).empty());
+  EXPECT_EQ(query(g, {1000.0, 1000.0}, 10.0).size(), 1u);
   EXPECT_EQ(g.position(1), (Vec2{1000.0, 1000.0}));
 }
 
@@ -65,7 +74,7 @@ TEST(SpatialGrid, NegativeCoordinates) {
   SpatialGrid g{50.0};
   g.insert(1, {-120.0, -80.0});
   g.insert(2, {-110.0, -85.0});
-  EXPECT_EQ(g.query_radius({-115.0, -82.0}, 20.0).size(), 2u);
+  EXPECT_EQ(query(g, {-115.0, -82.0}, 20.0).size(), 2u);
 }
 
 // Property: grid query matches brute force, in exact id order, for random
@@ -152,14 +161,14 @@ TEST(SpatialGrid, FarOutsideTheBoxStaysExact) {
   g.insert(2, {-1e12 + 50.0, 5.0});
   g.insert(3, {1e300, -1e300});
   g.insert(4, {500.0, 500.0});
-  EXPECT_EQ(g.query_radius({-1e12, 0.0}, 60.0),
+  EXPECT_EQ(query(g, {-1e12, 0.0}, 60.0),
             (std::vector<SpatialGrid::Id>{1, 2}));
-  EXPECT_EQ(g.query_radius({1e300, -1e300}, 1.0),
+  EXPECT_EQ(query(g, {1e300, -1e300}, 1.0),
             (std::vector<SpatialGrid::Id>{3}));
-  EXPECT_EQ(g.query_radius({500.0, 500.0}, 1e6),
+  EXPECT_EQ(query(g, {500.0, 500.0}, 1e6),
             (std::vector<SpatialGrid::Id>{4}));
   g.update(1, {500.0, 550.0});
-  EXPECT_EQ(g.query_radius({500.0, 500.0}, 100.0),
+  EXPECT_EQ(query(g, {500.0, 500.0}, 100.0),
             (std::vector<SpatialGrid::Id>{1, 4}));
 }
 

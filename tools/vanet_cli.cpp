@@ -55,6 +55,7 @@ using namespace vanet;
       << "  --buses N            bus ferries (default 0)\n"
       << "  --flows N            CBR flows (default 8)\n"
       << "  --rate PPS           packets per second per flow (default 1)\n"
+      << "  (all but --protocols and --trace are --set KEY=VALUE shorthand)\n"
       << "  --set KEY=VALUE      override any config field (repeatable);\n"
       << "                       map.source=file + map.file=F load a custom\n"
       << "                       edge-list CSV map (implies graph mobility)\n"
@@ -119,6 +120,28 @@ void set_key(sim::ScenarioConfig& cfg, const std::string& flag,
   }
 }
 
+/// The scenario flags, each shorthand for `--set KEY=VALUE`. A row with a
+/// value takes no argument.
+struct FlagKey {
+  const char* flag;
+  const char* key;
+  const char* value = nullptr;  ///< null: the flag's argument
+};
+constexpr FlagKey kFlagKeys[] = {
+    {"--protocol", "protocol"},     {"--mobility", "mobility"},
+    {"--vehicles", "vehicles"},     {"--duration", "duration_s"},
+    {"--range", "comm_range_m"},    {"--shadowing", "phy.model", "shadowing"},
+    {"--rsus", "rsu_count"},        {"--buses", "bus_count"},
+    {"--flows", "traffic.flows"},   {"--rate", "traffic.rate_pps"},
+};
+
+const FlagKey* find_flag(const std::string& arg) {
+  for (const FlagKey& row : kFlagKeys) {
+    if (arg == row.flag) return &row;
+  }
+  return nullptr;
+}
+
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
   std::string item;
@@ -179,45 +202,19 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) fail("missing value after " + arg);
       return argv[++i];
     };
-    if (arg == "--help" || arg == "-h") {
+    if (const FlagKey* row = find_flag(arg)) {
+      set_key(spec.base, arg, row->key, row->value ? row->value : next());
+    } else if (arg == "--help" || arg == "-h") {
       usage(argv[0], 0);
     } else if (arg == "--list") {
       return run_list();
     } else if (arg == "--keys") {
       return run_keys(spec.base);
-    } else if (arg == "--protocol") {
-      spec.base.protocol = next();
     } else if (arg == "--protocols") {
       spec.protocols = split_csv(next());
       if (spec.protocols.empty()) fail("--protocols needs at least one name");
-    } else if (arg == "--mobility") {
-      const std::string kind = next();
-      try {
-        sim::config_set(spec.base, "mobility", kind);
-      } catch (const std::invalid_argument&) {
-        fail("invalid value '" + kind +
-             "' for --mobility (highway | manhattan | trace | graph)");
-      }
     } else if (arg == "--trace") {
       trace_file = next();
-    } else if (arg == "--vehicles") {
-      const int n = checked_int32(arg, next());
-      if (n <= 0) fail("--vehicles must be positive");
-      sim::config_set(spec.base, "vehicles", std::to_string(n));
-    } else if (arg == "--duration") {
-      set_key(spec.base, arg, "duration_s", next());
-    } else if (arg == "--range") {
-      set_key(spec.base, arg, "comm_range_m", next());
-    } else if (arg == "--shadowing") {
-      spec.base.phy = sim::PhyModel::kShadowing;
-    } else if (arg == "--rsus") {
-      set_key(spec.base, arg, "rsu_count", next());
-    } else if (arg == "--buses") {
-      set_key(spec.base, arg, "bus_count", next());
-    } else if (arg == "--flows") {
-      spec.base.traffic.flows = checked_int32(arg, next());
-    } else if (arg == "--rate") {
-      spec.base.traffic.rate_pps = checked_double(arg, next());
     } else if (arg == "--set") {
       const std::string kv = next();
       const std::size_t eq = kv.find('=');
@@ -240,12 +237,6 @@ int main(int argc, char** argv) {
       sim::SweepAxis axis;
       axis.key = kv.substr(0, eq);
       axis.values = split_csv(kv.substr(eq + 1));
-      if (!sim::config_has_key(axis.key)) {
-        fail("--sweep: unknown config key '" + axis.key + "' (see --keys)");
-      }
-      if (axis.values.empty()) {
-        fail("--sweep " + axis.key + ": needs at least one value");
-      }
       spec.axes.push_back(std::move(axis));
     } else if (arg == "--seed") {
       const long long s = checked_int(arg, next());
@@ -258,14 +249,12 @@ int main(int argc, char** argv) {
       jobs = checked_int32(arg, next());
     } else if (arg == "--timeout") {
       spec.guards.timeout_s = checked_double(arg, next());
-      if (spec.guards.timeout_s < 0.0) fail("--timeout must be >= 0");
     } else if (arg == "--max-events") {
       const long long n = checked_int(arg, next());
       if (n < 0) fail("--max-events must be >= 0");
       spec.guards.max_events = static_cast<std::uint64_t>(n);
     } else if (arg == "--retries") {
       spec.guards.retries = checked_int32(arg, next());
-      if (spec.guards.retries < 0) fail("--retries must be >= 0");
     } else if (arg == "--fail-fast") {
       spec.guards.capture = false;
     } else if (arg == "--format") {
@@ -293,13 +282,6 @@ int main(int argc, char** argv) {
     fail("--trace is only meaningful with --mobility trace");
   }
 
-  std::vector<std::string> protocols = spec.protocols;
-  if (protocols.empty()) protocols.push_back(spec.base.protocol);
-  for (const std::string& p : protocols) {
-    if (routing::ProtocolRegistry::find(p) == nullptr) {
-      fail("unknown protocol '" + p + "' (try list)");
-    }
-  }
   if (command == "run" && !spec.axes.empty()) {
     fail("--sweep axes require the sweep subcommand");
   }
@@ -316,17 +298,6 @@ int main(int argc, char** argv) {
          "(--set traffic.stop_s=S or a traffic.stop_s sweep axis)");
   }
   if (!explicit_stop) spec.base.traffic.stop_s = spec.base.duration_s * 0.8;
-  bool sweeps_start = false;
-  for (const auto& axis : spec.axes) {
-    if (axis.key == "traffic.start_s") sweeps_start = true;
-  }
-  if (!sweeps_stop && !sweeps_start &&
-      spec.base.traffic.stop_s <= spec.base.traffic.start_s) {
-    fail("traffic window is empty: stop (" +
-         std::to_string(spec.base.traffic.stop_s) + " s) <= start (" +
-         std::to_string(spec.base.traffic.start_s) +
-         " s); raise --duration or --set traffic.start_s/traffic.stop_s");
-  }
   spec.seeds.clear();
   for (int k = 0; k < seeds; ++k) spec.seeds.push_back(first_seed + k);
 
