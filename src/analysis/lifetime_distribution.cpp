@@ -54,16 +54,4 @@ double LinkLifetimeDistribution::expected_lifetime(double horizon) const {
   return total;
 }
 
-double LinkLifetimeDistribution::quantile(double q) const {
-  VANET_ASSERT(q > 0.0 && q < 1.0);
-  const double target = 1.0 - q;
-  double lo = 0.0, hi = 1.0;
-  while (survival(hi) > target && hi < 1e9) hi *= 2.0;
-  for (int iter = 0; iter < 200 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    (survival(mid) > target ? lo : hi) = mid;
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace vanet::analysis

@@ -6,7 +6,7 @@
 // d(t) = d0 + Dv * t is linear, so the link-alive indicator is monotone and
 //   S(t) = P(T > t) = P(-r < d0 + Dv t < r)
 //        = Phi((r - d0 - mu t)/(sigma t)) - Phi((-r - d0 - mu t)/(sigma t)).
-// Expected lifetime, survival and quantiles follow from S(t). This is the
+// Expected lifetime and survival follow from S(t). This is the
 // "expected link duration" (Yan) and the link-reliability probability
 // (GVGrid, NiuDe / Rubin-style availability) in one object.
 #pragma once
@@ -27,12 +27,6 @@ class LinkLifetimeDistribution {
   /// mean diverges logarithmically — routing only needs a bounded ranking
   /// value. (sigma == 0 and mu == 0 returns horizon.)
   double expected_lifetime(double horizon = 3600.0) const;
-
-  /// Smallest t with survival(t) <= 1 - q, by bisection. q in (0, 1).
-  double quantile(double q) const;
-
-  double range() const { return r_; }
-  double initial_separation() const { return d0_; }
 
  private:
   double r_;

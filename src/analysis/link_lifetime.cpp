@@ -167,10 +167,4 @@ std::optional<double> link_lifetime_2d(core::Vec2 pos_i, core::Vec2 vel_i,
   return std::nullopt;
 }
 
-double path_lifetime(const std::vector<double>& link_lifetimes) {
-  double min_life = kInfiniteLifetime;
-  for (double l : link_lifetimes) min_life = std::min(min_life, l);
-  return min_life;
-}
-
 }  // namespace vanet::analysis

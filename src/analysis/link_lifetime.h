@@ -18,7 +18,6 @@
 
 #include <limits>
 #include <optional>
-#include <vector>
 
 #include "core/vec2.h"
 
@@ -62,9 +61,5 @@ std::optional<double> link_lifetime_2d(core::Vec2 pos_i, core::Vec2 vel_i,
                                        core::Vec2 vel_j, core::Vec2 acc_j,
                                        double r, double horizon = 300.0,
                                        double dt = 0.05, double tol = 1e-4);
-
-/// The paper's path rule: the lifetime of a route is the minimum lifetime of
-/// its links. Empty paths have infinite lifetime.
-double path_lifetime(const std::vector<double>& link_lifetimes);
 
 }  // namespace vanet::analysis

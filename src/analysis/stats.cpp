@@ -20,23 +20,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
@@ -57,33 +40,6 @@ double percentile(std::vector<double> samples, double q) {
   const std::size_t hi = std::min(lo + 1, samples.size() - 1);
   const double frac = idx - static_cast<double>(lo);
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_{lo}, hi_{hi}, counts_(bins, 0) {
-  VANET_ASSERT(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto k = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  k = std::clamp<std::ptrdiff_t>(k, 0,
-                                 static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(k)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t k) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(k);
-}
-
-double Histogram::bin_hi(std::size_t k) const { return bin_lo(k + 1); }
-
-double Histogram::fraction(std::size_t k) const {
-  return total_ > 0
-             ? static_cast<double>(counts_.at(k)) / static_cast<double>(total_)
-             : 0.0;
 }
 
 }  // namespace vanet::analysis

@@ -10,7 +10,6 @@ namespace vanet::analysis {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
@@ -32,24 +31,5 @@ class RunningStats {
 /// q-th percentile (q in [0,1]) by linear interpolation; the input need not
 /// be sorted. Returns 0 for empty input.
 double percentile(std::vector<double> samples, double q);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-/// samples clamp into the boundary buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  const std::vector<std::size_t>& counts() const { return counts_; }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t k) const;
-  double bin_hi(std::size_t k) const;
-  /// Fraction of samples in bin k (0 when empty).
-  double fraction(std::size_t k) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace vanet::analysis

@@ -88,7 +88,6 @@ class CellArray {
   std::size_t index(Vec2 p) const { return row(p.y) * cols_ + col(p.x); }
 
   Cell& operator[](std::size_t i) { return cells_[i]; }
-  const Cell& operator[](std::size_t i) const { return cells_[i]; }
 
   /// The cell at unclamped cell coordinates (cx, cy), or null outside the
   /// array. For walks that must not revisit a border cell.

@@ -26,8 +26,6 @@ class Rng {
   double normal(double mean, double stddev);
   double exponential(double rate);
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };
@@ -39,8 +37,6 @@ class RngManager {
 
   /// Stream for `name`; created deterministically on first use.
   Rng& stream(const std::string& name);
-
-  std::uint64_t master_seed() const { return master_seed_; }
 
  private:
   std::uint64_t master_seed_;

@@ -37,7 +37,6 @@ class SimTime {
   constexpr double as_seconds() const { return static_cast<double>(us_) * 1e-6; }
   constexpr double as_millis() const { return static_cast<double>(us_) * 1e-3; }
 
-  constexpr bool is_zero() const { return us_ == 0; }
   constexpr bool is_negative() const { return us_ < 0; }
 
   /// Arithmetic.
@@ -49,10 +48,6 @@ class SimTime {
   }
   constexpr SimTime& operator+=(SimTime o) {
     us_ += o.us_;
-    return *this;
-  }
-  constexpr SimTime& operator-=(SimTime o) {
-    us_ -= o.us_;
     return *this;
   }
 

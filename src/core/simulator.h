@@ -71,19 +71,8 @@ class Simulator {
   /// Run until the queue drains or `end` is reached (events at `end` included).
   void run_until(SimTime end);
 
-  /// Timestamp of the earliest pending event, or SimTime::max() when idle.
-  SimTime next_event_time() const {
-    return queue_.empty() ? SimTime::max() : queue_.next_time();
-  }
-
-  /// Run until the queue drains completely.
-  void run();
-
-  /// Request that the run loop stops after the current event.
-  void stop() { stopped_ = true; }
-
   /// Install a guard polled every `every` dispatched events during run loops;
-  /// it may throw (aborting the run) or call stop(). Used by the experiment
+  /// it may throw, aborting the run. Used by the experiment
   /// engine's watchdog (wall-clock timeout, event budget). Pass a null
   /// function to remove. The check never runs mid-event, so model state stays
   /// consistent at the throw point.
@@ -93,7 +82,6 @@ class Simulator {
   }
 
   std::uint64_t events_dispatched() const { return queue_.dispatched(); }
-  std::size_t events_pending() const { return queue_.size(); }
 
   /// Scheduler allocation telemetry (perf harness; see EventQueue).
   const EventQueue::AllocStats& scheduler_stats() const {
@@ -103,7 +91,6 @@ class Simulator {
  private:
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
-  bool stopped_ = false;
   std::function<void()> abort_check_;
   std::uint64_t abort_check_every_ = 1024;
   std::uint64_t abort_check_countdown_ = 0;

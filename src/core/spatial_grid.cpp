@@ -36,11 +36,6 @@ void merge_runs(const SpatialGrid::Id* a, const SpatialGrid::Id* mid,
 SpatialGrid::SpatialGrid(double cell_size, const Box& extent)
     : cells_{cell_size, extent} {}
 
-const SpatialGrid::Item& SpatialGrid::item(Id id) const {
-  const Bucket& bucket = cells_[slots_[id]];
-  return *std::lower_bound(bucket.begin(), bucket.end(), id, ItemIdLess{});
-}
-
 void SpatialGrid::add_to(std::uint32_t cell, Id id, Vec2 pos) {
   Bucket& bucket = cells_[cell];
   const auto at =
@@ -59,14 +54,6 @@ void SpatialGrid::insert(Id id, Vec2 pos) {
   if (id >= slots_.size()) slots_.resize(id + 1, kAbsent);
   VANET_ASSERT_MSG(slots_[id] == kAbsent, "duplicate insert");
   add_to(static_cast<std::uint32_t>(cells_.index(pos)), id, pos);
-  ++count_;
-}
-
-void SpatialGrid::remove(Id id) {
-  VANET_ASSERT_MSG(contains(id), "remove of unknown id");
-  erase_from(slots_[id], id);
-  slots_[id] = kAbsent;
-  --count_;
 }
 
 void SpatialGrid::update(Id id, Vec2 pos) {
@@ -79,11 +66,6 @@ void SpatialGrid::update(Id id, Vec2 pos) {
   }
   erase_from(slots_[id], id);
   add_to(cell, id, pos);
-}
-
-Vec2 SpatialGrid::position(Id id) const {
-  VANET_ASSERT_MSG(contains(id), "position of unknown id");
-  return item(id).pos;
 }
 
 void SpatialGrid::query_radius_into(Vec2 center, double radius, Id exclude,

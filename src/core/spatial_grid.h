@@ -42,12 +42,9 @@ class SpatialGrid {
   void insert(Id id, Vec2 pos);
   /// Move `id` to `pos`; `id` must be present.
   void update(Id id, Vec2 pos);
-  /// Remove `id`; `id` must be present.
-  void remove(Id id);
   bool contains(Id id) const {
     return id < slots_.size() && slots_[id] != kAbsent;
   }
-  Vec2 position(Id id) const;
 
   /// `exclude` value meaning "exclude nothing" for query_radius_into.
   static constexpr Id kNoExclude = static_cast<Id>(-1);
@@ -57,8 +54,6 @@ class SpatialGrid {
   /// caller-owned buffer: reception fan-out runs once per frame.
   void query_radius_into(Vec2 center, double radius, Id exclude,
                          std::vector<Id>& out) const;
-
-  std::size_t size() const { return count_; }
 
  private:
   /// Bucket element: position inline so queries scan sequentially.
@@ -70,14 +65,11 @@ class SpatialGrid {
   /// slots_ value of an id that is not present.
   static constexpr std::uint32_t kAbsent = static_cast<std::uint32_t>(-1);
 
-  /// `id`'s Item in its bucket (which must hold it).
-  const Item& item(Id id) const;
   void add_to(std::uint32_t cell, Id id, Vec2 pos);
   void erase_from(std::uint32_t cell, Id id);
 
   CellArray<Bucket> cells_;
   std::vector<std::uint32_t> slots_;  ///< id -> cell index, or kAbsent
-  std::size_t count_ = 0;
   /// Query scratch: end offset in `out` of each cell's run of hits, and the
   /// merge target.
   mutable std::vector<std::uint32_t> run_ends_;

@@ -18,7 +18,6 @@ struct Vec2 {
     y += o.y;
     return *this;
   }
-  constexpr Vec2 operator-() const { return {-x, -y}; }
   constexpr bool operator==(const Vec2&) const = default;
 
   constexpr double dot(Vec2 o) const { return x * o.x + y * o.y; }
@@ -32,11 +31,7 @@ struct Vec2 {
     const double n = norm();
     return n > 0.0 ? Vec2{x / n, y / n} : Vec2{};
   }
-
-  double distance_to(Vec2 o) const { return (*this - o).norm(); }
 };
-
-inline constexpr Vec2 operator*(double k, Vec2 v) { return v * k; }
 
 /// Distance from point `p` to the segment [a, b].
 inline double distance_to_segment(Vec2 p, Vec2 a, Vec2 b) {

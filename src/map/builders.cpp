@@ -60,10 +60,6 @@ std::optional<double> parse_d(const std::string& s) {
 
 }  // namespace
 
-RoadGraph make_grid(int nx, int ny, double block) {
-  return RoadGraph{nx, ny, block};
-}
-
 RoadGraph load_edge_list_csv(std::istream& in) {
   struct NodeRec {
     core::Vec2 pos;

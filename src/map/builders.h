@@ -1,4 +1,4 @@
-// RoadGraph builders: lattice generator and edge-list CSV import/export.
+// RoadGraph edge-list CSV import/export.
 //
 // The CSV schema is a plain edge list with explicit node positions:
 //
@@ -22,11 +22,6 @@
 #include "map/road_graph.h"
 
 namespace vanet::map {
-
-/// Manhattan lattice: `nx` x `ny` intersections spaced `block` metres apart.
-/// The generator behind MobilityKind::kManhattan scenarios and the grid map
-/// source; equivalent to RoadGraph(nx, ny, block).
-RoadGraph make_grid(int nx, int ny, double block);
 
 /// Parse the edge-list CSV schema above. Throws std::runtime_error naming the
 /// offending line for malformed records, non-dense/duplicate node ids,

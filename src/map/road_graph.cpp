@@ -129,15 +129,6 @@ int RoadGraph::segment_of_position(core::Vec2 pos) const {
   return best;
 }
 
-std::vector<int> RoadGraph::neighbors_of(int idx) const {
-  std::vector<int> out;
-  for (const auto& [nbr, seg] : adj_.at(static_cast<std::size_t>(idx))) {
-    out.push_back(nbr);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 int RoadGraph::degree(int idx) const {
   return static_cast<int>(adj_.at(static_cast<std::size_t>(idx)).size());
 }

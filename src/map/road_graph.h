@@ -4,10 +4,10 @@
 // joined by straight road segments. It is the single source of road topology
 // in a scenario: GraphMobility drives vehicles along its edges, CAR routes
 // anchor paths over it, and the per-segment density oracle is indexed by its
-// segment ids. Build one through the generators in map/builders.h — a
-// Manhattan lattice (`make_grid`, also reachable through the legacy
-// `RoadGraph(nx, ny, block)` constructor) or an edge-list CSV import
-// (`load_edge_list_csv`) — or incrementally via add_intersection/add_segment.
+// segment ids. Build one as a Manhattan lattice with the
+// `RoadGraph(nx, ny, block)` constructor, from an edge-list CSV
+// (`load_edge_list_csv` in map/builders.h), or incrementally via
+// add_intersection/add_segment.
 //
 // Determinism contract: intersection and segment ids are assigned in
 // insertion order, adjacency lists preserve insertion order, and every query
@@ -67,8 +67,6 @@ class RoadGraph {
   /// wins ties). For repeated queries build a map::SegmentIndex instead.
   int segment_of_position(core::Vec2 pos) const;
 
-  /// Adjacent intersections of `idx`, sorted ascending.
-  std::vector<int> neighbors_of(int idx) const;
   /// Degree of intersection `idx`.
   int degree(int idx) const;
   /// Adjacency of `idx` in insertion order: (neighbor, segment id) pairs.
@@ -82,13 +80,9 @@ class RoadGraph {
   /// shortest_path with physical segment length as the cost.
   std::vector<int> shortest_path_by_length(int from, int to) const;
 
-  /// True for graphs built as a lattice (ctor / make_grid): nearest
+  /// True for graphs built by the lattice constructor: nearest
   /// intersections resolve in closed form and all segments have equal length.
   bool is_grid() const { return grid_nx_ > 0; }
-  /// Lattice dimensions; only meaningful when is_grid().
-  int grid_nx() const { return grid_nx_; }
-  int grid_ny() const { return grid_ny_; }
-  double grid_block() const { return grid_block_; }
 
   /// Axis-aligned bounds over all intersection positions (zero vectors for an
   /// empty graph). Used for RSU placement and the segment index extent.
@@ -137,7 +131,6 @@ class SegmentDensityOracle {
 
   void set_count(int seg, double vehicles);
   double count(int seg) const;
-  std::size_t segments() const { return counts_.size(); }
 
  private:
   std::vector<double> counts_;

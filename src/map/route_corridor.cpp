@@ -41,7 +41,6 @@ void RouteCorridor::add_segment(int seg) {
   bbox_max_.y = std::max({bbox_max_.y, a.y, b.y});
   segments_.push_back(seg);
   ends_.push_back({a, b});
-  length_ += graph_->segment_length(seg);
 }
 
 int RouteCorridor::entry_intersection(const RoadGraph& graph, int segment,

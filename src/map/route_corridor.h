@@ -77,9 +77,6 @@ class RouteCorridor {
   /// pre-rejects and an early-exit scan (see header comment).
   bool contains(core::Vec2 pos, double half_width) const;
 
-  /// Sum of corridor segment lengths, metres.
-  double length() const { return length_; }
-
  private:
   void add_segment(int seg);
 
@@ -94,7 +91,6 @@ class RouteCorridor {
   // Axis-aligned bounds over all cached endpoints (empty corridor: min > max).
   core::Vec2 bbox_min_{1.0, 1.0};
   core::Vec2 bbox_max_{0.0, 0.0};
-  double length_ = 0.0;
   bool route_found_ = false;
 };
 

@@ -33,8 +33,7 @@ class SegmentCells {
   /// (must be > 0). The graph must stay alive and unmodified.
   SegmentCells(const RoadGraph& graph, double cell_m);
 
-  int cell_count() const { return static_cast<int>(members_.size()); }
-  double cell_size() const { return cell_; }
+  int cell_count() const { return static_cast<int>(anchors_.size()); }
 
   /// Dense cell id of segment `seg`.
   int cell_of_segment(int seg) const;
@@ -46,15 +45,10 @@ class SegmentCells {
   /// point, and deterministic for equal inputs.
   core::Vec2 anchor(int cell) const;
 
-  /// Member segment ids of `cell`, ascending.
-  const std::vector<int>& segments_in(int cell) const;
-
  private:
   const RoadGraph& graph_;
-  double cell_ = 1.0;
-  std::vector<int> seg_cell_;               ///< segment id -> cell id
-  std::vector<std::vector<int>> members_;   ///< cell id -> segment ids
-  std::vector<core::Vec2> anchors_;         ///< cell id -> anchor point
+  std::vector<int> seg_cell_;        ///< segment id -> cell id
+  std::vector<core::Vec2> anchors_;  ///< cell id -> anchor point
 };
 
 }  // namespace vanet::map

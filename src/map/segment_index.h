@@ -36,7 +36,6 @@ class SegmentIndex {
   int nearest_segment(core::Vec2 pos) const;
 
   const RoadGraph& graph() const { return graph_; }
-  double cell_size() const { return cell_; }
 
  private:
   int linear_scan(core::Vec2 pos) const;

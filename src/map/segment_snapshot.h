@@ -59,12 +59,11 @@ class SegmentSnapshot {
   void set_prover(Prover prover) { prover_ = std::move(prover); }
 
   /// Nearest segment to `pos`, which must be node `id`'s current
-  /// (tick-aligned) position. Bit-identical to
-  /// index().nearest_segment(pos), served from cache when `id` has not
-  /// moved since the last call.
+  /// (tick-aligned) position. Bit-identical to the index's
+  /// nearest_segment(pos), served from cache when `id` has not moved since
+  /// the last call.
   int segment_of(std::uint32_t id, core::Vec2 pos);
 
-  const SegmentIndex& index() const { return index_; }
   const Stats& stats() const { return stats_; }
 
  private:

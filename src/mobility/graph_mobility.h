@@ -53,7 +53,6 @@ class GraphMobilityModel final : public MobilityModel {
   int reported_segment(std::size_t i) const override;
 
   const map::RoadGraph& graph() const { return *graph_; }
-  const GraphMobilityConfig& config() const { return cfg_; }
   /// Segment id vehicle `id` currently drives on (tests, diagnostics).
   int current_segment(VehicleId id) const;
 

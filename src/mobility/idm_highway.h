@@ -49,10 +49,7 @@ class IdmHighwayModel final : public MobilityModel {
   void step(double dt, core::Rng& rng) override;
   const std::vector<VehicleState>& vehicles() const override { return states_; }
 
-  const HighwayConfig& config() const { return cfg_; }
-  double arc_position(VehicleId id) const { return cars_.at(id).s; }
   int direction(VehicleId id) const { return cars_.at(id).direction; }
-  double desired_speed(VehicleId id) const { return cars_.at(id).desired_speed; }
 
  private:
   struct Car {

@@ -46,9 +46,6 @@ class ManhattanGridModel final : public MobilityModel {
   void step(double dt, core::Rng& rng) override;
   const std::vector<VehicleState>& vehicles() const override { return states_; }
 
-  const ManhattanConfig& config() const { return cfg_; }
-  double width() const { return (cfg_.streets_x - 1) * cfg_.block; }
-  double height() const { return (cfg_.streets_y - 1) * cfg_.block; }
 
  private:
   struct Car {

@@ -17,17 +17,11 @@ MobilityManager::MobilityManager(core::Simulator& sim,
 void MobilityManager::start() {
   if (running_) return;
   running_ = true;
-  // One recurring timer drives every tick; cancel() in stop() retires it.
-  pending_ = sim_.schedule_every(tick_, tick_, [this] { on_tick(); });
-}
-
-void MobilityManager::stop() {
-  running_ = false;
-  pending_.cancel();
+  // One recurring timer drives every tick for the rest of the run.
+  sim_.schedule_every(tick_, tick_, [this] { on_tick(); });
 }
 
 void MobilityManager::on_tick() {
-  if (!running_) return;
   model_->step(tick_.as_seconds(), rng_);
   rebuild_index();
   for (const auto& fn : listeners_) fn(sim_.now());

@@ -25,10 +25,8 @@ class MobilityManager {
 
   /// Begin periodic stepping (first step after one tick).
   void start();
-  void stop();
 
   MobilityModel& model() { return *model_; }
-  const MobilityModel& model() const { return *model_; }
 
   const VehicleState& state(VehicleId id) const;
   bool has_vehicle(VehicleId id) const {
@@ -41,7 +39,6 @@ class MobilityManager {
     return id < index_.size() ? index_[id] : npos;
   }
   const std::vector<VehicleState>& vehicles() const { return model_->vehicles(); }
-  core::SimTime tick_interval() const { return tick_; }
 
   /// Called after every step with the new simulation time.
   void add_tick_listener(std::function<void(core::SimTime)> fn);
@@ -56,7 +53,6 @@ class MobilityManager {
   std::unique_ptr<MobilityModel> model_;
   core::Rng& rng_;
   core::SimTime tick_;
-  core::EventHandle pending_;
   bool running_ = false;
   /// id -> index into model vehicles(); dense vector so the per-tick rebuild
   /// never hashes (ids are small and stable over a model's lifetime).

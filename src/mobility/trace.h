@@ -69,7 +69,6 @@ class TracePlaybackModel final : public MobilityModel {
 
   void step(double dt, core::Rng& rng) override;
   const std::vector<VehicleState>& vehicles() const override { return states_; }
-  double clock() const { return clock_; }
 
  private:
   void refresh_states();

@@ -36,7 +36,6 @@ class LogNormalShadowingModel final : public PropagationModel {
   double nominal_range() const override { return nominal_range_; }
   bool try_receive(double distance, core::Rng& rng) const override;
   double receipt_probability(double distance) const override;
-  const analysis::LogNormalParams& params() const { return params_; }
 
  private:
   analysis::LogNormalParams params_;
@@ -56,7 +55,6 @@ class NakagamiFadingModel final : public PropagationModel {
   double nominal_range() const override { return nominal_range_; }
   bool try_receive(double distance, core::Rng& rng) const override;
   double receipt_probability(double distance) const override;
-  int m() const { return m_; }
 
  private:
   analysis::LogNormalParams params_;

@@ -85,7 +85,6 @@ class NeighborTable {
  public:
   void update(const NeighborInfo& info);
   const NeighborInfo* find(NodeId id) const;
-  bool contains(NodeId id) const { return find(id) != nullptr; }
   std::size_t size() const { return rows_.size(); }
 
   /// The rows in id order (a view; see the class comment for its lifetime).
@@ -119,7 +118,6 @@ class HelloService {
   void start(const std::vector<NodeId>& ids);
 
   const NeighborTable& table(NodeId id) const;
-  const HelloConfig& config() const { return cfg_; }
 
   /// Called by the routing layer when a hello frame arrives at `self`.
   void on_frame(NodeId self, const Packet& p);

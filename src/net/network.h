@@ -123,7 +123,6 @@ class Network {
   bool backbone_connected(NodeId a, NodeId b) const;
 
   double nominal_range() const { return propagation_->nominal_range(); }
-  double max_range() const { return propagation_->max_range(); }
   const PropagationModel& propagation() const { return *propagation_; }
 
   /// Ground-truth multi-hop reachability, the oracle for experiment
@@ -136,9 +135,6 @@ class Network {
 
   const NetCounters& counters() const { return counters_; }
   core::Simulator& simulator() { return sim_; }
-
-  /// Carrier-sense / collision radius (max_range * interference_range_factor).
-  double interference_range() const { return interference_range_; }
 
  private:
   struct QueuedFrame {

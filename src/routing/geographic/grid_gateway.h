@@ -62,7 +62,6 @@ class GridGatewayProtocol final : public RoutingProtocol {
 
   /// Exposed for tests: gateway election result for this node right now.
   bool is_gateway() const;
-  GeometryMode geometry() const { return geometry_; }
 
  private:
   double cell() const;

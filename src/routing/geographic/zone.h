@@ -49,7 +49,6 @@ class ZoneProtocol final : public RoutingProtocol {
   std::string_view name() const override { return "zone"; }
   Category category() const override { return Category::kGeographic; }
 
-  GeometryMode geometry() const { return geometry_; }
 
  private:
   bool inside_zone(const net::Packet& p, const ZoneHeader& h) const;

@@ -66,15 +66,9 @@ class LinkQualityTable {
   /// receipt probability.
   double long_run_ratio(net::NodeId neighbor) const;
 
-  bool contains(net::NodeId neighbor) const {
-    return find(neighbor) != nullptr;
-  }
-  std::size_t size() const { return ids_.size(); }
   /// Live link neighbors, sorted by id (deterministic iteration). A view of
   /// the table's own storage: valid until the next on_hello/on_report/erase.
   const std::vector<net::NodeId>& neighbors() const { return ids_; }
-
-  const EtxConfig& config() const { return cfg_; }
 
   /// Cost ceiling: links (and routes) at or beyond this are unusable.
   static constexpr double kMaxEtx = 128.0;

@@ -40,7 +40,6 @@ class GvGridProtocol final : public OnDemandBase {
   Category category() const override { return Category::kProbability; }
   bool wants_hello() const override { return true; }
 
-  GeometryMode geometry() const { return geometry_; }
 
  protected:
   LinkEval evaluate_link(const RreqHeader& h) const override;

@@ -73,7 +73,6 @@ class YanProtocol : public OnDemandBase {
   Category category() const override { return Category::kProbability; }
   bool wants_hello() const override { return true; }
 
-  int tickets() const { return tickets_; }
 
  protected:
   LinkEval evaluate_link(const RreqHeader& h) const override;

@@ -124,7 +124,6 @@ class RoutingProtocol {
  protected:
   net::NodeId self() const { return ctx_.self; }
   core::SimTime now() const { return ctx_.sim->now(); }
-  core::Rng& rng() const { return *ctx_.rng; }
   net::Network& network() const { return *ctx_.net; }
   ProtocolEvents& events() const { return *ctx_.events; }
   /// Neighbor table of this node; precondition: wants_hello().
@@ -135,9 +134,6 @@ class RoutingProtocol {
   /// Shared road graph / segment index; precondition: has_map().
   const map::RoadGraph& road_map() const;
   const map::SegmentIndex& segment_index() const;
-
-  /// Scenario-owned segment cache; null when the binder did not supply it.
-  map::SegmentSnapshot* seg_snapshot() const { return ctx_.seg_snapshot; }
   /// Nearest segment to node `id` at its current position `pos`: the
   /// scenario snapshot when bound, a direct index query otherwise.
   /// Bit-identical either way. Precondition: has_map(); `pos` must be the

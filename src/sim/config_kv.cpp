@@ -193,6 +193,9 @@ bool probability(double v) { return v >= 0.0 && v <= 1.0; }
 /// spatial index box stays finite.
 bool highway_length(double v) { return v > 0.0 && v <= 1e6; }
 bool lattice_block(double v) { return v > 0.0 && v <= 1e5; }
+/// IDM desired speed: 360 km/h, above any road vehicle and over three times
+/// the 30 m/s of the paper's Table I highways.
+bool desired_speed(double v) { return v > 0.0 && v <= 100.0; }
 /// One SimTime tick (1 us) per packet at most.
 bool packet_rate(double v) { return v > 0.0 && v <= 1e6; }
 bool seconds(double v) { return core::SimTime::fits_seconds(v); }
@@ -222,7 +225,9 @@ std::vector<Field> build_fields() {
 
   // --- top level -----------------------------------------------------------
   num("seed", REF(seed));
-  bounded("duration_s", REF(duration_s), &seconds, kSeconds);
+  // A run that rounds to zero SimTime would run nothing and report zeros.
+  bounded("duration_s", REF(duration_s), &positive_tick,
+          "seconds as a finite real number of at least 1e-6");
   bounded("mobility_tick_s", REF(mobility_tick_s), &positive_tick,
           "seconds as a finite real number of at least 1e-6");
   {
@@ -331,18 +336,26 @@ std::vector<Field> build_fields() {
   bounded("highway.lanes_per_direction", REF(highway.lanes_per_direction),
           +[](int v) { return v >= 1 && v <= 64; }, "an integer in [1, 64]");
   num("highway.bidirectional", REF(highway.bidirectional));
-  num("highway.lane_width", REF(highway.lane_width));
-  num("highway.median_gap", REF(highway.median_gap));
+  bounded("highway.lane_width", REF(highway.lane_width), &positive,
+          "a finite real number > 0");
+  bounded("highway.median_gap", REF(highway.median_gap), &non_negative,
+          "a finite real number >= 0");
   num("highway.lane_change_prob", REF(highway.lane_change_prob));
-  num("highway.idm.desired_speed", REF(highway.idm.desired_speed));
+  bounded("highway.idm.desired_speed", REF(highway.idm.desired_speed),
+          &desired_speed, "a finite real number in (0, 100]");
   bounded("highway.idm.desired_speed_stddev",
           REF(highway.idm.desired_speed_stddev), &non_negative,
           "a finite real number >= 0");
-  num("highway.idm.time_headway", REF(highway.idm.time_headway));
-  num("highway.idm.min_gap", REF(highway.idm.min_gap));
-  num("highway.idm.max_accel", REF(highway.idm.max_accel));
-  num("highway.idm.comfortable_decel", REF(highway.idm.comfortable_decel));
-  num("highway.idm.vehicle_length", REF(highway.idm.vehicle_length));
+  bounded("highway.idm.time_headway", REF(highway.idm.time_headway),
+          &non_negative, "a finite real number >= 0");
+  bounded("highway.idm.min_gap", REF(highway.idm.min_gap), &non_negative,
+          "a finite real number >= 0");
+  bounded("highway.idm.max_accel", REF(highway.idm.max_accel), &positive,
+          "a finite real number > 0");
+  bounded("highway.idm.comfortable_decel", REF(highway.idm.comfortable_decel),
+          &positive, "a finite real number > 0");
+  bounded("highway.idm.vehicle_length", REF(highway.idm.vehicle_length),
+          &positive, "a finite real number > 0");
 
   // --- manhattan.* ---------------------------------------------------------
   // How many streets a lattice needs depends on the mobility model, so
@@ -395,8 +408,11 @@ std::vector<Field> build_fields() {
           "seconds as a finite real number >= 0");
   bounded("net.contention_window", REF(net.contention_window), &positive_int,
           "a positive integer");
-  num("net.unicast_retry_limit", REF(net.unicast_retry_limit));
-  num("net.queue_capacity", REF(net.queue_capacity));
+  bounded("net.unicast_retry_limit", REF(net.unicast_retry_limit),
+          &non_negative_int, "a non-negative integer");
+  // A zero-frame queue drops every frame before it reaches the air.
+  bounded("net.queue_capacity", REF(net.queue_capacity),
+          +[](std::size_t v) { return v >= 1; }, "a positive integer");
   num("net.phy_overhead_bytes", REF(net.phy_overhead_bytes));
   num("net.backbone_delay_s", REF(net.backbone_delay));
   bounded("net.interference_range_factor", REF(net.interference_range_factor),

@@ -128,8 +128,6 @@ class ExperimentEngine {
   ExperimentResult run(const ExperimentSpec& spec,
                        const std::vector<ReportSink*>& sinks);
 
-  int jobs() const { return jobs_; }
-
  private:
   int jobs_;
 };

@@ -14,10 +14,7 @@ bool Metrics::record_delivery(std::uint32_t flow, std::uint32_t seq,
                               int hops) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(flow) << 32) | static_cast<std::uint64_t>(seq);
-  if (!seen_.insert(key).second) {
-    ++duplicates_;
-    return false;
-  }
+  if (!seen_.insert(key).second) return false;
   ++delivered_;
   if (fault_tracking_) first_delivery_sent_times_.push_back(sent_at);
   delay_ms_.add((now - sent_at).as_millis());

@@ -36,7 +36,6 @@ class Metrics {
 
   std::uint64_t originated() const { return originated_; }
   std::uint64_t delivered() const { return delivered_; }
-  std::uint64_t duplicate_deliveries() const { return duplicates_; }
 
   /// Packet delivery ratio in [0, 1]; 0 when nothing was originated.
   double pdr() const;
@@ -47,7 +46,6 @@ class Metrics {
  private:
   std::uint64_t originated_ = 0;
   std::uint64_t delivered_ = 0;
-  std::uint64_t duplicates_ = 0;
   analysis::RunningStats delay_ms_;
   analysis::RunningStats hops_;
   std::unordered_set<std::uint64_t> seen_;

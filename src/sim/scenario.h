@@ -220,7 +220,6 @@ class Scenario {
   routing::RoutingProtocol& protocol_at(net::NodeId id) {
     return *protocols_.at(id);
   }
-  const ScenarioConfig& config() const { return cfg_; }
   /// Null unless faults are configured (FaultConfig::active).
   FaultPlan* fault_plan() { return fault_plan_.get(); }
   /// Null unless the scenario uses graph mobility.

@@ -112,6 +112,34 @@ TEST(Cli, RadioAndInfrastructureFlagsHoldTheConfigBounds) {
   EXPECT_EQ(ok.exit_code, 0) << ok.out;
 }
 
+TEST(Cli, PhysicallyMeaninglessValuesAreUsageErrors) {
+  // Each of these used to run and exit 0: a negative duration with an
+  // all-zero report, an unbounded desired speed, carriageways a kilometre
+  // apart the wrong way, a MAC queue that holds no frame.
+  const std::string base =
+      "run --duration 2 --vehicles 10 --seeds 1 --mobility highway "
+      "--set traffic.start_s=0.2 --set traffic.stop_s=1.8 ";
+  for (const auto& [args, key] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--duration -1", "duration_s"},
+           {"--duration 0", "duration_s"},
+           {"--set highway.idm.desired_speed=1e308",
+            "highway.idm.desired_speed"},
+           {"--set highway.idm.desired_speed=-1e9",
+            "highway.idm.desired_speed"},
+           {"--set highway.idm.time_headway=-1", "highway.idm.time_headway"},
+           {"--set highway.idm.max_accel=0", "highway.idm.max_accel"},
+           {"--set highway.lane_width=0", "highway.lane_width"},
+           {"--set highway.median_gap=-1e9", "highway.median_gap"},
+           {"--set net.queue_capacity=0", "net.queue_capacity"},
+           {"--set net.unicast_retry_limit=-1", "net.unicast_retry_limit"}}) {
+    const CliResult r = run_cli(base + args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.out;
+    EXPECT_NE(r.out.find("config key '" + key + "'"), std::string::npos)
+        << args << "\n" << r.out;
+  }
+}
+
 TEST(Cli, CommandLinesThatAbortedOrHungFailCleanly) {
   // Each of these aborted on a VANET_ASSERT (exit 134) or never finished.
   // A value outside its key's bound is a usage error (exit 2); a config no

@@ -179,7 +179,24 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
            {"manhattan.streets_y", "-2"},
            // Negative infrastructure counts used to run as if zero.
            {"rsu_count", "-1"},
-           {"bus_count", "-1"}}) {
+           {"bus_count", "-1"},
+           // Physically meaningless values that ran as if valid: a run that
+           // never starts, unbounded or negative IDM parameters, overlapping
+           // carriageways, a MAC that can hold no frame.
+           {"duration_s", "-1"},
+           {"duration_s", "0"},
+           {"highway.idm.desired_speed", "1e308"},
+           {"highway.idm.desired_speed", "0"},
+           {"highway.idm.desired_speed", "-1e9"},
+           {"highway.idm.time_headway", "-1"},
+           {"highway.idm.min_gap", "-1"},
+           {"highway.idm.max_accel", "0"},
+           {"highway.idm.comfortable_decel", "0"},
+           {"highway.idm.vehicle_length", "0"},
+           {"highway.lane_width", "0"},
+           {"highway.median_gap", "-1e9"},
+           {"net.queue_capacity", "0"},
+           {"net.unicast_retry_limit", "-1"}}) {
     try {
       config_set(cfg, key, value);
       ADD_FAILURE() << key << "=" << value << ": expected throw";
@@ -195,6 +212,11 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
   EXPECT_NO_THROW(config_set(cfg, "hello.jitter_fraction", "0"));
   EXPECT_NO_THROW(config_set(cfg, "net.interference_range_factor", "1"));
   EXPECT_NO_THROW(config_set(cfg, "net.contention_window", "1"));
+  EXPECT_NO_THROW(config_set(cfg, "highway.idm.desired_speed", "100"));
+  EXPECT_NO_THROW(config_set(cfg, "highway.idm.time_headway", "0"));
+  EXPECT_NO_THROW(config_set(cfg, "highway.median_gap", "0"));
+  EXPECT_NO_THROW(config_set(cfg, "net.queue_capacity", "1"));
+  EXPECT_NO_THROW(config_set(cfg, "net.unicast_retry_limit", "0"));
   // A one-street lattice is a valid road for graph mobility.
   EXPECT_NO_THROW(config_set(cfg, "manhattan.streets_x", "1"));
   try {
@@ -424,6 +446,8 @@ TEST(ConfigKv, ValidateConfigAppliesEachKeysBoundToTheStruct) {
       {"net.slot_time_s",
        [](ScenarioConfig& c) { c.net.slot_time = core::SimTime::micros(-1); }},
       {"phy.nakagami_m", [](ScenarioConfig& c) { c.nakagami_m = 0; }},
+      {"duration_s", [](ScenarioConfig& c) { c.duration_s = -1.0; }},
+      {"net.queue_capacity", [](ScenarioConfig& c) { c.net.queue_capacity = 0; }},
   };
   for (const auto& [key, corrupt] : bad) {
     ScenarioConfig cfg;

@@ -1,4 +1,4 @@
-#include "mobility/constant_velocity.h"
+#include "util/constant_velocity.h"
 
 #include <gtest/gtest.h>
 

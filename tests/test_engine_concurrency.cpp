@@ -74,7 +74,6 @@ TEST(EngineConcurrency, HardwareConcurrencyPathMatchesSerial) {
   const ExperimentSpec spec = thin_job_spec();
 
   ExperimentEngine hw{0};  // <= 0 resolves to hardware concurrency
-  EXPECT_GE(hw.jobs(), 1);
 
   std::ostringstream hw_out, serial_out;
   JsonlSink hw_sink{hw_out}, serial_sink{serial_out};

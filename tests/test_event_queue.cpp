@@ -268,7 +268,8 @@ TEST(Simulator, RecurringHandleStaysPendingAcrossFirings) {
   EXPECT_TRUE(h.pending());  // still armed for t=15ms
   h.cancel();
   EXPECT_FALSE(h.pending());
-  EXPECT_EQ(sim.events_pending(), 0u);
+  sim.run_until(SimTime::seconds(1.0));
+  EXPECT_EQ(pending_at_fire.size(), 2u);
 }
 
 TEST(Simulator, RecurringVariablePeriodAndStop) {
@@ -284,7 +285,8 @@ TEST(Simulator, RecurringVariablePeriodAndStop) {
   const std::vector<SimTime> expect{SimTime::millis(1), SimTime::millis(2),
                                     SimTime::millis(4), SimTime::millis(7)};
   EXPECT_EQ(times, expect);
-  EXPECT_EQ(sim.events_pending(), 0u);
+  sim.run_until(SimTime::seconds(100.0));
+  EXPECT_EQ(times.size(), 4u);
 }
 
 TEST(EventQueue, ReservedSeqBlockKeepsUpfrontFifoRank) {
@@ -329,23 +331,10 @@ TEST(Simulator, NegativeDelayClampsToNow) {
   EXPECT_TRUE(fired);
 }
 
-TEST(Simulator, StopHaltsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(SimTime::millis(1), [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule(SimTime::millis(2), [&] { ++fired; });
-  sim.run_until(SimTime::seconds(1.0));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.events_pending(), 1u);
-}
-
 TEST(Simulator, DispatchCounter) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.schedule(SimTime::millis(i), [] {});
-  sim.run();
+  sim.run_until(SimTime::seconds(1.0));
   EXPECT_EQ(sim.events_dispatched(), 7u);
 }
 

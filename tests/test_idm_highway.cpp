@@ -72,7 +72,8 @@ TEST(IdmHighway, FollowerKeepsSafeGap) {
   core::Rng rng{3};
   for (int i = 0; i < 1200; ++i) {
     m.step(0.1, rng);
-    double gap = m.arc_position(lead) - m.arc_position(tail);
+    // Direction 0 heads +x from x = 0, so x is the arc position.
+    double gap = m.state(lead).pos.x - m.state(tail).pos.x;
     if (gap < 0.0) gap += cfg.length;
     EXPECT_GT(gap, cfg.idm.vehicle_length * 0.5)
         << "collision at step " << i;

@@ -51,16 +51,6 @@ TEST(LifetimeDistribution, CloserPairsLiveLonger) {
   EXPECT_GT(near.expected_lifetime(), far.expected_lifetime());
 }
 
-TEST(LifetimeDistribution, QuantileInvertsSurvival) {
-  const LinkLifetimeDistribution d{250.0, 30.0, 6.0, 3.0};
-  for (double q : {0.1, 0.5, 0.9}) {
-    const double t = d.quantile(q);
-    EXPECT_NEAR(d.survival(t), 1.0 - q, 1e-6) << "q=" << q;
-  }
-  // Median below mean for the right-skewed lifetime.
-  EXPECT_LT(d.quantile(0.5), d.expected_lifetime() * 1.5);
-}
-
 // Property: survival and expectation match Monte Carlo over (d0, mu, sigma).
 class LifetimeDistProperty
     : public ::testing::TestWithParam<std::tuple<double, double, double>> {};

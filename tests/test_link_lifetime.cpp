@@ -124,12 +124,6 @@ TEST(LinkLifetime2D, AlreadyOutOfRangeIsZero) {
   EXPECT_DOUBLE_EQ(*t, 0.0);
 }
 
-TEST(PathLifetime, MinRule) {
-  EXPECT_DOUBLE_EQ(path_lifetime({12.0, 3.5, 99.0}), 3.5);
-  EXPECT_TRUE(std::isinf(path_lifetime({})));
-  EXPECT_DOUBLE_EQ(path_lifetime({kInfiniteLifetime, 7.0}), 7.0);
-}
-
 // Property sweep: the closed form must agree with brute-force integration of
 // the separation for random kinematics (Fig. 3's "different combinations of
 // vi, vj, ai and aj").

@@ -37,15 +37,18 @@ TEST(Manhattan, VehiclesStayOnStreets) {
 }
 
 TEST(Manhattan, VehiclesStayInBounds) {
-  ManhattanGridModel m{grid_config()};
+  const ManhattanConfig cfg = grid_config();
+  const double width = (cfg.streets_x - 1) * cfg.block;
+  const double height = (cfg.streets_y - 1) * cfg.block;
+  ManhattanGridModel m{cfg};
   core::Rng rng{22};
   m.populate(30, rng);
   for (int i = 0; i < 1000; ++i) m.step(0.1, rng);
   for (const auto& v : m.vehicles()) {
     EXPECT_GE(v.pos.x, -1e-6);
-    EXPECT_LE(v.pos.x, m.width() + 1e-6);
+    EXPECT_LE(v.pos.x, width + 1e-6);
     EXPECT_GE(v.pos.y, -1e-6);
-    EXPECT_LE(v.pos.y, m.height() + 1e-6);
+    EXPECT_LE(v.pos.y, height + 1e-6);
   }
 }
 

@@ -77,7 +77,7 @@ TEST(MapIo, CsvRoundTrip) {
 TEST(MapIo, GridSurvivesCsvRoundTrip) {
   // Exporting a generated lattice and re-importing keeps geometry and ids
   // (the reload is a general graph — lattice metadata is not serialized).
-  const RoadGraph g = make_grid(4, 3, 120.0);
+  const RoadGraph g{4, 3, 120.0};
   std::ostringstream out;
   save_edge_list_csv(g, out);
   std::istringstream in{out.str()};
@@ -95,7 +95,7 @@ TEST(MapIo, GridSurvivesCsvRoundTrip) {
 }
 
 TEST(MapIo, FileRoundTrip) {
-  const RoadGraph g = make_grid(3, 3, 100.0);
+  const RoadGraph g{3, 3, 100.0};
   const std::string path = ::testing::TempDir() + "vanet_map_io_test.csv";
   save_edge_list_csv_file(g, path);
   const RoadGraph g2 = load_edge_list_csv_file(path);

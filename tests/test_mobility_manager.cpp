@@ -1,10 +1,10 @@
 #include "mobility/mobility_manager.h"
+#include "util/constant_velocity.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "mobility/constant_velocity.h"
 
 namespace vanet::mobility {
 namespace {
@@ -42,19 +42,6 @@ TEST(MobilityManager, ListenersFirePerTick) {
   sim.run_until(core::SimTime::seconds(1.0));
   EXPECT_EQ(ticks, 5);
   EXPECT_EQ(last, core::SimTime::seconds(1.0));
-}
-
-TEST(MobilityManager, StopHaltsStepping) {
-  core::Simulator sim;
-  core::RngManager rngs{1};
-  MobilityManager mgr{sim, two_vehicle_model(), rngs.stream("m"),
-                      core::SimTime::millis(100)};
-  mgr.start();
-  sim.run_until(core::SimTime::millis(300));
-  mgr.stop();
-  const double x = mgr.state(0).pos.x;
-  sim.run_until(core::SimTime::seconds(2.0));
-  EXPECT_DOUBLE_EQ(mgr.state(0).pos.x, x);
 }
 
 TEST(MobilityManager, HasVehicleAndIndex) {

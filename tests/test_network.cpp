@@ -1,6 +1,7 @@
 // MAC + channel behaviour: reach, contention, hidden-terminal collisions,
 // unicast retries, queue overflow, backbone transfers.
 #include "net/network.h"
+#include "util/constant_velocity.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "mobility/constant_velocity.h"
 
 namespace vanet::net {
 namespace {

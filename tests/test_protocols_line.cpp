@@ -19,7 +19,7 @@ routing::ProtocolDeps line_deps(int nodes, double spacing) {
       std::make_shared<map::RoadGraph>(nx, 1, length / (nx - 1));
   auto density = std::make_shared<map::SegmentDensityOracle>(
       deps.road_graph->segment_count());
-  for (std::size_t s = 0; s < density->segments(); ++s) {
+  for (std::size_t s = 0; s < deps.road_graph->segment_count(); ++s) {
     density->set_count(static_cast<int>(s), 4.0);
   }
   deps.density = density;

@@ -174,7 +174,7 @@ TEST(RoadGeometry, RouteModeReducesToLineModeOnLatticeMaps) {
 // Random placements on a lattice map: gateway election must agree between
 // the modes for every node (the cell-membership half of the reduction).
 TEST(RoadGeometry, LatticeGatewayElectionAgreesAcrossModes) {
-  auto lattice = std::make_shared<map::RoadGraph>(map::make_grid(5, 5, 200.0));
+  auto lattice = std::make_shared<map::RoadGraph>(5, 5, 200.0);
   core::Rng rng{99};
   for (int round = 0; round < 20; ++round) {
     std::vector<VehicleSpec> specs;

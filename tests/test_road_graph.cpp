@@ -2,13 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/rng.h"
 #include "map/segment_index.h"
 
 namespace vanet::map {
 namespace {
+
+/// Adjacent intersections of `idx`, sorted ascending.
+std::vector<int> sorted_neighbors(const RoadGraph& g, int idx) {
+  std::vector<int> out;
+  for (const auto& [nbr, seg] : g.adjacency(idx)) out.push_back(nbr);
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 TEST(RoadGraph, LatticeStructure) {
   RoadGraph g{3, 2, 100.0};  // 3x2 intersections
@@ -29,8 +39,8 @@ TEST(RoadGraph, DegenerateHighwayLine) {
   RoadGraph g{5, 1, 500.0};
   EXPECT_EQ(g.intersection_count(), 5);
   EXPECT_EQ(g.segment_count(), 4u);
-  EXPECT_EQ(g.neighbors_of(0), (std::vector<int>{1}));
-  EXPECT_EQ(g.neighbors_of(2), (std::vector<int>{1, 3}));
+  EXPECT_EQ(sorted_neighbors(g, 0), (std::vector<int>{1}));
+  EXPECT_EQ(sorted_neighbors(g, 2), (std::vector<int>{1, 3}));
 }
 
 TEST(RoadGraph, NearestIntersectionClamps) {
@@ -112,7 +122,7 @@ TEST(RoadGraph, GeneralGraphBuild) {
   EXPECT_DOUBLE_EQ(g.segment_length(g.segment_between(a, c)),
                    std::hypot(150.0, 200.0));
   EXPECT_EQ(g.degree(b), 3);
-  EXPECT_EQ(g.neighbors_of(b), (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(sorted_neighbors(g, b), (std::vector<int>{0, 2, 3}));
   EXPECT_EQ(g.nearest_intersection({440.0, 60.0}), d);
   EXPECT_EQ(g.bbox_max(), (core::Vec2{450.0, 200.0}));
 
@@ -183,7 +193,6 @@ TEST(RoadGraph, SegmentIndexMatchesLinearScan) {
 
 TEST(DensityOracle, SetAndGet) {
   SegmentDensityOracle o{5};
-  EXPECT_EQ(o.segments(), 5u);
   EXPECT_DOUBLE_EQ(o.count(3), 0.0);
   o.set_count(3, 12.0);
   EXPECT_DOUBLE_EQ(o.count(3), 12.0);

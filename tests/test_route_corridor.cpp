@@ -39,7 +39,6 @@ TEST(RouteCorridor, FollowsTheRoadRouteNotTheStraightLine) {
   ASSERT_TRUE(c.route_found());
   // The whole U: the route 0-1-2-3 and the endpoint segments (already on it).
   EXPECT_EQ(c.segments(), (std::vector<int>{0, 1, 2}));
-  EXPECT_DOUBLE_EQ(c.length(), 3000.0);
 
   // On the roads: inside. In the roadless gap the straight line crosses:
   // far from the corridor even though it is ON the src→dst line.
@@ -95,7 +94,6 @@ TEST(RouteCorridor, SameIntersectionEndpointsYieldTheLocalStreet) {
       RouteCorridor::between(g, idx, {0.0, 480.0}, {10.0, 450.0}, -1, -1);
   ASSERT_TRUE(c.route_found());
   EXPECT_EQ(c.segments(), (std::vector<int>{0}));
-  EXPECT_DOUBLE_EQ(c.length(), 1000.0);
 }
 
 TEST(SegmentCells, GroupsSegmentsByMidpointDeterministically) {
@@ -108,7 +106,6 @@ TEST(SegmentCells, GroupsSegmentsByMidpointDeterministically) {
   EXPECT_EQ(cells.cell_of_segment(0), 0);
   EXPECT_EQ(cells.cell_of_segment(1), 1);
   EXPECT_EQ(cells.cell_of_segment(2), 2);
-  EXPECT_EQ(cells.segments_in(1), (std::vector<int>{1}));
   EXPECT_EQ(cells.anchor(0), (core::Vec2{0.0, 500.0}));
   EXPECT_EQ(cells.anchor(1), (core::Vec2{500.0, 1000.0}));
   // Membership of a position follows its nearest street, not its bucket.
@@ -127,13 +124,13 @@ TEST(SegmentCells, MergesCoLocatedSegmentsAndAveragesAnchors) {
   g.add_segment(0, 2);  // midpoint (50, 50)
   const SegmentCells cells{g, 1000.0};  // one giant bucket
   ASSERT_EQ(cells.cell_count(), 1);
-  EXPECT_EQ(cells.segments_in(0), (std::vector<int>{0, 1, 2}));
+  for (int seg = 0; seg < 3; ++seg) EXPECT_EQ(cells.cell_of_segment(seg), 0);
   EXPECT_NEAR(cells.anchor(0).x, (50.0 + 100.0 + 50.0) / 3.0, 1e-12);
   EXPECT_NEAR(cells.anchor(0).y, (0.0 + 50.0 + 50.0) / 3.0, 1e-12);
 }
 
 TEST(AmbiguousSegments, LatticesAreEntirelyUnambiguous) {
-  const RoadGraph g = make_grid(6, 5, 200.0);
+  const RoadGraph g{6, 5, 200.0};
   const std::vector<bool> flags = ambiguous_interior_segments(g);
   ASSERT_EQ(flags.size(), g.segment_count());
   for (std::size_t s = 0; s < flags.size(); ++s) {
@@ -217,7 +214,7 @@ TEST(ReportedSegment, MatchesNearestSegmentWheneverClaimed) {
   town.add_segment(market, 3);
 
   for (const bool lattice : {false, true}) {
-    auto graph = std::make_shared<RoadGraph>(lattice ? make_grid(5, 4, 150.0)
+    auto graph = std::make_shared<RoadGraph>(lattice ? RoadGraph{5, 4, 150.0}
                                                      : town);
     const SegmentIndex idx{*graph};
     const std::vector<bool> ambiguous = ambiguous_interior_segments(*graph);

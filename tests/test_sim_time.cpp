@@ -7,7 +7,7 @@ namespace {
 
 TEST(SimTime, DefaultIsZero) {
   SimTime t;
-  EXPECT_TRUE(t.is_zero());
+  EXPECT_EQ(t, SimTime::zero());
   EXPECT_EQ(t.as_micros(), 0);
 }
 
@@ -34,8 +34,6 @@ TEST(SimTime, CompoundAssignment) {
   SimTime t = SimTime::millis(100);
   t += SimTime::millis(50);
   EXPECT_EQ(t.as_millis(), 150.0);
-  t -= SimTime::millis(150);
-  EXPECT_TRUE(t.is_zero());
 }
 
 TEST(SimTime, Ordering) {

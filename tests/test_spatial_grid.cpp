@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -20,17 +19,14 @@ std::vector<SpatialGrid::Id> query(
   return out;
 }
 
-TEST(SpatialGrid, InsertQueryRemove) {
+TEST(SpatialGrid, InsertQuery) {
   SpatialGrid g{100.0};
   g.insert(1, {0.0, 0.0});
   g.insert(2, {50.0, 0.0});
   g.insert(3, {500.0, 0.0});
-  EXPECT_EQ(g.size(), 3u);
   EXPECT_TRUE(g.contains(2));
+  EXPECT_FALSE(g.contains(4));
   EXPECT_EQ(query(g, {0.0, 0.0}, 100.0), (std::vector<SpatialGrid::Id>{1, 2}));
-  g.remove(2);
-  EXPECT_EQ(query(g, {0.0, 0.0}, 100.0), (std::vector<SpatialGrid::Id>{1}));
-  EXPECT_FALSE(g.contains(2));
 }
 
 TEST(SpatialGrid, QueryExcludesSelf) {
@@ -56,18 +52,12 @@ TEST(SpatialGrid, UpdateMovesAcrossCells) {
   g.update(1, {1000.0, 1000.0});
   EXPECT_TRUE(query(g, {0.0, 0.0}, 200.0).empty());
   EXPECT_EQ(query(g, {1000.0, 1000.0}, 10.0).size(), 1u);
-  EXPECT_EQ(g.position(1), (Vec2{1000.0, 1000.0}));
 }
 
 TEST(SpatialGridDeathTest, DuplicateInsertAborts) {
   SpatialGrid g{100.0};
   g.insert(1, {0.0, 0.0});
   EXPECT_DEATH(g.insert(1, {5.0, 5.0}), "duplicate insert");
-}
-
-TEST(SpatialGridDeathTest, RemoveUnknownAborts) {
-  SpatialGrid g{100.0};
-  EXPECT_DEATH(g.remove(9), "unknown id");
 }
 
 TEST(SpatialGrid, NegativeCoordinates) {
@@ -78,7 +68,7 @@ TEST(SpatialGrid, NegativeCoordinates) {
 }
 
 // Property: grid query matches brute force, in exact id order, for random
-// point clouds under churn (insert/update/remove), across cell sizes and
+// point clouds under churn (inserts and updates), across cell sizes and
 // query radii. The grid is sized to a box that holds only part of the cloud:
 // points far outside it and negative coordinates must stay exact.
 class SpatialGridProperty
@@ -108,23 +98,21 @@ TEST_P(SpatialGridProperty, MatchesBruteForce) {
     g.query_radius_into(c, radius, exclude, got);
     EXPECT_EQ(got, expected);
   };
-  for (int i = 0; i < n; ++i) {
+  // Half the ids start present; churn inserts the rest over the rounds.
+  for (int i = 0; i < n; i += 2) {
     pts[static_cast<std::size_t>(i)] = random_pos();
     present[static_cast<std::size_t>(i)] = true;
     g.insert(static_cast<SpatialGrid::Id>(i), pts[static_cast<std::size_t>(i)]);
   }
   for (int round = 0; round < 20; ++round) {
-    // Churn: a batch of random inserts, moves (small steps and jumps) and
-    // removals, then probes.
+    // Churn: a batch of random inserts and moves (small steps and jumps),
+    // then probes.
     for (int op = 0; op < n / 2 + 1; ++op) {
       const auto id = static_cast<SpatialGrid::Id>(rng.uniform_int(0, n - 1));
       if (!present[id]) {
         pts[id] = random_pos();
         g.insert(id, pts[id]);
         present[id] = true;
-      } else if (rng.uniform(0.0, 1.0) < 0.2) {
-        g.remove(id);
-        present[id] = false;
       } else {
         pts[id] = rng.uniform(0.0, 1.0) < 0.5
                       ? pts[id] + Vec2{rng.uniform(-cell, cell),
@@ -132,13 +120,8 @@ TEST_P(SpatialGridProperty, MatchesBruteForce) {
                       : random_pos();
         g.update(id, pts[id]);
       }
-      ASSERT_EQ(g.contains(id), present[id]);
-      if (present[id]) {
-        ASSERT_EQ(g.position(id), pts[id]);
-      }
+      ASSERT_TRUE(g.contains(id));
     }
-    EXPECT_EQ(g.size(), static_cast<std::size_t>(
-                            std::count(present.begin(), present.end(), true)));
     for (int probe = 0; probe < 10; ++probe) {
       const auto near = static_cast<SpatialGrid::Id>(rng.uniform_int(0, n - 1));
       // Random centres, and centres on a (possibly far-out) point excluding

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace vanet::analysis {
 namespace {
 
@@ -27,31 +25,6 @@ TEST(RunningStats, MatchesDirectComputation) {
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
-TEST(RunningStats, MergeEqualsCombinedStream) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10.0;
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 3.0);
-}
-
 TEST(Percentile, Basics) {
   EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(percentile({7.0}, 0.9), 7.0);
@@ -60,22 +33,6 @@ TEST(Percentile, Basics) {
   EXPECT_DOUBLE_EQ(percentile({1.0, 2.0, 3.0, 4.0}, 1.0), 4.0);
   // Linear interpolation between order statistics.
   EXPECT_DOUBLE_EQ(percentile({0.0, 10.0}, 0.25), 2.5);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(0.5);   // bin 0
-  h.add(3.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(-5.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[1], 1u);
-  EXPECT_EQ(h.counts()[4], 2u);
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "core/rng.h"
-#include "mobility/constant_velocity.h"
+#include "util/constant_velocity.h"
 
 namespace vanet::mobility {
 namespace {

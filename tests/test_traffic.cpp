@@ -5,8 +5,8 @@
 #include <map>
 #include <memory>
 
-#include "mobility/constant_velocity.h"
 #include "routing/protocol.h"
+#include "util/constant_velocity.h"
 
 namespace vanet::sim {
 namespace {

@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "map/segment_index.h"
-#include "mobility/constant_velocity.h"
 #include "mobility/mobility_manager.h"
 #include "net/hello.h"
 #include "net/network.h"
 #include "routing/registry.h"
+#include "util/constant_velocity.h"
 
 namespace vanet::testing {
 
