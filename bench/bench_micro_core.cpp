@@ -2,8 +2,8 @@
 // (google-benchmark): event queue, spatial index, duplicate cache, lifetime
 // solvers, survival/expectation integrals, IDM stepping, one MAC broadcast,
 // the channel index's per-frame work, the hello layer's neighbor-table
-// intake, and the ETX agent's beacon fill (with its Dijkstra rerun) and
-// hello intake.
+// intake and one frame's fan-out to its receivers, and the ETX agent's
+// beacon fill (with its Dijkstra rerun) and hello intake.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -346,6 +346,7 @@ void BM_HelloIntake(benchmark::State& state) {
   for (auto _ : state) {
     for (const net::NodeId id : live) {
       p.origin = id;
+      ++p.uid;  // every beacon its own frame, as the MAC numbers them
       hello.on_frame(self, p);
     }
     for (std::size_t k = 0; k < churn; ++k) {
@@ -359,6 +360,41 @@ void BM_HelloIntake(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(nbrs));
 }
 BENCHMARK(BM_HelloIntake)->Arg(10)->Arg(50)->Arg(200);
+
+/// One hello frame decoded by `arg` receivers at a 10,000-node service: the
+/// per-frame cost of the city-scale fan-out. Sender s is heard by s+1..s+arg
+/// (mod 10,000), so each table holds `arg` rows and every frame replaces the
+/// row for its sender at each receiver. `records` is the decoded beacons the
+/// service holds at the end: one per sender, whatever the fan-out.
+void BM_HelloFanout(benchmark::State& state) {
+  constexpr net::NodeId kNodes = 10000;
+  const auto fanout = static_cast<net::NodeId>(state.range(0));
+  core::Simulator sim;
+  core::RngManager rngs{14};
+  net::Network net{sim, nullptr, std::make_unique<net::UnitDiskModel>(250.0),
+                   rngs.stream("net")};
+  for (net::NodeId id = 0; id < kNodes; ++id) {
+    net.add_rsu({static_cast<double>(id), 0.0});
+  }
+  net::HelloService hello{net, rngs.stream("hello")};
+  net::Packet p;
+  p.kind = net::PacketKind::kHello;
+  p.header = std::make_shared<net::HelloHeader>();
+  auto frame = [&] {
+    ++p.uid;
+    for (net::NodeId k = 1; k <= fanout; ++k) {
+      hello.on_frame((p.origin + k) % kNodes, p);
+    }
+    p.origin = (p.origin + 1) % kNodes;
+  };
+  // One round of every sender first: every table at its steady size.
+  for (net::NodeId s = 0; s < kNodes; ++s) frame();
+  for (auto _ : state) frame();
+  state.counters["records"] = static_cast<double>(hello.records().live());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fanout));
+}
+BENCHMARK(BM_HelloFanout)->Arg(10)->Arg(50)->Arg(200);
 
 /// Hellos from neighbors 1..nbrs, each a clean link reporting this node and
 /// advertising `advert_len` routes: itself, then a shared block of distant

@@ -7,27 +7,63 @@
 
 namespace vanet::net {
 
-void NeighborTable::update(const NeighborInfo& info) {
-  auto it = std::ranges::lower_bound(rows_, info.id, {}, &NeighborInfo::id);
-  if (it != rows_.end() && it->id == info.id) {
-    *it = info;
+BeaconStore::Index BeaconStore::intern(std::uint64_t uid,
+                                       const NeighborInfo& info) {
+  if (last_ != kNone && last_uid_ == uid) {
+    const NeighborInfo& last = (*this)[last_];
+    if (last.id == info.id && last.last_heard == info.last_heard) return last_;
+  }
+  Index i;
+  if (!free_.empty()) {
+    i = free_.back();
+    free_.pop_back();
   } else {
-    rows_.insert(it, info);
+    i = static_cast<Index>(refs_.size());
+    VANET_ASSERT_MSG(i != kNone, "beacon store full");
+    if (i % kChunk == 0) {
+      chunks_.push_back(std::make_unique<NeighborInfo[]>(kChunk));
+    }
+    refs_.push_back(0);
+  }
+  chunks_[i / kChunk][i % kChunk] = info;
+  last_ = i;
+  last_uid_ = uid;
+  return i;
+}
+
+void BeaconStore::release(Index i) {
+  VANET_ASSERT(refs_[i] > 0);
+  if (--refs_[i] > 0) return;
+  free_.push_back(i);
+  if (i == last_) last_ = kNone;
+}
+
+void NeighborTable::update(BeaconStore::Index record) {
+  const NeighborInfo& info = (*store_)[record];
+  store_->retain(record);
+  auto it = std::ranges::lower_bound(rows_, info.id, {}, &NeighborRow::id);
+  if (it != rows_.end() && it->id == info.id) {
+    store_->release(it->record);
+    it->record = record;
+    it->last_heard = info.last_heard;
+  } else {
+    rows_.insert(it, {info.id, record, info.last_heard});
   }
 }
 
 const NeighborInfo* NeighborTable::find(NodeId id) const {
-  auto it = std::ranges::lower_bound(rows_, id, {}, &NeighborInfo::id);
-  return it != rows_.end() && it->id == id ? &*it : nullptr;
+  auto it = std::ranges::lower_bound(rows_, id, {}, &NeighborRow::id);
+  return it != rows_.end() && it->id == id ? &(*store_)[it->record] : nullptr;
 }
 
 std::vector<NodeId> NeighborTable::expire(core::SimTime now,
                                           core::SimTime expiry) {
   // One in-order pass: the rows are id-sorted, so `gone` comes out sorted.
   std::vector<NodeId> gone;
-  std::erase_if(rows_, [&](const NeighborInfo& row) {
+  std::erase_if(rows_, [&](const NeighborRow& row) {
     if (now - row.last_heard <= expiry) return false;
     gone.push_back(row.id);
+    store_->release(row.record);
     return true;
   });
   return gone;
@@ -92,13 +128,14 @@ void HelloService::on_frame(NodeId self, const Packet& p) {
   VANET_ASSERT_MSG(h != nullptr, "hello frame without HelloHeader");
   PerNode& n = node(self);
   n.has_table = true;
-  n.table.update({.id = p.origin, .pos = h->pos, .vel = h->vel, .acc = h->acc,
-                  .rsu = h->rsu, .last_heard = net_.simulator().now()});
+  n.table.update(store_.intern(
+      p.uid, {.id = p.origin, .pos = h->pos, .vel = h->vel, .acc = h->acc,
+              .rsu = h->rsu, .last_heard = net_.simulator().now()}));
   if (n.observer) n.observer(p, *h);
 }
 
 HelloService::PerNode& HelloService::node(NodeId id) {
-  if (id >= nodes_.size()) nodes_.resize(std::size_t{id} + 1);
+  while (id >= nodes_.size()) nodes_.emplace_back(store_);
   return nodes_[id];
 }
 

@@ -10,6 +10,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "core/rng.h"
@@ -77,24 +80,86 @@ struct NeighborInfo {
   }
 };
 
-/// One node's neighbors as id-sorted rows: binary-search lookups and a
-/// deterministic id-order view. `snapshot()` and `find()` point into the rows
-/// and stay valid until the node's next hello intake or sweep (each its own
-/// event); routing handlers keep no `NeighborInfo*` past their own call.
+/// Every decoded hello frame, stored once: one record per frame, shared by
+/// all the neighbor tables that decoded it and reference-counted by their
+/// rows (a scenario is single-threaded, so the count is a plain integer).
+/// A record is freed when the last row that names it is replaced or expires,
+/// and its slot is reused by a later frame. Records live in fixed-size
+/// chunks, so a record's address never moves while it is held.
+class BeaconStore {
+ public:
+  using Index = std::uint32_t;
+
+  /// The record of frame `uid` from `info.id`, decoded at `info.last_heard`:
+  /// the record the previous call made when that call named the same frame
+  /// (one frame reaches all its receivers in one event), else a new record
+  /// holding `info`. A new record is held by nothing until a table takes it.
+  Index intern(std::uint64_t uid, const NeighborInfo& info);
+
+  const NeighborInfo& operator[](Index i) const {
+    return chunks_[i / kChunk][i % kChunk];
+  }
+  void retain(Index i) { ++refs_[i]; }
+  void release(Index i);
+
+  /// Records in use: held by some row, or just interned.
+  std::size_t live() const { return refs_.size() - free_.size(); }
+
+ private:
+  static constexpr Index kChunk = 1024;
+  static constexpr Index kNone = ~Index{0};
+
+  std::vector<std::unique_ptr<NeighborInfo[]>> chunks_;
+  std::vector<std::uint32_t> refs_;  ///< per slot; 0 = free
+  std::vector<Index> free_;          ///< freed slots, reused first
+  /// The frame the last intern call named, while its record is live.
+  Index last_ = kNone;
+  std::uint64_t last_uid_ = 0;
+};
+
+/// One node's row for a neighbor: its id, its latest decoded beacon's record
+/// and that beacon's reception time (a copy, so a sweep reads no record).
+struct NeighborRow {
+  NodeId id = 0;
+  BeaconStore::Index record = 0;
+  core::SimTime last_heard{};
+};
+static_assert(sizeof(NeighborRow) == 16);
+
+/// One node's neighbors as id-sorted 16-byte rows naming records in a
+/// BeaconStore: binary-search lookups and a deterministic id-order view.
+/// A `NeighborInfo` read through `snapshot()` or `find()` is the shared
+/// record in the store. Records never move, and a row holds its record until
+/// the node's next hello intake or sweep (each its own event), so the
+/// reference is valid until then; routing handlers keep no `NeighborInfo*`
+/// past their own call. Move-only: a row holds a reference to its record.
 class NeighborTable {
  public:
-  void update(const NeighborInfo& info);
+  explicit NeighborTable(BeaconStore& store) : store_{&store} {}
+  NeighborTable(NeighborTable&&) = default;
+
+  /// Points the row of the record's sender at `record` (id and reception
+  /// time are read from it), releasing the record it named before.
+  void update(BeaconStore::Index record);
   const NeighborInfo* find(NodeId id) const;
   std::size_t size() const { return rows_.size(); }
 
-  /// The rows in id order (a view; see the class comment for its lifetime).
-  const std::vector<NeighborInfo>& snapshot() const { return rows_; }
+  /// The neighbors in id order: a random-access view of the rows' records
+  /// (see the class comment for how long they stay valid).
+  auto snapshot() const {
+    return std::span<const NeighborRow>{rows_} |
+           std::views::transform(
+               [store = store_](const NeighborRow& row) -> const NeighborInfo& {
+                 return (*store)[row.record];
+               });
+  }
 
   /// Remove entries older than `expiry`; returns the expired ids, sorted.
   std::vector<NodeId> expire(core::SimTime now, core::SimTime expiry);
 
  private:
-  std::vector<NeighborInfo> rows_;  ///< sorted by id, ids unique
+  BeaconStore* store_;
+  std::vector<NeighborRow> rows_;  ///< sorted by id, ids unique
 };
 
 /// One service instance manages beacons + tables for every node in the
@@ -120,7 +185,11 @@ class HelloService {
   const NeighborTable& table(NodeId id) const;
 
   /// Called by the routing layer when a hello frame arrives at `self`.
+  /// Every receiver of one frame shares its record (see BeaconStore).
   void on_frame(NodeId self, const Packet& p);
+
+  /// The decoded beacons the tables read.
+  const BeaconStore& records() const { return store_; }
 
   /// Observer for neighbor-expiry events at node `id` (route maintenance).
   void set_loss_callback(NodeId id, std::function<void(NodeId lost)> fn);
@@ -136,6 +205,7 @@ class HelloService {
 
   /// Everything the service keeps for one node, indexed by NodeId.
   struct PerNode {
+    explicit PerNode(BeaconStore& store) : table{store} {}
     NeighborTable table;
     bool has_table = false;  ///< started here, or heard a hello frame
     std::uint32_t beacon_seq = 0;
@@ -149,6 +219,7 @@ class HelloService {
   Network& net_;
   core::Rng& rng_;
   HelloConfig cfg_;
+  BeaconStore store_;
   std::vector<PerNode> nodes_;
   bool started_ = false;
 };

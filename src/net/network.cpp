@@ -38,8 +38,7 @@ Network::Network(core::Simulator& sim, mobility::MobilityManager* mobility,
   VANET_ASSERT(cfg_.interference_range_factor >= 1.0);
   if (mobility_ != nullptr) {
     mobility_->add_tick_listener([this](core::SimTime) { on_mobility_tick(); });
-    // One allocation for the vehicle population: regrowing nodes_ would copy
-    // every NodeImpl (its deque and std::functions have no noexcept move).
+    // One allocation for the vehicle population, not one per doubling.
     nodes_.reserve(mobility_->vehicles().size());
     pos_cache_.reserve(mobility_->vehicles().size());
   }
@@ -103,7 +102,7 @@ void Network::set_node_up(NodeId id, bool up) {
     // Crash: the queue is lost and any frame in flight is aborted. The
     // channel record of an aborted frame stays — it already radiated and
     // must keep colliding with overlapping receptions.
-    node.queue.clear();
+    node.queue = {};
     node.transmitting = false;
     node.current_tx = ChannelState::kInvalidHandle;
     recovery_pending_[id] = false;
@@ -211,6 +210,25 @@ void Network::send(NodeId from, Packet p) {
   }
 }
 
+void Network::FrameQueue::push_back(QueuedFrame frame) {
+  if (size_ == slots_.size()) {
+    // Full: unroll the ring so the oldest frame is first, then double it.
+    std::rotate(slots_.begin(),
+                slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+                slots_.end());
+    head_ = 0;
+    slots_.resize(std::max<std::size_t>(1, 2 * slots_.size()));
+  }
+  slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(frame);
+  ++size_;
+}
+
+void Network::FrameQueue::pop_front() {
+  slots_[head_] = {};  // drop the packet's header now, not when overwritten
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --size_;
+}
+
 void Network::schedule_attempt(NodeImpl& node, core::SimTime delay) {
   node.attempt_pending = true;
   const NodeId id = node.id;
@@ -258,8 +276,7 @@ void Network::finish_transmission(NodeId id) {
   VANET_ASSERT(node.transmitting);
   node.transmitting = false;
   VANET_ASSERT(!node.queue.empty());
-  QueuedFrame& frame = node.queue.front();
-  const Packet packet = frame.packet;
+  const Packet packet = node.queue.front().packet;
 
   // Our channel record, stored at transmit time (a lookup by end time could
   // alias when two frames end at the same instant).
@@ -316,8 +333,11 @@ void Network::finish_transmission(NodeId id) {
   // Unicast retry / failure bookkeeping.
   bool keep_frame = false;
   if (packet.rx != kBroadcastId && !intended_received) {
-    if (frame.attempts < cfg_.unicast_retry_limit) {
-      ++frame.attempts;
+    // The failure handler may send at this node, which can regrow the queue:
+    // `attempts` is not touched after it.
+    int& attempts = node.queue.front().attempts;
+    if (attempts < cfg_.unicast_retry_limit) {
+      ++attempts;
       ++counters_.unicast_retries;
       keep_frame = true;
     } else {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -141,6 +140,23 @@ class Network {
     Packet packet;
     int attempts = 0;
   };
+  /// A node's transmit FIFO: a ring that allocates nothing until the node
+  /// first sends and then doubles only when its backlog outgrows it.
+  /// `push_back` may move every queued frame, so a reference to `front()`
+  /// must not be held across a callback that can send at this node.
+  class FrameQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    QueuedFrame& front() { return slots_[head_]; }
+    void push_back(QueuedFrame frame);
+    void pop_front();
+
+   private:
+    std::vector<QueuedFrame> slots_;  ///< size 0 or a power of two
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
   struct NodeImpl {
     NodeId id = 0;
     bool rsu = false;
@@ -149,7 +165,7 @@ class Network {
     mobility::VehicleId vehicle = 0;
     ReceiveHandler on_receive;
     UnicastFailHandler on_unicast_fail;
-    std::deque<QueuedFrame> queue;
+    FrameQueue queue;
     bool transmitting = false;
     core::SimTime tx_until{};
     bool attempt_pending = false;

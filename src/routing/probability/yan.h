@@ -24,8 +24,10 @@ struct ProbeCandidate {
   double duration;
 };
 
-/// Yan's probe ranking over one node's neighbor rows. Rows with id `skip_a`
-/// or `skip_b` (the RREQ origin and the hop it came from) never qualify.
+/// Yan's probe ranking over one node's neighbors: any range of
+/// `net::NeighborInfo` whose elements stay put while it runs (a table's
+/// snapshot, a vector). Rows with id `skip_a` or `skip_b` (the RREQ origin
+/// and the hop it came from) never qualify.
 /// Neighbors with `progress` > 1 m toward the target are the forward
 /// candidates; each is scored with `score` and kept when its duration
 /// exceeds 0.5 s. Only when none is kept are the other neighbors (a NaN
@@ -34,10 +36,10 @@ struct ProbeCandidate {
 ///
 /// `score` must be pure (no RNG draw, no state): a sideways neighbor is
 /// scored only when the fallback is read, and a forward one only once.
-template <typename Progress, typename Score>
+template <typename Rows, typename Progress, typename Score>
 std::vector<ProbeCandidate> rank_probe_candidates(
-    const std::vector<net::NeighborInfo>& rows, net::NodeId skip_a,
-    net::NodeId skip_b, Progress&& progress, Score&& score) {
+    const Rows& rows, net::NodeId skip_a, net::NodeId skip_b,
+    Progress&& progress, Score&& score) {
   std::vector<ProbeCandidate> ranked;
   std::vector<const net::NeighborInfo*> sideways;
   for (const auto& nbr : rows) {

@@ -205,12 +205,14 @@ TEST(Hello, ExpiryShorterThanIntervalThrows) {
 }
 
 TEST(NeighborTable, SnapshotSortedAndExpireReturnsIds) {
-  NeighborTable t;
+  BeaconStore store;
+  NeighborTable t{store};
+  std::uint64_t uid = 0;
   for (NodeId id : {5u, 1u, 9u}) {
     NeighborInfo info;
     info.id = id;
     info.last_heard = core::SimTime::seconds(id == 9u ? 10.0 : 0.0);
-    t.update(info);
+    t.update(store.intern(++uid, info));
   }
   const auto snap = t.snapshot();
   ASSERT_EQ(snap.size(), 3u);
@@ -221,6 +223,70 @@ TEST(NeighborTable, SnapshotSortedAndExpireReturnsIds) {
   EXPECT_EQ(gone, (std::vector<NodeId>{1u, 5u}));
   EXPECT_EQ(t.size(), 1u);
   EXPECT_NE(t.find(9u), nullptr);
+  EXPECT_EQ(store.live(), 1u);  // the expired rows released their records
+}
+
+TEST(Hello, ReceiversOfOneFrameShareOneRecord) {
+  // One sender and four receivers whose radios are down: their beacons stop
+  // at the MAC door and their sweeps still run, so the only frames are the
+  // ones fed in below, each at the instant it is decoded.
+  core::Simulator sim;
+  core::RngManager rngs{31};
+  Network net{sim, nullptr, std::make_unique<UnitDiskModel>(100.0),
+              rngs.stream("net")};
+  for (int i = 0; i < 5; ++i) net.add_rsu({10.0 * i, 0.0});
+  for (NodeId id : net.node_ids()) net.set_node_up(id, false);
+  HelloService hello{net, rngs.stream("hello")};
+  hello.start(net.node_ids());
+  constexpr NodeId kSender = 0;
+  auto beacon = [](std::uint64_t uid, double x) {
+    Packet p;
+    p.kind = PacketKind::kHello;
+    p.origin = kSender;
+    p.uid = uid;
+    auto h = std::make_shared<HelloHeader>();
+    h->pos = {x, 0.0};
+    p.header = std::move(h);
+    return p;
+  };
+
+  // Frame 1 reaches all four receivers in one event: one record for all.
+  const Packet f1 = beacon(1, 1.0);
+  for (NodeId r : {1u, 2u, 3u, 4u}) hello.on_frame(r, f1);
+  EXPECT_EQ(hello.records().live(), 1u);
+  const NeighborInfo* rec1 = hello.table(1).find(kSender);
+  ASSERT_NE(rec1, nullptr);
+  for (NodeId r : {2u, 3u, 4u}) EXPECT_EQ(hello.table(r).find(kSender), rec1);
+  const core::SimTime t1 = sim.now();
+
+  // Frames 2 and 3 reach fewer receivers. Receivers 1 and 2 missed both and
+  // still read frame 1, whose record outlives its sender's newer beacons.
+  sim.run_until(core::SimTime::seconds(1.0));
+  const Packet f2 = beacon(2, 2.0);
+  for (NodeId r : {3u, 4u}) hello.on_frame(r, f2);
+  sim.run_until(core::SimTime::seconds(2.0));
+  hello.on_frame(4, beacon(3, 3.0));
+  EXPECT_EQ(hello.records().live(), 3u);
+  for (NodeId r : {1u, 2u}) EXPECT_EQ(hello.table(r).find(kSender), rec1);
+  EXPECT_EQ(rec1->pos.x, 1.0);
+  EXPECT_EQ(rec1->last_heard, t1);
+  EXPECT_EQ(hello.table(3).find(kSender)->pos.x, 2.0);
+  EXPECT_EQ(hello.table(4).find(kSender)->pos.x, 3.0);
+
+  // Frame 1's record goes once both its tables have expired it, and the
+  // store is empty once every table has.
+  sim.run_until(core::SimTime::seconds(4.5));
+  EXPECT_EQ(hello.table(1).size(), 0u);
+  EXPECT_EQ(hello.table(2).size(), 0u);
+  EXPECT_EQ(hello.records().live(), 2u);
+  sim.run_until(core::SimTime::seconds(10.0));
+  for (NodeId r : {1u, 2u, 3u, 4u}) EXPECT_EQ(hello.table(r).size(), 0u);
+  EXPECT_EQ(hello.records().live(), 0u);
+
+  // A freed slot takes the next frame.
+  for (NodeId r : {1u, 2u}) hello.on_frame(r, beacon(4, 4.0));
+  EXPECT_EQ(hello.records().live(), 1u);
+  EXPECT_EQ(hello.table(2).find(kSender)->pos.x, 4.0);
 }
 
 TEST(Hello, FrameAtUnstartedNodeBuildsTableLazily) {
@@ -293,8 +359,10 @@ TEST(NeighborTable, MatchesReferenceModel) {
       while (ids.size() < static_cast<std::size_t>(universe)) {
         ids.push_back(static_cast<NodeId>(rng.uniform_int(1, 0xfffffffd)));
       }
-      NeighborTable table;
+      BeaconStore store;
+      NeighborTable table{store};
       ReferenceNeighborTable ref;
+      std::uint64_t uid = 0;
       core::SimTime now{};
       for (int step = 0; step < 4000; ++step) {
         const NodeId id = ids[static_cast<std::size_t>(
@@ -307,7 +375,7 @@ TEST(NeighborTable, MatchesReferenceModel) {
           info.vel = {rng.uniform(-30.0, 30.0), 0.0};
           info.rsu = rng.uniform(0.0, 1.0) < 0.1;
           info.last_heard = now;
-          table.update(info);
+          table.update(store.intern(++uid, info));
           ref.update(info);
         } else if (op < 0.7) {
           // Time moves in steps up to the expiry window, so entries both
@@ -323,9 +391,12 @@ TEST(NeighborTable, MatchesReferenceModel) {
             ASSERT_TRUE(same_row(*row, it->second)) << "step " << step;
           }
         }
-        const std::vector<NeighborInfo>& snap = table.snapshot();
+        const auto snap = table.snapshot();
         ASSERT_EQ(table.size(), ref.rows.size()) << "step " << step;
         ASSERT_EQ(snap.size(), ref.rows.size()) << "step " << step;
+        // One table: each row holds its own record, replaced or expired
+        // ones were released.
+        ASSERT_EQ(store.live(), ref.rows.size()) << "step " << step;
         auto it = ref.rows.begin();
         for (std::size_t k = 0; k < snap.size(); ++k, ++it) {
           ASSERT_TRUE(same_row(snap[k], it->second))

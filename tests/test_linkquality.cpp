@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <queue>
 #include <sstream>
 #include <string>
@@ -522,6 +523,12 @@ struct ConvergenceCase {
   double distance;
   int m;
 };
+
+/// gtest's default printer dumps the struct's bytes, padding included, so
+/// the names ctest lists would change from build to build.
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << "distance " << c.distance << " m, m " << c.m;
+}
 
 class EtxConvergence : public ::testing::TestWithParam<ConvergenceCase> {};
 

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 
@@ -79,6 +80,34 @@ TEST(Network, UnicastToUnreachableRetriesThenFails) {
   EXPECT_EQ(t.net->counters().unicast_retries, 3u);  // retry limit
   EXPECT_EQ(t.net->counters().unicast_failures, 1u);
   EXPECT_EQ(t.net->counters().frames_sent, 4u);  // 1 + 3 retries
+}
+
+TEST(Network, FailureHandlerMayResendAtTheFailingNode) {
+  // Each failure sends two more frames at the failing node while the failed
+  // frame still heads its queue, so the queue grows, and later wraps, under
+  // the frame the MAC is finishing. Frames must still fail in the order they
+  // were sent, each after its full retry budget.
+  StaticNet t{{{0.0, 0.0}, {500.0, 0.0}}};
+  constexpr std::uint32_t kFrames = 9;
+  std::uint32_t next_seq = 0;
+  std::vector<std::uint32_t> failed;
+  auto send_next = [&] {
+    Packet p = t.make_packet();
+    p.rx = 1;
+    p.seq = next_seq++;
+    t.net->send(0, std::move(p));
+  };
+  t.net->set_unicast_fail_handler(0, [&](const Packet& p) {
+    failed.push_back(p.seq);
+    for (int k = 0; k < 2 && next_seq < kFrames; ++k) send_next();
+  });
+  send_next();
+  t.sim.run_until(core::SimTime::seconds(10.0));
+  std::vector<std::uint32_t> in_order(kFrames);
+  std::iota(in_order.begin(), in_order.end(), 0u);
+  EXPECT_EQ(failed, in_order);
+  EXPECT_EQ(t.net->counters().unicast_failures, kFrames);
+  EXPECT_EQ(t.net->counters().frames_sent, 4u * kFrames);  // 1 + 3 retries
 }
 
 TEST(Network, HiddenTerminalCollides) {
