@@ -264,7 +264,7 @@ ScenarioConfig make_config(const std::string& family, int vehicles,
     cfg.mobility = MobilityKind::kGraph;
     cfg.vehicles = vehicles;
     cfg.protocol = geometry_protocol_for(vehicles);
-    cfg.geometry = vanet::routing::GeometryMode::kRoute;
+    cfg.geometry = vanet::sim::GeometryMode::kRoute;
   } else if (family == "highway") {
     cfg.mobility = MobilityKind::kHighway;
     cfg.vehicles_per_direction = vehicles / 2;

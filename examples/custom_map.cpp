@@ -65,7 +65,7 @@ int main() {
     cfg.protocol = protocol;
     // Zone flooding stays on streets that lead to the destination: corridors
     // are road routes (map::RouteCorridor), not straight lines across blocks.
-    cfg.geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = sim::GeometryMode::kRoute;
     cfg.duration_s = 60.0;
     cfg.traffic.flows = 8;
     cfg.traffic.rate_pps = 1.0;

@@ -40,8 +40,10 @@ double nominal_range(const LogNormalParams& p) {
   return range_for_level(p, p.rx_threshold_dbm);
 }
 
-double max_range(const LogNormalParams& p, double k_sigma) {
-  return range_for_level(p, p.rx_threshold_dbm - k_sigma * p.shadowing_sigma_db);
+double max_range(const LogNormalParams& p) {
+  constexpr double kSigmas = 3.0;  // shadowing deviations below threshold
+  return range_for_level(p,
+                         p.rx_threshold_dbm - kSigmas * p.shadowing_sigma_db);
 }
 
 }  // namespace vanet::analysis

@@ -35,9 +35,9 @@ double receipt_probability(double d, const LogNormalParams& p);
 /// lifetime equations when running over a shadowing channel.
 double nominal_range(const LogNormalParams& p);
 
-/// Distance beyond which receipt probability < Phi(-k): used by the channel
-/// as a hard candidate-search cutoff (default 3 sigma ~ 0.13%).
-double max_range(const LogNormalParams& p, double k_sigma = 3.0);
+/// Distance beyond which receipt probability < Phi(-3) ~ 0.13 %: used by the
+/// channel as a hard candidate-search cutoff.
+double max_range(const LogNormalParams& p);
 
 /// Standard normal CDF. Defined inline: the lifetime integrators call this
 /// hundreds of times per link and the call overhead was measurable. The

@@ -208,9 +208,9 @@ double segment_segment_distance(core::Vec2 a1, core::Vec2 b1, core::Vec2 a2,
 
 }  // namespace
 
-std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph,
-                                              double clearance_m,
-                                              double min_sin) {
+std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph) {
+  constexpr double kClearanceM = 0.01;  // a crossing this close is ambiguous
+  constexpr double kMinSin = 0.01;      // so is an angle this shallow
   const std::size_t n = graph.segment_count();
   std::vector<bool> flagged(n, false);
   std::vector<core::Vec2> pa(n), pb(n);
@@ -224,10 +224,10 @@ std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph,
     for (std::size_t t = s + 1; t < n; ++t) {
       // Inflated-bbox prefilter: pairs further apart than the clearance can
       // never tie a query within it.
-      if (std::min(pa[s].x, pb[s].x) > std::max(pa[t].x, pb[t].x) + clearance_m ||
-          std::min(pa[t].x, pb[t].x) > std::max(pa[s].x, pb[s].x) + clearance_m ||
-          std::min(pa[s].y, pb[s].y) > std::max(pa[t].y, pb[t].y) + clearance_m ||
-          std::min(pa[t].y, pb[t].y) > std::max(pa[s].y, pb[s].y) + clearance_m) {
+      if (std::min(pa[s].x, pb[s].x) > std::max(pa[t].x, pb[t].x) + kClearanceM ||
+          std::min(pa[t].x, pb[t].x) > std::max(pa[s].x, pb[s].x) + kClearanceM ||
+          std::min(pa[s].y, pb[s].y) > std::max(pa[t].y, pb[t].y) + kClearanceM ||
+          std::min(pa[t].y, pb[t].y) > std::max(pa[s].y, pb[s].y) + kClearanceM) {
         continue;
       }
       const auto [ta, tb] = graph.segment_ends(static_cast<int>(t));
@@ -247,18 +247,18 @@ std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph,
                                  .normalized();
         const core::Vec2 v = (graph.intersection_pos(ta == shared ? tb : ta) - p)
                                  .normalized();
-        conflict = std::abs(u.cross(v)) < min_sin && u.dot(v) > 0.0;
+        conflict = std::abs(u.cross(v)) < kMinSin && u.dot(v) > 0.0;
         // A far endpoint sitting on (or hugging) the other segment's interior
         // is a T-junction modelled without a node — also ambiguous.
         if (!conflict) {
           const core::Vec2 s_far = graph.intersection_pos(sa == shared ? sb : sa);
           const core::Vec2 t_far = graph.intersection_pos(ta == shared ? tb : ta);
-          conflict = core::distance_to_segment(s_far, pa[t], pb[t]) < clearance_m ||
-                     core::distance_to_segment(t_far, pa[s], pb[s]) < clearance_m;
+          conflict = core::distance_to_segment(s_far, pa[t], pb[t]) < kClearanceM ||
+                     core::distance_to_segment(t_far, pa[s], pb[s]) < kClearanceM;
         }
       } else {
         conflict =
-            segment_segment_distance(pa[s], pb[s], pa[t], pb[t]) < clearance_m;
+            segment_segment_distance(pa[s], pb[s], pa[t], pb[t]) < kClearanceM;
       }
       if (conflict) {
         flagged[s] = true;

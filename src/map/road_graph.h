@@ -108,9 +108,9 @@ class RoadGraph {
 };
 
 /// Flags segments whose interior points cannot be trusted to identify the
-/// segment uniquely: another segment crosses (or passes within `clearance_m`
-/// of) the interior, or an incident segment leaves the shared intersection at
-/// a near-collinear angle (|sin| < `min_sin`). On such segments a position
+/// segment uniquely: another segment crosses (or passes within 1 cm of) the
+/// interior, or an incident segment leaves the shared intersection at a
+/// near-collinear angle (|sin| < 0.01). On such segments a position
 /// can be (near-)equidistant from two roads, so "the segment this vehicle
 /// drives on" and "the segment nearest this position" may legitimately
 /// disagree. The incremental density oracle (sim/scenario.cpp) only trusts a
@@ -120,9 +120,7 @@ class RoadGraph {
 /// vehicle. Conservative by construction: over-flagging only costs an index
 /// query, never correctness.
 /// Lattice graphs flag nothing (segments meet only at right angles).
-std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph,
-                                              double clearance_m = 0.01,
-                                              double min_sin = 0.01);
+std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph);
 
 /// Shared per-segment vehicle-count estimates (see header comment).
 class SegmentDensityOracle {

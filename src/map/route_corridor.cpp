@@ -51,16 +51,13 @@ int RouteCorridor::entry_intersection(const RoadGraph& graph, int segment,
   return da <= db ? a : b;
 }
 
-RouteCorridor RouteCorridor::between(const RoadGraph& graph,
-                                     const SegmentIndex& index, core::Vec2 src,
+RouteCorridor RouteCorridor::between(const RoadGraph& graph, core::Vec2 src,
                                      core::Vec2 dst, int src_seg,
                                      int dst_seg) {
-  VANET_ASSERT_MSG(&index.graph() == &graph,
-                   "segment index built over a different graph");
+  VANET_ASSERT_MSG(src_seg >= 0 && dst_seg >= 0,
+                   "corridor endpoints need resolved segment ids");
   RouteCorridor c;
   c.graph_ = &graph;
-  if (src_seg < 0) src_seg = index.nearest_segment(src);
-  if (dst_seg < 0) dst_seg = index.nearest_segment(dst);
   const std::vector<int> route =
       graph.shortest_path_by_length(entry_intersection(graph, src_seg, src),
                                     entry_intersection(graph, dst_seg, dst));

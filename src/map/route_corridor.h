@@ -8,14 +8,14 @@
 // the endpoints, so "inside the corridor" means "near a road that leads
 // there".
 //
-// Construction (`between`): resolve each position to its nearest segment
-// (grid-indexed — no O(intersections) scan) and enter the graph at that
-// street's closer endpoint (`entry_intersection`), run Dijkstra over physical
-// segment lengths between the two entries, and collect the route's segments
-// plus the endpoint segments themselves (so positions mid-block are always
-// covered by their own street). When the endpoints live in different graph
-// components there is no route — `route_found()` is false and callers fall
-// back to their legacy straight-line geometry.
+// Construction (`between`): take each position's nearest segment, resolved
+// by the caller (grid-indexed — no O(intersections) scan), enter the graph
+// at that street's closer endpoint (`entry_intersection`), run Dijkstra over
+// physical segment lengths between the two entries, and collect the route's
+// segments plus the endpoint segments themselves (so positions mid-block are
+// always covered by their own street). When the endpoints live in different
+// graph components there is no route — `route_found()` is false and callers
+// fall back to their straight-line geometry.
 //
 // Determinism: segment order is route order (endpoint segments appended), all
 // queries inherit the lowest-id tie-breaks of RoadGraph/SegmentIndex, and the
@@ -34,7 +34,6 @@
 
 #include "core/vec2.h"
 #include "map/road_graph.h"
-#include "map/segment_index.h"
 
 namespace vanet::map {
 
@@ -43,16 +42,13 @@ class RouteCorridor {
   /// Empty corridor; distance_to() is infinite and route_found() is false.
   RouteCorridor() = default;
 
-  /// Corridor between `src` and `dst` (see header comment). `graph` must be
-  /// the graph `index` was built over and must outlive the corridor. The
-  /// endpoint segments may come resolved by the caller (a SegmentSnapshot
-  /// hit or a segment id stamped into a packet header); a negative id falls
-  /// back to the index query, and a non-negative id MUST equal
-  /// index.nearest_segment of the matching position, so both build
-  /// bit-identical corridors.
-  static RouteCorridor between(const RoadGraph& graph, const SegmentIndex& index,
-                               core::Vec2 src, core::Vec2 dst, int src_seg,
-                               int dst_seg);
+  /// Corridor between `src` and `dst` (see header comment). `graph` must
+  /// outlive the corridor. `src_seg`/`dst_seg` are the endpoints' resolved
+  /// segments (a SegmentSnapshot answer or an id stamped into a packet
+  /// header): each MUST be the nearest segment to its position, which is
+  /// asserted non-negative and not re-derived.
+  static RouteCorridor between(const RoadGraph& graph, core::Vec2 src,
+                               core::Vec2 dst, int src_seg, int dst_seg);
 
   /// Where a position enters the graph: the endpoint of `segment` closer to
   /// `pos` (lower intersection id on exact ties). Cheap — two distance

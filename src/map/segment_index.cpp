@@ -9,20 +9,19 @@ namespace vanet::map {
 
 namespace {
 
-double default_cell(const RoadGraph& graph, double cell_size_m) {
+/// The mean segment length, at least 1 m.
+double cell_size(const RoadGraph& graph) {
   VANET_ASSERT_MSG(graph.segment_count() > 0,
                    "segment index over an empty graph");
-  return cell_size_m > 0.0
-             ? cell_size_m
-             : std::max(1.0, graph.total_length() /
-                                 static_cast<double>(graph.segment_count()));
+  return std::max(1.0, graph.total_length() /
+                           static_cast<double>(graph.segment_count()));
 }
 
 }  // namespace
 
-SegmentIndex::SegmentIndex(const RoadGraph& graph, double cell_size_m)
+SegmentIndex::SegmentIndex(const RoadGraph& graph)
     : graph_{graph},
-      cells_{default_cell(graph, cell_size_m),
+      cells_{cell_size(graph),
              core::Box{graph.bbox_min(), graph.bbox_max()}},
       cell_{cells_.cell_size()} {
   bool first = true;

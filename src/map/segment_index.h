@@ -28,8 +28,8 @@ namespace vanet::map {
 class SegmentIndex {
  public:
   /// Build over all segments of `graph` (which must stay alive and
-  /// unmodified). `cell_size_m` <= 0 picks the mean segment length.
-  explicit SegmentIndex(const RoadGraph& graph, double cell_size_m = 0.0);
+  /// unmodified), with cells the mean segment length on a side.
+  explicit SegmentIndex(const RoadGraph& graph);
 
   /// Segment closest to `pos`; ties resolve to the lowest segment id.
   /// Exactly equal to graph().segment_of_position(pos).

@@ -21,7 +21,7 @@
 // the same as everywhere else in the repo: a non-negative prover answer MUST
 // equal nearest_segment(pos).
 //
-// Ownership: one instance per Scenario (like the lifetime memo),
+// Ownership: one instance per run (its Scenario or test harness),
 // single-threaded by the scenario's threading contract, shared across that
 // scenario's protocol instances via ProtocolContext. Do NOT feed it
 // extrapolated positions (e.g. HelloNeighbor::predicted_pos between ticks):

@@ -15,7 +15,6 @@ namespace vanet::routing {
 
 class BiswasProtocol final : public FloodingProtocol {
  public:
-  BiswasProtocol() = default;
   /// Forwarded suppression mode: `flood.suppression=etx` defers + cancels
   /// exactly as in FloodingProtocol; an overheard copy both suppresses the
   /// deferred rebroadcast and counts as the implicit acknowledgement.

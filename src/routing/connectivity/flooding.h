@@ -25,7 +25,6 @@ namespace vanet::routing {
 
 class FloodingProtocol : public RoutingProtocol {
  public:
-  FloodingProtocol() = default;
   FloodingProtocol(FloodSuppression suppression, EtxConfig etx)
       : suppression_{suppression}, etx_cfg_{etx} {}
 
@@ -60,7 +59,7 @@ class FloodingProtocol : public RoutingProtocol {
 
  private:
   DupCache seen_;
-  FloodSuppression suppression_ = FloodSuppression::kNone;
+  FloodSuppression suppression_;
   EtxConfig etx_cfg_;
   std::unique_ptr<EtxAgent> agent_;
   /// Deferred rebroadcasts, cancellable by flood key while they wait.

@@ -1,18 +1,17 @@
-// Per-node cache of road-route corridors, shared by the GeometryMode::kRoute
-// paths of zone, grid and gvgrid.
+// Per-node cache of road-route corridors, shared by the route-geometry paths
+// of zone, grid and gvgrid.
 //
 // Building a map::RouteCorridor runs Dijkstra; a protocol instance evaluating
 // every data frame (or RREQ) of a flow cannot afford that per packet. Flows
 // are long-lived and roads do not move, so the corridor between a flow's
 // endpoints is cached under a caller-chosen 64-bit key (canonically
-// origin<<32|destination). Endpoints DO move: each lookup re-resolves the
-// positions to (nearest segment, entry intersection) ids — one grid-indexed
-// SegmentIndex query plus two distance computations per endpoint, never an
-// O(intersections) scan — and rebuilds only when that tuple changed: the
-// cheap queries every packet, Dijkstra only when an endpoint actually
-// migrated along its street. The refresh rule depends on ids, not time, so
-// replaying the same packet sequence rebuilds at the same points:
-// determinism is preserved.
+// origin<<32|destination). Endpoints DO move: each lookup takes the caller's
+// resolved segment ids and re-derives the entry intersections — two distance
+// computations per endpoint, never an O(intersections) scan — and rebuilds
+// only when that tuple changed: the cheap checks every packet, Dijkstra only
+// when an endpoint actually migrated along its street. The refresh rule
+// depends on ids, not time, so replaying the same packet sequence rebuilds
+// at the same points: determinism is preserved.
 #pragma once
 
 #include <cstdint>
@@ -25,16 +24,12 @@ namespace vanet::routing {
 
 class CorridorCache {
  public:
-  /// Corridor between `src` and `dst` on `graph`, cached under `key`, with
-  /// the endpoint segments already resolved (a SegmentSnapshot hit or a
-  /// segment id stamped into the packet header at origination). A negative
-  /// id falls back to the per-call index query; a non-negative id MUST equal
-  /// index.nearest_segment of the matching position, so resolved and
-  /// unresolved ids refresh at the same packets and return bit-identical
-  /// corridors. The returned reference is valid until the next between()
-  /// call.
+  /// Corridor between `src` and `dst` on `graph`, cached under `key`.
+  /// `src_seg`/`dst_seg` are the endpoints' resolved segments (a
+  /// SegmentSnapshot answer or an id stamped into the packet header at
+  /// origination); each MUST be the nearest segment to its position. The
+  /// returned reference is valid until the next between() call.
   const map::RouteCorridor& between(const map::RoadGraph& graph,
-                                    const map::SegmentIndex& index,
                                     std::uint64_t key, core::Vec2 src,
                                     core::Vec2 dst, int src_seg, int dst_seg);
 

@@ -6,7 +6,7 @@
 namespace vanet::routing {
 
 double GridGatewayProtocol::cell() const {
-  return cell_size_ > 0.0 ? cell_size_ : 0.8 * network().nominal_range();
+  return kCellRangeFraction * network().nominal_range();
 }
 
 core::Vec2 GridGatewayProtocol::cell_center(core::Vec2 pos) const {
@@ -14,10 +14,6 @@ core::Vec2 GridGatewayProtocol::cell_center(core::Vec2 pos) const {
   const double cx = std::floor(pos.x / size) * size + size / 2.0;
   const double cy = std::floor(pos.y / size) * size + size / 2.0;
   return {cx, cy};
-}
-
-bool GridGatewayProtocol::road_mode() const {
-  return geometry_ == GeometryMode::kRoute && has_map() && !road_map().is_grid();
 }
 
 const map::SegmentCells& GridGatewayProtocol::road_cells() const {
@@ -29,7 +25,7 @@ const map::SegmentCells& GridGatewayProtocol::road_cells() const {
 
 bool GridGatewayProtocol::is_gateway() const {
   const core::Vec2 here = network().position(self());
-  if (road_mode()) {
+  if (route_geometry()) {
     // Road cell: membership follows the nearest street, the election
     // reference point is the cell's road anchor. Own position is
     // tick-aligned, so the snapshot serves it; neighbor positions are
@@ -59,23 +55,22 @@ bool GridGatewayProtocol::is_gateway() const {
 
 bool GridGatewayProtocol::inside_corridor(const net::Packet& p,
                                           const GridHeader& h) const {
-  if (road_mode()) {
+  if (route_geometry()) {
     const map::RouteCorridor& corridor = corridors_.between(
-        road_map(), segment_index(),
-        CorridorCache::pair_key(p.origin, p.destination), h.src_pos, h.dst_pos,
-        h.src_seg, h.dst_seg);
+        road_map(), CorridorCache::pair_key(p.origin, p.destination),
+        h.src_pos, h.dst_pos, h.src_seg, h.dst_seg);
     if (corridor.route_found()) {
       const map::SegmentCells& cells = road_cells();
       const core::Vec2 here = network().position(self());
       const core::Vec2 anchor =
           cells.anchor(cells.cell_of_segment(snapped_segment(self(), here)));
-      return corridor.contains(anchor, corridor_half_width_);
+      return corridor.contains(anchor, kCorridorHalfWidth);
     }
     // No road route between the endpoints: straight-line confinement below.
   }
   const core::Vec2 center = cell_center(network().position(self()));
   return core::distance_to_segment(center, h.src_pos, h.dst_pos) <=
-         corridor_half_width_;
+         kCorridorHalfWidth;
 }
 
 bool GridGatewayProtocol::originate(net::NodeId dst, std::uint32_t flow,
@@ -83,7 +78,7 @@ bool GridGatewayProtocol::originate(net::NodeId dst, std::uint32_t flow,
   auto h = std::make_shared<GridHeader>();
   h->src_pos = network().position(self());
   h->dst_pos = network().position(dst);  // location service
-  if (road_mode()) {
+  if (route_geometry()) {
     h->src_seg = snapped_segment(self(), h->src_pos);
     h->dst_seg = snapped_segment(dst, h->dst_pos);
   }

@@ -8,14 +8,17 @@
 // table (deterministic tie-break by id). Forwarding is additionally confined
 // to a corridor toward the destination (LORA-DCBF's directional flooding).
 //
-// Two cell/corridor geometries (GeometryMode, `geometry`):
-//  - kLine (default): fixed square coordinate cells (reference point = the
+// Cells are kCellRangeFraction x the radio's nominal range on a side, so
+// that neighbouring gateways can always hear each other (a cell larger than
+// the radio range breaks the gateway relay chain).
+//
+// Two cell/corridor geometries (ProtocolContext::route_geometry):
+//  - line (default): square coordinate cells (reference point = the
 //    square's centre) and a straight src→dst corridor.
-//  - kRoute: cells are groups of road segments (map::SegmentCells) — a
+//  - route: cells are groups of road segments (map::SegmentCells) — a
 //    vehicle belongs to the cell of the street it is on, the reference point
 //    is the cell's road anchor, and the corridor follows the shortest road
-//    route between the endpoints. Reduces to kLine on lattice maps or when
-//    no map is bound.
+//    route between the endpoints.
 #pragma once
 
 #include <memory>
@@ -33,25 +36,15 @@ struct GridHeader final : net::Header {
   GridHeader() : net::Header{kTag} {}
   core::Vec2 src_pos;
   core::Vec2 dst_pos;
-  /// Road segments nearest src_pos/dst_pos, stamped at origination in route
-  /// mode (-1 otherwise); pure functions of the stamped positions, so
-  /// receivers reusing them match a fresh index query bit-for-bit.
+  /// Road segments nearest src_pos/dst_pos, stamped at origination under
+  /// route geometry (-1 otherwise); pure functions of the stamped positions,
+  /// so receivers reusing them match a fresh index query bit-for-bit.
   int src_seg = -1;
   int dst_seg = -1;
 };
 
 class GridGatewayProtocol final : public RoutingProtocol {
  public:
-  /// `cell_size` <= 0 selects automatic sizing: 0.8 x the radio's nominal
-  /// range, so that neighboring gateways can always hear each other (a cell
-  /// larger than the radio range breaks the gateway relay chain).
-  explicit GridGatewayProtocol(GeometryMode geometry = GeometryMode::kLine,
-                               double cell_size = 0.0,
-                               double corridor_half_width = 600.0)
-      : cell_size_{cell_size},
-        corridor_half_width_{corridor_half_width},
-        geometry_{geometry} {}
-
   bool originate(net::NodeId dst, std::uint32_t flow, std::uint32_t seq,
                  std::size_t bytes) override;
   void handle_frame(const net::Packet& p) override;
@@ -67,19 +60,17 @@ class GridGatewayProtocol final : public RoutingProtocol {
   double cell() const;
   core::Vec2 cell_center(core::Vec2 pos) const;
   bool inside_corridor(const net::Packet& p, const GridHeader& h) const;
-  /// kRoute requested AND a non-lattice map is bound (see GeometryMode).
-  bool road_mode() const;
   const map::SegmentCells& road_cells() const;
 
-  double cell_size_;
-  double corridor_half_width_;
-  GeometryMode geometry_;
   DupCache seen_;
   /// Lazily built on first use (cell sizing needs the bound network's radio
   /// range); per-instance, immutable afterwards.
   mutable std::unique_ptr<map::SegmentCells> road_cells_;
-  mutable CorridorCache corridors_;  ///< kRoute only, keyed by (origin, dst)
+  /// Route geometry only, keyed by (origin, dst).
+  mutable CorridorCache corridors_;
 
+  static constexpr double kCellRangeFraction = 0.8;
+  static constexpr double kCorridorHalfWidth = 600.0;  ///< m
   static constexpr int kGridTtl = 20;
   static constexpr double kJitterMs = 15.0;
 };

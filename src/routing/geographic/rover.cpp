@@ -9,7 +9,8 @@ void RoverProtocol::forward_rreq(const net::Packet& p, const RreqHeader& h) {
   const core::Vec2 here = network().position(self());
   const core::Vec2 target_pos = network().position(h.target);
   if (self() != h.rreq_origin &&
-      core::distance_to_segment(here, h.origin_pos, target_pos) > half_width_) {
+      core::distance_to_segment(here, h.origin_pos, target_pos) >
+          kCorridorHalfWidth) {
     return;
   }
   OnDemandBase::forward_rreq(p, h);

@@ -13,9 +13,6 @@ namespace vanet::routing {
 
 class RoverProtocol final : public OnDemandBase {
  public:
-  explicit RoverProtocol(double corridor_half_width = 400.0)
-      : half_width_{corridor_half_width} {}
-
   std::string_view name() const override { return "rover"; }
   Category category() const override { return Category::kGeographic; }
 
@@ -23,7 +20,7 @@ class RoverProtocol final : public OnDemandBase {
   void forward_rreq(const net::Packet& p, const RreqHeader& h) override;
 
  private:
-  double half_width_;
+  static constexpr double kCorridorHalfWidth = 400.0;  ///< m
 };
 
 }  // namespace vanet::routing

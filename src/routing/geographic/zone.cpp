@@ -9,8 +9,7 @@ bool ZoneProtocol::originate(net::NodeId dst, std::uint32_t flow,
   auto h = std::make_shared<ZoneHeader>();
   h->src_pos = network().position(self());
   h->dst_pos = network().position(dst);  // location service
-  h->half_width = half_width_;
-  if (route_mode()) {
+  if (route_geometry()) {
     h->src_seg = snapped_segment(self(), h->src_pos);
     h->dst_seg = snapped_segment(dst, h->dst_pos);
   }
@@ -25,16 +24,15 @@ bool ZoneProtocol::originate(net::NodeId dst, std::uint32_t flow,
 
 bool ZoneProtocol::inside_zone(const net::Packet& p, const ZoneHeader& h) const {
   const core::Vec2 here = network().position(self());
-  if (route_mode()) {
+  if (route_geometry()) {
     const map::RouteCorridor& corridor = corridors_.between(
-        road_map(), segment_index(),
-        CorridorCache::pair_key(p.origin, p.destination), h.src_pos, h.dst_pos,
-        h.src_seg, h.dst_seg);
+        road_map(), CorridorCache::pair_key(p.origin, p.destination),
+        h.src_pos, h.dst_pos, h.src_seg, h.dst_seg);
     // Disconnected endpoints have no road route: the straight-line zone is
     // then the only corridor that exists.
-    if (corridor.route_found()) return corridor.contains(here, h.half_width);
+    if (corridor.route_found()) return corridor.contains(here, kHalfWidth);
   }
-  return core::distance_to_segment(here, h.src_pos, h.dst_pos) <= h.half_width;
+  return core::distance_to_segment(here, h.src_pos, h.dst_pos) <= kHalfWidth;
 }
 
 void ZoneProtocol::handle_frame(const net::Packet& p) {

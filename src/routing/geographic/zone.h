@@ -5,14 +5,14 @@
 // (Fig. 6) is flooding confined to the section of road that actually leads
 // to the destination.
 //
-// Two corridor geometries (GeometryMode, selected via `geometry`):
-//  - kLine (default): the legacy straight src→dst segment — faithful on
-//    lattice maps, where every point near the line is near a road.
-//  - kRoute: the corridor follows the shortest road route between the
+// Two corridor geometries (ProtocolContext::route_geometry):
+//  - line (default): the straight src→dst segment — faithful on lattice
+//    maps, where every point near the line is near a road.
+//  - route: the corridor follows the shortest road route between the
 //    endpoints (map::RouteCorridor), so on an imported map the flood stays on
 //    streets that lead to the destination instead of cutting across roadless
-//    blocks. Reduces to kLine on lattice maps, when no map is bound, or when
-//    the endpoints are in disconnected road components.
+//    blocks. Falls back to the straight line when the endpoints are in
+//    disconnected road components.
 #pragma once
 
 #include "core/vec2.h"
@@ -27,10 +27,9 @@ struct ZoneHeader final : net::Header {
   ZoneHeader() : net::Header{kTag} {}
   core::Vec2 src_pos;
   core::Vec2 dst_pos;
-  double half_width = 250.0;  ///< corridor half width, m
-  /// Road segments nearest src_pos/dst_pos, stamped at origination in route
-  /// mode (-1 otherwise). Pure functions of the stamped positions, so
-  /// receivers reusing them get bit-identically what a fresh index query
+  /// Road segments nearest src_pos/dst_pos, stamped at origination under
+  /// route geometry (-1 otherwise). Pure functions of the stamped positions,
+  /// so receivers reusing them get bit-identically what a fresh index query
   /// over src_pos/dst_pos would return.
   int src_seg = -1;
   int dst_seg = -1;
@@ -38,10 +37,6 @@ struct ZoneHeader final : net::Header {
 
 class ZoneProtocol final : public RoutingProtocol {
  public:
-  explicit ZoneProtocol(GeometryMode geometry = GeometryMode::kLine,
-                        double half_width = 250.0)
-      : half_width_{half_width}, geometry_{geometry} {}
-
   bool originate(net::NodeId dst, std::uint32_t flow, std::uint32_t seq,
                  std::size_t bytes) override;
   void handle_frame(const net::Packet& p) override;
@@ -49,20 +44,14 @@ class ZoneProtocol final : public RoutingProtocol {
   std::string_view name() const override { return "zone"; }
   Category category() const override { return Category::kGeographic; }
 
-
  private:
   bool inside_zone(const net::Packet& p, const ZoneHeader& h) const;
-  /// Route-corridor confinement active (kRoute + non-lattice map bound)?
-  bool route_mode() const {
-    return geometry_ == GeometryMode::kRoute && has_map() &&
-           !road_map().is_grid();
-  }
 
-  double half_width_;
-  GeometryMode geometry_;
   DupCache seen_;
-  mutable CorridorCache corridors_;  ///< kRoute only, keyed by (origin, dst)
+  /// Route geometry only, keyed by (origin, dst).
+  mutable CorridorCache corridors_;
 
+  static constexpr double kHalfWidth = 250.0;  ///< corridor half width, m
   static constexpr int kZoneTtl = 16;
   static constexpr double kJitterMs = 15.0;
 };

@@ -7,24 +7,14 @@
 // clear progress. This is store-carry-forward with mobile infrastructure.
 #pragma once
 
-#include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "routing/geographic/geo_base.h"
 
 namespace vanet::routing {
 
-/// The set of node ids that are buses; shared by all protocol instances of a
-/// scenario (vehicles recognise buses from their beacons in reality; the
-/// shared set models that announcement bit).
-using FerrySet = std::unordered_set<net::NodeId>;
-
 class BusProtocol final : public GeoUnicastBase {
  public:
-  explicit BusProtocol(std::shared_ptr<const FerrySet> ferries)
-      : ferries_{std::move(ferries)} {}
-
   void start() override;
 
   std::string_view name() const override { return "bus"; }
@@ -41,12 +31,11 @@ class BusProtocol final : public GeoUnicastBase {
     core::SimTime deadline{};
   };
 
-  bool is_bus(net::NodeId id) const { return ferries_->contains(id); }
+  bool is_bus(net::NodeId id) const { return ferries().contains(id); }
   const net::NeighborInfo* bus_neighbor() const;
   void carry(net::Packet p, double seconds);
   void ferry_tick();
 
-  std::shared_ptr<const FerrySet> ferries_;
   std::vector<Carried> cargo_;
   bool tick_scheduled_ = false;
 

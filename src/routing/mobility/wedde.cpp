@@ -31,7 +31,7 @@ LinkEval WeddeProtocol::evaluate_link(const RreqHeader& h) const {
   (void)h;
   LinkEval ev;
   const double rating = local_rating();
-  ev.usable = rating >= threshold_;
+  ev.usable = rating >= kAdmissionThreshold;
   // Better-rated areas are cheaper to route through.
   ev.cost = 1.0 / std::max(rating, 0.05);
   return ev;

@@ -18,9 +18,6 @@ namespace vanet::routing {
 
 class WeddeProtocol final : public OnDemandBase {
  public:
-  explicit WeddeProtocol(double admission_threshold = 0.15)
-      : threshold_{admission_threshold} {}
-
   std::string_view name() const override { return "wedde"; }
   Category category() const override { return Category::kMobility; }
   bool wants_hello() const override { return true; }
@@ -34,8 +31,7 @@ class WeddeProtocol final : public OnDemandBase {
   bool reply_immediately() const override { return false; }
 
  private:
-  double threshold_;
-
+  static constexpr double kAdmissionThreshold = 0.15;  ///< least rating
   static constexpr double kHealthySpeed = 20.0;    ///< m/s of flowing traffic
   static constexpr double kHealthyNeighbors = 4.0; ///< enough relays around
 };

@@ -85,7 +85,7 @@ void OnDemandBase::issue_rreq(net::NodeId dst) {
   stamp_self_kinematics(*h);
   h->origin_pos = network().position(self());
   h->origin_vel = network().velocity(self());
-  if (uses_road_corridor() && has_map()) {
+  if (uses_road_corridor()) {
     h->origin_seg = snapped_segment(self(), h->origin_pos);
   }
 

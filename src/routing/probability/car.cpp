@@ -9,19 +9,19 @@
 namespace vanet::routing {
 
 double CarProtocol::segment_connectivity(int seg) const {
-  const double length = graph_->segment_length(seg);
-  const double lambda = density_->count(seg) / length;
+  const double length = road_map().segment_length(seg);
+  const double lambda = density().count(seg) / length;
   return analysis::segment_connectivity_probability(lambda, length,
                                                     network().nominal_range());
 }
 
 bool CarProtocol::originate(net::NodeId dst, std::uint32_t flow,
                             std::uint32_t seq, std::size_t bytes) {
-  const int from = graph_->nearest_intersection(network().position(self()));
-  const int to = graph_->nearest_intersection(destination_position(dst));
+  const int from = road_map().nearest_intersection(network().position(self()));
+  const int to = road_map().nearest_intersection(destination_position(dst));
   // Edge cost: -log of connectivity probability, so the shortest path
   // maximises the product of segment probabilities.
-  const auto anchors = graph_->shortest_path(from, to, [this](int seg) {
+  const auto anchors = road_map().shortest_path(from, to, [this](int seg) {
     const double p = std::clamp(segment_connectivity(seg), 1e-6, 1.0);
     return -std::log(p);
   });
@@ -45,7 +45,8 @@ net::Packet CarProtocol::advance_anchor(net::Packet p) const {
       network().nominal_range() * kAnchorReachedRadiusFraction;
   std::size_t next = h->next_anchor;
   while (next < h->anchors.size() &&
-         (graph_->intersection_pos(h->anchors[next]) - here).norm() <= reach) {
+         (road_map().intersection_pos(h->anchors[next]) - here).norm() <=
+             reach) {
     ++next;
   }
   if (next != h->next_anchor) {
@@ -59,7 +60,7 @@ net::Packet CarProtocol::advance_anchor(net::Packet p) const {
 core::Vec2 CarProtocol::forward_target(const net::Packet& p) const {
   const auto* h = p.header_as<CarHeader>();
   if (h != nullptr && h->next_anchor < h->anchors.size()) {
-    return graph_->intersection_pos(h->anchors[h->next_anchor]);
+    return road_map().intersection_pos(h->anchors[h->next_anchor]);
   }
   return destination_position(p.destination);
 }

@@ -8,7 +8,6 @@
 // greedily forwarded anchor-to-anchor.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "map/road_graph.h"
@@ -25,10 +24,6 @@ struct CarHeader final : net::Header {
 
 class CarProtocol final : public GeoUnicastBase {
  public:
-  CarProtocol(std::shared_ptr<const map::RoadGraph> graph,
-              std::shared_ptr<const map::SegmentDensityOracle> density)
-      : graph_{std::move(graph)}, density_{std::move(density)} {}
-
   bool originate(net::NodeId dst, std::uint32_t flow, std::uint32_t seq,
                  std::size_t bytes) override;
 
@@ -48,9 +43,6 @@ class CarProtocol final : public GeoUnicastBase {
  private:
   /// Advance `next_anchor` past anchors this node already reached.
   net::Packet advance_anchor(net::Packet p) const;
-
-  std::shared_ptr<const map::RoadGraph> graph_;
-  std::shared_ptr<const map::SegmentDensityOracle> density_;
 
   static constexpr double kAnchorReachedRadiusFraction = 0.6;
 };

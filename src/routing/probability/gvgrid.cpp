@@ -6,9 +6,7 @@
 namespace vanet::routing {
 
 bool GvGridProtocol::inside_route_corridor(const RreqHeader& h) const {
-  if (!uses_road_corridor()) {
-    return true;  // legacy: discovery is unconfined
-  }
+  if (!route_geometry()) return true;  // line geometry: unconfined
   // The origin stamped its position (and its road segment — pure function of
   // the position, so the stamp equals a fresh query) into the RREQ; the
   // target's position comes from the same idealized location service the
@@ -16,11 +14,11 @@ bool GvGridProtocol::inside_route_corridor(const RreqHeader& h) const {
   // snapshot when one is bound.
   const core::Vec2 target_pos = network().position(h.target);
   const map::RouteCorridor& corridor = corridors_.between(
-      road_map(), segment_index(),
-      CorridorCache::pair_key(h.rreq_origin, h.target), h.origin_pos,
-      target_pos, h.origin_seg, snapped_segment(h.target, target_pos));
+      road_map(), CorridorCache::pair_key(h.rreq_origin, h.target),
+      h.origin_pos, target_pos, h.origin_seg,
+      snapped_segment(h.target, target_pos));
   if (!corridor.route_found()) return true;  // disconnected: no confinement
-  return corridor.contains(network().position(self()), corridor_half_width_);
+  return corridor.contains(network().position(self()), kCorridorHalfWidth);
 }
 
 LinkEval GvGridProtocol::evaluate_link(const RreqHeader& h) const {
@@ -45,8 +43,9 @@ LinkEval GvGridProtocol::evaluate_link(const RreqHeader& h) const {
   // Relative separation speed along the link axis; positive = drifting apart.
   const core::Vec2 unit = axis / d0;
   const double mu = (network().velocity(self()) - h.prev_vel).dot(unit);
-  const analysis::LinkLifetimeDistribution dist{r, d0, mu, sigma_};
-  const double reliability = std::clamp(dist.survival(horizon_), 1e-6, 1.0);
+  const analysis::LinkLifetimeDistribution dist{r, d0, mu, kSpeedSigma};
+  const double reliability =
+      std::clamp(dist.survival(kReliabilityHorizonS), 1e-6, 1.0);
   ev.reliability = reliability;
   ev.cost = -std::log(reliability);
   ev.lifetime = dist.expected_lifetime(/*horizon=*/600.0);
@@ -54,8 +53,8 @@ LinkEval GvGridProtocol::evaluate_link(const RreqHeader& h) const {
 }
 
 bool GvGridProtocol::path_better(const PathMetric& a, const PathMetric& b) const {
-  const bool a_ok = a.hops <= max_hops_;
-  const bool b_ok = b.hops <= max_hops_;
+  const bool a_ok = a.hops <= kMaxHops;
+  const bool b_ok = b.hops <= kMaxHops;
   if (a_ok != b_ok) return a_ok;  // meet the delay (hop) bound first
   if (a.reliability != b.reliability) return a.reliability > b.reliability;
   return a.hops < b.hops;

@@ -18,9 +18,9 @@ LinkEval NiuDeProtocol::evaluate_link(const RreqHeader& h) const {
   }
   const core::Vec2 unit = axis / d0;
   const double mu = (network().velocity(self()) - h.prev_vel).dot(unit);
-  const analysis::LinkLifetimeDistribution dist{r, d0, mu, sigma_};
+  const analysis::LinkLifetimeDistribution dist{r, d0, mu, kSpeedSigma};
   // Availability over the QoS horizon...
-  double reliability = dist.survival(horizon_);
+  double reliability = dist.survival(kQosHorizonS);
   // ...discounted where traffic density is too thin for a repair to exist
   // ("considers not only the link duration but also the traffic density").
   const double density_factor = std::min(
@@ -35,8 +35,8 @@ LinkEval NiuDeProtocol::evaluate_link(const RreqHeader& h) const {
 
 bool NiuDeProtocol::path_better(const PathMetric& a, const PathMetric& b) const {
   // Delay compliance first (hop bound as the delay proxy), then reliability.
-  const bool a_ok = a.hops <= max_hops_;
-  const bool b_ok = b.hops <= max_hops_;
+  const bool a_ok = a.hops <= kDelayHopBound;
+  const bool b_ok = b.hops <= kDelayHopBound;
   if (a_ok != b_ok) return a_ok;
   if (a.reliability != b.reliability) return a.reliability > b.reliability;
   return a.hops < b.hops;

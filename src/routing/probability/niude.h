@@ -21,10 +21,6 @@ namespace vanet::routing {
 
 class NiuDeProtocol final : public OnDemandBase {
  public:
-  explicit NiuDeProtocol(double qos_horizon_s = 4.0, int delay_hop_bound = 8,
-                         double speed_sigma = 2.0)
-      : horizon_{qos_horizon_s}, max_hops_{delay_hop_bound}, sigma_{speed_sigma} {}
-
   std::string_view name() const override { return "niude"; }
   Category category() const override { return Category::kProbability; }
   bool wants_hello() const override { return true; }
@@ -37,10 +33,9 @@ class NiuDeProtocol final : public OnDemandBase {
   double preemptive_rebuild_fraction() const override { return 0.6; }
 
  private:
-  double horizon_;
-  int max_hops_;
-  double sigma_;
-
+  static constexpr double kQosHorizonS = 4.0;
+  static constexpr int kDelayHopBound = 8;
+  static constexpr double kSpeedSigma = 2.0;  ///< m/s, relative speed
   static constexpr double kHealthyNeighbors = 6.0;
 };
 

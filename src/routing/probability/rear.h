@@ -16,7 +16,7 @@ namespace vanet::routing {
 
 class RearProtocol final : public GeoUnicastBase {
  public:
-  explicit RearProtocol(analysis::LogNormalParams params = {})
+  explicit RearProtocol(analysis::LogNormalParams params)
       : params_{params} {}
 
   std::string_view name() const override { return "rear"; }

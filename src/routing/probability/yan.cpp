@@ -85,7 +85,7 @@ void YanProtocol::forward_rreq(const net::Packet& p, const RreqHeader& h) {
 LinkEval YanStabilityProtocol::evaluate_link(const RreqHeader& h) const {
   LinkEval ev = YanProtocol::evaluate_link(h);
   // Stability-constrained admission: reject links below the floor.
-  if (ev.lifetime < min_stability_) ev.usable = false;
+  if (ev.lifetime < kMinStabilityS) ev.usable = false;
   return ev;
 }
 

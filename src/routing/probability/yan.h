@@ -69,12 +69,11 @@ std::vector<ProbeCandidate> rank_probe_candidates(
 
 class YanProtocol : public OnDemandBase {
  public:
-  explicit YanProtocol(int tickets = 4) : tickets_{tickets} {}
+  explicit YanProtocol(int tickets) : tickets_{tickets} {}
 
   std::string_view name() const override { return "yan"; }
   Category category() const override { return Category::kProbability; }
   bool wants_hello() const override { return true; }
-
 
  protected:
   LinkEval evaluate_link(const RreqHeader& h) const override;
@@ -99,8 +98,7 @@ class YanProtocol : public OnDemandBase {
 /// duration ("stability") and links below a stability floor are rejected.
 class YanStabilityProtocol final : public YanProtocol {
  public:
-  explicit YanStabilityProtocol(int tickets = 4, double min_stability_s = 3.0)
-      : YanProtocol(tickets), min_stability_{min_stability_s} {}
+  explicit YanStabilityProtocol(int tickets) : YanProtocol(tickets) {}
 
   std::string_view name() const override { return "yan-ss"; }
 
@@ -108,7 +106,7 @@ class YanStabilityProtocol final : public YanProtocol {
   LinkEval evaluate_link(const RreqHeader& h) const override;
 
  private:
-  double min_stability_;
+  static constexpr double kMinStabilityS = 3.0;  ///< stability floor
 };
 
 }  // namespace vanet::routing

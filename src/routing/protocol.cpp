@@ -1,7 +1,6 @@
 #include "routing/protocol.h"
 
 #include "core/assert.h"
-#include "map/road_graph.h"
 #include "map/segment_index.h"
 #include "map/segment_snapshot.h"
 
@@ -23,9 +22,11 @@ void RoutingProtocol::bind(const ProtocolContext& ctx) {
   VANET_ASSERT_MSG(ctx_.sim == nullptr, "bind called twice");
   VANET_ASSERT_MSG(!wants_hello() || ctx.hello != nullptr,
                    "protocol requires a HelloService");
-  VANET_ASSERT_MSG((ctx.map == nullptr) == (ctx.segments == nullptr),
-                   "road graph and segment index must be bound together");
-  VANET_ASSERT_MSG(ctx.segments == nullptr || &ctx.segments->graph() == ctx.map,
+  const World* w = ctx.world;
+  VANET_ASSERT_MSG(w && w->map && w->segments && w->seg_snapshot &&
+                       w->density && w->ferries,
+                   "the run's world must be bound whole");
+  VANET_ASSERT_MSG(&w->segments->graph() == w->map,
                    "segment index built over a different graph");
   ctx_ = ctx;
 }
@@ -35,21 +36,8 @@ const net::NeighborTable& RoutingProtocol::neighbors() const {
   return ctx_.hello->table(ctx_.self);
 }
 
-const map::RoadGraph& RoutingProtocol::road_map() const {
-  VANET_ASSERT_MSG(ctx_.map != nullptr, "no road map bound");
-  return *ctx_.map;
-}
-
-const map::SegmentIndex& RoutingProtocol::segment_index() const {
-  VANET_ASSERT_MSG(ctx_.segments != nullptr, "no segment index bound");
-  return *ctx_.segments;
-}
-
 int RoutingProtocol::snapped_segment(net::NodeId id, core::Vec2 pos) const {
-  if (ctx_.seg_snapshot != nullptr) {
-    return ctx_.seg_snapshot->segment_of(id, pos);
-  }
-  return segment_index().nearest_segment(pos);
+  return ctx_.world->seg_snapshot->segment_of(id, pos);
 }
 
 net::Packet RoutingProtocol::make_data(net::NodeId dst, std::uint32_t flow,

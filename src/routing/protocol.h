@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <string_view>
+#include <unordered_set>
 
 #include "analysis/stats.h"
 #include "core/rng.h"
@@ -18,22 +19,12 @@
 
 namespace vanet::map {
 class RoadGraph;
+class SegmentDensityOracle;
 class SegmentIndex;
 class SegmentSnapshot;
 }  // namespace vanet::map
 
 namespace vanet::routing {
-
-/// Geometry backend of the road-geometry protocols (zone / grid / gvgrid).
-/// kLine is the historical axis-aligned plane: straight src→dst corridors and
-/// square coordinate cells. kRoute reasons over the shared map instead —
-/// corridors follow the shortest road route (map::RouteCorridor) and cells
-/// group road segments (map::SegmentCells). On lattice maps (RoadGraph::
-/// is_grid()) kRoute intentionally reduces to the kLine predicates: every
-/// point near the straight line is near a road there, so the plane geometry
-/// IS the road geometry — which keeps the two modes decision-identical on
-/// grids (property-tested) and the golden digests stable.
-enum class GeometryMode { kLine, kRoute };
 
 /// The paper's taxonomy (Fig. 1).
 enum class Category {
@@ -69,6 +60,32 @@ struct ProtocolEvents {
   analysis::RunningStats etx_link_abs_error;
 };
 
+/// The node ids that are buses (`bus_count`); Bus routing hands packets to
+/// them as message ferries. Vehicles recognise buses from their beacons in
+/// reality; the shared set models that announcement bit.
+using FerrySet = std::unordered_set<net::NodeId>;
+
+/// The run's world: the road map and what derives from it, shared by every
+/// node. The binder (the Scenario, or a test harness) fills it once per run
+/// and owns it and everything it points to; no pointer is null.
+struct World {
+  const map::RoadGraph* map = nullptr;
+  const map::SegmentIndex* segments = nullptr;  ///< built over *map
+  /// Per-tick nearest-segment cache over *segments. Mutable shared state;
+  /// a run is single-threaded, so it needs no synchronisation.
+  map::SegmentSnapshot* seg_snapshot = nullptr;
+  const map::SegmentDensityOracle* density = nullptr;  ///< per segment of *map
+  const FerrySet* ferries = nullptr;
+  /// Zone, grid and gvgrid follow road routes and road cells instead of
+  /// straight lines and square cells. Decided once per run by the binder
+  /// (sim::uses_route_geometry).
+  bool route_geometry = false;
+};
+
+/// Everything an instance is bound to: its node, the run's event loop, radio,
+/// counters and world. Pointers are non-owning and, but for `hello`, never
+/// null: the binder owns them all and keeps them alive for the protocol's
+/// lifetime (docs/ARCHITECTURE.md, "ProtocolContext").
 struct ProtocolContext {
   core::Simulator* sim = nullptr;
   net::Network* net = nullptr;
@@ -76,18 +93,7 @@ struct ProtocolContext {
   core::Rng* rng = nullptr;
   ProtocolEvents* events = nullptr;
   net::NodeId self = 0;
-  // Shared road topology (src/map/), non-owning: the scenario that binds the
-  // protocol owns both and keeps them alive for the protocol's lifetime (see
-  // docs/ARCHITECTURE.md, "ProtocolContext ownership"). Null in harnesses
-  // that route over bare coordinates — protocols must treat the map as
-  // optional and fall back to their GeometryMode::kLine path.
-  const map::RoadGraph* map = nullptr;
-  const map::SegmentIndex* segments = nullptr;
-  // Scenario-owned segment cache (null in bare harnesses — protocols fall
-  // back to direct index queries; both paths are bit-identical, see
-  // docs/ARCHITECTURE.md "Scenario-owned caches"). Mutable shared state, but
-  // scenarios are single-threaded so no synchronisation is needed.
-  map::SegmentSnapshot* seg_snapshot = nullptr;
+  const World* world = nullptr;
 };
 
 class RoutingProtocol {
@@ -129,15 +135,19 @@ class RoutingProtocol {
   /// Neighbor table of this node; precondition: wants_hello().
   const net::NeighborTable& neighbors() const;
 
-  /// True when the binder supplied the shared road topology.
-  bool has_map() const { return ctx_.map != nullptr && ctx_.segments != nullptr; }
-  /// Shared road graph / segment index; precondition: has_map().
-  const map::RoadGraph& road_map() const;
-  const map::SegmentIndex& segment_index() const;
-  /// Nearest segment to node `id` at its current position `pos`: the
-  /// scenario snapshot when bound, a direct index query otherwise.
-  /// Bit-identical either way. Precondition: has_map(); `pos` must be the
-  /// node's current tick-aligned position (never an extrapolation).
+  /// The run's world (see World).
+  const map::RoadGraph& road_map() const { return *ctx_.world->map; }
+  const map::SegmentIndex& segment_index() const {
+    return *ctx_.world->segments;
+  }
+  const map::SegmentDensityOracle& density() const {
+    return *ctx_.world->density;
+  }
+  const FerrySet& ferries() const { return *ctx_.world->ferries; }
+  bool route_geometry() const { return ctx_.world->route_geometry; }
+  /// Nearest segment to node `id` at its current position `pos`, through the
+  /// run's snapshot; bit-identical to a direct index query. `pos` must be
+  /// the node's current tick-aligned position (never an extrapolation).
   int snapped_segment(net::NodeId id, core::Vec2 pos) const;
 
   /// Fresh data packet originated here.

@@ -12,6 +12,7 @@
 #include "routing/geographic/grid_gateway.h"
 #include "routing/geographic/rover.h"
 #include "routing/geographic/zone.h"
+#include "routing/infrastructure/bus.h"
 #include "routing/infrastructure/drr.h"
 #include "routing/linkquality/etx.h"
 #include "routing/mobility/abedi.h"
@@ -27,12 +28,6 @@
 namespace vanet::routing {
 
 namespace {
-
-std::shared_ptr<const FerrySet> ferries_or_empty(const ProtocolDeps& deps) {
-  if (deps.ferries) return deps.ferries;
-  static const auto kEmpty = std::make_shared<const FerrySet>();
-  return kEmpty;
-}
 
 std::vector<ProtocolInfo> build_registry() {
   std::vector<ProtocolInfo> r;
@@ -98,8 +93,8 @@ std::vector<ProtocolInfo> build_registry() {
                }});
   r.push_back({"bus", Category::kInfrastructure, "[19] Bus",
                "greedy + bus message ferries", "data + hello",
-               [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<BusProtocol>(ferries_or_empty(d));
+               [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
+                 return std::make_unique<BusProtocol>();
                }});
   // --- geographic-location-based (Sec. VI) ----------------------------------
   r.push_back({"greedy", Category::kGeographic, "[23,24] Greedy",
@@ -109,13 +104,13 @@ std::vector<ProtocolInfo> build_registry() {
                }});
   r.push_back({"zone", Category::kGeographic, "[22] Zone",
                "corridor-restricted flooding", "data only",
-               [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<ZoneProtocol>(d.geometry);
+               [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
+                 return std::make_unique<ZoneProtocol>();
                }});
   r.push_back({"grid", Category::kGeographic, "[20] CarNet / [26] LORA-DCBF",
                "grid cells with gateway election", "data + hello",
-               [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<GridGatewayProtocol>(d.geometry);
+               [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
+                 return std::make_unique<GridGatewayProtocol>();
                }});
   r.push_back({"rover", Category::kGeographic, "[25] ROVER",
                "zone-confined AODV discovery", "RREQ/RREP/RERR (in-zone)",
@@ -130,8 +125,8 @@ std::vector<ProtocolInfo> build_registry() {
                }});
   r.push_back({"gvgrid", Category::kProbability, "[28] GVGrid",
                "P(link survives horizon), normal speeds", "RREQ/RREP + hello",
-               [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<GvGridProtocol>(d.geometry);
+               [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
+                 return std::make_unique<GvGridProtocol>();
                }});
   r.push_back({"niude", Category::kProbability, "[16] NiuDe (DeReQ)",
                "availability x density, delay bound", "RREQ/RREP + hello",
@@ -140,12 +135,8 @@ std::vector<ProtocolInfo> build_registry() {
                }});
   r.push_back({"car", Category::kProbability, "[29] CAR",
                "segment connectivity probability", "data + hello + statistics",
-               [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 if (!d.road_graph || !d.density) {
-                   throw std::invalid_argument(
-                       "car protocol requires road_graph and density deps");
-                 }
-                 return std::make_unique<CarProtocol>(d.road_graph, d.density);
+               [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
+                 return std::make_unique<CarProtocol>();
                }});
   r.push_back({"yan", Category::kProbability, "[27] Yan (TBP)",
                "expected link duration, ticket probing", "ticket probes + hello",

@@ -10,26 +10,18 @@
 #include <vector>
 
 #include "analysis/signal.h"
-#include "map/road_graph.h"
-#include "routing/infrastructure/bus.h"
 #include "routing/linkquality/link_quality.h"
 #include "routing/protocol.h"
 
 namespace vanet::routing {
 
-/// Shared dependencies some protocols need; scenario builders fill these in.
-/// The road graph and density oracle come from the map subsystem (src/map/),
-/// so protocols reason over the same topology the vehicles drive on.
+/// The values some protocols read from the run's config. The run's shared
+/// objects (road graph, segment index and snapshot, density oracle, ferry
+/// set) are not here: they reach every instance through the ProtocolContext
+/// passed to bind().
 struct ProtocolDeps {
-  analysis::LogNormalParams signal;                          ///< REAR's model
-  std::shared_ptr<const map::RoadGraph> road_graph;          ///< CAR
-  std::shared_ptr<const map::SegmentDensityOracle> density;  ///< CAR
-  std::shared_ptr<const FerrySet> ferries;                   ///< Bus
-  int yan_tickets = 4;                                       ///< Yan TBP budget
-  // Geometry backend of the road-geometry protocols zone, grid and gvgrid
-  // (kLine = legacy plane; kRoute additionally needs the map bound via
-  // ProtocolContext).
-  GeometryMode geometry = GeometryMode::kLine;
+  analysis::LogNormalParams signal;  ///< REAR's model
+  int yan_tickets = 4;               ///< Yan TBP budget
   // Link-quality family (routing/linkquality/): the estimator knobs shared
   // by `etx` and the flooding suppression mode, and the suppression mode
   // itself (`flood.suppression`, applied to flooding + biswas).
@@ -51,7 +43,7 @@ class ProtocolRegistry {
   static const std::vector<ProtocolInfo>& all();
   /// nullptr when unknown.
   static const ProtocolInfo* find(std::string_view name);
-  /// Throws std::invalid_argument for unknown names or missing dependencies.
+  /// Throws std::invalid_argument for unknown names.
   static std::unique_ptr<RoutingProtocol> make(std::string_view name,
                                                const ProtocolDeps& deps);
 };

@@ -314,8 +314,8 @@ std::vector<Field> build_fields() {
           "a finite real number >= 1");
   num("sample_reachability", REF(sample_reachability));
   fields.push_back(enum_field("geometry", REF(geometry),
-                              {{"line", routing::GeometryMode::kLine},
-                               {"route", routing::GeometryMode::kRoute}}));
+                              {{"line", GeometryMode::kLine},
+                               {"route", GeometryMode::kRoute}}));
 
   // --- etx.* / flood.* (link-quality family; routing/linkquality/) ---------
   // Bounds mirror the LinkQualityTable assertions.

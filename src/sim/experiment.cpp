@@ -33,9 +33,19 @@ void arm_watchdog(Scenario& scenario, const RunGuards& guards) {
   core::Simulator& sim = scenario.simulator();
   // NOLINT-vanet(wall-clock): watchdog deadline; aborts runaway runs, never feeds sim state
   using WallClock = std::chrono::steady_clock;
-  const auto deadline =
-      WallClock::now() + std::chrono::duration_cast<WallClock::duration>(
-                             std::chrono::duration<double>(guards.timeout_s));
+  // NOLINT-vanet(wall-clock): watchdog deadline; aborts runaway runs, never feeds sim state
+  const WallClock::time_point start = WallClock::now();
+  // A timeout past the clock's range means no deadline: the deadline is then
+  // the clock's last tick, where `start + timeout` would overflow into the
+  // past. The double comparison keeps the cast in range; min() absorbs its
+  // rounding.
+  const WallClock::duration room = WallClock::time_point::max() - start;
+  const WallClock::duration wait =
+      guards.timeout_s < std::chrono::duration<double>(room).count()
+          ? std::chrono::duration_cast<WallClock::duration>(
+                std::chrono::duration<double>(guards.timeout_s))
+          : room;
+  const WallClock::time_point deadline = start + std::min(wait, room);
   const std::uint64_t max_events = guards.max_events;
   const double timeout_s = guards.timeout_s;
   sim.set_abort_check([&sim, deadline, max_events, timeout_s] {
@@ -73,8 +83,10 @@ std::vector<ExperimentCell> expand(const ExperimentSpec& spec) {
   if (spec.guards.timeout_s < 0.0) {
     throw std::invalid_argument("ExperimentSpec: guards.timeout_s < 0");
   }
-  if (spec.guards.retries < 0) {
-    throw std::invalid_argument("ExperimentSpec: guards.retries < 0");
+  if (spec.guards.retries < 0 ||
+      spec.guards.retries > RunGuards::kMaxRetries) {
+    throw std::invalid_argument("ExperimentSpec: guards.retries outside [0, " +
+                                std::to_string(RunGuards::kMaxRetries) + "]");
   }
   // Protocol names, like every axis value, are checked by config_set (the
   // `protocol` key's bound) as the cells are built below.

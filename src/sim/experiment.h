@@ -51,8 +51,12 @@ struct SweepAxis {
 ///
 /// `retries` re-runs a failed attempt up to that many extra times, each with
 /// a fresh seed from derive_retry_seed(seed, attempt) — deterministic, so a
-/// retried sweep is still reproducible run-for-run.
+/// retried sweep is still reproducible run-for-run. expand() rejects a count
+/// outside [0, kMaxRetries].
 struct RunGuards {
+  /// A run that fails this many fresh seeds is broken, not unlucky.
+  static constexpr int kMaxRetries = 1000;
+
   bool capture = true;
   double timeout_s = 0.0;
   std::uint64_t max_events = 0;

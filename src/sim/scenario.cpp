@@ -221,6 +221,10 @@ std::string report_digest(const ScenarioReport& r) {
   return std::string{buf};
 }
 
+bool uses_route_geometry(GeometryMode geometry, const map::RoadGraph& graph) {
+  return geometry == GeometryMode::kRoute && !graph.is_grid();
+}
+
 std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg) {
   if (cfg.map.source == MapSource::kFile) {
     try {
@@ -288,26 +292,21 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
       core::SimTime::seconds(cfg_.mobility_tick_s));
 
   // Ferry designation: spread bus ids evenly over the vehicle id space.
-  ferries_ = std::make_shared<routing::FerrySet>();
   if (cfg_.bus_count > 0) {
     const std::size_t stride =
         std::max<std::size_t>(1, vehicle_count_ / cfg_.bus_count);
     for (std::size_t k = 0; k < static_cast<std::size_t>(cfg_.bus_count) &&
                             k * stride < vehicle_count_;
          ++k) {
-      ferries_->insert(static_cast<net::NodeId>(k * stride));
+      ferries_.insert(static_cast<net::NodeId>(k * stride));
     }
   }
   density_ =
-      std::make_shared<map::SegmentDensityOracle>(road_graph_->segment_count());
+      std::make_unique<map::SegmentDensityOracle>(road_graph_->segment_count());
 
   routing::ProtocolDeps deps;
   deps.signal = cfg_.signal;
-  deps.road_graph = road_graph_;
-  deps.density = density_;
-  deps.ferries = ferries_;
   deps.yan_tickets = cfg_.yan_tickets;
-  deps.geometry = cfg_.geometry;
   deps.etx = cfg_.etx;
   deps.flood_suppression = cfg_.flood_suppression;
 
@@ -331,6 +330,14 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
     hello_ = std::make_unique<net::HelloService>(*net_, rngs_.stream("hello"),
                                                  cfg_.hello);
   }
+  // The world: the road topology the vehicles drive on and what derives
+  // from it (non-owning; the scenario outlives its protocols).
+  world_.map = road_graph_.get();
+  world_.segments = segment_index_.get();
+  world_.seg_snapshot = seg_snapshot_.get();
+  world_.density = density_.get();
+  world_.ferries = &ferries_;
+  world_.route_geometry = uses_route_geometry(cfg_.geometry, *road_graph_);
   for (const net::NodeId id : net_->node_ids()) {
     routing::ProtocolContext ctx;
     ctx.sim = &sim_;
@@ -339,12 +346,7 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
     ctx.rng = &rngs_.stream("proto");
     ctx.events = &events_;
     ctx.self = id;
-    // Every protocol sees the road topology the vehicles drive on
-    // (non-owning; the scenario outlives its protocols) and the shared
-    // segment cache.
-    ctx.map = road_graph_.get();
-    ctx.segments = segment_index_.get();
-    ctx.seg_snapshot = seg_snapshot_.get();
+    ctx.world = &world_;
     protocols_[id]->bind(ctx);
 
     net_->set_receive_handler(id, [this, id](const net::Packet& p) {

@@ -40,6 +40,19 @@ enum class MapSource {
   kFile,  ///< imported: edge-list CSV via map/builders.h
 };
 
+/// Geometry of the road-geometry protocols zone, grid and gvgrid (`geometry`
+/// key). kLine is the axis-aligned plane: straight src→dst corridors and
+/// square coordinate cells. kRoute reasons over the run's road map:
+/// corridors follow the shortest road route (map::RouteCorridor) and cells
+/// group road segments (map::SegmentCells). On a lattice map kRoute is kLine
+/// (see uses_route_geometry).
+enum class GeometryMode { kLine, kRoute };
+
+/// routing::ProtocolContext::route_geometry of a run with `geometry` over
+/// `graph`: kRoute on a map that is not a lattice. On a lattice every point
+/// near the straight line is near a road, so the two modes decide alike.
+bool uses_route_geometry(GeometryMode geometry, const map::RoadGraph& graph);
+
 struct MapSpec {
   MapSource source = MapSource::kGrid;
   /// Edge-list CSV path, loaded at scenario construction (source=kFile only).
@@ -91,9 +104,7 @@ struct ScenarioConfig {
   int yan_tickets = 4;
   double car_cell_m = 500.0;        ///< road-graph granularity for CAR
   bool sample_reachability = true;  ///< 1 Hz src-dst connectivity oracle
-  /// Geometry backend of the road-geometry protocols zone, grid and gvgrid
-  /// (`geometry` key, values line|route — see routing::GeometryMode).
-  routing::GeometryMode geometry = routing::GeometryMode::kLine;
+  GeometryMode geometry = GeometryMode::kLine;  ///< `geometry` key
 
   /// Link-quality estimator knobs (`etx.*` keys), shared by the `etx`
   /// protocol and ETX-ordered flood suppression (`flood.suppression=etx`,
@@ -243,8 +254,8 @@ class Scenario {
   /// owns it); the fault plan drives segment blocks through it.
   mobility::GraphMobilityModel* graph_model_ = nullptr;
   std::size_t vehicle_count_ = 0;
-  std::shared_ptr<routing::FerrySet> ferries_;
-  std::shared_ptr<map::SegmentDensityOracle> density_;
+  routing::FerrySet ferries_;
+  std::unique_ptr<map::SegmentDensityOracle> density_;
   /// Segments whose interiors cannot prove nearest-segment identity; only
   /// populated under graph mobility, whose density refresh is incremental.
   std::vector<bool> segment_ambiguous_;
@@ -252,6 +263,7 @@ class Scenario {
   std::unique_ptr<net::Network> net_;
   std::unique_ptr<net::HelloService> hello_;  ///< null for hello-less protocols
   std::unique_ptr<map::SegmentSnapshot> seg_snapshot_;
+  routing::World world_;  ///< what every protocol is bound to
   routing::ProtocolEvents events_;
   Metrics metrics_;
   /// Indexed by node id.

@@ -339,7 +339,7 @@ TEST(ConfigKv, GeometryModeKeysParseLineAndRouteOnly) {
   ScenarioConfig cfg;
   EXPECT_EQ(config_get(cfg, "geometry"), "line");
   config_set(cfg, "geometry", "route");
-  EXPECT_EQ(cfg.geometry, routing::GeometryMode::kRoute);
+  EXPECT_EQ(cfg.geometry, sim::GeometryMode::kRoute);
   EXPECT_EQ(config_get(cfg, "geometry"), "route");
   EXPECT_THROW(config_set(cfg, "geometry", "plane"), std::invalid_argument);
   // One key serves zone, grid and gvgrid; the per-protocol keys are gone.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -181,6 +182,49 @@ TEST(EngineGuards, GuardValidationHappensInExpand) {
   spec.guards.timeout_s = 0.0;
   spec.guards.retries = -1;
   EXPECT_THROW(expand(spec), std::invalid_argument);
+}
+
+TEST(EngineGuards, RetriesAreBoundedInExpand) {
+  // retries + 1 attempts must fit an int: INT_MAX used to wrap to a
+  // negative attempt count that ran nothing and recorded no failure kind.
+  ExperimentSpec spec;
+  spec.base = micro_highway();
+  spec.guards.retries = RunGuards::kMaxRetries;
+  EXPECT_NO_THROW(expand(spec));
+  for (const int retries : {RunGuards::kMaxRetries + 1,
+                            std::numeric_limits<int>::max()}) {
+    spec.guards.retries = retries;
+    EXPECT_THROW(expand(spec), std::invalid_argument) << retries;
+    EXPECT_THROW(ExperimentEngine{1}.run(spec), std::invalid_argument)
+        << retries;
+  }
+}
+
+TEST(EngineGuards, TimeoutBeyondTheClockRangeMeansNoDeadline) {
+  // 1e10 s is past steady_clock's ~9.2e9 s of nanoseconds; the deadline
+  // used to overflow into the past and fail every run at its first poll.
+  ExperimentSpec spec;
+  spec.base = micro_highway();
+  spec.base.duration_s = 10.0;
+  spec.base.traffic.stop_s = 9.0;
+  spec.base.vehicles_per_direction = 20;
+  spec.protocols = {"aodv"};
+  spec.seeds = {1};
+  {
+    ScenarioConfig cfg = spec.base;
+    cfg.protocol = "aodv";
+    Scenario probe{cfg};
+    probe.run();
+    ASSERT_GT(probe.events_dispatched(), 1024u);  // the watchdog polls
+  }
+  for (const double timeout_s :
+       {1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+    spec.guards.timeout_s = timeout_s;
+    const ExperimentResult result = ExperimentEngine{1}.run(spec);
+    EXPECT_TRUE(result.failures.empty())
+        << timeout_s << ": " << result.failures.front().kind;
+    ASSERT_EQ(result.cells.size(), 1u);
+  }
 }
 
 TEST(EngineGuards, FailureBytesIdenticalAcrossWorkerCounts) {

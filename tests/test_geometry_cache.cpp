@@ -86,8 +86,9 @@ TEST(RouteCorridor, ContainsMatchesExactDistanceEverywhere) {
   g.add_intersection({1000.0, 0.0});
   g.add_segment(2, 3);
   const map::SegmentIndex idx{g};
-  const map::RouteCorridor c =
-      map::RouteCorridor::between(g, idx, {10.0, 20.0}, {990.0, 30.0}, -1, -1);
+  const core::Vec2 src{10.0, 20.0}, dst{990.0, 30.0};
+  const map::RouteCorridor c = map::RouteCorridor::between(
+      g, src, dst, idx.nearest_segment(src), idx.nearest_segment(dst));
   ASSERT_TRUE(c.route_found());
   std::mt19937 gen{23};
   std::uniform_real_distribution<double> coord{-300.0, 1300.0};
@@ -116,7 +117,7 @@ sim::ScenarioConfig town_gvgrid_config() {
   cfg.mobility = sim::MobilityKind::kGraph;
   cfg.vehicles = 30;
   cfg.protocol = "gvgrid";
-  cfg.geometry = routing::GeometryMode::kRoute;
+  cfg.geometry = sim::GeometryMode::kRoute;
   cfg.traffic.stop_s = 10.0;
   return cfg;
 }

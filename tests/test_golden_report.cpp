@@ -107,7 +107,7 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.mobility = MobilityKind::kGraph;
     cfg.vehicles = 30;
     cfg.protocol = "zone";
-    cfg.geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = sim::GeometryMode::kRoute;
     cfg.traffic.stop_s = 15.0;
     configs["town-zone-route"] = cfg;
   }
@@ -123,7 +123,7 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.mobility = MobilityKind::kGraph;
     cfg.vehicles = 30;
     cfg.protocol = "gvgrid";
-    cfg.geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = sim::GeometryMode::kRoute;
     cfg.traffic.stop_s = 15.0;
     configs["town-gvgrid-route"] = cfg;
   }

@@ -46,62 +46,24 @@ TEST(Drr, CrossBackboneDelivery) {
 TEST(Bus, FerryCarriesAcrossGap) {
   // Source cluster and destination cluster 400 m apart; the bus (node 1)
   // drives from the source cluster toward the destination, ferrying data.
-  core::Simulator sim;
-  core::RngManager rngs{5};
-  auto model = std::make_unique<mobility::ConstantVelocityModel>();
-  model->add_vehicle({0.0, 0.0}, {1.0, 0.0}, 0.0);    // 0: source (parked)
-  model->add_vehicle({50.0, 0.0}, {1.0, 0.0}, 20.0);  // 1: the bus
-  model->add_vehicle({500.0, 0.0}, {1.0, 0.0}, 0.0);  // 2: destination
-  mobility::MobilityManager mgr{sim, std::move(model), rngs.stream("m")};
-  net::Network net{sim, &mgr, std::make_unique<net::UnitDiskModel>(100.0),
-                   rngs.stream("net")};
-  for (mobility::VehicleId v : {0u, 1u, 2u}) net.add_vehicle_node(v);
-
-  routing::ProtocolDeps deps;
-  auto ferries = std::make_shared<routing::FerrySet>();
-  ferries->insert(1);
-  deps.ferries = ferries;
-
-  std::vector<std::unique_ptr<routing::RoutingProtocol>> protocols;
-  routing::ProtocolEvents events;
-  net::HelloService hello{net, rngs.stream("hello")};
-  std::vector<net::Packet> delivered;
-  for (net::NodeId id : net.node_ids()) {
-    protocols.push_back(routing::ProtocolRegistry::make("bus", deps));
-    routing::ProtocolContext ctx;
-    ctx.sim = &sim;
-    ctx.net = &net;
-    ctx.hello = &hello;
-    ctx.rng = &rngs.stream("proto");
-    ctx.events = &events;
-    ctx.self = id;
-    protocols[id]->bind(ctx);
-    net.set_receive_handler(id, [&, id](const net::Packet& p) {
-      if (p.kind == net::PacketKind::kHello) {
-        hello.on_frame(id, p);
-        return;
-      }
-      protocols[id]->handle_frame(p);
-    });
-    net.set_unicast_fail_handler(id, [&, id](const net::Packet& p) {
-      protocols[id]->handle_unicast_failure(p);
-    });
-    protocols[id]->set_deliver_callback(
-        [&](const net::Packet& p) { delivered.push_back(p); });
-  }
-  mgr.start();
-  hello.start(net.node_ids());
-  for (auto& p : protocols) p->start();
-
-  sim.run_until(core::SimTime::seconds(2.0));
-  protocols[0]->originate(2, 0, 1, 512);  // no greedy path: hand to the bus
+  LineFixtureOptions opt;
+  opt.range = 100.0;
+  opt.seed = 5;
+  opt.ferries = {1};
+  LineFixture f{"bus",
+                {{{0.0, 0.0}, {0.0, 0.0}},     // 0: source (parked)
+                 {{50.0, 0.0}, {20.0, 0.0}},   // 1: the bus
+                 {{500.0, 0.0}, {0.0, 0.0}}},  // 2: destination
+                opt};
+  f.run_to(2.0);
+  f.send(0, 2, 1);  // no greedy path: hand to the bus
   // Bus reaches the destination's disk (x=400) at t ~ 17.5 s.
-  sim.run_until(core::SimTime::seconds(30.0));
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0].seq, 1u);
+  f.run_to(30.0);
+  ASSERT_EQ(f.delivered.size(), 1u);
+  EXPECT_EQ(f.delivered[0].seq, 1u);
   // The delay reflects the physical carry, not a queue artifact.
-  EXPECT_GT((delivered[0].created_at + core::SimTime::seconds(10.0)),
-            delivered[0].created_at);
+  EXPECT_GT((f.delivered[0].created_at + core::SimTime::seconds(10.0)),
+            f.delivered[0].created_at);
 }
 
 TEST(Bus, WithoutFerriesDegradesToGreedyDrop) {
@@ -109,7 +71,7 @@ TEST(Bus, WithoutFerriesDegradesToGreedyDrop) {
   opt.nodes = 3;
   opt.spacing = 250.0;  // disconnected
   opt.range = 100.0;
-  opt.deps.ferries = std::make_shared<routing::FerrySet>();  // none
+  // No ferries: the fixture's default set is empty.
   LineFixture f{"bus", opt};
   f.run_to(2.0);
   f.send(0, 2, 1);

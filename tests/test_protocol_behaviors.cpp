@@ -157,9 +157,6 @@ TEST(Behavior, CarRoutesAroundEmptyStreet) {
                             graph->intersection_pos(b).y == 0.0;
     density->set_count(static_cast<int>(s), bottom_row ? 0.0 : 6.0);
   }
-  routing::ProtocolDeps deps;
-  deps.road_graph = graph;
-  deps.density = density;
 
   // Vehicles: src at (0,0), dst at (400,0); relays along the detour
   // (0,200)->(200,200)->(400,200) plus the verticals.
@@ -174,7 +171,8 @@ TEST(Behavior, CarRoutesAroundEmptyStreet) {
   };
   LineFixtureOptions opt;
   opt.range = 150.0;
-  opt.deps = deps;
+  opt.road_graph = graph;
+  opt.density = density;
   LineFixture f{"car", v, opt};
   f.run_to(3.0);
   f.send(0, 1, 1);

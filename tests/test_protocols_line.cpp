@@ -10,23 +10,20 @@
 namespace vanet::testing {
 namespace {
 
-routing::ProtocolDeps line_deps(int nodes, double spacing) {
-  routing::ProtocolDeps deps;
-  // Road graph along the line for CAR; one segment per ~2 hops.
-  const double length = (nodes - 1) * spacing;
+/// The chain's world: a road graph along the line for CAR, one segment per
+/// ~2 hops with 4 vehicles counted on each, and the middle node as the bus.
+void add_line_world(LineFixtureOptions& opt) {
+  const double length = (opt.nodes - 1) * opt.spacing;
   const int nx = std::max(2, static_cast<int>(length / 200.0) + 1);
-  deps.road_graph =
-      std::make_shared<map::RoadGraph>(nx, 1, length / (nx - 1));
-  auto density = std::make_shared<map::SegmentDensityOracle>(
-      deps.road_graph->segment_count());
-  for (std::size_t s = 0; s < deps.road_graph->segment_count(); ++s) {
+  auto graph = std::make_shared<map::RoadGraph>(nx, 1, length / (nx - 1));
+  auto density =
+      std::make_shared<map::SegmentDensityOracle>(graph->segment_count());
+  for (std::size_t s = 0; s < graph->segment_count(); ++s) {
     density->set_count(static_cast<int>(s), 4.0);
   }
-  deps.density = density;
-  auto ferries = std::make_shared<routing::FerrySet>();
-  ferries->insert(2);  // middle node doubles as the bus
-  deps.ferries = ferries;
-  return deps;
+  opt.road_graph = std::move(graph);
+  opt.density = std::move(density);
+  opt.ferries = {2};  // middle node doubles as the bus
 }
 
 class LineDelivery : public ::testing::TestWithParam<const char*> {};
@@ -36,7 +33,7 @@ TEST_P(LineDelivery, FiveHopChainDelivers) {
   opt.nodes = 6;
   opt.spacing = 80.0;
   opt.range = 100.0;
-  opt.deps = line_deps(opt.nodes, opt.spacing);
+  add_line_world(opt);
   LineFixture f{GetParam(), opt};
   // Warm-up long enough for proactive protocols: DSDV needs one
   // advertisement round (2 s) per hop for its distance vector to converge.
@@ -116,7 +113,7 @@ TEST(Grid, GatewaySuppressionReducesForwards) {
 TEST(Yan, ProbeOverheadBoundedByTickets) {
   LineFixtureOptions opt;
   opt.nodes = 6;
-  opt.deps = line_deps(opt.nodes, opt.spacing);
+  add_line_world(opt);
   opt.deps.yan_tickets = 1;  // single probe
   LineFixture yan1{"yan", opt};
   yan1.run_to(5.0);

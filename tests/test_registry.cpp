@@ -4,6 +4,9 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
+
+#include "util/line_fixture.h"
 
 namespace vanet::routing {
 namespace {
@@ -47,26 +50,32 @@ TEST(Registry, MakeProducesNamedInstance) {
   EXPECT_EQ(p->category(), Category::kConnectivity);
 }
 
-TEST(Registry, CarRequiresDeps) {
-  EXPECT_THROW(ProtocolRegistry::make("car", {}), std::invalid_argument);
-  ProtocolDeps deps;
-  deps.road_graph = std::make_shared<map::RoadGraph>(3, 3, 100.0);
-  deps.density =
-      std::make_shared<map::SegmentDensityOracle>(deps.road_graph->segment_count());
-  EXPECT_NE(ProtocolRegistry::make("car", deps), nullptr);
-}
-
 TEST(Registry, InstanceMetadataConsistent) {
-  ProtocolDeps deps;
-  deps.road_graph = std::make_shared<map::RoadGraph>(3, 3, 100.0);
-  deps.density =
-      std::make_shared<map::SegmentDensityOracle>(deps.road_graph->segment_count());
   for (const auto& info : ProtocolRegistry::all()) {
-    auto p = info.make(deps);
+    auto p = info.make(ProtocolDeps{});
     EXPECT_EQ(p->name(), info.name);
     EXPECT_EQ(p->category(), info.category);
     EXPECT_FALSE(info.metric.empty());
     EXPECT_FALSE(info.control.empty());
+  }
+}
+
+// Every protocol is built from config values alone: the world (the map and
+// what derives from it) arrives at bind(). A flowing 5-hop convoy, so that
+// Wedde's road rating admits its links, and a warm-up long enough for
+// DSDV's distance vector to converge (one 2 s advert round per hop).
+TEST(ProtocolRegistry, EveryProtocolBuildsFromDefaultDeps) {
+  for (const auto& info : ProtocolRegistry::all()) {
+    testing::LineFixtureOptions opt;
+    opt.nodes = 6;
+    opt.spacing = 80.0;
+    opt.range = 100.0;
+    opt.speed = 15.0;
+    testing::LineFixture f{std::string{info.name}, opt};
+    f.run_to(12.0);
+    f.send(0, 5, /*seq=*/1);
+    f.run_to(25.0);
+    EXPECT_EQ(f.delivered_count(0, 1), 1u) << info.name;
   }
 }
 

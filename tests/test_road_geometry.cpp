@@ -1,6 +1,6 @@
-// GeometryMode behavior of the road-geometry protocols: kRoute must follow
-// roads on irregular maps, and must reduce to the legacy kLine decisions on
-// lattice maps (the property the golden digests rely on).
+// Geometry modes of the road-geometry protocols: kRoute must follow roads on
+// irregular maps, and must reduce to the kLine decisions on lattice maps
+// (the property the golden digests rely on).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -40,16 +40,16 @@ std::vector<VehicleSpec> gap_relay_topology() {
 
 TEST(RoadGeometry, ZoneRouteCorridorDropsOffRoadRelays) {
   for (const auto mode :
-       {routing::GeometryMode::kLine, routing::GeometryMode::kRoute}) {
+       {sim::GeometryMode::kLine, sim::GeometryMode::kRoute}) {
     LineFixtureOptions opt;
     opt.range = 600.0;
     opt.road_graph = u_road();
-    opt.deps.geometry = mode;
+    opt.geometry = mode;
     LineFixture f{"zone", gap_relay_topology(), opt};
     f.run_to(0.5);
     f.send(0, 1, /*seq=*/1);
     f.run_to(3.0);
-    if (mode == routing::GeometryMode::kLine) {
+    if (mode == sim::GeometryMode::kLine) {
       // Legacy corridor is the straight line; M is on it and relays.
       EXPECT_EQ(f.delivered_count(0, 1), 1u);
     } else {
@@ -66,7 +66,7 @@ TEST(RoadGeometry, ZoneRouteForwardsAlongTheRoadRoute) {
   LineFixtureOptions opt;
   opt.range = 600.0;
   opt.road_graph = u_road();
-  opt.deps.geometry = routing::GeometryMode::kRoute;
+  opt.geometry = sim::GeometryMode::kRoute;
   LineFixture f{"zone",
                 {{{0.0, 0.0}, {0.0, 0.0}},      // 0: src
                  {{1000.0, 0.0}, {0.0, 0.0}},   // 1: dst
@@ -82,7 +82,7 @@ TEST(RoadGeometry, ZoneRouteForwardsAlongTheRoadRoute) {
   // A line-mode zone would have dropped these relays (550 m off the line),
   // and indeed must: same topology, legacy geometry.
   LineFixtureOptions line_opt = opt;
-  line_opt.deps.geometry = routing::GeometryMode::kLine;
+  line_opt.geometry = sim::GeometryMode::kLine;
   LineFixture line{"zone",
                    {{{0.0, 0.0}, {0.0, 0.0}},
                     {{1000.0, 0.0}, {0.0, 0.0}},
@@ -101,7 +101,7 @@ TEST(RoadGeometry, GridRoadCellsElectOneGatewayPerStreet) {
   LineFixtureOptions opt;
   opt.range = 500.0;  // auto cell = 400 m: one road cell per U leg
   opt.road_graph = u_road();
-  opt.deps.geometry = routing::GeometryMode::kRoute;
+  opt.geometry = sim::GeometryMode::kRoute;
   LineFixture f{"grid",
                 {{{0.0, 450.0}, {0.0, 0.0}},   // 0: west leg, 50 m from anchor
                  {{0.0, 150.0}, {0.0, 0.0}},   // 1: west leg, 350 m from anchor
@@ -121,16 +121,16 @@ TEST(RoadGeometry, GridRoadCellsElectOneGatewayPerStreet) {
 
 TEST(RoadGeometry, GvGridRouteConfinesDiscoveryToRoads) {
   for (const auto mode :
-       {routing::GeometryMode::kLine, routing::GeometryMode::kRoute}) {
+       {sim::GeometryMode::kLine, sim::GeometryMode::kRoute}) {
     LineFixtureOptions opt;
     opt.range = 600.0;
     opt.road_graph = u_road();
-    opt.deps.geometry = mode;
+    opt.geometry = mode;
     LineFixture f{"gvgrid", gap_relay_topology(), opt};
     f.run_to(2.0);
     f.send(0, 1, /*seq=*/1);
     f.run_to(8.0);
-    if (mode == routing::GeometryMode::kLine) {
+    if (mode == sim::GeometryMode::kLine) {
       // Unconfined discovery finds the 2-hop path through mid-gap M.
       EXPECT_EQ(f.delivered_count(0, 1), 1u);
     } else {
@@ -151,7 +151,7 @@ TEST(RoadGeometry, RouteModeReducesToLineModeOnLatticeMaps) {
       sim::ScenarioReport reports[2];
       int i = 0;
       for (const auto mode :
-           {routing::GeometryMode::kLine, routing::GeometryMode::kRoute}) {
+           {sim::GeometryMode::kLine, sim::GeometryMode::kRoute}) {
         sim::ScenarioConfig cfg;
         cfg.seed = seed;
         cfg.duration_s = 8.0;
@@ -186,9 +186,9 @@ TEST(RoadGeometry, LatticeGatewayElectionAgreesAcrossModes) {
     opt.range = 250.0;
     opt.road_graph = lattice;
     opt.seed = 1000 + static_cast<std::uint64_t>(round);
-    opt.deps.geometry = routing::GeometryMode::kLine;
+    opt.geometry = sim::GeometryMode::kLine;
     LineFixture line{"grid", specs, opt};
-    opt.deps.geometry = routing::GeometryMode::kRoute;
+    opt.geometry = sim::GeometryMode::kRoute;
     LineFixture route{"grid", specs, opt};
     line.run_to(2.5);
     route.run_to(2.5);

@@ -34,8 +34,9 @@ RoadGraph u_graph() {
 TEST(RouteCorridor, FollowsTheRoadRouteNotTheStraightLine) {
   const RoadGraph g = u_graph();
   const SegmentIndex idx{g};
-  const RouteCorridor c =
-      RouteCorridor::between(g, idx, {0.0, 10.0}, {1000.0, 10.0}, -1, -1);
+  const core::Vec2 src{0.0, 10.0}, dst{1000.0, 10.0};
+  const RouteCorridor c = RouteCorridor::between(
+      g, src, dst, idx.nearest_segment(src), idx.nearest_segment(dst));
   ASSERT_TRUE(c.route_found());
   // The whole U: the route 0-1-2-3 and the endpoint segments (already on it).
   EXPECT_EQ(c.segments(), (std::vector<int>{0, 1, 2}));
@@ -56,8 +57,9 @@ TEST(RouteCorridor, MidBlockEndpointsAreAlwaysCovered) {
   const int spur = g.add_intersection({1400.0, 0.0});
   g.add_segment(3, spur);  // seg 3: east spur
   const SegmentIndex idx{g};
-  const RouteCorridor c =
-      RouteCorridor::between(g, idx, {0.0, 400.0}, {1390.0, 20.0}, -1, -1);
+  const core::Vec2 src{0.0, 400.0}, dst{1390.0, 20.0};
+  const RouteCorridor c = RouteCorridor::between(
+      g, src, dst, idx.nearest_segment(src), idx.nearest_segment(dst));
   ASSERT_TRUE(c.route_found());
   // Route 0→spur plus nothing new (endpoint segments 0 and 3 are on it).
   EXPECT_EQ(c.segments(), (std::vector<int>{0, 1, 2, 3}));
@@ -73,8 +75,9 @@ TEST(RouteCorridor, DisconnectedEndpointsReportNoRoute) {
   g.add_segment(0, 1);
   g.add_segment(2, 3);
   const SegmentIndex idx{g};
-  const RouteCorridor c =
-      RouteCorridor::between(g, idx, {100.0, 0.0}, {100.0, 5000.0}, -1, -1);
+  const core::Vec2 src{100.0, 0.0}, dst{100.0, 5000.0};
+  const RouteCorridor c = RouteCorridor::between(
+      g, src, dst, idx.nearest_segment(src), idx.nearest_segment(dst));
   EXPECT_FALSE(c.route_found());
   // Still carries the endpoint segments so distance queries stay meaningful.
   EXPECT_EQ(c.segments(), (std::vector<int>{0, 1}));
@@ -90,8 +93,9 @@ TEST(RouteCorridor, SameIntersectionEndpointsYieldTheLocalStreet) {
   // path, and the corridor is exactly the endpoint segments appended to it.
   const RoadGraph g = u_graph();
   const SegmentIndex idx{g};
-  const RouteCorridor c =
-      RouteCorridor::between(g, idx, {0.0, 480.0}, {10.0, 450.0}, -1, -1);
+  const core::Vec2 src{0.0, 480.0}, dst{10.0, 450.0};
+  const RouteCorridor c = RouteCorridor::between(
+      g, src, dst, idx.nearest_segment(src), idx.nearest_segment(dst));
   ASSERT_TRUE(c.route_found());
   EXPECT_EQ(c.segments(), (std::vector<int>{0}));
 }

@@ -271,7 +271,7 @@ TEST(Scenario, GeometryProtocolsRouteOverTheCommittedTownMap) {
     cfg.map.source = MapSource::kFile;
     cfg.map.file = town;
     cfg.vehicles = 50;
-    cfg.geometry = routing::GeometryMode::kRoute;
+    cfg.geometry = sim::GeometryMode::kRoute;
     Scenario s{cfg};
     EXPECT_FALSE(s.road_graph().is_grid());
     s.run();

@@ -1,16 +1,22 @@
 // Test fixture: N nodes on a line (optionally moving), one protocol instance
 // per node, manually wired — the minimal harness for protocol unit tests.
+// Every instance is bound to a whole world (road map, segment index and
+// snapshot, density oracle, ferry set), decided the way sim::Scenario
+// decides it.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "map/segment_index.h"
+#include "map/segment_snapshot.h"
 #include "mobility/mobility_manager.h"
 #include "net/hello.h"
 #include "net/network.h"
 #include "routing/registry.h"
+#include "sim/scenario.h"
 #include "util/constant_velocity.h"
 
 namespace vanet::testing {
@@ -23,10 +29,14 @@ struct LineFixtureOptions {
   double speed_step = 0.0;    ///< node i moves at speed + i * speed_step
   std::uint64_t seed = 42;
   routing::ProtocolDeps deps;
-  /// When set, bound into every ProtocolContext (with a fixture-owned
-  /// SegmentIndex) so the road-geometry protocols can exercise their
-  /// GeometryMode::kRoute paths. Vehicles are NOT constrained to it.
+  /// The road map bound into every ProtocolContext. Unset: a straight road
+  /// along the x axis from 0 to the farthest vehicle, in ~200 m segments.
+  /// Vehicles are NOT constrained to it.
   std::shared_ptr<const map::RoadGraph> road_graph;
+  /// Vehicles per segment of the road map (CAR reads it). Unset: none.
+  std::shared_ptr<const map::SegmentDensityOracle> density;
+  routing::FerrySet ferries;  ///< bus ids (Bus routing)
+  sim::GeometryMode geometry = sim::GeometryMode::kLine;
   int rsus = 0;               ///< RSUs appended after the line, y = +30
   double rsu_spacing = 160.0;
   /// When non-empty, overrides rsus/rsu_spacing with explicit positions.
@@ -92,10 +102,20 @@ class LineFixture {
     if (protocols.front()->wants_hello()) {
       hello = std::make_unique<net::HelloService>(*net, rngs_.stream("hello"));
     }
-    if (opt_.road_graph) {
-      segment_index_ =
-          std::make_unique<map::SegmentIndex>(*opt_.road_graph);
+    if (!opt_.road_graph) opt_.road_graph = road_under(mgr->vehicles());
+    segment_index_ = std::make_unique<map::SegmentIndex>(*opt_.road_graph);
+    seg_snapshot_ = std::make_unique<map::SegmentSnapshot>(*segment_index_);
+    if (!opt_.density) {
+      opt_.density = std::make_shared<map::SegmentDensityOracle>(
+          opt_.road_graph->segment_count());
     }
+    world_.map = opt_.road_graph.get();
+    world_.segments = segment_index_.get();
+    world_.seg_snapshot = seg_snapshot_.get();
+    world_.density = opt_.density.get();
+    world_.ferries = &opt_.ferries;
+    world_.route_geometry =
+        sim::uses_route_geometry(opt_.geometry, *opt_.road_graph);
     for (net::NodeId id : net->node_ids()) {
       routing::ProtocolContext ctx;
       ctx.sim = &sim;
@@ -104,8 +124,7 @@ class LineFixture {
       ctx.rng = &rngs_.stream("proto");
       ctx.events = &events;
       ctx.self = id;
-      ctx.map = opt_.road_graph.get();
-      ctx.segments = segment_index_.get();
+      ctx.world = &world_;
       protocols[id]->bind(ctx);
       net->set_receive_handler(id, [this, id](const net::Packet& p) {
         if (p.kind == net::PacketKind::kHello) {
@@ -120,6 +139,14 @@ class LineFixture {
       protocols[id]->set_deliver_callback(
           [this](const net::Packet& p) { delivered.push_back(p); });
     }
+  }
+
+  static std::shared_ptr<const map::RoadGraph> road_under(
+      const std::vector<mobility::VehicleState>& vehicles) {
+    double length = 1.0;
+    for (const auto& v : vehicles) length = std::max(length, v.pos.x);
+    const int nx = std::max(2, static_cast<int>(length / 200.0) + 1);
+    return std::make_shared<map::RoadGraph>(nx, 1, length / (nx - 1));
   }
 
  public:
@@ -160,6 +187,8 @@ class LineFixture {
   LineFixtureOptions opt_;
   core::RngManager rngs_;
   std::unique_ptr<map::SegmentIndex> segment_index_;  ///< over opt_.road_graph
+  std::unique_ptr<map::SegmentSnapshot> seg_snapshot_;
+  routing::World world_;
   bool started_ = false;
 };
 

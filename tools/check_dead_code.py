@@ -20,6 +20,14 @@ destructors, assignment) the compiler generates inline, which go when their
 users go. Any symbol left that the allowlist does not name fails the check,
 and so does an allowlist entry that is linked again or no longer exists.
 
+A member of a class template that nothing instantiates emits no symbol, so
+the library scan cannot see it. The check therefore compiles a probe that
+explicitly instantiates every class template in src/ (TEMPLATE_PROBES; a
+class template without an entry fails the check) and fails on any member of
+the probe whose name, template arguments stripped, has no instance in a
+production binary. Member templates, class templates nested in a class and
+function templates are still judged only through their instances.
+
 Usage:
     python3 tools/check_dead_code.py [--build-dir DIR] [--jobs N]
 
@@ -93,6 +101,13 @@ ALLOWLIST = {
         "segment blocks FaultPlan.RoadIncidentBlocksAndClearsSegments reads",
 }
 
+# Every class template in src/, with the explicit instantiation the probe
+# compiles for it: {name: (header under src/, instantiation)}.
+TEMPLATE_PROBES = {
+    "CellArray": ("core/cell_array.h",
+                  "template class vanet::core::CellArray<int>;"),
+}
+
 COMPILE_FLAGS = ("-O0 -fkeep-inline-functions -ffunction-sections "
                  "-fdata-sections")
 LINK_FLAGS = "-Wl,--gc-sections"
@@ -107,6 +122,10 @@ _VANET_RE = re.compile(r"^_ZN[rVK]*[RO]?5vanet")
 # Operator names whose spelling holds a '<' or '>' that opens no template
 # argument list.
 _ANGLE_OPERATOR_RE = re.compile(r"operator(?:<=>|<<=|>>=|<<|>>|<=|>=|->\*?|<|>)")
+# A namespace-scope class template's declaration (unindented, as every
+# namespace-scope declaration in src/ is): `template <...> class|struct Name`.
+_CLASS_TEMPLATE_RE = re.compile(
+    r"^template\s*<[^;{]*?>\s*(?:class|struct)\s+(\w+)", re.MULTILINE)
 
 
 def expected_targets(repo):
@@ -194,6 +213,87 @@ def is_template_instance(name):
     return "<" in _ANGLE_OPERATOR_RE.sub("operator", _split_params(name)[0])
 
 
+def strip_template_args(name):
+    """`name` with every template argument list removed."""
+    out, depth, i = [], 0, 0
+    while i < len(name):
+        match = _ANGLE_OPERATOR_RE.match(name, i)
+        if match and depth == 0:
+            out.append(match.group(0))
+            i = match.end()
+            continue
+        if name[i] == "<":
+            depth += 1
+        elif name[i] == ">":
+            depth -= 1
+        elif depth == 0:
+            out.append(name[i])
+        i += 1
+    return "".join(out)
+
+
+def member_key(name):
+    """(qualified name, parameter count, qualifiers) of demangled `name`,
+    template arguments stripped: the same member of two instances of a
+    class template has the same key, whatever the template arguments."""
+    qualified, params = _split_params(name)
+    suffix = name[name.rfind(")") + 1:].strip()
+    depth, count = 0, 0 if params in ("", "void") else 1
+    for ch in params:
+        if ch in "<(":
+            depth += 1
+        elif ch in ">)":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            count += 1
+    return strip_template_args(qualified), count, suffix
+
+
+def class_templates(src_root):
+    """{class template name: file} for every namespace-scope class template
+    under `src_root`."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(src_root, "**", "*.*"),
+                                 recursive=True)):
+        if not path.endswith((".h", ".cpp")):
+            continue
+        with open(path, encoding="utf-8") as f:
+            for name in _CLASS_TEMPLATE_RE.findall(f.read()):
+                found.setdefault(name, os.path.relpath(path, src_root))
+    return found
+
+
+def probe_source(probes):
+    """C++ source that explicitly instantiates every probed class
+    template."""
+    lines = ["// Generated by tools/check_dead_code.py."]
+    lines += [f'#include "{header}"' for header, _ in probes.values()]
+    lines += [instantiation for _, instantiation in probes.values()]
+    return "\n".join(lines) + "\n"
+
+
+def unlinked_template_members(probe, binaries, names):
+    """Demangled, argument-stripped names of the members in `probe` (parse_nm
+    of the probe object) that no binary links an instance of.
+
+    `binaries` maps each production binary to its parse_nm, `names`
+    demangles every symbol involved. Special members the compiler generated
+    go with their users, as in dead_symbols.
+    """
+    linked = {member_key(names[sym])
+              for symbols in binaries.values() for sym in symbols}
+    unlinked = set()
+    for sym, emitted_inline in probe.items():
+        name = names[sym]
+        qualified, _ = _split_params(name)
+        stripped = strip_template_args(qualified) + name[len(qualified):]
+        if is_special_member(stripped, emitted_inline):
+            continue
+        if member_key(name) not in linked:
+            unlinked.add(stripped)
+    return sorted(unlinked)
+
+
 def dead_symbols(library, binaries, names):
     """Demangled names of the library functions no binary defines.
 
@@ -236,6 +336,29 @@ def run_nm(path):
     proc = subprocess.run(["nm", "--defined-only", path],
                           capture_output=True, text=True, check=True)
     return parse_nm(proc.stdout)
+
+
+def build_probe(build_dir, probes):
+    """Compile the template probe with the main tree's compiler and flags;
+    returns the object's path, or None when it does not compile."""
+    compiler = None
+    with open(os.path.join(build_dir, "CMakeCache.txt"), encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("CMAKE_CXX_COMPILER:"):
+                compiler = line.split("=", 1)[1].strip()
+    source = os.path.join(build_dir, "template_probe.cpp")
+    with open(source, "w", encoding="utf-8") as f:
+        f.write(probe_source(probes))
+    obj = os.path.join(build_dir, "template_probe.o")
+    proc = subprocess.run([compiler or "c++", "-std=c++20",
+                           *COMPILE_FLAGS.split(), "-I",
+                           os.path.join(REPO, "src"), "-c", source, "-o", obj],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True, check=False)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout)
+        return None
+    return obj
 
 
 def _build(source, build_dir, targets, jobs, extra):
@@ -282,20 +405,35 @@ def main(argv=None):
               "code only it links reads as dead", file=sys.stderr)
         return 1
 
+    unprobed = sorted(set(class_templates(os.path.join(REPO, "src")))
+                      - set(TEMPLATE_PROBES))
+    for name in unprobed:
+        print(f"check_dead_code: class template {name} has no entry in "
+              "TEMPLATE_PROBES", file=sys.stderr)
+    probe_path = build_probe(main_dir, TEMPLATE_PROBES)
+    if probe_path is None or unprobed:
+        print("check_dead_code: the template probe must instantiate every "
+              "class template in src/", file=sys.stderr)
+        return 1
+
     library = run_nm(library_path)
     binaries = {name: run_nm(path) for name, path in paths.items()}
-    names = demangle(library)
+    probe = run_nm(probe_path)
+    names = demangle(set(library).union(probe, *binaries.values()))
     dead = dead_symbols(library, binaries, names)
-    unlisted, stale = findings(dead, set(names.values()), ALLOWLIST)
-    for name in unlisted:
+    members = unlinked_template_members(probe, binaries, names)
+    unlisted, stale = findings(dead, set(names[sym] for sym in library),
+                               ALLOWLIST)
+    for name in unlisted + members:
         print(f"dead: {name}")
     for name, why in stale:
         print(f"stale allowlist entry: {name} ({why})")
     print(f"check_dead_code: {len(library)} vanet:: functions, "
           f"{len(binaries)} binaries, {len(dead)} unlinked "
           f"({len(dead) - len(unlisted)} allowlisted), {len(unlisted)} dead, "
+          f"{len(members)} dead class template members, "
           f"{len(stale)} stale allowlist entries", file=sys.stderr)
-    return 1 if unlisted or stale else 0
+    return 1 if unlisted or members or stale else 0
 
 
 if __name__ == "__main__":

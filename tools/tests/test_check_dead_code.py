@@ -151,6 +151,81 @@ class TemplateInstanceTest(unittest.TestCase):
             self.assertFalse(dc.is_template_instance(name), name)
 
 
+class TemplateMemberTest(unittest.TestCase):
+    """Members of an explicitly instantiated class template (the probe)
+    against the instances production binaries link."""
+
+    CELL = "vanet::core::CellArray<std::vector<int, std::allocator<int> > >"
+    NAMES = {
+        # The probe's CellArray<int>.
+        "p_ctor": "vanet::core::CellArray<int>::CellArray(double, "
+                  "vanet::core::Box const&)",
+        "p_index": "vanet::core::CellArray<int>::operator[](unsigned long)",
+        "p_cindex": "vanet::core::CellArray<int>::operator[](unsigned long) "
+                    "const",
+        "p_find": "vanet::core::CellArray<int>::find(long, long) const",
+        "p_dtor": "vanet::core::CellArray<int>::~CellArray()",
+        # A binary's instances over another cell type.
+        "b_ctor": CELL + "::CellArray(double, vanet::core::Box const&)",
+        "b_index": CELL + "::operator[](unsigned long)",
+        "b_find": CELL + "::find(long, long) const",
+        "b_each": "void " + CELL + "::for_each<F>(vanet::core::Vec2, "
+                  "vanet::core::Vec2, F&&) const",
+    }
+    PROBE = {"p_ctor": False, "p_index": True, "p_cindex": True,
+             "p_find": True, "p_dtor": True}
+
+    def unlinked(self, *linked):
+        return dc.unlinked_template_members(
+            self.PROBE, {"vanet_cli": {sym: True for sym in linked}},
+            self.NAMES)
+
+    def test_members_match_across_template_arguments(self):
+        self.assertEqual(
+            self.unlinked("b_ctor", "b_index", "b_find", "b_each"),
+            ["vanet::core::CellArray::operator[](unsigned long) const"])
+
+    def test_const_overload_is_a_member_of_its_own(self):
+        self.assertIn("vanet::core::CellArray::operator[](unsigned long)",
+                      self.unlinked("b_ctor", "b_find"))
+
+    def test_generated_destructor_is_not_reported(self):
+        self.assertNotIn("vanet::core::CellArray::~CellArray()",
+                         self.unlinked())
+
+    def test_member_key_strips_arguments_and_keeps_qualifiers(self):
+        self.assertEqual(dc.member_key(self.NAMES["b_find"]),
+                         ("vanet::core::CellArray::find", 2, "const"))
+        self.assertEqual(dc.member_key(self.NAMES["p_index"]),
+                         ("vanet::core::CellArray::operator[]", 1, ""))
+        self.assertEqual(
+            dc.member_key("vanet::core::SimTime::operator<"
+                          "(vanet::core::SimTime) const"),
+            ("vanet::core::SimTime::operator<", 1, "const"))
+
+    def test_namespace_scope_class_templates_are_found(self):
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "core"))
+            with open(os.path.join(root, "core", "a.h"), "w") as f:
+                f.write("template <typename Cell>\nclass CellArray {\n"
+                        "  template <typename D>\n  struct Nested {};\n};\n"
+                        "template <typename T, int N> struct Pair;\n"
+                        "template <typename F>\nvoid apply(F&& f);\n")
+            self.assertEqual(dc.class_templates(root),
+                             {"CellArray": "core/a.h",
+                              "Pair": "core/a.h"})
+
+    def test_every_class_template_in_src_has_a_probe(self):
+        self.assertEqual(
+            set(dc.class_templates(os.path.join(dc.REPO, "src"))),
+            set(dc.TEMPLATE_PROBES))
+
+    def test_probe_source_instantiates_each_entry(self):
+        source = dc.probe_source({"A": ("x/a.h", "template class n::A<int>;")})
+        self.assertIn('#include "x/a.h"', source)
+        self.assertIn("template class n::A<int>;", source)
+
+
 class MissingTargetTest(unittest.TestCase):
     def test_an_unbuilt_target_is_named(self):
         with tempfile.TemporaryDirectory() as root:
