@@ -6,7 +6,7 @@
 // choices and broken predictions.
 #include <iostream>
 
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "sim/table.h"
 
 int main() {
@@ -17,6 +17,16 @@ int main() {
   sim::Table table(
       {"protocol", "hello interval s", "PDR", "delay ms", "hello tx/s/veh",
        "route breaks"});
+  // The three seeds of one configuration, aggregated; any failed run aborts
+  // the bench.
+  sim::ExperimentEngine engine{0};  // all cores; output order is fixed anyway
+  auto aggregate = [&engine](const sim::ScenarioConfig& cfg) {
+    sim::ExperimentSpec spec;
+    spec.base = cfg;
+    spec.seeds = {1, 2, 3};
+    spec.guards.capture = false;
+    return engine.run(spec).cells.at(0).agg;
+  };
   for (const char* protocol : {"greedy", "pbr"}) {
     for (double interval : {0.5, 1.0, 2.0, 4.0}) {
       sim::ScenarioConfig cfg;
@@ -34,7 +44,7 @@ int main() {
       cfg.traffic.stop_s = 40.0;
       cfg.traffic.min_pair_distance_m = 700.0;
 
-      const sim::AggregateReport agg = sim::run_seeds(cfg, 3);
+      const sim::AggregateReport agg = aggregate(cfg);
       std::uint64_t hello = 0;
       for (const auto& run : agg.runs) hello += run.hello_frames;
       const double veh_seconds = 60.0 * 50.0 * 3.0;  // vehicles x s x seeds

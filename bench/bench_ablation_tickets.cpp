@@ -6,7 +6,7 @@
 // achieved PDR and path stability.
 #include <iostream>
 
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "sim/table.h"
 
 int main() {
@@ -16,6 +16,17 @@ int main() {
 
   sim::Table table({"discovery", "PDR", "delay ms", "ctrl tx/delivered",
                     "hello tx/delivered", "pred. route life s"});
+
+  // The three seeds of one configuration, aggregated; any failed run aborts
+  // the bench.
+  sim::ExperimentEngine engine{0};  // all cores; output order is fixed anyway
+  auto aggregate = [&engine](const sim::ScenarioConfig& cfg) {
+    sim::ExperimentSpec spec;
+    spec.base = cfg;
+    spec.seeds = {1, 2, 3};
+    spec.guards.capture = false;
+    return engine.run(spec).cells.at(0).agg;
+  };
 
   auto base = [] {
     sim::ScenarioConfig cfg;
@@ -36,7 +47,7 @@ int main() {
     sim::ScenarioConfig cfg = base();
     cfg.protocol = "yan";
     cfg.yan_tickets = tickets;
-    const sim::AggregateReport agg = sim::run_seeds(cfg, 3);
+    const sim::AggregateReport agg = aggregate(cfg);
     std::uint64_t ctrl = 0, hello = 0;
     for (const auto& run : agg.runs) {
       ctrl += run.control_frames;
@@ -53,7 +64,7 @@ int main() {
   for (const char* protocol : {"yan-ss", "aodv"}) {
     sim::ScenarioConfig cfg = base();
     cfg.protocol = protocol;
-    const sim::AggregateReport agg = sim::run_seeds(cfg, 3);
+    const sim::AggregateReport agg = aggregate(cfg);
     std::uint64_t ctrl = 0, hello = 0;
     for (const auto& run : agg.runs) {
       ctrl += run.control_frames;

@@ -67,6 +67,7 @@ int main() {
   spec.axes = {{"vehicles_per_direction", {"10", "20", "40", "70"}},
                {"protocol", {"flooding", "biswas", "aodv", "dsr"}}};
   spec.seeds = {1, 2};
+  spec.guards.capture = false;  // any failed run aborts the bench
 
   Fig2Sink sink;
   sim::ExperimentEngine engine{0};  // all cores; output order is fixed anyway

@@ -6,7 +6,7 @@
 // in rural area" (here: rsu = 0).
 #include <iostream>
 
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "sim/table.h"
 
 int main() {
@@ -30,6 +30,16 @@ int main() {
 
   sim::Table table({"veh/dir", "variant", "PDR", "reachable bound",
                     "delay ms", "backbone frames", "route breaks"});
+  // The three seeds of one configuration, aggregated; any failed run aborts
+  // the bench.
+  sim::ExperimentEngine engine{0};  // all cores; output order is fixed anyway
+  auto aggregate = [&engine](const sim::ScenarioConfig& cfg) {
+    sim::ExperimentSpec spec;
+    spec.base = cfg;
+    spec.seeds = {1, 2, 3};
+    spec.guards.capture = false;
+    return engine.run(spec).cells.at(0).agg;
+  };
   for (int density : {4, 8, 16}) {
     for (const auto& v : variants) {
       sim::ScenarioConfig cfg;
@@ -47,7 +57,7 @@ int main() {
       cfg.traffic.stop_s = 60.0;
       cfg.traffic.min_pair_distance_m = 1000.0;
 
-      const sim::AggregateReport agg = sim::run_seeds(cfg, 3);
+      const sim::AggregateReport agg = aggregate(cfg);
       table.add_row({sim::fmt_int(density), v.label, sim::fmt(agg.pdr.mean(), 3),
                      sim::fmt(agg.reachable_fraction.mean(), 3),
                      sim::fmt(agg.delay_ms.mean(), 1),

@@ -6,7 +6,7 @@
 // neighborhood-discovery overhead (hello) and possibly suboptimal paths.
 #include <iostream>
 
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "sim/table.h"
 
 int main() {
@@ -14,48 +14,43 @@ int main() {
   std::cout << "# Fig. 6 / Sec. VI — geographic routing on a Manhattan grid "
                "(5x5 blocks x 300 m, 100 vehicles)\n\n";
 
+  sim::ExperimentSpec spec;
+  spec.base.mobility = sim::MobilityKind::kManhattan;
+  spec.base.manhattan.streets_x = 5;
+  spec.base.manhattan.streets_y = 5;
+  spec.base.manhattan.block = 300.0;
+  spec.base.vehicles = 100;
+  spec.base.comm_range_m = 250.0;
+  spec.base.duration_s = 50.0;
+  spec.base.traffic.flows = 8;
+  spec.base.traffic.rate_pps = 1.0;
+  spec.base.traffic.start_s = 5.0;
+  spec.base.traffic.stop_s = 42.0;
+  spec.base.traffic.min_pair_distance_m = 500.0;
+  spec.protocols = {"flooding", "zone", "grid", "greedy"};
+  spec.seeds = {1, 2, 3};
+  spec.guards.capture = false;  // any failed run aborts the bench
+
+  sim::ExperimentEngine engine{0};  // all cores; output order is fixed anyway
   sim::Table table({"protocol", "PDR", "delay ms", "hops",
                     "data tx/delivered", "rx/delivered (dup load)",
                     "hello tx", "collision frac"});
-  for (const char* protocol : {"flooding", "zone", "grid", "greedy"}) {
-    sim::ScenarioConfig cfg;
-    cfg.mobility = sim::MobilityKind::kManhattan;
-    cfg.manhattan.streets_x = 5;
-    cfg.manhattan.streets_y = 5;
-    cfg.manhattan.block = 300.0;
-    cfg.vehicles = 100;
-    cfg.comm_range_m = 250.0;
-    cfg.duration_s = 50.0;
-    cfg.protocol = protocol;
-    cfg.traffic.flows = 8;
-    cfg.traffic.rate_pps = 1.0;
-    cfg.traffic.start_s = 5.0;
-    cfg.traffic.stop_s = 42.0;
-    cfg.traffic.min_pair_distance_m = 500.0;
-
-    std::uint64_t data_tx = 0, rx_ok = 0, hello_tx = 0, delivered = 0;
-    analysis::RunningStats pdr, delay, hops, collisions;
-    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-      cfg.seed = seed;
-      sim::Scenario s{cfg};
-      s.run();
-      const auto r = s.report();
-      pdr.add(r.pdr);
-      if (r.delivered > 0) {
-        delay.add(r.delay_ms_mean);
-        hops.add(r.hops_mean);
-      }
-      collisions.add(r.collision_fraction);
-      data_tx += r.data_frames;
-      rx_ok += s.network().counters().receptions_ok;
-      hello_tx += r.hello_frames;
-      delivered += r.delivered;
+  for (const sim::AggregateRecord& cell : engine.run(spec).cells) {
+    const sim::AggregateReport& agg = cell.agg;
+    std::uint64_t data_tx = 0, rx_ok = 0, hello_tx = 0;
+    for (const auto& run : agg.runs) {
+      data_tx += run.data_frames;
+      rx_ok += run.receptions_ok;
+      hello_tx += run.hello_frames;
     }
-    const double per = delivered > 0 ? static_cast<double>(delivered) : 1.0;
-    table.add_row({protocol, sim::fmt(pdr.mean(), 3), sim::fmt(delay.mean(), 1),
-                   sim::fmt(hops.mean(), 2), sim::fmt(data_tx / per, 1),
+    const double per = agg.total_delivered > 0
+                           ? static_cast<double>(agg.total_delivered)
+                           : 1.0;
+    table.add_row({cell.protocol, sim::fmt(agg.pdr.mean(), 3),
+                   sim::fmt(agg.delay_ms.mean(), 1),
+                   sim::fmt(agg.hops.mean(), 2), sim::fmt(data_tx / per, 1),
                    sim::fmt(rx_ok / per, 1), sim::fmt_int(hello_tx),
-                   sim::fmt(collisions.mean(), 4)});
+                   sim::fmt(agg.collision_fraction.mean(), 4)});
   }
   table.print(std::cout);
 

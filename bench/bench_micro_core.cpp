@@ -439,7 +439,7 @@ void feed_etx_hellos(routing::EtxAgent& agent,
 void BM_EtxFillBeacon(benchmark::State& state) {
   const auto nbrs = static_cast<int>(state.range(0));
   auto hellos = etx_hellos(nbrs, static_cast<int>(state.range(1)));
-  routing::EtxAgent agent{0, {}};
+  routing::EtxAgent agent{0};
   feed_etx_hellos(agent, hellos);
   std::size_t k = 0;
   for (auto _ : state) {
@@ -461,7 +461,7 @@ BENCHMARK(BM_EtxFillBeacon)->ArgsProduct({{10, 40}, {200, 1000}});
 void BM_EtxOnHello(benchmark::State& state) {
   const auto nbrs = static_cast<int>(state.range(0));
   auto hellos = etx_hellos(nbrs, static_cast<int>(state.range(1)));
-  routing::EtxAgent agent{0, {}};
+  routing::EtxAgent agent{0};
   feed_etx_hellos(agent, hellos);
   std::size_t k = 0;
   for (auto _ : state) {

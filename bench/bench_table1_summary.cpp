@@ -117,6 +117,7 @@ int main() {
     spec.base = regime.cfg;
     spec.protocols = {"flooding", "pbr", "drr", "greedy", "yan"};
     spec.seeds = {1, 2, 3};
+    spec.guards.capture = false;  // any failed run aborts the bench
     // Table I: infrastructure exists everywhere except the rural regime.
     const bool rural = std::string(regime.name).find("rural") == 0;
     spec.protocol_overrides["drr"] = {{"rsu_count", rural ? "0" : "6"}};

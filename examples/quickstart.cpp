@@ -5,31 +5,35 @@
 //   ./build/examples/quickstart
 #include <iostream>
 
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "sim/table.h"
 
 int main() {
   using namespace vanet;
 
-  sim::ScenarioConfig cfg;
-  cfg.mobility = sim::MobilityKind::kHighway;
-  cfg.highway.length = 4000.0;
-  cfg.highway.lanes_per_direction = 2;
-  cfg.vehicles_per_direction = 60;
-  cfg.comm_range_m = 250.0;
-  cfg.duration_s = 60.0;
-  cfg.traffic.flows = 8;
-  cfg.traffic.rate_pps = 2.0;
-  cfg.traffic.start_s = 5.0;
-  cfg.traffic.stop_s = 50.0;
+  // One experiment: the base config x two protocols x three seeds.
+  sim::ExperimentSpec spec;
+  spec.base.mobility = sim::MobilityKind::kHighway;
+  spec.base.highway.length = 4000.0;
+  spec.base.highway.lanes_per_direction = 2;
+  spec.base.vehicles_per_direction = 60;
+  spec.base.comm_range_m = 250.0;
+  spec.base.duration_s = 60.0;
+  spec.base.traffic.flows = 8;
+  spec.base.traffic.rate_pps = 2.0;
+  spec.base.traffic.start_s = 5.0;
+  spec.base.traffic.stop_s = 50.0;
+  spec.protocols = {"aodv", "greedy"};
+  spec.seeds = {1, 2, 3};
+  spec.guards.capture = false;  // a failed run throws
 
   std::cout << "# Quickstart: AODV vs greedy on a 4 km highway\n\n";
   sim::Table table({"protocol", "PDR", "delay ms", "hops",
                     "ctrl+hello frames/delivered", "route breaks"});
-  for (const char* protocol : {"aodv", "greedy"}) {
-    cfg.protocol = protocol;
-    const sim::AggregateReport agg = sim::run_seeds(cfg, 3);
-    table.add_row({std::string(protocol), sim::fmt(agg.pdr.mean(), 3),
+  sim::ExperimentEngine engine{0};  // all cores; output order is fixed anyway
+  for (const sim::AggregateRecord& cell : engine.run(spec).cells) {
+    const sim::AggregateReport& agg = cell.agg;
+    table.add_row({cell.protocol, sim::fmt(agg.pdr.mean(), 3),
                    sim::fmt(agg.delay_ms.mean(), 1),
                    sim::fmt(agg.hops.mean(), 2),
                    sim::fmt(agg.control_per_delivered.mean(), 2),

@@ -6,7 +6,7 @@
 //   ./build/examples/rural_rsu
 #include <iostream>
 
-#include "sim/runner.h"
+#include "sim/experiment.h"
 #include "sim/table.h"
 
 int main() {
@@ -41,6 +41,16 @@ int main() {
       {"bus ferries x 3", "bus", 0, 3},
   };
 
+  // Three seeds per variant on the experiment engine; any failed run throws.
+  sim::ExperimentEngine engine{0};  // all cores; output order is fixed anyway
+  auto aggregate = [&engine](const sim::ScenarioConfig& cfg) {
+    sim::ExperimentSpec spec;
+    spec.base = cfg;
+    spec.seeds = {1, 2, 3};
+    spec.guards.capture = false;
+    return engine.run(spec).cells.at(0).agg;
+  };
+
   std::cout << "# Sparse rural highway (12 vehicles on 8 km): who delivers?\n\n";
   sim::Table table({"variant", "PDR", "mean delay ms", "backbone frames"});
   for (const auto& v : variants) {
@@ -48,7 +58,7 @@ int main() {
     cfg.protocol = v.protocol;
     cfg.rsu_count = v.rsus;
     cfg.bus_count = v.buses;
-    const sim::AggregateReport agg = sim::run_seeds(cfg, 3);
+    const sim::AggregateReport agg = aggregate(cfg);
     table.add_row({v.label,
                    sim::fmt_pm(agg.pdr.mean(), agg.pdr.ci95_half_width(), 3),
                    sim::fmt(agg.delay_ms.mean(), 1),

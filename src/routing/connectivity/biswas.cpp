@@ -22,7 +22,7 @@ void BiswasProtocol::check_ack(std::uint64_t key) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
   PendingAck& pa = it->second;
-  if (pa.acked || pa.retries >= kMaxRetries) {
+  if (pa.acked || pa.retries >= kMaxRetransmits) {
     pending_.erase(it);
     return;
   }

@@ -18,8 +18,8 @@ class BiswasProtocol final : public FloodingProtocol {
   /// Forwarded suppression mode: `flood.suppression=etx` defers + cancels
   /// exactly as in FloodingProtocol; an overheard copy both suppresses the
   /// deferred rebroadcast and counts as the implicit acknowledgement.
-  BiswasProtocol(FloodSuppression suppression, EtxConfig etx)
-      : FloodingProtocol{suppression, etx} {}
+  explicit BiswasProtocol(FloodSuppression suppression)
+      : FloodingProtocol{suppression} {}
 
   std::string_view name() const override { return "biswas"; }
 
@@ -38,7 +38,7 @@ class BiswasProtocol final : public FloodingProtocol {
 
   std::unordered_map<std::uint64_t, PendingAck> pending_;
 
-  static constexpr int kMaxRetries = 2;
+  static constexpr int kMaxRetransmits = 2;
   static constexpr double kAckTimeoutMs = 250.0;
 };
 

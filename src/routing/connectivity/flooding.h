@@ -25,8 +25,8 @@ namespace vanet::routing {
 
 class FloodingProtocol : public RoutingProtocol {
  public:
-  FloodingProtocol(FloodSuppression suppression, EtxConfig etx)
-      : suppression_{suppression}, etx_cfg_{etx} {}
+  explicit FloodingProtocol(FloodSuppression suppression)
+      : suppression_{suppression} {}
 
   void start() override;
   bool originate(net::NodeId dst, std::uint32_t flow, std::uint32_t seq,
@@ -60,7 +60,6 @@ class FloodingProtocol : public RoutingProtocol {
  private:
   DupCache seen_;
   FloodSuppression suppression_;
-  EtxConfig etx_cfg_;
   std::unique_ptr<EtxAgent> agent_;
   /// Deferred rebroadcasts, cancellable by flood key while they wait.
   std::map<std::uint64_t, core::EventHandle> deferred_;

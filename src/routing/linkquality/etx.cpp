@@ -9,7 +9,7 @@ namespace vanet::routing {
 
 void EtxProtocol::start() {
   VANET_ASSERT_MSG(ctx_.hello != nullptr, "etx requires the hello service");
-  agent_ = std::make_unique<EtxAgent>(self(), cfg_);
+  agent_ = std::make_unique<EtxAgent>(self());
   // The agent's hooks, with the estimator-error sample wrapped around the
   // beacon fill: once per beacon, per live link, compare the estimated link
   // ETX against the analytic value at the true current distance.

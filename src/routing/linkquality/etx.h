@@ -19,8 +19,6 @@ namespace vanet::routing {
 
 class EtxProtocol final : public RoutingProtocol {
  public:
-  explicit EtxProtocol(EtxConfig cfg) : cfg_{cfg} {}
-
   void start() override;
   bool originate(net::NodeId dst, std::uint32_t flow, std::uint32_t seq,
                  std::size_t bytes) override;
@@ -37,7 +35,6 @@ class EtxProtocol final : public RoutingProtocol {
  private:
   void sample_estimator_error();
 
-  EtxConfig cfg_;
   std::unique_ptr<EtxAgent> agent_;
   DupCache delivered_;
 };

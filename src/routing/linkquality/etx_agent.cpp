@@ -20,8 +20,7 @@ constexpr int kKillBeacons = 3;
 
 }  // namespace
 
-EtxAgent::EtxAgent(net::NodeId self, EtxConfig cfg)
-    : self_{self}, table_{cfg} {}
+EtxAgent::EtxAgent(net::NodeId self) : self_{self} {}
 
 void EtxAgent::attach(net::HelloService& hello) {
   hello.set_beacon_extension(

@@ -35,7 +35,7 @@ namespace vanet::routing {
 
 class EtxAgent {
  public:
-  EtxAgent(net::NodeId self, EtxConfig cfg);
+  explicit EtxAgent(net::NodeId self);
 
   /// Convenience wiring: registers the beacon extension, frame observer and
   /// loss callback for `self` on the service. Protocols that need to wrap a

@@ -3,16 +3,10 @@
 #include <algorithm>
 #include <bit>
 
-#include "core/assert.h"
-
 namespace vanet::routing {
 
-LinkQualityTable::LinkQualityTable(EtxConfig cfg) : cfg_{cfg} {
-  VANET_ASSERT_MSG(cfg_.window >= 1 && cfg_.window <= 64,
-                   "etx.window must be in [1, 64]");
-  VANET_ASSERT_MSG(cfg_.hello_weight > 0.0 && cfg_.hello_weight <= 1.0,
-                   "etx.hello_weight must be in (0, 1]");
-}
+static_assert(LinkQualityTable::kWindow >= 1 &&
+              LinkQualityTable::kWindow < 64);
 
 const LinkQualityTable::Link* LinkQualityTable::find(
     net::NodeId neighbor) const {
@@ -52,11 +46,6 @@ void LinkQualityTable::on_hello(net::NodeId from, std::uint32_t seq) {
     if (age < 64) link.window_bits |= std::uint64_t{1} << age;
   }
   link.heard += 1;
-  const double fresh = windowed_ratio(link);
-  link.smoothed = link.heard == 1
-                      ? fresh
-                      : cfg_.hello_weight * fresh +
-                            (1.0 - cfg_.hello_weight) * link.smoothed;
 }
 
 void LinkQualityTable::on_report(net::NodeId from, double ratio) {
@@ -73,17 +62,14 @@ void LinkQualityTable::erase(net::NodeId neighbor) {
   links_.erase(links_.begin() + at);
 }
 
-double LinkQualityTable::windowed_ratio(const Link& link) const {
+double LinkQualityTable::windowed_ratio(const Link& link) {
   // The denominator ramps 1, 2, ... from first contact until the window
   // fills, so exactly k received of the last n=denominator beacons gives
   // k/n, exactly. (For a neighbor heard from its seq 0 this is the full
   // send count, since sender sequences start at 0.)
   const std::uint64_t denom = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(cfg_.window),
-      static_cast<std::uint64_t>(link.last_seq - link.first_seq) + 1);
-  const std::uint64_t mask =
-      cfg_.window >= 64 ? ~std::uint64_t{0}
-                        : (std::uint64_t{1} << cfg_.window) - 1;
+      kWindow, static_cast<std::uint64_t>(link.last_seq - link.first_seq) + 1);
+  constexpr std::uint64_t mask = (std::uint64_t{1} << kWindow) - 1;
   const auto got = static_cast<std::uint64_t>(
       std::popcount(link.window_bits & mask));
   return static_cast<double>(std::min(got, denom)) /
@@ -93,7 +79,7 @@ double LinkQualityTable::windowed_ratio(const Link& link) const {
 double LinkQualityTable::reverse_ratio(net::NodeId neighbor) const {
   const Link* link = find(neighbor);
   if (link == nullptr || link->heard == 0) return 0.0;
-  return cfg_.hello_weight >= 1.0 ? windowed_ratio(*link) : link->smoothed;
+  return windowed_ratio(*link);
 }
 
 double LinkQualityTable::forward_ratio(net::NodeId neighbor) const {

@@ -17,18 +17,6 @@
 
 namespace vanet::routing {
 
-/// `etx.*` config keys.
-struct EtxConfig {
-  /// Delivery-ratio window, in beacon sequence numbers (1..64: the window
-  /// is a 64-bit receipt mask).
-  int window = 16;
-  /// EWMA weight applied to each fresh windowed ratio sample: 1.0 (default)
-  /// keeps the pure windowed estimate (so exactly k of the last n beacons
-  /// received means ratio k/n, exactly); smaller values smooth across
-  /// windows at the cost of slower reaction to link changes.
-  double hello_weight = 1.0;
-};
-
 /// Rebroadcast-coordination mode of the flooding protocols
 /// (`flood.suppression`): kEtx defers each re-flood proportionally to the
 /// node's ETX distance to the packet's origin and cancels it when a copy is
@@ -39,8 +27,6 @@ enum class FloodSuppression { kNone, kEtx };
 /// The per-node estimator: one entry per live neighbor link.
 class LinkQualityTable {
  public:
-  explicit LinkQualityTable(EtxConfig cfg = {});
-
   /// A beacon from `from` carrying sequence number `seq` was received.
   void on_hello(net::NodeId from, std::uint32_t seq);
   /// `from` piggybacked the ratio at which it receives this node's beacons.
@@ -49,7 +35,7 @@ class LinkQualityTable {
   void erase(net::NodeId neighbor);
 
   /// Windowed reverse delivery ratio dr: received beacons among the last
-  /// min(window, seq+1) the neighbor sent (sender sequences start at 0, so
+  /// min(kWindow, seq+1) the neighbor sent (sender sequences start at 0, so
   /// the denominator ramps with the true send count until the window
   /// fills). 0 for unknown neighbors.
   double reverse_ratio(net::NodeId neighbor) const;
@@ -72,6 +58,9 @@ class LinkQualityTable {
 
   /// Cost ceiling: links (and routes) at or beyond this are unusable.
   static constexpr double kMaxEtx = 128.0;
+  /// Delivery-ratio window, in beacon sequence numbers: a prefix of the
+  /// 64-bit receipt mask.
+  static constexpr int kWindow = 16;
 
  private:
   struct Link {
@@ -79,12 +68,11 @@ class LinkQualityTable {
     std::uint32_t first_seq = 0;    ///< first beacon heard (ratio baseline)
     std::uint32_t last_seq = 0;
     std::uint64_t heard = 0;        ///< received count since first contact
-    double smoothed = 1.0;          ///< EWMA of the windowed ratio
     double reported = 1.0;          ///< neighbor's last forward-ratio report
     bool has_report = false;
   };
 
-  double windowed_ratio(const Link& link) const;
+  static double windowed_ratio(const Link& link);
   /// The link with `neighbor`, or nullptr when there is none.
   const Link* find(net::NodeId neighbor) const;
   /// The link with `neighbor`, inserted in id order when there is none.
@@ -95,7 +83,6 @@ class LinkQualityTable {
   /// neither a copy nor a sort.
   std::vector<net::NodeId> ids_;
   std::vector<Link> links_;
-  EtxConfig cfg_;
 };
 
 }  // namespace vanet::routing

@@ -35,14 +35,12 @@ std::vector<ProtocolInfo> build_registry() {
   r.push_back({"flooding", Category::kConnectivity, "Sec. III-A",
                "none (blind rebroadcast)", "data only",
                [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<FloodingProtocol>(d.flood_suppression,
-                                                           d.etx);
+                 return std::make_unique<FloodingProtocol>(d.flood_suppression);
                }});
   r.push_back({"biswas", Category::kConnectivity, "[9] Biswas",
                "implicit acknowledgement", "data + implicit ack",
                [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<BiswasProtocol>(d.flood_suppression,
-                                                         d.etx);
+                 return std::make_unique<BiswasProtocol>(d.flood_suppression);
                }});
   r.push_back({"aodv", Category::kConnectivity, "[6] AODV",
                "hop count", "RREQ/RREP/RERR",
@@ -61,8 +59,8 @@ std::vector<ProtocolInfo> build_registry() {
                }});
   r.push_back({"etx", Category::kConnectivity, "[31] De Couto (ETX)",
                "expected transmission count (Dijkstra)", "hello piggyback",
-               [](const ProtocolDeps& d) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<EtxProtocol>(d.etx);
+               [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
+                 return std::make_unique<EtxProtocol>();
                }});
   // --- mobility-based (Sec. IV) --------------------------------------------
   r.push_back({"pbr", Category::kMobility, "[13] PBR",

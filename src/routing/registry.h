@@ -22,10 +22,7 @@ namespace vanet::routing {
 struct ProtocolDeps {
   analysis::LogNormalParams signal;  ///< REAR's model
   int yan_tickets = 4;               ///< Yan TBP budget
-  // Link-quality family (routing/linkquality/): the estimator knobs shared
-  // by `etx` and the flooding suppression mode, and the suppression mode
-  // itself (`flood.suppression`, applied to flooding + biswas).
-  EtxConfig etx;
+  /// `flood.suppression`, applied to flooding + biswas.
   FloodSuppression flood_suppression = FloodSuppression::kNone;
 };
 

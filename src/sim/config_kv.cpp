@@ -317,13 +317,7 @@ std::vector<Field> build_fields() {
                               {{"line", GeometryMode::kLine},
                                {"route", GeometryMode::kRoute}}));
 
-  // --- etx.* / flood.* (link-quality family; routing/linkquality/) ---------
-  // Bounds mirror the LinkQualityTable assertions.
-  bounded("etx.window", REF(etx.window),
-          +[](int v) { return v >= 1 && v <= 64; }, "an integer in [1, 64]");
-  bounded("etx.hello_weight", REF(etx.hello_weight),
-          +[](double v) { return v > 0.0 && v <= 1.0; },
-          "a finite real number in (0, 1]");
+  // --- flood.* (link-quality family; routing/linkquality/) -----------------
   fields.push_back(
       enum_field("flood.suppression", REF(flood_suppression),
                  {{"none", routing::FloodSuppression::kNone},

@@ -62,19 +62,39 @@ void arm_watchdog(Scenario& scenario, const RunGuards& guards) {
   }, max_events > 0 && max_events < 1024 ? max_events : 1024);
 }
 
-}  // namespace
-
-std::uint64_t derive_retry_seed(std::uint64_t seed, int attempt) {
-  if (attempt <= 0) return seed;
-  // SplitMix64 of the attempt'th step from `seed`: the standard finalizer,
-  // chosen because every distinct (seed, attempt) maps to an effectively
-  // independent master seed without any shared-state generator.
-  std::uint64_t z =
-      seed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(attempt);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+/// Fold a cell's per-seed reports into its aggregate. Order-dependent only
+/// on the order of `runs`, which the engine keeps in seed order, so serial
+/// and parallel execution aggregate bit-identically.
+AggregateReport aggregate_runs(const std::string& protocol,
+                               const std::vector<ScenarioReport>& runs) {
+  AggregateReport agg;
+  agg.protocol = protocol;
+  for (const ScenarioReport& r : runs) {
+    agg.pdr.add(r.pdr);
+    if (r.delivered > 0) {
+      agg.delay_ms.add(r.delay_ms_mean);
+      agg.hops.add(r.hops_mean);
+    }
+    agg.control_per_delivered.add(r.control_per_delivered);
+    agg.collision_fraction.add(r.collision_fraction);
+    agg.reachable_fraction.add(r.reachable_fraction);
+    agg.route_breaks.add(static_cast<double>(r.route_breaks));
+    agg.discoveries.add(static_cast<double>(r.discoveries));
+    if (r.predicted_lifetime_mean_s > 0.0) {
+      agg.predicted_lifetime_s.add(r.predicted_lifetime_mean_s);
+    }
+    if (r.observed_lifetime_mean_s > 0.0) {
+      agg.observed_lifetime_s.add(r.observed_lifetime_mean_s);
+    }
+    agg.total_originated += r.originated;
+    agg.total_delivered += r.delivered;
+    agg.total_backbone_frames += r.backbone_frames;
+    agg.runs.push_back(r);
+  }
+  return agg;
 }
+
+}  // namespace
 
 std::vector<ExperimentCell> expand(const ExperimentSpec& spec) {
   if (spec.seeds.empty()) {
@@ -82,11 +102,6 @@ std::vector<ExperimentCell> expand(const ExperimentSpec& spec) {
   }
   if (spec.guards.timeout_s < 0.0) {
     throw std::invalid_argument("ExperimentSpec: guards.timeout_s < 0");
-  }
-  if (spec.guards.retries < 0 ||
-      spec.guards.retries > RunGuards::kMaxRetries) {
-    throw std::invalid_argument("ExperimentSpec: guards.retries outside [0, " +
-                                std::to_string(RunGuards::kMaxRetries) + "]");
   }
   // Protocol names, like every axis value, are checked by config_set (the
   // `protocol` key's bound) as the cells are built below.
@@ -235,57 +250,44 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec,
   std::vector<RunProfile> profiles(spec.profile ? n_runs : 0);
 
   auto execute = [&](std::size_t job) {
-    const std::size_t cell_idx = job / n_seeds;
-    const std::size_t seed_idx = job % n_seeds;
-    const std::uint64_t base_seed = spec.seeds[seed_idx];
-    const int attempts = spec.guards.retries + 1;
+    const ExperimentCell& cell = cells[job / n_seeds];
+    const std::uint64_t seed = spec.seeds[job % n_seeds];
     std::string kind;
     std::string error;
-    std::uint64_t last_seed = base_seed;
-    for (int attempt = 0; attempt < attempts; ++attempt) {
-      last_seed = derive_retry_seed(base_seed, attempt);
-      try {
-        ScenarioConfig cfg = cells[cell_idx].config;
-        cfg.seed = last_seed;
-        Scenario scenario{cfg};
-        arm_watchdog(scenario, spec.guards);
-        if (spec.profile) {
-          // NOLINT-vanet(wall-clock): throughput capture (events/sec); never feeds sim state or digests
-          const auto t0 = std::chrono::steady_clock::now();
-          scenario.run();
-          // NOLINT-vanet(wall-clock): throughput capture (events/sec); never feeds sim state or digests
-          const auto t1 = std::chrono::steady_clock::now();
-          RunProfile& prof = profiles[job];
-          prof.wall_s = std::chrono::duration<double>(t1 - t0).count();
-          prof.events = scenario.events_dispatched();
-        } else {
-          scenario.run();
-        }
-        reports[job] = scenario.report();
-        return;  // success — no failure record for this job
-      } catch (const GuardAbort& e) {
-        if (!spec.guards.capture && attempt + 1 == attempts) throw;
-        kind = e.kind;
-        error = e.what();
-      } catch (const std::exception& e) {
-        if (!spec.guards.capture && attempt + 1 == attempts) throw;
-        kind = "exception";
-        error = e.what();
-      } catch (...) {
-        if (!spec.guards.capture && attempt + 1 == attempts) throw;
-        kind = "exception";
-        error = "unknown non-exception throw";
+    try {
+      ScenarioConfig cfg = cell.config;
+      cfg.seed = seed;
+      Scenario scenario{cfg};
+      arm_watchdog(scenario, spec.guards);
+      if (spec.profile) {
+        // NOLINT-vanet(wall-clock): throughput capture (events/sec); never feeds sim state or digests
+        const auto t0 = std::chrono::steady_clock::now();
+        scenario.run();
+        // NOLINT-vanet(wall-clock): throughput capture (events/sec); never feeds sim state or digests
+        const auto t1 = std::chrono::steady_clock::now();
+        RunProfile& prof = profiles[job];
+        prof.wall_s = std::chrono::duration<double>(t1 - t0).count();
+        prof.events = scenario.events_dispatched();
+      } else {
+        scenario.run();
       }
+      reports[job] = scenario.report();
+      return;  // success — no failure record for this job
+    } catch (const GuardAbort& e) {
+      if (!spec.guards.capture) throw;
+      kind = e.kind;
+      error = e.what();
+    } catch (const std::exception& e) {
+      if (!spec.guards.capture) throw;
+      kind = "exception";
+      error = e.what();
+    } catch (...) {
+      if (!spec.guards.capture) throw;
+      kind = "exception";
+      error = "unknown non-exception throw";
     }
-    FailureRecord fail;
-    fail.protocol = cells[cell_idx].protocol;
-    fail.axes = cells[cell_idx].axes;
-    fail.seed = base_seed;
-    fail.last_seed = last_seed;
-    fail.attempts = attempts;
-    fail.kind = std::move(kind);
-    fail.error = std::move(error);
-    failures[job] = std::move(fail);
+    failures[job] = FailureRecord{cell.protocol, cell.axes, seed,
+                                  std::move(kind), std::move(error)};
   };
 
   const int workers =

@@ -21,7 +21,6 @@
 
 #include "sim/config_kv.h"
 #include "sim/report_sink.h"
-#include "sim/runner.h"
 
 namespace vanet::sim {
 
@@ -36,11 +35,12 @@ struct SweepAxis {
 /// With `capture` on (the default), a run that throws — bad config, protocol
 /// bug, watchdog abort — becomes a structured FailureRecord fed to every
 /// ReportSink instead of killing the whole sweep; the remaining runs still
-/// execute and aggregate. With `capture` off the engine keeps the legacy
-/// fail-fast contract: the first exception is rethrown on the calling thread
-/// after all workers join.
+/// execute and aggregate. With `capture` off the engine fails fast: the
+/// first exception is rethrown on the calling thread after all workers join.
+/// Bench mains and examples run that way, so a failed run can never drop
+/// silently out of a printed mean.
 ///
-/// `timeout_s` arms a wall-clock watchdog per run attempt and `max_events` a
+/// `timeout_s` arms a wall-clock watchdog per run and `max_events` a
 /// simulator event budget; either tripping aborts the run with kind
 /// "timeout" / "event-budget". Both are polled every ~1024 dispatched
 /// events. The event budget trips deterministically (same event stream, same
@@ -48,19 +48,10 @@ struct SweepAxis {
 /// so captured output is byte-identical across jobs=1 and jobs=N. The
 /// wall-clock watchdog never feeds sim state, so runs that survive it are
 /// unaffected. Zero disables each.
-///
-/// `retries` re-runs a failed attempt up to that many extra times, each with
-/// a fresh seed from derive_retry_seed(seed, attempt) — deterministic, so a
-/// retried sweep is still reproducible run-for-run. expand() rejects a count
-/// outside [0, kMaxRetries].
 struct RunGuards {
-  /// A run that fails this many fresh seeds is broken, not unlucky.
-  static constexpr int kMaxRetries = 1000;
-
   bool capture = true;
   double timeout_s = 0.0;
   std::uint64_t max_events = 0;
-  int retries = 0;
 };
 
 struct ExperimentSpec {
@@ -76,7 +67,7 @@ struct ExperimentSpec {
   /// protocol through rsu_count.
   std::map<std::string, std::vector<std::pair<std::string, std::string>>>
       protocol_overrides;
-  /// Failure capture / watchdog / retry policy (see RunGuards).
+  /// Failure capture / watchdog policy (see RunGuards).
   RunGuards guards;
   /// Per-run throughput capture: time each run's Scenario::run() and record
   /// it with the events dispatched into the run and aggregate records
@@ -84,15 +75,10 @@ struct ExperimentSpec {
   /// sweep's output stays byte-identical to historical output).
   /// Wall-clock readings are inherently nondeterministic, so a profiled
   /// sweep's JSONL is NOT byte-comparable across jobs=1 / jobs=N — use it
-  /// for perf harnesses (bench_scenario_throughput, CI smoke), never for
-  /// digest comparisons.
+  /// for perf harnesses (perfbench's paper-sweep), never for digest
+  /// comparisons. It is the library's one per-run timing path.
   bool profile = false;
 };
-
-/// Seed for retry attempt `attempt` (attempt 0 is the original seed).
-/// SplitMix64 of (seed, attempt): deterministic, well-mixed, and never
-/// collides with the original seed stream for attempt > 0 in practice.
-std::uint64_t derive_retry_seed(std::uint64_t seed, int attempt);
 
 /// One cell of the expanded matrix (a fully resolved config minus the seed).
 struct ExperimentCell {
@@ -108,8 +94,8 @@ std::vector<ExperimentCell> expand(const ExperimentSpec& spec);
 
 struct ExperimentResult {
   std::vector<AggregateRecord> cells;  ///< matrix order
-  /// Runs that failed every attempt, matrix order. Empty unless the spec's
-  /// guards captured failures (guards.capture and something actually broke).
+  /// Runs that failed, matrix order. Empty unless the spec's guards
+  /// captured failures (guards.capture and something actually broke).
   std::vector<FailureRecord> failures;
 };
 

@@ -55,8 +55,7 @@ void MarkdownSink::on_failure(const FailureRecord& rec) {
   for (const auto& [key, value] : rec.axes) {
     line += " " + key + "=" + value;
   }
-  line += " seed=" + std::to_string(rec.seed) +
-          " attempts=" + std::to_string(rec.attempts) + " [" + rec.kind +
+  line += " seed=" + std::to_string(rec.seed) + " [" + rec.kind +
           "]: " + rec.error;
   failure_lines_.push_back(std::move(line));
 }
@@ -167,8 +166,7 @@ void JsonlSink::on_failure(const FailureRecord& rec) {
   out_ << "{\"type\":\"failure\",\"protocol\":\"" << json_escape(rec.protocol)
        << "\",\"axes\":";
   write_axes(out_, rec.axes);
-  out_ << ",\"seed\":" << rec.seed << ",\"last_seed\":" << rec.last_seed
-       << ",\"attempts\":" << rec.attempts << ",\"kind\":\""
+  out_ << ",\"seed\":" << rec.seed << ",\"kind\":\""
        << json_escape(rec.kind) << "\",\"error\":\"" << json_escape(rec.error)
        << "\"}\n";
 }

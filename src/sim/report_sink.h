@@ -17,9 +17,30 @@
 #include <utility>
 #include <vector>
 
-#include "sim/runner.h"
+#include "analysis/stats.h"
+#include "sim/scenario.h"
 
 namespace vanet::sim {
+
+/// A cell's headline metrics over its successful seeds: mean ± stddev per
+/// metric, totals, and every run's report in seed order.
+struct AggregateReport {
+  std::string protocol;
+  analysis::RunningStats pdr;
+  analysis::RunningStats delay_ms;
+  analysis::RunningStats hops;
+  analysis::RunningStats control_per_delivered;
+  analysis::RunningStats collision_fraction;
+  analysis::RunningStats reachable_fraction;
+  analysis::RunningStats route_breaks;
+  analysis::RunningStats discoveries;
+  analysis::RunningStats predicted_lifetime_s;
+  analysis::RunningStats observed_lifetime_s;
+  std::uint64_t total_originated = 0;
+  std::uint64_t total_delivered = 0;
+  std::uint64_t total_backbone_frames = 0;
+  std::vector<ScenarioReport> runs;
+};
 
 /// One (protocol, axis assignment, seed) simulation run.
 struct RunRecord {
@@ -45,7 +66,7 @@ struct AggregateRecord {
   std::vector<std::pair<std::string, std::string>> axes;
   std::string config_digest;  ///< digest of the cell config with seed=0
   AggregateReport agg;
-  /// Seeds of this cell that failed every attempt (RunGuards capture mode).
+  /// Seeds of this cell that failed (RunGuards capture mode).
   /// Zero on the classic all-healthy path, so sinks that only mention
   /// failures when failed_runs > 0 stay byte-identical to older output.
   std::uint64_t failed_runs = 0;
@@ -56,16 +77,12 @@ struct AggregateRecord {
   analysis::RunningStats events_per_sec;
 };
 
-/// One (cell, seed) run that failed every attempt. `seed` is the requested
-/// matrix seed; `last_seed` is the derived seed of the final retry (equal to
-/// `seed` when no retries were configured). `kind` is one of "exception",
+/// One (cell, seed) run that failed. `kind` is one of "exception",
 /// "timeout" or "event-budget"; `error` is the human-readable detail.
 struct FailureRecord {
   std::string protocol;
   std::vector<std::pair<std::string, std::string>> axes;
   std::uint64_t seed = 0;
-  std::uint64_t last_seed = 0;
-  int attempts = 1;
   std::string kind;
   std::string error;
 };

@@ -307,7 +307,6 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   routing::ProtocolDeps deps;
   deps.signal = cfg_.signal;
   deps.yan_tickets = cfg_.yan_tickets;
-  deps.etx = cfg_.etx;
   deps.flood_suppression = cfg_.flood_suppression;
 
   // The nodes, drawing from the "net", "hello", "proto" and "traffic"

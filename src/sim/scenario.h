@@ -106,10 +106,8 @@ struct ScenarioConfig {
   bool sample_reachability = true;  ///< 1 Hz src-dst connectivity oracle
   GeometryMode geometry = GeometryMode::kLine;  ///< `geometry` key
 
-  /// Link-quality estimator knobs (`etx.*` keys), shared by the `etx`
-  /// protocol and ETX-ordered flood suppression (`flood.suppression=etx`,
-  /// applied to the flooding + biswas protocols).
-  routing::EtxConfig etx;
+  /// ETX-ordered flood suppression (`flood.suppression=etx`), applied to the
+  /// flooding + biswas protocols.
   routing::FloodSuppression flood_suppression = routing::FloodSuppression::kNone;
 
   TrafficConfig traffic;

@@ -141,21 +141,21 @@ TEST(Cli, PhysicallyMeaninglessValuesAreUsageErrors) {
 }
 
 TEST(Cli, GuardFlagsAtTheirExtremes) {
-  // `--retries` past its bound is a usage error naming the bound (INT_MAX
-  // used to wrap the attempt count); a timeout past the clock's range is
-  // no deadline (it used to fail every run as a watchdog timeout).
+  // There is no `--retries`: a retried run printed another seed's numbers
+  // under the requested seed. A timeout past the clock's range is no
+  // deadline (it used to fail every run as a watchdog timeout).
   const std::string base =
       "run --duration 2 --vehicles 10 --seeds 1 --mobility highway "
       "--set traffic.start_s=0.2 --set traffic.stop_s=1.8 ";
-  const CliResult wrapped = run_cli(base + "--retries 2147483647");
-  EXPECT_EQ(wrapped.exit_code, 2) << wrapped.out;
-  EXPECT_NE(wrapped.out.find("guards.retries outside [0, 1000]"),
-            std::string::npos)
-      << wrapped.out;
+  for (const char* retries : {"--retries 2147483647", "--retries 1000"}) {
+    const CliResult r = run_cli(base + retries);
+    EXPECT_EQ(r.exit_code, 2) << retries << "\n" << r.out;
+    EXPECT_NE(r.out.find("unknown option '--retries'"), std::string::npos)
+        << r.out;
+  }
   // Long enough for the watchdog's poll every 1024 events to fire.
-  const CliResult bounded = run_cli(
-      "run --duration 30 --vehicles 60 --seeds 1 --retries 1000 "
-      "--timeout 1e10");
+  const CliResult bounded =
+      run_cli("run --duration 30 --vehicles 60 --seeds 1 --timeout 1e10");
   EXPECT_EQ(bounded.exit_code, 0) << bounded.out;
 }
 

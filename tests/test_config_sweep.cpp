@@ -43,7 +43,6 @@ ScenarioConfig base_for(const std::string& key) {
   }
   if (key == "yan_tickets") cfg.protocol = "yan";
   if (key == "car_cell_m") cfg.protocol = "car";
-  if (starts_with(key, "etx.")) cfg.protocol = "etx";
   if (starts_with(key, "flood.")) cfg.protocol = "flooding";
   if (starts_with(key, "hello.")) cfg.protocol = "greedy";
   if (key == "geometry") {

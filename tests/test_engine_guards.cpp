@@ -1,5 +1,5 @@
 // Crash-proof experiment engine (RunGuards): failure capture into structured
-// records, deterministic retry seeds, the event-budget watchdog, and
+// records, the event-budget watchdog, and
 // byte-identical sink output across worker counts even when runs fail.
 #include "sim/experiment.h"
 
@@ -48,8 +48,6 @@ TEST(EngineGuards, CaptureTurnsExceptionsIntoFailureRecords) {
   ASSERT_EQ(result.failures.size(), 2u);
   EXPECT_EQ(result.failures[0].protocol, "aodv");
   EXPECT_EQ(result.failures[0].seed, 1u);
-  EXPECT_EQ(result.failures[0].last_seed, 1u);
-  EXPECT_EQ(result.failures[0].attempts, 1);
   EXPECT_EQ(result.failures[0].kind, "exception");
   EXPECT_NE(result.failures[0].error.find("cannot open"), std::string::npos);
   EXPECT_EQ(result.failures[1].seed, 2u);
@@ -116,18 +114,34 @@ TEST(EngineGuards, HostileConfigValuesBecomeFailureRowsNotAborts) {
 }
 
 TEST(EngineGuards, MixedCellAggregatesOnlyHealthySeeds) {
-  // One protocol works, one breaks in expand-safe ways? No — break per-run
-  // via the event budget instead, which only some seeds can escape. Here we
-  // simply check a healthy spec has no failures and failed_runs == 0.
+  // Seed 1 of this cell dispatches 153 events and seed 2 dispatches 104, so
+  // a 130-event budget trips the first and lets the second finish.
   ExperimentSpec spec;
   spec.base = micro_highway();
   spec.protocols = {"aodv"};
   spec.seeds = {1, 2};
+  spec.guards.max_events = 130;
   const ExperimentResult result = ExperimentEngine{2}.run(spec);
-  EXPECT_TRUE(result.failures.empty());
+  ASSERT_EQ(result.failures.size(), 1u);
+  EXPECT_EQ(result.failures[0].seed, 1u);
+  EXPECT_EQ(result.failures[0].kind, "event-budget");
   ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_EQ(result.cells[0].failed_runs, 0u);
-  EXPECT_EQ(result.cells[0].agg.runs.size(), 2u);
+  EXPECT_EQ(result.cells[0].failed_runs, 1u);
+  const AggregateReport& agg = result.cells[0].agg;
+  ASSERT_EQ(agg.runs.size(), 1u);
+
+  // The aggregate is seed 2's direct run and nothing else.
+  ScenarioConfig cfg = micro_highway();
+  cfg.protocol = "aodv";
+  cfg.seed = 2;
+  Scenario scenario{cfg};
+  scenario.run();
+  const ScenarioReport direct = scenario.report();
+  EXPECT_EQ(report_digest(agg.runs[0]), report_digest(direct));
+  EXPECT_EQ(agg.pdr.count(), 1u);
+  EXPECT_EQ(agg.pdr.mean(), direct.pdr);
+  EXPECT_EQ(agg.total_originated, direct.originated);
+  EXPECT_EQ(agg.total_delivered, direct.delivered);
 }
 
 TEST(EngineGuards, EventBudgetAbortsDeterministically) {
@@ -146,27 +160,6 @@ TEST(EngineGuards, EventBudgetAbortsDeterministically) {
   EXPECT_EQ(a.failures[0].error, b.failures[0].error);
 }
 
-TEST(EngineGuards, RetriesDeriveFreshSeedsAndAreCounted) {
-  ExperimentSpec spec = broken_spec();
-  spec.seeds = {9};
-  spec.guards.retries = 3;
-  const ExperimentResult result = ExperimentEngine{1}.run(spec);
-  ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_EQ(result.failures[0].attempts, 4);
-  EXPECT_EQ(result.failures[0].seed, 9u);
-  EXPECT_EQ(result.failures[0].last_seed, derive_retry_seed(9, 3));
-}
-
-TEST(EngineGuards, DeriveRetrySeedIsStableAndWellSpread) {
-  EXPECT_EQ(derive_retry_seed(42, 0), 42u);
-  const std::uint64_t a1 = derive_retry_seed(42, 1);
-  const std::uint64_t a2 = derive_retry_seed(42, 2);
-  EXPECT_NE(a1, 42u);
-  EXPECT_NE(a1, a2);
-  EXPECT_EQ(a1, derive_retry_seed(42, 1));  // pure function
-  EXPECT_NE(derive_retry_seed(43, 1), a1);  // seed-sensitive
-}
-
 TEST(EngineGuards, FailFastKeepsTheLegacyThrowingContract) {
   ExperimentSpec spec = broken_spec();
   spec.guards.capture = false;
@@ -179,25 +172,6 @@ TEST(EngineGuards, GuardValidationHappensInExpand) {
   spec.base = micro_highway();
   spec.guards.timeout_s = -1.0;
   EXPECT_THROW(expand(spec), std::invalid_argument);
-  spec.guards.timeout_s = 0.0;
-  spec.guards.retries = -1;
-  EXPECT_THROW(expand(spec), std::invalid_argument);
-}
-
-TEST(EngineGuards, RetriesAreBoundedInExpand) {
-  // retries + 1 attempts must fit an int: INT_MAX used to wrap to a
-  // negative attempt count that ran nothing and recorded no failure kind.
-  ExperimentSpec spec;
-  spec.base = micro_highway();
-  spec.guards.retries = RunGuards::kMaxRetries;
-  EXPECT_NO_THROW(expand(spec));
-  for (const int retries : {RunGuards::kMaxRetries + 1,
-                            std::numeric_limits<int>::max()}) {
-    spec.guards.retries = retries;
-    EXPECT_THROW(expand(spec), std::invalid_argument) << retries;
-    EXPECT_THROW(ExperimentEngine{1}.run(spec), std::invalid_argument)
-        << retries;
-  }
 }
 
 TEST(EngineGuards, TimeoutBeyondTheClockRangeMeansNoDeadline) {

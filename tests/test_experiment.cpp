@@ -162,34 +162,46 @@ TEST(Experiment, ParallelMatchesSerialBitForBit) {
   }
 }
 
-// run_seeds is now a thin wrapper over the engine; it must still reproduce
-// the historic hand-rolled serial loop exactly.
+// A one-cell spec on the engine (the way benches and examples run seeds)
+// reproduces the hand-rolled serial loop over Scenario exactly: the same
+// reports in seed order, aggregated the same way.
 TEST(Experiment, RunSeedsMatchesHandRolledLoop) {
-  ScenarioConfig cfg = tiny_highway();
-  cfg.protocol = "aodv";
-  const std::vector<std::uint64_t> seeds = {3, 7};
+  ExperimentSpec spec;
+  spec.base = tiny_highway();
+  spec.base.protocol = "aodv";
+  spec.seeds = {3, 7};
+  spec.guards.capture = false;
 
   std::vector<ScenarioReport> reports;
-  for (std::uint64_t seed : seeds) {
-    ScenarioConfig c = cfg;
+  analysis::RunningStats pdr;
+  analysis::RunningStats delay_ms;
+  std::uint64_t originated = 0;
+  std::uint64_t delivered = 0;
+  for (std::uint64_t seed : spec.seeds) {
+    ScenarioConfig c = spec.base;
     c.seed = seed;
     Scenario scenario{c};
     scenario.run();
-    reports.push_back(scenario.report());
+    const ScenarioReport r = scenario.report();
+    pdr.add(r.pdr);
+    if (r.delivered > 0) delay_ms.add(r.delay_ms_mean);
+    originated += r.originated;
+    delivered += r.delivered;
+    reports.push_back(r);
   }
-  const AggregateReport expected = aggregate_runs(cfg.protocol, reports);
-  const AggregateReport actual = run_seeds(cfg, seeds);
+  const ExperimentResult result = ExperimentEngine{2}.run(spec);
+  ASSERT_EQ(result.cells.size(), 1u);
+  const AggregateReport& actual = result.cells[0].agg;
 
-  EXPECT_EQ(actual.protocol, expected.protocol);
-  EXPECT_EQ(actual.pdr.mean(), expected.pdr.mean());
-  EXPECT_EQ(actual.pdr.variance(), expected.pdr.variance());
-  EXPECT_EQ(actual.delay_ms.mean(), expected.delay_ms.mean());
-  EXPECT_EQ(actual.total_originated, expected.total_originated);
-  EXPECT_EQ(actual.total_delivered, expected.total_delivered);
-  ASSERT_EQ(actual.runs.size(), expected.runs.size());
+  EXPECT_EQ(actual.protocol, "aodv");
+  EXPECT_EQ(actual.pdr.mean(), pdr.mean());
+  EXPECT_EQ(actual.pdr.variance(), pdr.variance());
+  EXPECT_EQ(actual.delay_ms.mean(), delay_ms.mean());
+  EXPECT_EQ(actual.total_originated, originated);
+  EXPECT_EQ(actual.total_delivered, delivered);
+  ASSERT_EQ(actual.runs.size(), reports.size());
   for (std::size_t i = 0; i < actual.runs.size(); ++i) {
-    EXPECT_EQ(actual.runs[i].delivered, expected.runs[i].delivered);
-    EXPECT_EQ(actual.runs[i].originated, expected.runs[i].originated);
+    EXPECT_EQ(report_digest(actual.runs[i]), report_digest(reports[i])) << i;
   }
 }
 
@@ -197,7 +209,7 @@ class CountingSink final : public ReportSink {
  public:
   int begins = 0, runs = 0, aggregates = 0, ends = 0;
   std::vector<std::string> axis_keys;
-  std::vector<std::uint64_t> run_seeds_seen;
+  std::vector<std::uint64_t> seeds_seen;
 
   void begin(const std::vector<std::string>& keys) override {
     ++begins;
@@ -205,7 +217,7 @@ class CountingSink final : public ReportSink {
   }
   void on_run(const RunRecord& rec) override {
     ++runs;
-    run_seeds_seen.push_back(rec.seed);
+    seeds_seen.push_back(rec.seed);
   }
   void on_aggregate(const AggregateRecord&) override { ++aggregates; }
   void end() override { ++ends; }
@@ -224,7 +236,7 @@ TEST(Experiment, SinksSeeEveryRecordInDeterministicOrder) {
   EXPECT_EQ(sink.axis_keys,
             std::vector<std::string>{"vehicles_per_direction"});
   // Per-cell run records arrive in seed order.
-  EXPECT_EQ(sink.run_seeds_seen,
+  EXPECT_EQ(sink.seeds_seen,
             (std::vector<std::uint64_t>{1, 2, 1, 2, 1, 2, 1, 2}));
   EXPECT_EQ(result.cells.size(), 4u);
   EXPECT_EQ(result.cells[0].agg.runs.size(), 2u);

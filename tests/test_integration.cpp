@@ -5,7 +5,7 @@
 #include "core/rng.h"
 #include "mobility/idm_highway.h"
 #include "mobility/trace.h"
-#include "sim/runner.h"
+#include "sim/experiment.h"
 
 namespace vanet::sim {
 namespace {
@@ -23,6 +23,15 @@ ScenarioConfig highway_base() {
   cfg.traffic.stop_s = 32.0;
   cfg.traffic.min_pair_distance_m = 500.0;
   return cfg;
+}
+
+/// `cfg` over seeds 1-3 on the engine, aggregated; a failed run throws.
+AggregateReport three_seeds(const ScenarioConfig& cfg) {
+  ExperimentSpec spec;
+  spec.base = cfg;
+  spec.seeds = {1, 2, 3};
+  spec.guards.capture = false;
+  return ExperimentEngine{1}.run(spec).cells.at(0).agg;
 }
 
 TEST(Integration, DenseHighwayDeliversForMostProtocols) {
@@ -64,12 +73,12 @@ TEST(Integration, MobilityPredictionReducesRouteBreaks) {
   const AggregateReport aodv = [&] {
     ScenarioConfig c = cfg;
     c.protocol = "aodv";
-    return run_seeds(c, 3);
+    return three_seeds(c);
   }();
   const AggregateReport pbr = [&] {
     ScenarioConfig c = cfg;
     c.protocol = "pbr";
-    return run_seeds(c, 3);
+    return three_seeds(c);
   }();
   EXPECT_GE(pbr.pdr.mean(), aodv.pdr.mean() * 0.9);
   // PBR must actually exercise its prediction machinery.
@@ -84,10 +93,10 @@ TEST(Integration, RsusRescueSparseTraffic) {
   cfg.vehicles_per_direction = 6;  // sparse: big inter-vehicle gaps
   cfg.traffic.min_pair_distance_m = 800.0;
   cfg.protocol = "greedy";
-  const AggregateReport adhoc = run_seeds(cfg, 3);
+  const AggregateReport adhoc = three_seeds(cfg);
   cfg.protocol = "drr";
   cfg.rsu_count = 8;
-  const AggregateReport assisted = run_seeds(cfg, 3);
+  const AggregateReport assisted = three_seeds(cfg);
   EXPECT_GT(assisted.pdr.mean(), adhoc.pdr.mean() + 0.1)
       << "RSU backbone should rescue sparse traffic";
 }

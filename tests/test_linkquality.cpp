@@ -47,7 +47,7 @@ TEST(LinkQuality, ExactlyKOfNHellosGivesRatioKOverN) {
   // The window-boundary contract: with the sender heard from its seq 0, the
   // denominator is exactly min(window, beacons sent), so k received of n
   // sent is k/n with no off-by-one. 4 of 5:
-  LinkQualityTable t{{16, 1.0}};
+  LinkQualityTable t;
   for (std::uint32_t seq : {0u, 1u, 3u, 4u}) t.on_hello(7, seq);
   EXPECT_DOUBLE_EQ(t.reverse_ratio(7), 4.0 / 5.0);
   // Hearing the missing beacon late (out of order) completes the window.
@@ -56,19 +56,20 @@ TEST(LinkQuality, ExactlyKOfNHellosGivesRatioKOverN) {
 }
 
 TEST(LinkQuality, DenominatorRampsThenClampsAtWindow) {
-  LinkQualityTable t{{4, 1.0}};
+  static_assert(LinkQualityTable::kWindow == 16);
+  LinkQualityTable t;
   t.on_hello(3, 0);
   EXPECT_DOUBLE_EQ(t.reverse_ratio(3), 1.0);  // 1 of 1
   t.on_hello(3, 2);
   EXPECT_DOUBLE_EQ(t.reverse_ratio(3), 2.0 / 3.0);  // missed seq 1
-  // Beyond the window the denominator stays n=4: after seq 7 the window
-  // covers 4..7 and only seq 7 was heard.
-  t.on_hello(3, 7);
-  EXPECT_DOUBLE_EQ(t.reverse_ratio(3), 1.0 / 4.0);
+  // Beyond the window the denominator stays n=16: after seq 19 the window
+  // covers 4..19 and only seq 19 was heard.
+  t.on_hello(3, 19);
+  EXPECT_DOUBLE_EQ(t.reverse_ratio(3), 1.0 / 16.0);
 }
 
 TEST(LinkQuality, GapLongerThanTheMaskDropsAllHistory) {
-  LinkQualityTable t{{16, 1.0}};
+  LinkQualityTable t;
   for (std::uint32_t seq = 0; seq < 16; ++seq) t.on_hello(1, seq);
   EXPECT_DOUBLE_EQ(t.reverse_ratio(1), 1.0);
   t.on_hello(1, 200);  // 184-beacon silence: only the newest bit survives
@@ -79,7 +80,7 @@ TEST(LinkQuality, ReAdmissionRebasesTheRatioBaseline) {
   // Erase (hello expiry / unicast failure) then re-admission mid-stream:
   // beacons sent while the entry did not exist are not held against the
   // link — the fresh entry starts from a clean baseline at the new seq.
-  LinkQualityTable t{{16, 1.0}};
+  LinkQualityTable t;
   for (std::uint32_t seq : {0u, 1u, 2u, 3u}) t.on_hello(5, seq);
   t.erase(5);
   EXPECT_FALSE(has_link(t, 5));
@@ -90,21 +91,13 @@ TEST(LinkQuality, ReAdmissionRebasesTheRatioBaseline) {
   EXPECT_DOUBLE_EQ(t.reverse_ratio(5), 2.0 / 3.0);
 }
 
-TEST(LinkQuality, EwmaWeightSmoothsAcrossWindows) {
-  LinkQualityTable t{{4, 0.5}};
-  t.on_hello(9, 0);  // first sample seeds the EWMA: 1.0
-  EXPECT_DOUBLE_EQ(t.reverse_ratio(9), 1.0);
-  t.on_hello(9, 3);  // windowed ratio now 2/4; smoothed = .5*.5 + .5*1
-  EXPECT_DOUBLE_EQ(t.reverse_ratio(9), 0.75);
-}
-
 // -------------------------------------------------- asymmetry and bounds ---
 
 TEST(LinkQuality, AsymmetricLinkMultipliesBothDirections) {
   // Reverse direction clean (every beacon heard), forward direction lossy
   // (the neighbor reports it receives only a quarter of ours):
   // ETX = 1/(0.25 * 1.0) = 4, exactly.
-  LinkQualityTable t{{8, 1.0}};
+  LinkQualityTable t;
   for (std::uint32_t seq = 0; seq < 8; ++seq) t.on_hello(2, seq);
   EXPECT_DOUBLE_EQ(t.forward_ratio(2), 1.0);  // optimistic until a report
   t.on_report(2, 0.25);
@@ -138,7 +131,7 @@ net::Packet hello_from(net::NodeId origin) {
 }
 
 TEST(EtxAgent, RoutesThroughAdvertsAndDropsThemWithTheNeighbor) {
-  EtxAgent agent{0, {}};
+  EtxAgent agent{0};
   // Neighbor 1, clean link both ways, advertising a route to 2 at cost 1.
   net::HelloHeader h;
   h.seq = 0;
@@ -168,7 +161,7 @@ TEST(EtxAgent, PrefersReliableTwoHopOverLossyDirect) {
   // Direct link to 2 at ratio 1/4 (ETX 16 after the neighbor's matching
   // report) vs a clean two-hop detour through 1 (ETX 2): Dijkstra must take
   // the detour — the whole point of the metric.
-  EtxAgent agent{0, {}};
+  EtxAgent agent{0};
   net::HelloHeader via;
   via.links.push_back({0, 1.0});
   via.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
@@ -190,7 +183,7 @@ TEST(EtxAgent, PrefersReliableTwoHopOverLossyDirect) {
 }
 
 TEST(EtxAgent, BeaconCarriesLinkReportsAndDistanceVector) {
-  EtxAgent agent{0, {}};
+  EtxAgent agent{0};
   net::HelloHeader in;
   in.links.push_back({0, 1.0});
   in.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
@@ -439,7 +432,7 @@ TEST(EtxAgent, DenseAgentMatchesOrderedMapReference) {
       if (id != self) senders.push_back(id);
     }
     std::map<net::NodeId, std::uint32_t> next_seq;
-    EtxAgent dense{self, {}};
+    EtxAgent dense{self};
     MapEtxAgent reference{self};
 
     for (int step = 0; step < kSteps; ++step) {
@@ -491,7 +484,7 @@ struct ConvergenceFixture {
   std::unique_ptr<mobility::MobilityManager> mgr;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::HelloService> hello;
-  EtxAgent agent{0, {}};
+  EtxAgent agent{0};
 
   ConvergenceFixture(double distance, int m, std::uint64_t seed)
       : rngs{seed} {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Markdown link and config-key checker for the repo's documentation.
+"""Markdown link, config-key and CLI-flag checker for the repo's documentation.
 
 Usage:
     check_docs.py [FILE_OR_DIR ...]      # default: README.md docs/
@@ -20,9 +20,15 @@ looks like a dotted config key (`phy.model`, `traffic.rate_pps=200`, ...)
 and lives in a namespace the registry defines must be a registered key, so
 renaming or removing a key cannot leave stale documentation behind. Tokens
 outside the registry's namespaces (module paths, file names) are ignored.
+The same round trip holds documented flags to `vanet_cli --help`: every
+`--flag` in an inline-code span that starts with a flag (`--jobs N`) or
+invokes vanet_cli (`./build/vanet_cli sweep --jobs 4`) must be an option
+the help text names, so a removed flag cannot stay documented. Spans that
+invoke any other program (`perfbench/run.py --pair`) hold its flags, not
+vanet_cli's, and are ignored.
 
 Exit status 1 when any relative link is broken or any documented config
-key is unknown, listing every failure.
+key or flag is unknown, listing every failure.
 """
 
 import argparse
@@ -40,6 +46,11 @@ CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 # A dotted lowercase token that could be a config key: `phy.model`,
 # `highway.idm.desired_speed`, optionally with an `=value` suffix.
 KEY_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)+")
+
+# A long option: `--jobs`, `--format=csv`, `--gtest_filter=...`.
+FLAG_TOKEN_RE = re.compile(r"--[A-Za-z0-9][A-Za-z0-9_-]*")
+# A long option as a `--help` text names it: not the tail of a longer word.
+HELP_FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 # Dotted tokens ending in a file suffix are file names, not config keys
 # (`traffic.cpp` is a source file even though `traffic` is a key namespace).
@@ -98,13 +109,23 @@ def cli_config_keys(cli):
     return keys
 
 
-def config_key_refs_of(path):
-    """Yield (line_no, token) for inline-code tokens shaped like config keys.
+def flags_of(help_text):
+    """The set of long options a `--help` text names."""
+    return set(HELP_FLAG_RE.findall(help_text))
 
-    Splits each `code span` on whitespace so `--set phy.model=nakagami`
-    yields `phy.model`; `=value` suffixes are stripped, file names are
-    dropped via FILE_SUFFIXES.
-    """
+
+def cli_flags(cli):
+    """The long options of the `cli` binary, read from its `--help`."""
+    out = subprocess.run([cli, "--help"], check=True, capture_output=True,
+                         text=True)
+    flags = flags_of(out.stdout + out.stderr)
+    if not flags:
+        sys.exit(f"check_docs: could not parse `{cli} --help` output")
+    return flags
+
+
+def code_spans_of(path):
+    """Yield (line_no, text) for each inline-code span outside fenced code."""
     in_fence = False
     for line_no, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -115,13 +136,43 @@ def config_key_refs_of(path):
         if in_fence:
             continue
         for span in CODE_SPAN_RE.finditer(line):
-            for raw in span.group(1).split():
-                token = raw.partition("=")[0]
-                if not KEY_TOKEN_RE.fullmatch(token):
-                    continue
-                if token.rsplit(".", 1)[1] in FILE_SUFFIXES:
-                    continue
-                yield line_no, token
+            yield line_no, span.group(1)
+
+
+def config_key_refs_of(path):
+    """Yield (line_no, token) for inline-code tokens shaped like config keys.
+
+    Splits each `code span` on whitespace so `--set phy.model=nakagami`
+    yields `phy.model`; `=value` suffixes are stripped, file names are
+    dropped via FILE_SUFFIXES.
+    """
+    for line_no, span in code_spans_of(path):
+        for raw in span.split():
+            token = raw.partition("=")[0]
+            if not KEY_TOKEN_RE.fullmatch(token):
+                continue
+            if token.rsplit(".", 1)[1] in FILE_SUFFIXES:
+                continue
+            yield line_no, token
+
+
+def flag_refs_of(path):
+    """Yield (line_no, flag) for the vanet_cli flags documented in `path`.
+
+    A code span counts when its first word is a flag (`--retries N`) or a
+    path to vanet_cli; `=value` suffixes are stripped.
+    """
+    for line_no, span in code_spans_of(path):
+        words = span.split()
+        if not words:
+            continue
+        if not (words[0].startswith("--")
+                or pathlib.PurePath(words[0]).name == "vanet_cli"):
+            continue
+        for word in words:
+            flag = word.partition("=")[0]
+            if FLAG_TOKEN_RE.fullmatch(flag):
+                yield line_no, flag
 
 
 def check_config_keys(files, keys):
@@ -147,14 +198,30 @@ def check_config_keys(files, keys):
     return refs, failures
 
 
+def check_flags(files, flags):
+    """Return (refs_checked, failures) for documented-flag round-tripping."""
+    failures = []
+    refs = 0
+    for md in files:
+        for line_no, flag in flag_refs_of(md):
+            refs += 1
+            if flag not in flags:
+                failures.append(
+                    f"{md}:{line_no}: flag '{flag}' is not in "
+                    f"`vanet_cli --help`"
+                )
+    return refs, failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=["README.md", "docs"])
     parser.add_argument("--list-external", action="store_true")
     parser.add_argument(
         "--cli",
-        help="vanet_cli binary whose `--keys` table documented config keys "
-        "are round-tripped against (default: no key check)",
+        help="vanet_cli binary whose `--keys` table and `--help` text "
+        "documented config keys and flags are round-tripped against "
+        "(default: no key or flag check)",
     )
     args = parser.parse_args()
 
@@ -190,20 +257,24 @@ def main():
                     broken.append(f"{where}: no heading for anchor '#{anchor}'")
 
     key_refs = 0
+    flag_refs = 0
     if args.cli:
         key_refs, key_failures = check_config_keys(
             files, cli_config_keys(args.cli)
         )
         broken.extend(key_failures)
+        flag_refs, flag_failures = check_flags(files, cli_flags(args.cli))
+        broken.extend(flag_failures)
 
     if broken:
-        print("check_docs: broken links:", file=sys.stderr)
+        print("check_docs: broken links or references:", file=sys.stderr)
         for b in broken:
             print(f"  - {b}", file=sys.stderr)
         sys.exit(1)
     print(
-        f"check_docs: {checked} relative link(s) and {key_refs} config-key "
-        f"reference(s) across {len(files)} file(s) ok"
+        f"check_docs: {checked} relative link(s), {key_refs} config-key "
+        f"reference(s) and {flag_refs} flag reference(s) across "
+        f"{len(files)} file(s) ok"
     )
 
 

@@ -1,4 +1,4 @@
-"""Self-tests for check_docs.py's config-key round-trip.
+"""Self-tests for check_docs.py's config-key and flag round-trips.
 
 Fixture-driven like test_linters.py; runs under the stdlib runner:
 
@@ -118,6 +118,92 @@ class ConfigKeyCheckTest(unittest.TestCase):
         refs, failures = self.run_check("`json.dumps` is not a config key.\n")
         self.assertEqual(refs, 0)
         self.assertEqual(failures, [])
+
+
+# The shape `vanet_cli --help` prints: usage, then one option per line.
+FAKE_HELP = """\
+usage: vanet_cli [run|sweep|list] [options]
+  --jobs N             worker threads (default 1; 0 = all cores)
+  --max-events N       simulator event budget per run (0 = off)
+  --fail-fast          abort the sweep on the first failure
+  --help               this message
+"""
+
+
+class FlagExtractionTest(unittest.TestCase):
+    def test_every_option_in_the_help_is_a_flag(self):
+        self.assertEqual(
+            check_docs.flags_of(FAKE_HELP),
+            {"--jobs", "--max-events", "--fail-fast", "--help"},
+        )
+
+    def test_flags_are_read_from_the_cli(self):
+        with tempfile.TemporaryDirectory() as root:
+            cli = pathlib.Path(root) / "fake_cli"
+            cli.write_text(
+                f"#!{sys.executable}\n"
+                "import sys\n"
+                "assert sys.argv[1:] == ['--help'], sys.argv\n"
+                f"sys.stdout.write({FAKE_HELP!r})\n",
+                encoding="utf-8",
+            )
+            cli.chmod(0o755)
+            self.assertEqual(check_docs.cli_flags(str(cli)),
+                             check_docs.flags_of(FAKE_HELP))
+
+
+class FlagRefsTest(unittest.TestCase):
+    def refs(self, md_text):
+        with tempfile.TemporaryDirectory() as root:
+            path = pathlib.Path(root) / "doc.md"
+            path.write_text(md_text, encoding="utf-8")
+            return [flag for _, flag in check_docs.flag_refs_of(path)]
+
+    def test_bare_and_invoked_flags_are_found(self):
+        self.assertEqual(
+            self.refs("Use `--jobs 4`, `--format=csv` or "
+                      "`./build/vanet_cli sweep --fail-fast --seeds 2`.\n"),
+            ["--jobs", "--format", "--fail-fast", "--seeds"],
+        )
+
+    def test_other_programs_and_fenced_code_are_ignored(self):
+        text = (
+            "Run `perfbench/run.py --pair a b` or "
+            "`bench_scenario_throughput --smoke`.\n"
+            "```sh\n"
+            "vanet_cli --retries 3   # fenced: out of scope\n"
+            "```\n"
+        )
+        self.assertEqual(self.refs(text), [])
+
+    def test_short_options_and_prose_are_ignored(self):
+        self.assertEqual(self.refs("`vanet_cli --keys | wc -l` and `a--b`\n"),
+                         ["--keys"])
+
+
+class FlagCheckTest(unittest.TestCase):
+    def run_check(self, md_text):
+        with tempfile.TemporaryDirectory() as root:
+            md = pathlib.Path(root) / "doc.md"
+            md.write_text(md_text, encoding="utf-8")
+            return check_docs.check_flags([md], check_docs.flags_of(FAKE_HELP))
+
+    def test_documented_flags_pass(self):
+        refs, failures = self.run_check(
+            "`--jobs N` and `vanet_cli --max-events 700 --fail-fast`.\n"
+        )
+        self.assertEqual(refs, 3)
+        self.assertEqual(failures, [])
+
+    def test_removed_flag_fails_with_location(self):
+        refs, failures = self.run_check(
+            "first line\n`--timeout S` and `--retries N` re-run failures.\n"
+        )
+        self.assertEqual(refs, 2)
+        self.assertEqual(len(failures), 2)
+        self.assertIn("doc.md:2", failures[0])
+        self.assertIn("--timeout", failures[0])
+        self.assertIn("--retries", failures[1])
 
 
 if __name__ == "__main__":

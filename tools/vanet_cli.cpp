@@ -71,7 +71,6 @@ using namespace vanet;
       << "\nrobustness options (see docs/ROBUSTNESS.md):\n"
       << "  --timeout S          wall-clock watchdog per run (0 = off)\n"
       << "  --max-events N       simulator event budget per run (0 = off)\n"
-      << "  --retries N          retry failed runs with derived seeds\n"
       << "  --fail-fast          abort the sweep on the first failure\n"
       << "                       (default: capture failures, report them,\n"
       << "                       keep running, and exit nonzero at the end)\n"
@@ -253,8 +252,6 @@ int main(int argc, char** argv) {
       const long long n = checked_int(arg, next());
       if (n < 0) fail("--max-events must be >= 0");
       spec.guards.max_events = static_cast<std::uint64_t>(n);
-    } else if (arg == "--retries") {
-      spec.guards.retries = checked_int32(arg, next());
     } else if (arg == "--fail-fast") {
       spec.guards.capture = false;
     } else if (arg == "--format") {
@@ -324,8 +321,8 @@ int main(int argc, char** argv) {
         for (const auto& [key, value] : f.axes) {
           std::cerr << " " << key << "=" << value;
         }
-        std::cerr << " seed=" << f.seed << " attempts=" << f.attempts << " ["
-                  << f.kind << "]: " << f.error << "\n";
+        std::cerr << " seed=" << f.seed << " [" << f.kind << "]: " << f.error
+                  << "\n";
       }
       return 1;
     }
