@@ -187,6 +187,37 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     configs["town-etx"] = cfg;
   }
   {
+    // ETX under vehicle churn (unit disk, so routes form and break): crashed
+    // neighbors expire, so receivers drop their links and release their
+    // adverts, originate route invalidations and refuse stale adverts
+    // against them until the destination's own sequence moves past the kill.
+    ScenarioConfig cfg;
+    cfg.seed = 7;
+    cfg.duration_s = 20.0;
+    cfg.mobility = MobilityKind::kManhattan;
+    cfg.vehicles = 30;
+    cfg.protocol = "etx";
+    cfg.fault.vehicle_mtbf_s = 20.0;
+    cfg.fault.vehicle_downtime_s = 4.0;
+    cfg.traffic.stop_s = 20.0;
+    configs["manhattan-etx-churn"] = cfg;
+  }
+  {
+    // Flooding with ETX-ordered suppression: the same agent, reached
+    // through flooding's attach() wiring, orders rebroadcast deferrals by
+    // its Dijkstra distance to the packet's origin.
+    ScenarioConfig cfg;
+    cfg.seed = 7;
+    cfg.duration_s = 15.0;
+    cfg.mobility = MobilityKind::kManhattan;
+    cfg.vehicles = 30;
+    cfg.phy = PhyModel::kNakagami;
+    cfg.protocol = "flooding";
+    cfg.flood_suppression = routing::FloodSuppression::kEtx;
+    cfg.traffic.stop_s = 15.0;
+    configs["manhattan-flooding-etx"] = cfg;
+  }
+  {
     // Full fault stack on an imported map: planned node outage + road
     // incident + seeded vehicle churn over graph mobility. Pins the "fault"
     // RNG stream, the blocked-segment replanner, the down-node MAC path and
