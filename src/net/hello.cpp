@@ -131,7 +131,7 @@ void HelloService::on_frame(NodeId self, const Packet& p) {
   n.table.update(store_.intern(
       p.uid, {.id = p.origin, .pos = h->pos, .vel = h->vel, .acc = h->acc,
               .rsu = h->rsu, .last_heard = net_.simulator().now()}));
-  if (n.observer) n.observer(p, *h);
+  if (n.observer) n.observer(p);
 }
 
 HelloService::PerNode& HelloService::node(NodeId id) {

@@ -172,8 +172,9 @@ class HelloService {
   /// adds on the air (0 keeps the beacon at `beacon_bytes`).
   using BeaconExtension = std::function<std::size_t(HelloHeader&)>;
   /// Sees every decoded hello frame at the registered node, after the
-  /// neighbor table was updated (link-quality estimators tap in here).
-  using FrameObserver = std::function<void(const Packet&, const HelloHeader&)>;
+  /// neighbor table was updated (link-quality estimators tap in here). The
+  /// frame's header is a HelloHeader.
+  using FrameObserver = std::function<void(const Packet&)>;
 
   HelloService(Network& net, core::Rng& rng, HelloConfig cfg = {});
 

@@ -18,9 +18,7 @@ void EtxProtocol::start() {
     return agent_->fill_beacon(h);
   });
   ctx_.hello->set_frame_observer(
-      self(), [this](const net::Packet& p, const net::HelloHeader& h) {
-        agent_->on_hello(p, h);
-      });
+      self(), [this](const net::Packet& p) { agent_->on_hello(p); });
   ctx_.hello->set_loss_callback(
       self(), [this](net::NodeId lost) { agent_->on_neighbor_lost(lost); });
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 
+#include "core/assert.h"
+
 namespace vanet::routing {
 
 namespace {
@@ -25,18 +27,16 @@ EtxAgent::EtxAgent(net::NodeId self) : self_{self} {}
 void EtxAgent::attach(net::HelloService& hello) {
   hello.set_beacon_extension(
       self_, [this](net::HelloHeader& h) { return fill_beacon(h); });
-  hello.set_frame_observer(
-      self_, [this](const net::Packet& p, const net::HelloHeader& h) {
-        on_hello(p, h);
-      });
+  hello.set_frame_observer(self_,
+                           [this](const net::Packet& p) { on_hello(p); });
   hello.set_loss_callback(self_,
                           [this](net::NodeId lost) { on_neighbor_lost(lost); });
 }
 
 void EtxAgent::grow(net::NodeId max_id) {
-  if (max_id < adverts_.size()) return;
+  if (max_id < advert_of_.size()) return;
   const std::size_t n = std::size_t{max_id} + 1;
-  adverts_.resize(n);
+  advert_of_.resize(n, kNoAdvert);
   dst_seqs_.resize(n);
   kills_.resize(n);
   routes_.resize(n);
@@ -85,27 +85,45 @@ std::size_t EtxAgent::fill_beacon(net::HelloHeader& h) {
   return kLinkEntryBytes * h.links.size() + kRouteEntryBytes * h.routes.size();
 }
 
-void EtxAgent::on_hello(const net::Packet& p, const net::HelloHeader& h) {
-  table_.on_hello(p.origin, h.seq);
-  for (const auto& link : h.links) {
+void EtxAgent::on_hello(const net::Packet& p) {
+  const auto* h = p.header_as<net::HelloHeader>();
+  VANET_ASSERT_MSG(h != nullptr, "hello frame without HelloHeader");
+  table_.on_hello(p.origin, h->seq);
+  for (const auto& link : h->links) {
     if (link.neighbor == self_) {
       table_.on_report(p.origin, link.ratio);
       break;
     }
   }
   net::NodeId max_id = p.origin;
-  for (const auto& advert : h.routes) max_id = std::max(max_id, advert.dst);
+  for (const auto& advert : h->routes) max_id = std::max(max_id, advert.dst);
   grow(max_id);
   // Advert intake: the sender's latest distance vector replaces the previous
   // one wholesale (it IS the sender's current view; merging would resurrect
   // entries the sender dropped). Entries routing back through us are kept —
-  // Dijkstra's measured self->n edges dominate any n->self->... echo.
-  Advert& slot = adverts_[p.origin];
-  slot.held = true;
-  slot.routes.clear();
-  slot.routes.reserve(h.routes.size());
-  for (const auto& advert : h.routes) {
-    if (advert.dst == self_) continue;
+  // Dijkstra's measured self->n edges dominate any n->self->... echo. The
+  // slot takes a reference to the beacon; intake records only which
+  // entries Dijkstra must skip and where the kept ones end (see the header).
+  std::uint32_t& at = advert_of_[p.origin];
+  if (at == kNoAdvert) {
+    at = static_cast<std::uint32_t>(adverts_.size());
+    adverts_.emplace_back().from = p.origin;
+  }
+  Advert& slot = adverts_[at];
+  slot.beacon = std::static_pointer_cast<const net::HelloHeader>(p.header);
+  slot.skipped.clear();
+  // Locals, not members: the loop's stores into kills_/dst_seqs_ could
+  // alias them, which would force a reload on every entry.
+  const net::NodeId self = self_;
+  const net::HelloRouteEntry* entries = h->routes.data();
+  const std::size_t count = h->routes.size();
+  std::uint32_t end = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const net::HelloRouteEntry& advert = entries[i];
+    if (advert.dst == self) {
+      slot.skipped.push_back(i);
+      continue;
+    }
     Kill& kill = kills_[advert.dst];
     std::uint32_t& known = dst_seqs_[advert.dst];
     if (advert.dist >= LinkQualityTable::kMaxEtx) {
@@ -118,22 +136,37 @@ void EtxAgent::on_hello(const net::Packet& p, const net::HelloHeader& h) {
       continue;
     }
     if (kill.active) {
-      if (advert.seq <= kill.seq) continue;  // stale vs invalidation
+      if (advert.seq <= kill.seq) {  // stale vs invalidation
+        slot.skipped.push_back(i);
+        continue;
+      }
       kill = Kill{};  // the destination moved past the kill: it lives
     }
     known = std::max(known, advert.seq);
-    slot.routes.push_back(advert);
+    end = i + 1;
   }
+  // Dijkstra stops at `end`, so skips past it need no record.
+  while (!slot.skipped.empty() && slot.skipped.back() >= end) {
+    slot.skipped.pop_back();
+  }
+  slot.end = end;
   routes_dirty_ = true;
 }
 
 void EtxAgent::on_neighbor_lost(net::NodeId lost) {
   table_.erase(lost);
   grow(lost);
-  // Release the buffer, not just the entries: a lost neighbor may never
-  // come back, and its last advert can be as long as the route table.
-  std::vector<net::HelloRouteEntry>().swap(adverts_[lost].routes);
-  adverts_[lost].held = false;
+  // Drop the slot and its beacon reference: a lost neighbor may never come
+  // back, and its last beacon can be as long as the route table. The last
+  // slot moves into the hole.
+  if (std::uint32_t& at = advert_of_[lost]; at != kNoAdvert) {
+    if (at + 1 != adverts_.size()) {
+      adverts_[at] = std::move(adverts_.back());
+      advert_of_[adverts_[at].from] = at;
+    }
+    adverts_.pop_back();
+    at = kNoAdvert;
+  }
   // Originate a route invalidation one past the destination's freshest known
   // sequence: odd, so every stale advert for `lost` loses to it everywhere,
   // and only `lost` itself (whose own sequence is even and still advancing)
@@ -156,9 +189,32 @@ void EtxAgent::compute_routes() const {
   // Only nodes holding adverts enter the frontier (see the header).
   const auto later = std::greater<std::pair<double, net::NodeId>>{};
   const auto push = [&](double cost, net::NodeId node) {
-    if (adverts_[node].routes.empty()) return;
+    const std::uint32_t at = advert_of_[node];
+    if (at == kNoAdvert || adverts_[at].end == 0) return;
     frontier_.emplace_back(cost, node);
     std::push_heap(frontier_.begin(), frontier_.end(), later);
+  };
+  // Relaxes the advertised edges node -> e.dst for a run [first, last) of
+  // node's shared beacon that holds no skipped entry, passing over what
+  // intake would not have kept — poisoned entries (their total is >=
+  // kMaxEtx) — and entries killed by now: a kill learned after the beacon
+  // was taken still applies, so stale entries for an invalidated
+  // destination must not open routes.
+  const auto relax = [&](const net::HelloRouteEntry* first,
+                         const net::HelloRouteEntry* last, double cost,
+                         net::NodeId first_hop) {
+    for (; first != last; ++first) {
+      const net::HelloRouteEntry& advert = *first;
+      const Kill& kill = kills_[advert.dst];
+      if (kill.active && advert.seq <= kill.seq) continue;
+      const double total = cost + advert.dist;
+      if (total >= LinkQualityTable::kMaxEtx) continue;
+      Route& route = routes_[advert.dst];
+      if (total < route.dist) {
+        route = Route{total, first_hop};
+        push(total, advert.dst);
+      }
+    }
   };
   frontier_.clear();
   for (const net::NodeId n : table_.neighbors()) {
@@ -173,19 +229,16 @@ void EtxAgent::compute_routes() const {
     frontier_.pop_back();
     if (cost > routes_[node].dist) continue;
     const net::NodeId first_hop = routes_[node].first_hop;
-    for (const auto& advert : adverts_[node].routes) {
-      // A kill learned after this slot was stored still applies: stale
-      // entries for an invalidated destination must not open routes.
-      const Kill& kill = kills_[advert.dst];
-      if (kill.active && advert.seq <= kill.seq) continue;
-      const double total = cost + advert.dist;
-      if (total >= LinkQualityTable::kMaxEtx) continue;
-      Route& route = routes_[advert.dst];
-      if (total < route.dist) {
-        route = Route{total, first_hop};
-        push(total, advert.dst);
-      }
+    const Advert& slot = adverts_[advert_of_[node]];
+    const net::HelloRouteEntry* entries = slot.beacon->routes.data();
+    // The runs between the slot's skipped entries, so the inner loop
+    // carries no test for self or for refusals.
+    const net::HelloRouteEntry* from = entries;
+    for (const std::uint32_t skipped : slot.skipped) {
+      relax(from, entries + skipped, cost, first_hop);
+      from = entries + skipped + 1;
     }
+    relax(from, entries + slot.end, cost, first_hop);
   }
 }
 

@@ -11,19 +11,38 @@
 // with it (hello expiry), so a crashed neighbor can never leave dangling
 // ETX edges behind — the same soft-state discipline as the tables.
 //
-// Storage is dense and allocation-free in steady state: every per-node
-// table is a flat array indexed by NodeId, grown on demand as ids are heard
-// of (a standalone agent needs no population size). An absent route is
-// dist == kMaxEtx and an absent kill is `active == false`; presence is never
-// inferred from a sequence number, since seq 0 is a real advertised value.
+// Storage is dense and allocation-free in steady state: every per-id table
+// (routes, kills, sequences, the advert index) is a flat array indexed by
+// NodeId, grown on demand as ids are heard of (a standalone agent needs no
+// population size). An absent route is dist == kMaxEtx and an absent kill
+// is `active == false`; presence is never inferred from a sequence number,
+// since seq 0 is a real advertised value.
 // Beacons walk the arrays in id order, so routes and kills go out sorted by
 // destination. Dijkstra reuses one heap and pushes only nodes that hold
 // adverts: settling any other node relaxes no edge, and the (cost, id)
 // pairs pushed are unique (relaxation is strict), so the settle order — and
 // hence every first_hop — is the one a heap of every node would give.
+//
+// Adverts are held by reference: a neighbor's slot keeps the shared,
+// immutable header of its last beacon (the one every receiver of that frame
+// holds), never a copy of its distance vector, so memory grows with the
+// beacons in flight rather than with receivers x vectors. Slots exist only
+// for neighbors that hold a beacon, found through a dense 4-byte index per
+// known id. Dijkstra walks the shared entries and skips, per receiver, what
+// intake would not have kept: the entry for self, poisoned entries,
+// entries killed now, and the entries this receiver refused at intake
+// because a kill for their destination was active then. Besides the
+// reference, a slot holds only where the kept entries end (a beacon's kills
+// come last, so they are never walked) and the short ascending list of
+// skipped indices, self's and the refused ones, so the inner loop tests for
+// neither. The refusals cannot become the compute-time kill check: an entry
+// refused against a kill stays refused after a newer advert for its
+// destination clears that kill, while the same beacon's other entries
+// still count.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -46,8 +65,9 @@ class EtxAgent {
   /// Fill the piggyback fields of an outgoing beacon; returns the extra
   /// bytes they occupy on the air.
   std::size_t fill_beacon(net::HelloHeader& h);
-  /// Process a received hello (estimator update + advert intake).
-  void on_hello(const net::Packet& p, const net::HelloHeader& h);
+  /// Process a received hello frame (estimator update + advert intake); the
+  /// agent keeps a reference to the frame's HelloHeader, not a copy.
+  void on_hello(const net::Packet& p);
   /// The hello layer expired `lost`: drop its link and its adverts.
   void on_neighbor_lost(net::NodeId lost);
 
@@ -60,7 +80,7 @@ class EtxAgent {
   const LinkQualityTable& table() const { return table_; }
   /// True when any distance-vector advert from `from` is still held.
   bool has_adverts_from(net::NodeId from) const {
-    return from < adverts_.size() && adverts_[from].held;
+    return from < advert_of_.size() && advert_of_[from] != kNoAdvert;
   }
   /// True while a route invalidation for `dst` is active (see Kill).
   bool has_kill_for(net::NodeId dst) const {
@@ -72,12 +92,21 @@ class EtxAgent {
     double dist = LinkQualityTable::kMaxEtx;  ///< kMaxEtx: no route
     net::NodeId first_hop = 0;
   };
-  /// Last distance vector heard from a live neighbor. `held` from its first
-  /// hello until it is lost, even while the vector is empty.
+  /// Last beacon heard from a live neighbor, shared with every other
+  /// receiver of the frame. Held from its first hello until it is lost.
   struct Advert {
-    std::vector<net::HelloRouteEntry> routes;
-    bool held = false;
+    std::shared_ptr<const net::HelloHeader> beacon;
+    /// Entries of [0, end) intake kept out, other than poisoned ones,
+    /// ascending: the entry for self and the entries refused against an
+    /// active kill (see the header comment).
+    std::vector<std::uint32_t> skipped;
+    /// One past the last entry intake kept: Dijkstra walks [0, end), so a
+    /// beacon's trailing kills are never walked (0: relaxes nothing).
+    std::uint32_t end = 0;
+    net::NodeId from = 0;
   };
+  /// advert_of_ value of an id that holds no beacon.
+  static constexpr std::uint32_t kNoAdvert = ~std::uint32_t{0};
   /// Active route invalidations, DSDV-style: losing a neighbor originates a
   /// poisoned advert for it (dist = kMaxEtx) sequenced one past the
   /// destination's freshest known — odd, so only the destination itself can
@@ -99,7 +128,10 @@ class EtxAgent {
 
   net::NodeId self_;
   LinkQualityTable table_;
+  /// One slot per neighbor holding a beacon, in no particular order.
   std::vector<Advert> adverts_;
+  /// Per known id: its slot in adverts_, or kNoAdvert.
+  std::vector<std::uint32_t> advert_of_;
   /// Freshest destination sequence seen per destination (from accepted
   /// adverts — every node stamps its own entry with its even own_seq_, so
   /// this is the destination's clock as it propagates outward). 0 until an

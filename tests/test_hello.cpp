@@ -134,9 +134,9 @@ TEST(Hello, LossyPhyKeepsNeighborTablesConsistent) {
 
   std::vector<std::uint32_t> seqs;        // decoded at 0, in arrival order
   bool neighbor_present_at_decode = true; // observer runs after the update
-  hello.set_frame_observer(0, [&](const Packet& p, const HelloHeader& h) {
+  hello.set_frame_observer(0, [&](const Packet& p) {
     ASSERT_EQ(p.origin, 1u);
-    seqs.push_back(h.seq);
+    seqs.push_back(p.header_as<HelloHeader>()->seq);
     neighbor_present_at_decode &= hello.table(0).find(1) != nullptr;
   });
   std::vector<NodeId> lost;
@@ -307,9 +307,7 @@ TEST(Hello, CallbacksRegisteredBeforeStartFire) {
   int observed = 0;
   int extended = 0;
   f.hello->set_loss_callback(0, [&](NodeId id) { lost.push_back(id); });
-  f.hello->set_frame_observer(0, [&](const Packet&, const HelloHeader&) {
-    ++observed;
-  });
+  f.hello->set_frame_observer(0, [&](const Packet&) { ++observed; });
   f.hello->set_beacon_extension(1, [&](HelloHeader&) -> std::size_t {
     ++extended;
     return 0;

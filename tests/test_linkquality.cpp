@@ -122,11 +122,14 @@ TEST(LinkQuality, NeighborsAreSortedById) {
 
 // -------------------------------------------------------------- EtxAgent ---
 
-net::Packet hello_from(net::NodeId origin) {
+/// A hello frame from `origin` carrying its own fresh copy of `h`, as the
+/// hello service sends one new header per beacon.
+net::Packet hello_from(net::NodeId origin, net::HelloHeader h) {
   net::Packet p;
   p.kind = net::PacketKind::kHello;
   p.origin = origin;
   p.tx = origin;
+  p.header = std::make_shared<const net::HelloHeader>(std::move(h));
   return p;
 }
 
@@ -140,7 +143,7 @@ TEST(EtxAgent, RoutesThroughAdvertsAndDropsThemWithTheNeighbor) {
   h.routes.push_back({.dst = 2, .seq = 4, .dist = 1.0});
   for (std::uint32_t seq = 0; seq < 4; ++seq) {
     h.seq = seq;
-    agent.on_hello(hello_from(1), h);
+    agent.on_hello(hello_from(1, h));
   }
   ASSERT_TRUE(agent.next_hop(2).has_value());
   EXPECT_EQ(*agent.next_hop(2), 1u);
@@ -171,10 +174,10 @@ TEST(EtxAgent, PrefersReliableTwoHopOverLossyDirect) {
   direct.routes.push_back({.dst = 2, .seq = 4, .dist = 0.0});
   for (std::uint32_t seq = 0; seq < 8; ++seq) {
     via.seq = seq;
-    agent.on_hello(hello_from(1), via);
+    agent.on_hello(hello_from(1, via));
     if (seq % 4 == 0) {  // 2's beacons mostly lost: reverse ratio 2/8
       direct.seq = seq;
-      agent.on_hello(hello_from(2), direct);
+      agent.on_hello(hello_from(2, direct));
     }
   }
   ASSERT_TRUE(agent.next_hop(2).has_value());
@@ -190,7 +193,7 @@ TEST(EtxAgent, BeaconCarriesLinkReportsAndDistanceVector) {
   in.routes.push_back({.dst = 7, .seq = 6, .dist = 2.0});
   for (std::uint32_t seq = 0; seq < 4; ++seq) {
     in.seq = seq;
-    agent.on_hello(hello_from(1), in);
+    agent.on_hello(hello_from(1, in));
   }
   net::HelloHeader out;
   const std::size_t extra = agent.fill_beacon(out);
@@ -205,6 +208,77 @@ TEST(EtxAgent, BeaconCarriesLinkReportsAndDistanceVector) {
   // 6 B per link report + 10 B per route entry.
   EXPECT_EQ(extra, 6u * out.links.size() + 10u * out.routes.size());
   EXPECT_EQ(extra, 36u);
+}
+
+TEST(EtxAgent, ReceiversShareOneBeacon) {
+  // Every receiver of a frame holds the frame's own header: three agents
+  // that take one hello add three references to it and copy nothing.
+  net::HelloHeader h;
+  h.links.push_back({0, 1.0});
+  h.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
+  h.routes.push_back({.dst = 9, .seq = 4, .dist = 2.0});
+  const net::Packet p = hello_from(1, h);
+  EtxAgent a{0};
+  EtxAgent b{2};
+  EtxAgent c{3};
+  for (EtxAgent* agent : {&a, &b, &c}) agent->on_hello(p);
+  EXPECT_EQ(p.header.use_count(), 4);
+  EXPECT_DOUBLE_EQ(a.distance_to(9), 3.0);  // link ETX 1 + advert 2
+  EXPECT_TRUE(b.has_adverts_from(1));
+}
+
+TEST(EtxAgent, NewerBeaconOrLossReleasesTheOldOne) {
+  net::HelloHeader h;
+  h.links.push_back({0, 1.0});
+  h.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
+  h.routes.push_back({.dst = 9, .seq = 4, .dist = 2.0});
+  EtxAgent agent{0};
+  const net::Packet first = hello_from(1, h);
+  agent.on_hello(first);
+  EXPECT_EQ(first.header.use_count(), 2);
+  // The sender's next beacon replaces the held one wholesale.
+  h.seq = 1;
+  const net::Packet second = hello_from(1, h);
+  agent.on_hello(second);
+  EXPECT_EQ(first.header.use_count(), 1);
+  EXPECT_EQ(second.header.use_count(), 2);
+  // Losing the neighbor lets go of its last beacon too.
+  agent.on_neighbor_lost(1);
+  EXPECT_EQ(second.header.use_count(), 1);
+  EXPECT_FALSE(agent.has_adverts_from(1));
+}
+
+TEST(EtxAgent, EntryRefusedAgainstAKillStaysRefusedAfterTheKillClears) {
+  const auto hello = [](std::uint32_t seq,
+                        std::vector<net::HelloRouteEntry> routes) {
+    net::HelloHeader h;
+    h.seq = seq;
+    h.links.push_back({0, 1.0});
+    h.routes = std::move(routes);
+    return h;
+  };
+  constexpr double kPoison = LinkQualityTable::kMaxEtx;
+  EtxAgent agent{0};
+  // 1 offers 5 cheaply; 2 then invalidates 5 one sequence past it.
+  agent.on_hello(hello_from(1, hello(0, {{1, 2, 0.0}, {5, 4, 1.0}})));
+  agent.on_hello(hello_from(2, hello(0, {{2, 2, 0.0}, {5, 5, kPoison}})));
+  EXPECT_TRUE(agent.has_kill_for(5));
+  // 1's next beacon repeats the stale entry, between two live ones:
+  // refused against the kill.
+  agent.on_hello(
+      hello_from(1, hello(1, {{1, 4, 0.0}, {5, 4, 1.0}, {6, 2, 1.0}})));
+  EXPECT_FALSE(agent.next_hop(5).has_value());
+  // 3 carries 5's newer sequence, which clears the kill. 1's held beacon
+  // still names 5 at cost 1, but that entry was refused when it arrived,
+  // so the only route is 3's (1 + 3), not 1's (1 + 1).
+  agent.on_hello(hello_from(3, hello(0, {{3, 2, 0.0}, {5, 6, 3.0}})));
+  EXPECT_FALSE(agent.has_kill_for(5));
+  ASSERT_TRUE(agent.next_hop(5).has_value());
+  EXPECT_EQ(*agent.next_hop(5), 3u);
+  EXPECT_DOUBLE_EQ(agent.distance_to(5), 4.0);
+  // The same beacon's other entries were accepted and still route.
+  EXPECT_EQ(agent.next_hop(1), std::optional<net::NodeId>{1});
+  EXPECT_EQ(agent.next_hop(6), std::optional<net::NodeId>{1});
 }
 
 // ------------------------------------------- differential vs ordered maps ---
@@ -240,7 +314,8 @@ class MapEtxAgent {
     return 6 * h.links.size() + 10 * h.routes.size();
   }
 
-  void on_hello(const net::Packet& p, const net::HelloHeader& h) {
+  void on_hello(const net::Packet& p) {
+    const net::HelloHeader& h = *p.header_as<net::HelloHeader>();
     table_.on_hello(p.origin, h.seq);
     for (const auto& link : h.links) {
       if (link.neighbor == self_) {
@@ -445,9 +520,10 @@ TEST(EtxAgent, DenseAgentMatchesOrderedMapReference) {
         // its re-admission.
         std::uint32_t& seq = next_seq[who];
         seq += static_cast<std::uint32_t>(rng.uniform_int(0, 2));
-        const net::HelloHeader h = random_hello(rng, who, seq++, self, ids);
-        dense.on_hello(hello_from(who), h);
-        reference.on_hello(hello_from(who), h);
+        const net::Packet p =
+            hello_from(who, random_hello(rng, who, seq++, self, ids));
+        dense.on_hello(p);
+        reference.on_hello(p);
       } else {
         dense.on_neighbor_lost(who);
         reference.on_neighbor_lost(who);

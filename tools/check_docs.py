@@ -19,6 +19,8 @@ registry, the table `vanet_cli --keys` prints: any inline-code token that
 looks like a dotted config key (`phy.model`, `traffic.rate_pps=200`, ...)
 and lives in a namespace the registry defines must be a registered key, so
 renaming or removing a key cannot leave stale documentation behind. Tokens
+in a retired namespace (RETIRED_NAMESPACES: every key deleted, so the
+registry no longer defines it) are held to the same rule. Other tokens
 outside the registry's namespaces (module paths, file names) are ignored.
 The same round trip holds documented flags to `vanet_cli --help`: every
 `--flag` in an inline-code span that starts with a flag (`--jobs N`) or
@@ -58,6 +60,11 @@ FILE_SUFFIXES = {
     "c", "cc", "cpp", "h", "hpp", "py", "md", "txt", "csv", "json", "yml",
     "yaml", "sh", "cmake", "html", "js",
 }
+
+# Namespaces whose every key has been deleted. The registry no longer names
+# them, so without this list no token in them would be checked, and a
+# deleted key could stay documented (`etx.window`, `etx.hello_weight`).
+RETIRED_NAMESPACES = frozenset({"etx"})
 
 
 def github_slug(heading):
@@ -175,14 +182,15 @@ def flag_refs_of(path):
                 yield line_no, flag
 
 
-def check_config_keys(files, keys):
+def check_config_keys(files, keys, retired=RETIRED_NAMESPACES):
     """Return (refs_checked, failures) for documented-key round-tripping.
 
     Only tokens whose first dotted component is a namespace the registry
-    (`keys`) actually defines are held to the round-trip rule; everything
-    else (`json.dumps` in an example, a module path) is out of scope.
+    (`keys`) actually defines, or a `retired` one, are held to the
+    round-trip rule; everything else (`json.dumps` in an example, a module
+    path) is out of scope.
     """
-    namespaces = {k.split(".", 1)[0] for k in keys if "." in k}
+    namespaces = {k.split(".", 1)[0] for k in keys if "." in k} | retired
     failures = []
     refs = 0
     for md in files:

@@ -119,6 +119,31 @@ class ConfigKeyCheckTest(unittest.TestCase):
         self.assertEqual(refs, 0)
         self.assertEqual(failures, [])
 
+    def test_key_of_retired_namespace_fails_with_location(self):
+        # No registered key starts with `etx.`: the namespace is retired,
+        # so a key documented in it is stale.
+        refs, failures = self.run_check("x\n\n`--set etx.window=8`\n")
+        self.assertEqual(refs, 1)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("doc.md:3", failures[0])
+        self.assertIn("etx.window", failures[0])
+
+    def test_file_names_in_retired_namespace_are_ignored(self):
+        refs, failures = self.run_check("`etx.cpp` and `etx.h` are files.\n")
+        self.assertEqual(refs, 0)
+        self.assertEqual(failures, [])
+
+    def test_retired_namespaces_are_a_parameter(self):
+        with tempfile.TemporaryDirectory() as root:
+            md = pathlib.Path(root) / "doc.md"
+            md.write_text("`old.knob` and `etx.window`\n", encoding="utf-8")
+            refs, failures = check_docs.check_config_keys(
+                [md], check_docs.config_keys_of(FAKE_KEYS),
+                retired=frozenset({"old"}))
+        self.assertEqual(refs, 1)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("old.knob", failures[0])
+
 
 # The shape `vanet_cli --help` prints: usage, then one option per line.
 FAKE_HELP = """\
