@@ -13,9 +13,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
+#include "routing/registry.h"
 #include "sim/scenario.h"
 
 #ifndef VANET_SOURCE_DIR
@@ -254,6 +256,23 @@ std::map<std::string, ScenarioConfig> golden_configs() {
     cfg.traffic.stop_s = 15.0;
     configs["manhattan-shadowing-fault"] = cfg;
   }
+  // One short Manhattan row for every protocol the rows above leave out,
+  // plain flooding (no flood.suppression) among them. RSUs and buses are
+  // on, so drr crosses its wired backbone and bus hands packets to ferries.
+  for (const char* name :
+       {"flooding", "biswas", "dsr", "dsdv", "pbr", "taleb", "abedi", "wedde",
+        "drr", "bus", "grid", "rover", "rear", "niude", "yan-ss"}) {
+    ScenarioConfig cfg;
+    cfg.seed = 11;
+    cfg.duration_s = 12.0;
+    cfg.mobility = MobilityKind::kManhattan;
+    cfg.vehicles = 40;
+    cfg.rsu_count = 4;
+    cfg.bus_count = 4;
+    cfg.protocol = name;
+    cfg.traffic.stop_s = 12.0;
+    configs[std::string{"manhattan-infra-"} + name] = cfg;
+  }
   return configs;
 }
 
@@ -293,6 +312,16 @@ TEST(GoldenReport, FixedSeedDigestsMatchCommittedReference) {
         << "fixed-seed ScenarioReport changed for '" << name
         << "' — a perf refactor must not change physics. If the change is "
            "deliberate, rerun with VANET_UPDATE_GOLDEN=1 and commit.";
+  }
+}
+
+// A protocol without a row could change its results unnoticed.
+TEST(GoldenReport, EveryRegisteredProtocolIsPinned) {
+  std::set<std::string> pinned;
+  for (const auto& [name, cfg] : golden_configs()) pinned.insert(cfg.protocol);
+  for (const routing::ProtocolInfo& info : routing::ProtocolRegistry::all()) {
+    EXPECT_TRUE(pinned.contains(std::string{info.name}))
+        << "no golden row runs protocol '" << info.name << "'";
   }
 }
 
