@@ -28,6 +28,8 @@ void BiswasProtocol::check_ack(std::uint64_t key) {
   }
   ++pa.retries;
   net::Packet again = pa.packet;
+  // Quirk: a retransmission counts as a forward but adds no hop, since the
+  // copy repeats a hop already charged.
   ++events().data_forwarded;
   broadcast(again);
   schedule(core::SimTime::seconds(kAckTimeoutMs * 1e-3) + jitter(50.0),

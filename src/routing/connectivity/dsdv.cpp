@@ -48,20 +48,13 @@ void DsdvProtocol::advertise() {
 void DsdvProtocol::handle_frame(const net::Packet& p) {
   if (p.kind == net::PacketKind::kData) {
     if (p.destination == self()) {
-      if (delivered_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq)))
-        return;
       deliver(p);
       return;
     }
     if (const TableEntry* e = valid_route(p.destination)) {
       net::Packet fwd = p;
-      fwd.ttl -= 1;
-      if (fwd.ttl <= 0) {
-        ++events().data_dropped_ttl;
-        return;
-      }
-      fwd.hops += 1;
-      ++events().data_forwarded;
+      if (!spend_ttl(fwd)) return;
+      charge_hop(fwd);
       unicast(e->next_hop, std::move(fwd));
     } else {
       ++events().data_dropped_no_route;
@@ -93,8 +86,7 @@ bool DsdvProtocol::originate(net::NodeId dst, std::uint32_t flow,
   net::Packet p = make_data(dst, flow, seq, bytes);
   p.ttl = 32;
   if (const TableEntry* e = valid_route(dst)) {
-    p.hops += 1;
-    ++events().data_forwarded;
+    charge_hop(p);
     unicast(e->next_hop, std::move(p));
     return true;
   }

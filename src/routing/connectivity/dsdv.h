@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "routing/dup_cache.h"
 #include "routing/protocol.h"
 
 namespace vanet::routing {
@@ -52,7 +51,6 @@ class DsdvProtocol final : public RoutingProtocol {
   const TableEntry* valid_route(net::NodeId dst) const;
 
   std::unordered_map<net::NodeId, TableEntry> table_;
-  DupCache delivered_;
   std::uint32_t own_seq_ = 0;
 
   static constexpr double kUpdateIntervalSeconds = 2.0;

@@ -214,14 +214,12 @@ void DsrProtocol::send_with_route(net::Packet p,
     return;
   }
   p.ttl = static_cast<int>(path.size()) + 2;
-  p.hops += 1;
-  ++events().data_forwarded;
+  charge_hop(p);
   unicast(next, std::move(p));
 }
 
 void DsrProtocol::handle_data(const net::Packet& p) {
   if (p.destination == self()) {
-    if (delivered_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq))) return;
     deliver(p);
     return;
   }
@@ -233,13 +231,8 @@ void DsrProtocol::handle_data(const net::Packet& p) {
     return;
   }
   net::Packet fwd = p;
-  fwd.ttl -= 1;
-  if (fwd.ttl <= 0) {
-    ++events().data_dropped_ttl;
-    return;
-  }
-  fwd.hops += 1;
-  ++events().data_forwarded;
+  if (!spend_ttl(fwd)) return;
+  charge_hop(fwd);
   unicast(next, std::move(fwd));
 }
 

@@ -76,7 +76,6 @@ class DsrProtocol final : public RoutingProtocol {
   std::unordered_map<net::NodeId, std::vector<net::Packet>> buffer_;
   std::unordered_map<net::NodeId, int> discovery_attempts_;
   DupCache rreq_seen_;
-  DupCache delivered_;
   std::uint32_t next_rreq_id_ = 1;
 
   static constexpr std::size_t kBufferCap = 32;

@@ -19,6 +19,8 @@ bool FloodingProtocol::originate(net::NodeId dst, std::uint32_t flow,
   net::Packet p = make_data(dst, flow, seq, bytes);
   p.ttl = kFloodTtl;
   seen_.seen_or_insert(flood_key(p));
+  // Quirk shared by the flood family (zone, grid): the source's broadcast
+  // charges no hop, where unicast protocols charge their first send.
   broadcast(p);
   after_rebroadcast(p);
   return true;
@@ -27,6 +29,8 @@ bool FloodingProtocol::originate(net::NodeId dst, std::uint32_t flow,
 void FloodingProtocol::handle_frame(const net::Packet& p) {
   if (p.kind != net::PacketKind::kData) return;
   const std::uint64_t key = flood_key(p);
+  // Quirk shared by the flood family: seen_ is checked before deliver(), so
+  // every copy after the first stops here, at the destination too.
   if (seen_.seen_or_insert(key)) {
     // A copy from someone else: if our own rebroadcast of this packet is
     // still deferred, that earlier transmitter was better placed — cancel.
@@ -44,14 +48,9 @@ void FloodingProtocol::handle_frame(const net::Packet& p) {
     deliver(p);
     return;  // the destination absorbs the packet
   }
-  if (p.ttl <= 1) {
-    ++events().data_dropped_ttl;
-    return;
-  }
   net::Packet fwd = p;
-  fwd.ttl -= 1;
-  fwd.hops += 1;
-  ++events().data_forwarded;
+  if (!spend_ttl(fwd)) return;
+  charge_hop(fwd);
   core::SimTime delay = jitter(kRebroadcastJitterMs);
   if (suppression_ == FloodSuppression::kEtx) {
     const double slots =

@@ -15,17 +15,11 @@ bool GeoUnicastBase::originate(net::NodeId dst, std::uint32_t flow,
 void GeoUnicastBase::handle_frame(const net::Packet& p) {
   if (p.kind != net::PacketKind::kData) return;
   if (p.destination == self()) {
-    if (delivered_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq))) return;
     deliver(p);
     return;
   }
   net::Packet fwd = p;
-  fwd.ttl -= 1;
-  if (fwd.ttl <= 0) {
-    ++events().data_dropped_ttl;
-    return;
-  }
-  forward_geo(std::move(fwd));
+  if (spend_ttl(fwd)) forward_geo(std::move(fwd));
 }
 
 bool GeoUnicastBase::try_forward(net::Packet& p) {
@@ -59,15 +53,13 @@ bool GeoUnicastBase::try_forward(net::Packet& p) {
     // Fallback: nobody scored, but the destination is in range — deliver.
     if (neighbors().find(p.destination) != nullptr &&
         !blacklisted(p.destination)) {
-      p.hops += 1;
-      ++events().data_forwarded;
+      charge_hop(p);
       unicast(p.destination, p);
       return true;
     }
     return false;
   }
-  p.hops += 1;
-  ++events().data_forwarded;
+  charge_hop(p);
   unicast(best->id, p);
   return true;
 }

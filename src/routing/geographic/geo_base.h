@@ -13,7 +13,6 @@
 
 #include <unordered_map>
 
-#include "routing/dup_cache.h"
 #include "routing/protocol.h"
 
 namespace vanet::routing {
@@ -64,7 +63,6 @@ class GeoUnicastBase : public RoutingProtocol {
 
  private:
   std::unordered_map<net::NodeId, core::SimTime> blacklist_;
-  DupCache delivered_;
 };
 
 }  // namespace vanet::routing

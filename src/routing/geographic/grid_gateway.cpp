@@ -87,6 +87,7 @@ bool GridGatewayProtocol::originate(net::NodeId dst, std::uint32_t flow,
   p.ttl = kGridTtl;
   p.header = std::move(h);
   seen_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq));
+  // Flood-family quirk (see flooding.cpp): the source's send charges no hop.
   broadcast(std::move(p));
   return true;
 }
@@ -103,14 +104,9 @@ void GridGatewayProtocol::handle_frame(const net::Packet& p) {
   // Members read and process but do not retransmit; only gateways relay,
   // and only inside the corridor toward the destination.
   if (!is_gateway() || !inside_corridor(p, *h)) return;
-  if (p.ttl <= 1) {
-    ++events().data_dropped_ttl;
-    return;
-  }
   net::Packet fwd = p;
-  fwd.ttl -= 1;
-  fwd.hops += 1;
-  ++events().data_forwarded;
+  if (!spend_ttl(fwd)) return;
+  charge_hop(fwd);
   schedule(jitter(kJitterMs), [this, fwd]() mutable { broadcast(std::move(fwd)); });
 }
 

@@ -18,6 +18,7 @@ bool ZoneProtocol::originate(net::NodeId dst, std::uint32_t flow,
   p.ttl = kZoneTtl;
   p.header = std::move(h);
   seen_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq));
+  // Flood-family quirk (see flooding.cpp): the source's send charges no hop.
   broadcast(std::move(p));
   return true;
 }
@@ -46,14 +47,9 @@ void ZoneProtocol::handle_frame(const net::Packet& p) {
   }
   // Outside the corridor: drop silently — that is the whole point of zones.
   if (!inside_zone(p, *h)) return;
-  if (p.ttl <= 1) {
-    ++events().data_dropped_ttl;
-    return;
-  }
   net::Packet fwd = p;
-  fwd.ttl -= 1;
-  fwd.hops += 1;
-  ++events().data_forwarded;
+  if (!spend_ttl(fwd)) return;
+  charge_hop(fwd);
   schedule(jitter(kJitterMs), [this, fwd]() mutable { broadcast(std::move(fwd)); });
 }
 

@@ -41,10 +41,8 @@ void BusProtocol::no_candidate(net::Packet p) {
     return;
   }
   if (const net::NeighborInfo* bus = bus_neighbor()) {
-    net::Packet out = std::move(p);
-    out.hops += 1;
-    ++events().data_forwarded;
-    unicast(bus->id, std::move(out));
+    charge_hop(p);
+    unicast(bus->id, std::move(p));
     return;
   }
   // No bus around: hold briefly — the next hello may reveal one.
@@ -74,8 +72,7 @@ void BusProtocol::ferry_tick() {
     // Destination in range: deliver directly.
     if (neighbors().find(c.packet.destination) != nullptr) {
       net::Packet out = std::move(c.packet);
-      out.hops += 1;
-      ++events().data_forwarded;
+      charge_hop(out);
       unicast(out.destination, std::move(out));
       continue;
     }
@@ -96,8 +93,7 @@ void BusProtocol::ferry_tick() {
     }
     if (best != nullptr) {
       net::Packet out = std::move(c.packet);
-      out.hops += 1;
-      ++events().data_forwarded;
+      charge_hop(out);
       unicast(best->id, std::move(out));
       continue;
     }

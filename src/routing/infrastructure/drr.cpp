@@ -27,8 +27,7 @@ void DrrProtocol::rsu_forward(net::Packet p) {
   if (nbr != nullptr &&
       (nbr->predicted_pos(now()) - network().position(self())).norm() <=
           0.9 * network().nominal_range()) {
-    p.hops += 1;
-    ++events().data_forwarded;
+    charge_hop(p);
     unicast(p.destination, std::move(p));
     return;
   }
@@ -37,8 +36,7 @@ void DrrProtocol::rsu_forward(net::Packet p) {
       rsu_nearest(destination_position(p.destination));
   if (target_rsu != net::kBroadcastId && target_rsu != self() &&
       network().backbone_connected(self(), target_rsu)) {
-    p.hops += 1;
-    ++events().data_forwarded;
+    charge_hop(p);
     network().backbone_send(self(), target_rsu, std::move(p));
     return;
   }
@@ -52,8 +50,7 @@ void DrrProtocol::no_candidate(net::Packet p) {
   // Vehicle with no greedy progress: hand the packet to an RSU if one is in
   // range — the RSU acts as the virtual equivalent node.
   if (const net::NeighborInfo* rsu = rsu_neighbor()) {
-    p.hops += 1;
-    ++events().data_forwarded;
+    charge_hop(p);
     unicast(rsu->id, std::move(p));
     return;
   }
@@ -118,8 +115,7 @@ void DrrProtocol::retry_buffered() {
           (nbr->predicted_pos(now()) - network().position(self())).norm() <=
               0.9 * network().nominal_range()) {
         net::Packet out = std::move(b.packet);
-        out.hops += 1;
-        ++events().data_forwarded;
+        charge_hop(out);
         unicast(out.destination, std::move(out));
         continue;
       }
@@ -128,8 +124,7 @@ void DrrProtocol::retry_buffered() {
       if (try_forward(b.packet)) continue;
       if (const net::NeighborInfo* rsu = rsu_neighbor()) {
         net::Packet out = std::move(b.packet);
-        out.hops += 1;
-        ++events().data_forwarded;
+        charge_hop(out);
         unicast(rsu->id, std::move(out));
         continue;
       }

@@ -47,8 +47,7 @@ bool EtxProtocol::originate(net::NodeId dst, std::uint32_t flow,
   }
   net::Packet p = make_data(dst, flow, seq, bytes);
   p.ttl = 32;
-  p.hops += 1;
-  ++events().data_forwarded;
+  charge_hop(p);
   unicast(*hop, std::move(p));
   return true;
 }
@@ -56,8 +55,6 @@ bool EtxProtocol::originate(net::NodeId dst, std::uint32_t flow,
 void EtxProtocol::handle_frame(const net::Packet& p) {
   if (p.kind != net::PacketKind::kData) return;
   if (p.destination == self()) {
-    if (delivered_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq)))
-      return;
     deliver(p);
     return;
   }
@@ -71,13 +68,8 @@ void EtxProtocol::handle_frame(const net::Packet& p) {
     return;
   }
   net::Packet fwd = p;
-  fwd.ttl -= 1;
-  if (fwd.ttl <= 0) {
-    ++events().data_dropped_ttl;
-    return;
-  }
-  fwd.hops += 1;
-  ++events().data_forwarded;
+  if (!spend_ttl(fwd)) return;
+  charge_hop(fwd);
   unicast(*hop, std::move(fwd));
 }
 

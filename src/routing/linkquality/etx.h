@@ -11,7 +11,6 @@
 
 #include <memory>
 
-#include "routing/dup_cache.h"
 #include "routing/linkquality/etx_agent.h"
 #include "routing/protocol.h"
 
@@ -36,7 +35,6 @@ class EtxProtocol final : public RoutingProtocol {
   void sample_estimator_error();
 
   std::unique_ptr<EtxAgent> agent_;
-  DupCache delivered_;
 };
 
 }  // namespace vanet::routing

@@ -307,7 +307,6 @@ void OnDemandBase::handle_rerr(const net::Packet& p) {
 
 void OnDemandBase::handle_data(const net::Packet& p) {
   if (p.destination == self()) {
-    if (data_seen_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq))) return;
     deliver(p);
     return;
   }
@@ -316,30 +315,14 @@ void OnDemandBase::handle_data(const net::Packet& p) {
     return;
   }
   ++events().data_dropped_no_route;
-  // Report the break back to the source (best effort).
-  if (const RouteEntry* reverse = route_to(p.origin)) {
-    auto h = std::make_shared<RerrHeader>();
-    h->broken_destination = p.destination;
-    net::Packet err;
-    err.kind = net::PacketKind::kControl;
-    err.origin = self();
-    err.destination = p.origin;
-    err.ttl = 16;
-    err.size_bytes = kRerrBytes;
-    err.created_at = now();
-    err.header = std::move(h);
-    unicast(reverse->next_hop, std::move(err));
-  }
+  send_rerr(p.origin, p.destination);
 }
 
 void OnDemandBase::forward_data(net::Packet p, const RouteEntry& route) {
-  p.ttl -= 1;
-  if (p.ttl <= 0) {
-    ++events().data_dropped_ttl;
-    return;
-  }
-  p.hops += 1;
-  ++events().data_forwarded;
+  // Unlike the geo family, this family spends TTL on the source's own send
+  // too: originate and flush_buffer come through here.
+  if (!spend_ttl(p)) return;
+  charge_hop(p);
   unicast(route.next_hop, std::move(p));
 }
 
@@ -365,19 +348,23 @@ void OnDemandBase::route_broken(net::NodeId dst, const net::Packet* failed) {
     return;
   }
   ++events().data_dropped_no_route;
-  if (const RouteEntry* reverse = route_to(failed->origin)) {
-    auto h = std::make_shared<RerrHeader>();
-    h->broken_destination = dst;
-    net::Packet err;
-    err.kind = net::PacketKind::kControl;
-    err.origin = self();
-    err.destination = failed->origin;
-    err.ttl = 16;
-    err.size_bytes = kRerrBytes;
-    err.created_at = now();
-    err.header = std::move(h);
-    unicast(reverse->next_hop, std::move(err));
-  }
+  send_rerr(failed->origin, dst);
+}
+
+void OnDemandBase::send_rerr(net::NodeId origin, net::NodeId broken_dst) {
+  const RouteEntry* reverse = route_to(origin);
+  if (reverse == nullptr) return;
+  auto h = std::make_shared<RerrHeader>();
+  h->broken_destination = broken_dst;
+  net::Packet err;
+  err.kind = net::PacketKind::kControl;
+  err.origin = self();
+  err.destination = origin;
+  err.ttl = 16;
+  err.size_bytes = kRerrBytes;
+  err.created_at = now();
+  err.header = std::move(h);
+  unicast(reverse->next_hop, std::move(err));
 }
 
 // ---- routing table ----------------------------------------------------------

@@ -167,6 +167,9 @@ class OnDemandBase : public RoutingProtocol {
   void drop_buffer(net::NodeId dst);
   void forward_data(net::Packet p, const RouteEntry& route);
   void route_broken(net::NodeId dst, const net::Packet* failed_packet);
+  /// Report the break of the route to `broken_dst` back to `origin` with an
+  /// RERR, when a reverse route to it is known (best effort).
+  void send_rerr(net::NodeId origin, net::NodeId broken_dst);
   void schedule_preemptive_rebuild(net::NodeId dst, double predicted_lifetime);
 
   std::map<net::NodeId, RouteEntry> routes_;
@@ -174,7 +177,6 @@ class OnDemandBase : public RoutingProtocol {
   std::map<net::NodeId, std::vector<net::Packet>> buffer_;
   std::map<std::uint64_t, ReplyCollector> collectors_;  ///< keyed (origin,rreq)
   DupCache rreq_seen_;
-  DupCache data_seen_;
   std::uint32_t next_rreq_id_ = 1;
 
   static constexpr std::size_t kBufferCap = 32;

@@ -64,8 +64,20 @@ void RoutingProtocol::unicast(net::NodeId next_hop, net::Packet p) const {
   ctx_.net->send(ctx_.self, std::move(p));
 }
 
-void RoutingProtocol::deliver(const net::Packet& p) const {
+void RoutingProtocol::deliver(const net::Packet& p) {
+  if (delivered_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq))) return;
   if (deliver_cb_) deliver_cb_(p);
+}
+
+bool RoutingProtocol::spend_ttl(net::Packet& p) const {
+  if (--p.ttl > 0) return true;
+  ++ctx_.events->data_dropped_ttl;
+  return false;
+}
+
+void RoutingProtocol::charge_hop(net::Packet& p) const {
+  p.hops += 1;
+  ++ctx_.events->data_forwarded;
 }
 
 core::SimTime RoutingProtocol::jitter(double max_ms) const {

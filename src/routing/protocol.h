@@ -16,6 +16,7 @@
 #include "net/hello.h"
 #include "net/network.h"
 #include "net/packet.h"
+#include "routing/dup_cache.h"
 
 namespace vanet::map {
 class RoadGraph;
@@ -158,8 +159,18 @@ class RoutingProtocol {
   void broadcast(net::Packet p) const;
   void unicast(net::NodeId next_hop, net::Packet p) const;
 
-  /// Hand a data packet that reached its destination to the application.
-  void deliver(const net::Packet& p) const;
+  // The data plane every protocol shares, so that all of them deliver, spend
+  // TTL and count hops by one rule (docs/PROTOCOLS.md, "Framework").
+
+  /// Hand a data packet that reached its destination to the application, at
+  /// most once per (origin, flow, seq): later copies are dropped here.
+  void deliver(const net::Packet& p);
+  /// Spend one unit of a data packet's TTL before it is relayed. False, and
+  /// counted in data_dropped_ttl, when none is left: drop the packet.
+  bool spend_ttl(net::Packet& p) const;
+  /// Charge one data hop (hops, data_forwarded) to `p` just before it is
+  /// sent: unicast, backbone or broadcast.
+  void charge_hop(net::Packet& p) const;
 
   /// Uniform jitter in [0, max_ms] milliseconds — de-synchronises rebroadcasts.
   core::SimTime jitter(double max_ms) const;
@@ -174,6 +185,7 @@ class RoutingProtocol {
 
  private:
   DeliverCallback deliver_cb_;
+  DupCache delivered_;  ///< (origin, flow, seq) keys handed to deliver_cb_
 };
 
 }  // namespace vanet::routing

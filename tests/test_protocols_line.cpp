@@ -28,20 +28,46 @@ void add_line_world(LineFixtureOptions& opt) {
 
 class LineDelivery : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(LineDelivery, FiveHopChainDelivers) {
+/// Six nodes 80 m apart at 100 m range: five hops from end to end.
+LineFixtureOptions five_hop_chain() {
   LineFixtureOptions opt;
   opt.nodes = 6;
   opt.spacing = 80.0;
   opt.range = 100.0;
   add_line_world(opt);
-  LineFixture f{GetParam(), opt};
-  // Warm-up long enough for proactive protocols: DSDV needs one
-  // advertisement round (2 s) per hop for its distance vector to converge.
+  return opt;
+}
+
+/// Send seq 1 from node 0 to node 5 after a warm-up long enough for
+/// proactive protocols: DSDV needs one advertisement round (2 s) per hop for
+/// its distance vector to converge.
+void send_across(LineFixture& f) {
   f.run_to(12.0);
   f.send(0, 5, /*seq=*/1);
   f.run_to(25.0);
+}
+
+TEST_P(LineDelivery, FiveHopChainDelivers) {
+  LineFixture f{GetParam(), five_hop_chain()};
+  send_across(f);
   EXPECT_EQ(f.delivered_count(0, 1), 1u)
       << GetParam() << " failed to deliver across 5 hops";
+}
+
+TEST_P(LineDelivery, EachHopChargedOnceAndACopyNeverDeliveredTwice) {
+  LineFixture f{GetParam(), five_hop_chain()};
+  send_across(f);
+  ASSERT_EQ(f.delivered_count(0, 1), 1u);
+  // Unicast protocols charge all five sends; the flood family charges only
+  // the four rebroadcasts, not the source's own broadcast.
+  const std::string name = GetParam();
+  const bool flood = name == "flooding" || name == "biswas" ||
+                     name == "zone" || name == "grid";
+  EXPECT_EQ(f.delivered.front().hops, flood ? 4 : 5) << name;
+  // A second copy reaching the destination is not handed to the app again.
+  const net::Packet copy = f.delivered.front();
+  f.protocols[5]->handle_frame(copy);
+  EXPECT_EQ(f.delivered_count(0, 1), 1u) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, LineDelivery,
