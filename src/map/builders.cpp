@@ -2,10 +2,11 @@
 
 #include <cmath>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "core/parse.h"
 
 namespace vanet::map {
 
@@ -32,31 +33,6 @@ std::vector<std::string> split_fields(const std::string& line) {
   return out;
 }
 
-std::optional<long long> parse_ll(const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(s, &used);
-    if (used != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<double> parse_d(const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) return std::nullopt;
-    // 'nan'/'inf' parse but poison every downstream geometry computation
-    // (segment lengths, bbox, index cells) — reject them here with the same
-    // line-numbered error as any other malformed field.
-    if (!std::isfinite(v)) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
 
 }  // namespace
 
@@ -79,9 +55,12 @@ RoadGraph load_edge_list_csv(std::istream& in) {
     if (fields.empty()) continue;
     if (fields[0] == "node") {
       if (fields.size() != 4) malformed(line_no, line, "node needs id,x,y");
-      const auto id = parse_ll(fields[1]);
-      const auto x = parse_d(fields[2]);
-      const auto y = parse_d(fields[3]);
+      const auto id = core::parse_int_checked(fields[1]);
+      // 'nan'/'inf' would poison every downstream geometry computation
+      // (segment lengths, bbox, index cells): the parser refuses them, so
+      // they get the same line-numbered error as any other malformed field.
+      const auto x = core::parse_double_checked(fields[2]);
+      const auto y = core::parse_double_checked(fields[3]);
       if (!id || *id < 0 || *id > kMaxNodeId) {
         malformed(line_no, line, "bad node id");
       }
@@ -95,8 +74,8 @@ RoadGraph load_edge_list_csv(std::istream& in) {
       rec.declared = true;
     } else if (fields[0] == "edge") {
       if (fields.size() != 3) malformed(line_no, line, "edge needs a,b");
-      const auto a = parse_ll(fields[1]);
-      const auto b = parse_ll(fields[2]);
+      const auto a = core::parse_int_checked(fields[1]);
+      const auto b = core::parse_int_checked(fields[2]);
       if (!a || !b || *a < 0 || *b < 0 || *a > kMaxNodeId ||
           *b > kMaxNodeId) {
         malformed(line_no, line, "bad edge endpoint");

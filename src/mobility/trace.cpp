@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/assert.h"
+#include "core/parse.h"
 
 namespace vanet::mobility {
 
@@ -30,6 +32,7 @@ Trace Trace::load_csv(std::istream& in) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF files
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss{line};
     std::string field;
@@ -37,21 +40,18 @@ Trace Trace::load_csv(std::istream& in) {
     VehicleId id = 0;
     bool ok = true;
     for (int i = 0; i < 6 && ok; ++i) {
-      if (!std::getline(ss, field, ',')) {
-        ok = false;
-        break;
-      }
-      try {
-        if (i == 1) {
-          id = static_cast<VehicleId>(std::stoul(field));
-        } else {
-          vals[i > 1 ? i - 1 : i] = std::stod(field);
-        }
-      } catch (const std::exception&) {
+      ok = static_cast<bool>(std::getline(ss, field, ','));
+      if (!ok) break;
+      if (i == 1) {
+        const auto v = core::parse_int_checked(field);
+        ok = v && *v >= 0 && *v <= std::numeric_limits<VehicleId>::max();
+        if (ok) id = static_cast<VehicleId>(*v);
+      } else if (const auto v = core::parse_double_checked(field)) {
+        vals[i > 1 ? i - 1 : i] = *v;
+      } else {
         ok = false;
       }
     }
-    for (const double v : vals) ok = ok && std::isfinite(v);
     if (!ok) {
       throw std::runtime_error("trace csv: malformed line " +
                                std::to_string(line_no) + ": " + line);

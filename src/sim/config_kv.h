@@ -36,15 +36,14 @@
 #include <string>
 #include <vector>
 
+#include "core/parse.h"
 #include "sim/scenario.h"
 
 namespace vanet::sim {
 
-/// Checked scalar parsing: the entire string must be consumed, otherwise
-/// nullopt; parse_double_checked also refuses inf and nan. Used by
-/// config_set and by CLI flag parsing.
-std::optional<long long> parse_int_checked(const std::string& s);
-std::optional<double> parse_double_checked(const std::string& s);
+/// Checked scalar parsing (core/parse.h), also reachable as sim:: names.
+using core::parse_double_checked;
+using core::parse_int_checked;
 /// Accepts true/false, 1/0, on/off, yes/no (case-sensitive).
 std::optional<bool> parse_bool_checked(const std::string& s);
 

@@ -1,10 +1,11 @@
 #include "sim/fault_plan.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "core/assert.h"
-#include "sim/config_kv.h"
+#include "core/parse.h"
 
 namespace vanet::sim {
 
@@ -22,19 +23,15 @@ std::string trim(const std::string& s) {
 }
 
 int parse_id(const std::string& entry, const std::string& tok) {
-  std::size_t used = 0;
-  int v = 0;
-  try {
-    v = std::stoi(tok, &used);
-  } catch (const std::exception&) {
+  const auto v = core::parse_int_checked(tok);
+  if (!v || *v < 0 || *v > std::numeric_limits<int>::max()) {
     bad_entry(entry, "bad id '" + tok + "'");
   }
-  if (used != tok.size() || v < 0) bad_entry(entry, "bad id '" + tok + "'");
-  return v;
+  return static_cast<int>(*v);
 }
 
 double parse_time(const std::string& entry, const std::string& tok) {
-  const auto v = parse_double_checked(tok);
+  const auto v = core::parse_double_checked(tok);
   if (!v || *v < 0.0 || !core::SimTime::fits_seconds(*v)) {
     bad_entry(entry, "bad time '" + tok + "'");
   }

@@ -57,6 +57,9 @@ TEST(FaultPlanParse, RejectsBadEntriesNamingThem) {
   expect_rejected("node:1:2:3:4", "node:1:2:3:4");
   expect_rejected("node:x:5", "node:x:5");       // bad id
   expect_rejected("node:-1:5", "node:-1:5");
+  expect_rejected("node:1.5:5", "bad id '1.5'");
+  expect_rejected("seg:2x:5", "bad id '2x'");
+  expect_rejected("node:4294967296:5", "bad id");
   expect_rejected("seg:0:abc", "seg:0:abc");     // bad time
   expect_rejected("node:0:-2", "node:0:-2");     // negative time
   expect_rejected("node:0:10:5", "node:0:10:5"); // until <= at

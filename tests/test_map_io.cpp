@@ -122,6 +122,8 @@ TEST(MapIo, MalformedInputRejected) {
   expect_rejected("node,0,0\n", "node needs id,x,y");
   expect_rejected("node,x,0,0\n", "bad node id");
   expect_rejected("node,0,zero,0\n", "bad node coordinates");
+  expect_rejected("node,0,0,1x\nnode,1,1,1\nedge,0,1\n", "line 1");
+  expect_rejected("node,0,0,0\nnode,1,1,1\nedge,0,1.5\n", "line 3");
   expect_rejected("node,0,0,0\nnode,0,1,1\nedge,0,0\n", "duplicate node id");
   expect_rejected("node,0,0,0\nnode,1,1,1\nedge,0\n", "edge needs a,b");
   expect_rejected("node,0,0,0\nnode,1,1,1\nedge,0,q\n", "bad edge endpoint");

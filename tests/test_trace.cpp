@@ -63,6 +63,26 @@ TEST(Trace, LoadRejectsNonFiniteFields) {
   }
 }
 
+TEST(Trace, LoadRejectsFieldsThatParseOnlyInPart) {
+  // Each field must parse whole: a suffix after a number, a fractional,
+  // negative or oversized id and padding are errors naming their line, not
+  // values silently truncated to their numeric prefix.
+  for (const char* bad :
+       {"0,1x,100,0,10,0", "0,3.7,100,0,10,0", "0,1,100abc,0,10,0",
+        "0,-1,100,0,10,0", "0,4294967296,100,0,10,0", "0x,1,100,0,10,0",
+        "0,1,100,0,10,0.5rad", "0, 1,100,0,10,0", "0,1,100,0,,0"}) {
+    const std::string err = load_error(std::string{"0,0,0,0,1,0\n"} + bad);
+    EXPECT_NE(err.find("line 2"), std::string::npos) << bad << ": " << err;
+  }
+}
+
+TEST(Trace, LoadAcceptsCrlfLineEnds) {
+  std::stringstream in{"# time,id,x,y,speed,angle\r\n0.0,1,5.0,6.0,2.0,0.5\r\n"};
+  const Trace t = Trace::load_csv(in);
+  ASSERT_EQ(t.vehicle_count(), 1u);
+  EXPECT_DOUBLE_EQ(t.samples().at(1)[0].angle, 0.5);
+}
+
 TEST(Trace, LoadRejectsOutOfOrderSamplesPerVehicle) {
   const std::string err = load_error(
       "0.0,1,0.0,0.0,1.0,0.0\n"
