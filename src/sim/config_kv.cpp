@@ -308,7 +308,9 @@ std::vector<Field> build_fields() {
     };
     fields.push_back(std::move(f));
   }
-  num("yan_tickets", REF(yan_tickets));
+  // 0 means an unlimited budget; a negative one meant the same, unsaid.
+  bounded("yan_tickets", REF(yan_tickets), &non_negative_int,
+          "a non-negative integer");
   // The highway road graph has one intersection per cell.
   bounded("car_cell_m", REF(car_cell_m), +[](double v) { return v >= 1.0; },
           "a finite real number >= 1");
@@ -334,7 +336,8 @@ std::vector<Field> build_fields() {
           "a finite real number > 0");
   bounded("highway.median_gap", REF(highway.median_gap), &non_negative,
           "a finite real number >= 0");
-  num("highway.lane_change_prob", REF(highway.lane_change_prob));
+  bounded("highway.lane_change_prob", REF(highway.lane_change_prob),
+          &probability, "a finite real number in [0, 1]");
   bounded("highway.idm.desired_speed", REF(highway.idm.desired_speed),
           &desired_speed, "a finite real number in (0, 100]");
   bounded("highway.idm.desired_speed_stddev",
@@ -360,14 +363,18 @@ std::vector<Field> build_fields() {
           "a positive integer");
   bounded("manhattan.block", REF(manhattan.block), &lattice_block,
           "a finite real number in (0, 1e5]");
-  num("manhattan.speed_mean", REF(manhattan.speed_mean));
+  bounded("manhattan.speed_mean", REF(manhattan.speed_mean), &positive,
+          "a finite real number > 0");
   bounded("manhattan.speed_stddev", REF(manhattan.speed_stddev), &non_negative,
           "a finite real number >= 0");
-  num("manhattan.turn_prob_left", REF(manhattan.turn_prob_left));
-  num("manhattan.turn_prob_right", REF(manhattan.turn_prob_right));
+  bounded("manhattan.turn_prob_left", REF(manhattan.turn_prob_left),
+          &probability, "a finite real number in [0, 1]");
+  bounded("manhattan.turn_prob_right", REF(manhattan.turn_prob_right),
+          &probability, "a finite real number in [0, 1]");
 
   // --- graph.* (graph-constrained mobility) --------------------------------
-  num("graph.speed_mean", REF(graph.speed_mean));
+  bounded("graph.speed_mean", REF(graph.speed_mean), &positive,
+          "a finite real number > 0");
   bounded("graph.speed_stddev", REF(graph.speed_stddev), &non_negative,
           "a finite real number >= 0");
   bounded("graph.replan_prob", REF(graph.replan_prob), &probability,
@@ -408,7 +415,9 @@ std::vector<Field> build_fields() {
   bounded("net.queue_capacity", REF(net.queue_capacity),
           +[](std::size_t v) { return v >= 1; }, "a positive integer");
   num("net.phy_overhead_bytes", REF(net.phy_overhead_bytes));
-  num("net.backbone_delay_s", REF(net.backbone_delay));
+  // A negative wired delay would deliver a backbone frame before it left.
+  bounded("net.backbone_delay_s", REF(net.backbone_delay), &non_negative_time,
+          "seconds as a finite real number >= 0");
   bounded("net.interference_range_factor", REF(net.interference_range_factor),
           +[](double v) { return v >= 1.0; }, "a finite real number >= 1");
 

@@ -181,7 +181,13 @@ TEST(Cli, CommandLinesThatAbortedOrHungFailCleanly) {
            {"--vehicles 1", "vehicles"},
            {"--set traffic.rate_pps=1e308", "traffic.rate_pps"},
            {"--rate 1e308", "traffic.rate_pps"},
-           {"--set net.slot_time_s=-1", "net.slot_time_s"}}) {
+           {"--set net.slot_time_s=-1", "net.slot_time_s"},
+           {"--set yan_tickets=-5", "yan_tickets"},
+           {"--set rsu_count=4 --set net.backbone_delay_s=-1",
+            "net.backbone_delay_s"},
+           {"--set highway.lane_change_prob=5", "highway.lane_change_prob"},
+           {"--mobility manhattan --set manhattan.turn_prob_left=-3",
+            "manhattan.turn_prob_left"}}) {
     const CliResult r = run_cli(base + args);
     EXPECT_TRUE(r.exit_code == 1 || r.exit_code == 2)
         << args << ": exit " << r.exit_code << "\n" << r.out;

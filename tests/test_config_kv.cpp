@@ -196,7 +196,18 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
            {"highway.lane_width", "0"},
            {"highway.median_gap", "-1e9"},
            {"net.queue_capacity", "0"},
-           {"net.unicast_retry_limit", "-1"}}) {
+           {"net.unicast_retry_limit", "-1"},
+           // Ran as an unlimited flood, a negative wired delay, a
+           // probability outside [0, 1] and a mobility model that never
+           // moves (or drives backwards).
+           {"yan_tickets", "-5"},
+           {"net.backbone_delay_s", "-1"},
+           {"highway.lane_change_prob", "5"},
+           {"highway.lane_change_prob", "-0.1"},
+           {"manhattan.turn_prob_left", "-3"},
+           {"manhattan.turn_prob_right", "1.5"},
+           {"manhattan.speed_mean", "0"},
+           {"graph.speed_mean", "-13.9"}}) {
     try {
       config_set(cfg, key, value);
       ADD_FAILURE() << key << "=" << value << ": expected throw";
@@ -217,6 +228,10 @@ TEST(ConfigKv, BadValueRejectedWithKeyAndValueInMessage) {
   EXPECT_NO_THROW(config_set(cfg, "highway.median_gap", "0"));
   EXPECT_NO_THROW(config_set(cfg, "net.queue_capacity", "1"));
   EXPECT_NO_THROW(config_set(cfg, "net.unicast_retry_limit", "0"));
+  EXPECT_NO_THROW(config_set(cfg, "yan_tickets", "0"));
+  EXPECT_NO_THROW(config_set(cfg, "net.backbone_delay_s", "0"));
+  EXPECT_NO_THROW(config_set(cfg, "highway.lane_change_prob", "1"));
+  EXPECT_NO_THROW(config_set(cfg, "manhattan.turn_prob_left", "0"));
   // A one-street lattice is a valid road for graph mobility.
   EXPECT_NO_THROW(config_set(cfg, "manhattan.streets_x", "1"));
   try {
@@ -430,7 +445,10 @@ TEST(ConfigKv, FaultKeysRoundTrip) {
 }
 
 TEST(ConfigKv, ValidateConfigAppliesEachKeysBoundToTheStruct) {
-  EXPECT_NO_THROW(validate_config(ScenarioConfig{}));
+  // Named default, as in FaultKeysRoundTrip: gcc 12 -O3 false-positives a
+  // maybe-uninitialized on a temporary's string members.
+  const ScenarioConfig defaults;
+  EXPECT_NO_THROW(validate_config(defaults));
   // Values written straight into the struct, past config_set: the same
   // bound rejects them, naming the key and the value.
   const std::vector<std::pair<std::string, void (*)(ScenarioConfig&)>> bad{
