@@ -399,15 +399,26 @@ BENCHMARK(BM_HelloFanout)->Arg(10)->Arg(50)->Arg(200);
 /// Hellos from neighbors 1..nbrs, each a clean link reporting this node and
 /// advertising `advert_len` routes: itself, then a shared block of distant
 /// destinations at neighbor-dependent costs (so Dijkstra relaxes, and
-/// sometimes improves, every destination through every neighbor).
+/// sometimes improves, every destination through every neighbor). Each
+/// neighbor lists the block in its own fixed-seed shuffled order, so no
+/// beacon walks in step with the agent's id-ordered route arrays and the
+/// benches measure Dijkstra rather than that alignment.
 std::vector<net::HelloHeader> etx_hellos(int nbrs, int advert_len) {
   std::vector<net::HelloHeader> out(static_cast<std::size_t>(nbrs));
+  core::Rng rng{15};
+  std::vector<int> order;
+  for (int j = 1; j < advert_len; ++j) order.push_back(j);
   for (int k = 0; k < nbrs; ++k) {
     net::HelloHeader& h = out[static_cast<std::size_t>(k)];
     const auto self = static_cast<net::NodeId>(k + 1);
     h.links.push_back({0, 1.0});
     h.routes.push_back({.dst = self, .seq = 2, .dist = 0.0});
-    for (int j = 1; j < advert_len; ++j) {
+    for (std::size_t i = order.size(); i > 1; --i) {  // Fisher-Yates
+      const auto r = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+      std::swap(order[i - 1], order[r]);
+    }
+    for (const int j : order) {
       h.routes.push_back(
           {.dst = static_cast<net::NodeId>(nbrs + j),
            .seq = 2,
