@@ -65,7 +65,8 @@ void RoutingProtocol::unicast(net::NodeId next_hop, net::Packet p) const {
 }
 
 void RoutingProtocol::deliver(const net::Packet& p) {
-  if (delivered_.seen_or_insert(DupCache::key(p.origin, p.flow, p.seq))) return;
+  const std::uint64_t key = DupCache::key(p.origin, p.flow, p.seq);
+  if (delivery_seen_.seen_or_insert(key)) return;
   if (deliver_cb_) deliver_cb_(p);
 }
 

@@ -185,7 +185,7 @@ class RoutingProtocol {
 
  private:
   DeliverCallback deliver_cb_;
-  DupCache delivered_;  ///< (origin, flow, seq) keys handed to deliver_cb_
+  DupCache delivery_seen_;  ///< (origin, flow, seq) keys handed to deliver_cb_
 };
 
 }  // namespace vanet::routing
