@@ -71,9 +71,8 @@ void BusProtocol::ferry_tick() {
     }
     // Destination in range: deliver directly.
     if (neighbors().find(c.packet.destination) != nullptr) {
-      net::Packet out = std::move(c.packet);
-      charge_hop(out);
-      unicast(out.destination, std::move(out));
+      charge_hop(c.packet);
+      unicast(c.packet.destination, std::move(c.packet));
       continue;
     }
     // Hand off only on clear progress (hysteresis avoids ping-pong).
@@ -92,9 +91,8 @@ void BusProtocol::ferry_tick() {
       }
     }
     if (best != nullptr) {
-      net::Packet out = std::move(c.packet);
-      charge_hop(out);
-      unicast(best->id, std::move(out));
+      charge_hop(c.packet);
+      unicast(best->id, std::move(c.packet));
       continue;
     }
     keep.push_back(std::move(c));

@@ -114,18 +114,16 @@ void DrrProtocol::retry_buffered() {
       if (nbr != nullptr &&
           (nbr->predicted_pos(now()) - network().position(self())).norm() <=
               0.9 * network().nominal_range()) {
-        net::Packet out = std::move(b.packet);
-        charge_hop(out);
-        unicast(out.destination, std::move(out));
+        charge_hop(b.packet);
+        unicast(b.packet.destination, std::move(b.packet));
         continue;
       }
       if (try_forward(b.packet)) continue;
     } else {
       if (try_forward(b.packet)) continue;
       if (const net::NeighborInfo* rsu = rsu_neighbor()) {
-        net::Packet out = std::move(b.packet);
-        charge_hop(out);
-        unicast(rsu->id, std::move(out));
+        charge_hop(b.packet);
+        unicast(rsu->id, std::move(b.packet));
         continue;
       }
     }
