@@ -40,9 +40,9 @@ Trace Trace::load_csv(std::istream& in) {
     VehicleId id = 0;
     bool ok = true;
     for (int i = 0; i < 6 && ok; ++i) {
-      ok = static_cast<bool>(std::getline(ss, field, ','));
-      if (!ok) break;
-      if (i == 1) {
+      if (!std::getline(ss, field, ',')) {
+        ok = false;
+      } else if (i == 1) {
         const auto v = core::parse_int_checked(field);
         ok = v && *v >= 0 && *v <= std::numeric_limits<VehicleId>::max();
         if (ok) id = static_cast<VehicleId>(*v);
