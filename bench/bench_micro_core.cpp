@@ -460,7 +460,7 @@ void feed_etx_hellos(routing::EtxAgent& agent,
 void BM_EtxFillBeacon(benchmark::State& state) {
   const auto nbrs = static_cast<int>(state.range(0));
   auto hellos = etx_hellos(nbrs, static_cast<int>(state.range(1)));
-  routing::EtxAgent agent{0};
+  routing::EtxAgent agent{0, routing::LinkCost::kEtx};
   feed_etx_hellos(agent, hellos);
   std::size_t k = 0;
   for (auto _ : state) {
@@ -485,7 +485,7 @@ BENCHMARK(BM_EtxFillBeacon)->ArgsProduct({{10, 40}, {200, 1000}});
 void BM_EtxOnHello(benchmark::State& state) {
   const auto nbrs = static_cast<int>(state.range(0));
   auto hellos = etx_hellos(nbrs, static_cast<int>(state.range(1)));
-  routing::EtxAgent agent{0};
+  routing::EtxAgent agent{0, routing::LinkCost::kEtx};
   std::vector<net::Packet> frames(2 * hellos.size());
   for (std::size_t k = 0; k < hellos.size(); ++k) {
     frames[k] = next_etx_hello(hellos, k);

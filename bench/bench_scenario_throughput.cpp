@@ -4,9 +4,10 @@
 // Manhattan / trace playback / graph-constrained) plus the `map-aware`
 // routing family (zone/grid/gvgrid with route geometry over an imported
 // irregular map) and the `lossy` family (link-quality routing under
-// Nakagami fast fading: etx vs hop-count dsdv vs the paper's yan on the
-// same dense lattice) and the `scale` family (the large-population ladder:
-// 10k-50k vehicles at constant street density) and a population sweep, and
+// Nakagami fast fading on one dense lattice: etx vs hop-count dsdv, the
+// same distance-vector engine at unit link cost, vs the paper's yan) and
+// the `scale` family (the large-population ladder: 10k-50k vehicles at
+// constant street density) and a population sweep, and
 // emits one machine-readable JSON document: wall time, simulator events
 // dispatched, events/sec and the canonical report digest per run. CI runs `--smoke` and fails on malformed
 // output; BENCH_*.json files in the repo root track the full sweep

@@ -41,7 +41,6 @@ enum class HeaderTag : std::uint8_t {
   kDsrRrep,
   kDsrData,
   kDsrRerr,
-  kDsdv,
 };
 
 /// Base class for protocol-specific headers (tag dispatch, see HeaderTag).

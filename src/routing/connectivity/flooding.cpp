@@ -10,7 +10,7 @@ void FloodingProtocol::start() {
   if (suppression_ != FloodSuppression::kEtx) return;
   VANET_ASSERT_MSG(ctx_.hello != nullptr,
                    "flood.suppression=etx requires the hello service");
-  agent_ = std::make_unique<EtxAgent>(self());
+  agent_ = std::make_unique<EtxAgent>(self(), LinkCost::kEtx);
   agent_->attach(*ctx_.hello);
 }
 

@@ -3,18 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/assert.h"
-
 namespace vanet::routing {
 
 void EtxProtocol::start() {
-  VANET_ASSERT_MSG(ctx_.hello != nullptr, "etx requires the hello service");
-  agent_ = std::make_unique<EtxAgent>(self());
+  agent_ = std::make_unique<EtxAgent>(self(), cost_);
   // The agent's hooks, with the estimator-error sample wrapped around the
   // beacon fill: once per beacon, per live link, compare the estimated link
-  // ETX against the analytic value at the true current distance.
+  // ETX against the analytic value at the true current distance. Only the
+  // ETX rule routes on the estimate, so only it samples the error.
   ctx_.hello->set_beacon_extension(self(), [this](net::HelloHeader& h) {
-    sample_estimator_error();
+    if (cost_ == LinkCost::kEtx) sample_estimator_error();
     return agent_->fill_beacon(h);
   });
   ctx_.hello->set_frame_observer(

@@ -9,9 +9,8 @@ namespace vanet::routing {
 
 namespace {
 
-/// Wire-size accounting for the piggyback payload, mirroring the DSDV table
-/// dump costing: id + quantized ratio per link entry, id + quantized
-/// distance + sequence per route entry.
+/// Wire-size accounting for the piggyback payload: id + quantized ratio per
+/// link entry, id + quantized distance + sequence per route entry.
 constexpr std::size_t kLinkEntryBytes = 6;
 constexpr std::size_t kRouteEntryBytes = 10;
 
@@ -22,7 +21,8 @@ constexpr int kKillBeacons = 3;
 
 }  // namespace
 
-EtxAgent::EtxAgent(net::NodeId self) : self_{self} {}
+EtxAgent::EtxAgent(net::NodeId self, LinkCost cost)
+    : self_{self}, cost_{cost} {}
 
 void EtxAgent::attach(net::HelloService& hello) {
   hello.set_beacon_extension(
@@ -218,7 +218,7 @@ void EtxAgent::compute_routes() const {
   };
   frontier_.clear();
   for (const net::NodeId n : table_.neighbors()) {
-    const double cost = table_.etx(n);
+    const double cost = cost_ == LinkCost::kEtx ? table_.etx(n) : 1.0;
     if (cost >= LinkQualityTable::kMaxEtx) continue;
     routes_[n] = Route{cost, n};
     push(cost, n);

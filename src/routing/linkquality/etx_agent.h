@@ -1,13 +1,14 @@
-// The per-node ETX machinery shared by the `etx` protocol and the flooding
-// suppression mode: a LinkQualityTable fed by sequence-numbered hellos, a
-// destination-sequenced distance vector piggybacked on the same hellos
-// (net::HelloRouteEntry — no extra control frames), and Dijkstra over the
-// resulting ETX-weighted neighbor topology.
+// The per-node distance-vector machinery shared by the `etx` and `dsdv`
+// protocols and the flooding suppression mode: a LinkQualityTable fed by
+// sequence-numbered hellos, a destination-sequenced distance vector
+// piggybacked on the same hellos (net::HelloRouteEntry — no extra control
+// frames), and Dijkstra over the resulting weighted neighbor topology.
 //
 // The graph Dijkstra runs over has two layers: measured edges self -> n for
-// every live link (cost: the table's ETX estimate), and advertised edges
+// every live link (cost: the LinkCost rule — the table's ETX estimate, or 1
+// per link, which makes distances hop counts), and advertised edges
 // n -> dst for every entry of n's last distance vector (cost: n's multi-hop
-// ETX distance). Advert state is stored per advertising neighbor and dies
+// distance). Advert state is stored per advertising neighbor and dies
 // with it (hello expiry), so a crashed neighbor can never leave dangling
 // ETX edges behind — the same soft-state discipline as the tables.
 //
@@ -52,9 +53,13 @@
 
 namespace vanet::routing {
 
+/// What a live link costs in the agent's Dijkstra: the table's ETX estimate
+/// (`etx`, flood suppression) or 1 per link (`dsdv`'s hop count).
+enum class LinkCost : std::uint8_t { kEtx, kUnit };
+
 class EtxAgent {
  public:
-  explicit EtxAgent(net::NodeId self);
+  EtxAgent(net::NodeId self, LinkCost cost);
 
   /// Convenience wiring: registers the beacon extension, frame observer and
   /// loss callback for `self` on the service. Protocols that need to wrap a
@@ -71,10 +76,10 @@ class EtxAgent {
   /// The hello layer expired `lost`: drop its link and its adverts.
   void on_neighbor_lost(net::NodeId lost);
 
-  /// First hop of the cheapest ETX path to `dst`; nullopt when unreachable.
+  /// First hop of the cheapest path to `dst`; nullopt when unreachable.
   std::optional<net::NodeId> next_hop(net::NodeId dst) const;
-  /// Multi-hop ETX distance to `dst`; LinkQualityTable::kMaxEtx when
-  /// unknown or unreachable (0 for self).
+  /// Multi-hop distance to `dst` under the link-cost rule;
+  /// LinkQualityTable::kMaxEtx when unknown or unreachable (0 for self).
   double distance_to(net::NodeId dst) const;
 
   const LinkQualityTable& table() const { return table_; }
@@ -127,6 +132,7 @@ class EtxAgent {
   void compute_routes() const;
 
   net::NodeId self_;
+  LinkCost cost_;
   LinkQualityTable table_;
   /// One slot per neighbor holding a beacon, in no particular order.
   std::vector<Advert> adverts_;

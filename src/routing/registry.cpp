@@ -5,7 +5,6 @@
 
 #include "routing/connectivity/aodv.h"
 #include "routing/connectivity/biswas.h"
-#include "routing/connectivity/dsdv.h"
 #include "routing/connectivity/dsr.h"
 #include "routing/connectivity/flooding.h"
 #include "routing/geographic/greedy.h"
@@ -53,14 +52,14 @@ std::vector<ProtocolInfo> build_registry() {
                  return std::make_unique<DsrProtocol>();
                }});
   r.push_back({"dsdv", Category::kConnectivity, "[8] DSDV",
-               "sequenced distance vector", "periodic table dumps",
+               "sequenced distance vector", "hello piggyback",
                [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<DsdvProtocol>();
+                 return std::make_unique<EtxProtocol>(LinkCost::kUnit);
                }});
   r.push_back({"etx", Category::kConnectivity, "[31] De Couto (ETX)",
                "expected transmission count (Dijkstra)", "hello piggyback",
                [](const ProtocolDeps&) -> std::unique_ptr<RoutingProtocol> {
-                 return std::make_unique<EtxProtocol>();
+                 return std::make_unique<EtxProtocol>(LinkCost::kEtx);
                }});
   // --- mobility-based (Sec. IV) --------------------------------------------
   r.push_back({"pbr", Category::kMobility, "[13] PBR",

@@ -134,7 +134,7 @@ net::Packet hello_from(net::NodeId origin, net::HelloHeader h) {
 }
 
 TEST(EtxAgent, RoutesThroughAdvertsAndDropsThemWithTheNeighbor) {
-  EtxAgent agent{0};
+  EtxAgent agent{0, LinkCost::kEtx};
   // Neighbor 1, clean link both ways, advertising a route to 2 at cost 1.
   net::HelloHeader h;
   h.seq = 0;
@@ -162,31 +162,41 @@ TEST(EtxAgent, RoutesThroughAdvertsAndDropsThemWithTheNeighbor) {
 
 TEST(EtxAgent, PrefersReliableTwoHopOverLossyDirect) {
   // Direct link to 2 at ratio 1/4 (ETX 16 after the neighbor's matching
-  // report) vs a clean two-hop detour through 1 (ETX 2): Dijkstra must take
-  // the detour — the whole point of the metric.
-  EtxAgent agent{0};
-  net::HelloHeader via;
-  via.links.push_back({0, 1.0});
-  via.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
-  via.routes.push_back({.dst = 2, .seq = 4, .dist = 1.0});
-  net::HelloHeader direct;
-  direct.links.push_back({0, 0.25});
-  direct.routes.push_back({.dst = 2, .seq = 4, .dist = 0.0});
-  for (std::uint32_t seq = 0; seq < 8; ++seq) {
-    via.seq = seq;
-    agent.on_hello(hello_from(1, via));
-    if (seq % 4 == 0) {  // 2's beacons mostly lost: reverse ratio 2/8
-      direct.seq = seq;
-      agent.on_hello(hello_from(2, direct));
+  // report) vs a clean two-hop detour through 1 (ETX 2): under ETX Dijkstra
+  // must take the detour — the whole point of the metric. The same hellos
+  // under unit cost give dsdv's min-hop answer: the direct link, 1 hop.
+  for (const LinkCost cost : {LinkCost::kEtx, LinkCost::kUnit}) {
+    const bool etx = cost == LinkCost::kEtx;
+    SCOPED_TRACE(etx ? "etx" : "unit");
+    EtxAgent agent{0, cost};
+    net::HelloHeader via;
+    via.links.push_back({0, 1.0});
+    via.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
+    via.routes.push_back({.dst = 2, .seq = 4, .dist = 1.0});
+    net::HelloHeader direct;
+    direct.links.push_back({0, 0.25});
+    direct.routes.push_back({.dst = 2, .seq = 4, .dist = 0.0});
+    for (std::uint32_t seq = 0; seq < 8; ++seq) {
+      via.seq = seq;
+      agent.on_hello(hello_from(1, via));
+      if (seq % 4 == 0) {  // 2's beacons mostly lost: reverse ratio 2/8
+        direct.seq = seq;
+        agent.on_hello(hello_from(2, direct));
+      }
+    }
+    ASSERT_TRUE(agent.next_hop(2).has_value());
+    if (etx) {
+      EXPECT_EQ(*agent.next_hop(2), 1u);
+      EXPECT_LT(agent.distance_to(2), agent.table().etx(2));
+    } else {
+      EXPECT_EQ(*agent.next_hop(2), 2u);
+      EXPECT_DOUBLE_EQ(agent.distance_to(2), 1.0);
     }
   }
-  ASSERT_TRUE(agent.next_hop(2).has_value());
-  EXPECT_EQ(*agent.next_hop(2), 1u);
-  EXPECT_LT(agent.distance_to(2), agent.table().etx(2));
 }
 
 TEST(EtxAgent, BeaconCarriesLinkReportsAndDistanceVector) {
-  EtxAgent agent{0};
+  EtxAgent agent{0, LinkCost::kEtx};
   net::HelloHeader in;
   in.links.push_back({0, 1.0});
   in.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
@@ -218,9 +228,9 @@ TEST(EtxAgent, ReceiversShareOneBeacon) {
   h.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
   h.routes.push_back({.dst = 9, .seq = 4, .dist = 2.0});
   const net::Packet p = hello_from(1, h);
-  EtxAgent a{0};
-  EtxAgent b{2};
-  EtxAgent c{3};
+  EtxAgent a{0, LinkCost::kEtx};
+  EtxAgent b{2, LinkCost::kEtx};
+  EtxAgent c{3, LinkCost::kEtx};
   for (EtxAgent* agent : {&a, &b, &c}) agent->on_hello(p);
   EXPECT_EQ(p.header.use_count(), 4);
   EXPECT_DOUBLE_EQ(a.distance_to(9), 3.0);  // link ETX 1 + advert 2
@@ -232,7 +242,7 @@ TEST(EtxAgent, NewerBeaconOrLossReleasesTheOldOne) {
   h.links.push_back({0, 1.0});
   h.routes.push_back({.dst = 1, .seq = 2, .dist = 0.0});
   h.routes.push_back({.dst = 9, .seq = 4, .dist = 2.0});
-  EtxAgent agent{0};
+  EtxAgent agent{0, LinkCost::kEtx};
   const net::Packet first = hello_from(1, h);
   agent.on_hello(first);
   EXPECT_EQ(first.header.use_count(), 2);
@@ -258,7 +268,7 @@ TEST(EtxAgent, EntryRefusedAgainstAKillStaysRefusedAfterTheKillClears) {
     return h;
   };
   constexpr double kPoison = LinkQualityTable::kMaxEtx;
-  EtxAgent agent{0};
+  EtxAgent agent{0, LinkCost::kEtx};
   // 1 offers 5 cheaply; 2 then invalidates 5 one sequence past it.
   agent.on_hello(hello_from(1, hello(0, {{1, 2, 0.0}, {5, 4, 1.0}})));
   agent.on_hello(hello_from(2, hello(0, {{2, 2, 0.0}, {5, 5, kPoison}})));
@@ -288,7 +298,7 @@ TEST(EtxAgent, EntryRefusedAgainstAKillStaysRefusedAfterTheKillClears) {
 /// agent must match it entry for entry on every observable.
 class MapEtxAgent {
  public:
-  explicit MapEtxAgent(net::NodeId self) : self_{self} {}
+  MapEtxAgent(net::NodeId self, LinkCost cost) : self_{self}, cost_{cost} {}
 
   std::size_t fill_beacon(net::HelloHeader& h) {
     for (const net::NodeId n : table_.neighbors()) {
@@ -403,7 +413,7 @@ class MapEtxAgent {
                         std::greater<QueueEntry>>
         frontier;
     for (const net::NodeId n : table_.neighbors()) {
-      const double cost = table_.etx(n);
+      const double cost = cost_ == LinkCost::kEtx ? table_.etx(n) : 1.0;
       if (cost >= LinkQualityTable::kMaxEtx) continue;
       auto [it, fresh] = routes_.try_emplace(n);
       if (fresh || cost < it->second.dist) {
@@ -434,6 +444,7 @@ class MapEtxAgent {
   }
 
   net::NodeId self_;
+  LinkCost cost_;
   LinkQualityTable table_;
   std::map<net::NodeId, std::vector<net::HelloRouteEntry>> adverts_;
   std::map<net::NodeId, std::uint32_t> dst_seqs_;
@@ -490,7 +501,9 @@ void expect_same_entries(const net::HelloHeader& a, const net::HelloHeader& b) {
   }
 }
 
-TEST(EtxAgent, DenseAgentMatchesOrderedMapReference) {
+/// Drives the dense agent and the map reference with the same random
+/// hellos and losses under `cost`, comparing every observable each step.
+void expect_dense_matches_reference(LinkCost cost) {
   constexpr int kSeeds = 30;
   constexpr int kSteps = 300;
   for (int seed = 1; seed <= kSeeds; ++seed) {
@@ -507,8 +520,8 @@ TEST(EtxAgent, DenseAgentMatchesOrderedMapReference) {
       if (id != self) senders.push_back(id);
     }
     std::map<net::NodeId, std::uint32_t> next_seq;
-    EtxAgent dense{self};
-    MapEtxAgent reference{self};
+    EtxAgent dense{self, cost};
+    MapEtxAgent reference{self, cost};
 
     for (int step = 0; step < kSteps; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
@@ -549,6 +562,14 @@ TEST(EtxAgent, DenseAgentMatchesOrderedMapReference) {
   }
 }
 
+TEST(EtxAgent, DenseAgentMatchesOrderedMapReference) {
+  for (const LinkCost cost : {LinkCost::kEtx, LinkCost::kUnit}) {
+    SCOPED_TRACE(cost == LinkCost::kEtx ? "etx" : "unit");
+    expect_dense_matches_reference(cost);
+    if (HasFailure()) return;
+  }
+}
+
 // ----------------------------------------- Nakagami convergence property ---
 
 /// Two stationary vehicles at `distance` under Nakagami-m fading, hello
@@ -560,7 +581,7 @@ struct ConvergenceFixture {
   std::unique_ptr<mobility::MobilityManager> mgr;
   std::unique_ptr<net::Network> net;
   std::unique_ptr<net::HelloService> hello;
-  EtxAgent agent{0};
+  EtxAgent agent{0, LinkCost::kEtx};
 
   ConvergenceFixture(double distance, int m, std::uint64_t seed)
       : rngs{seed} {
@@ -721,9 +742,9 @@ TEST(FloodSuppressionTest, BiswasComposesSuppressionWithImplicitAcks) {
 // ------------------------------------------------------------ determinism ---
 
 TEST(EtxScenario, SweepIsByteIdenticalAcrossWorkerCounts) {
-  // jobs=1 == jobs=4 for an etx sweep under fast fading: the estimator, the
-  // piggyback and the suppression jitter all ride per-run streams, so worker
-  // scheduling cannot perturb them.
+  // jobs=1 == jobs=4 for an etx and dsdv sweep under fast fading: the
+  // estimator, the piggyback held by reference and the suppression jitter
+  // all ride per-run streams, so worker scheduling cannot perturb them.
   sim::ExperimentSpec spec;
   spec.base.duration_s = 8.0;
   spec.base.mobility = sim::MobilityKind::kManhattan;
@@ -735,7 +756,7 @@ TEST(EtxScenario, SweepIsByteIdenticalAcrossWorkerCounts) {
   spec.base.nakagami_m = 1;
   spec.base.traffic.flows = 6;
   spec.base.traffic.stop_s = 8.0;
-  spec.protocols = {"etx"};
+  spec.protocols = {"etx", "dsdv"};
   spec.seeds = {1, 2};
 
   std::ostringstream serial, parallel;
@@ -745,6 +766,7 @@ TEST(EtxScenario, SweepIsByteIdenticalAcrossWorkerCounts) {
   sim::ExperimentEngine{4}.run(spec, parallel_sink);
   EXPECT_EQ(serial.str(), parallel.str());
   EXPECT_NE(serial.str().find("\"protocol\":\"etx\""), std::string::npos);
+  EXPECT_NE(serial.str().find("\"protocol\":\"dsdv\""), std::string::npos);
 }
 
 }  // namespace

@@ -62,8 +62,9 @@ TEST(Registry, InstanceMetadataConsistent) {
 
 // Every protocol is built from config values alone: the world (the map and
 // what derives from it) arrives at bind(). A flowing 5-hop convoy, so that
-// Wedde's road rating admits its links, and a warm-up long enough for
-// DSDV's distance vector to converge (one 2 s advert round per hop).
+// Wedde's road rating admits its links, and a warm-up long enough for the
+// hello-borne distance vectors of dsdv and etx to converge (one beacon
+// round per hop).
 TEST(ProtocolRegistry, EveryProtocolBuildsFromDefaultDeps) {
   for (const auto& info : ProtocolRegistry::all()) {
     testing::LineFixtureOptions opt;
