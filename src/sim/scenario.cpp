@@ -209,8 +209,7 @@ std::string canonical_report_string(const ScenarioReport& r) {
   return out;
 }
 
-std::string report_digest(const ScenarioReport& r) {
-  const std::string canonical = canonical_report_string(r);
+std::string canonical_digest(std::string_view canonical) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   for (const char c : canonical) {
     h ^= static_cast<unsigned char>(c);
@@ -219,6 +218,10 @@ std::string report_digest(const ScenarioReport& r) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
   return std::string{buf};
+}
+
+std::string report_digest(const ScenarioReport& r) {
+  return canonical_digest(canonical_report_string(r));
 }
 
 bool uses_route_geometry(GeometryMode geometry, const map::RoadGraph& graph) {

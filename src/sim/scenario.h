@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/rng.h"
@@ -171,9 +172,13 @@ struct ScenarioReport {
 /// byte-identically iff they are bit-identical.
 std::string canonical_report_string(const ScenarioReport& r);
 
-/// 64-bit FNV-1a digest of canonical_report_string(), as 16 lowercase hex
-/// chars. The determinism golden test and the throughput bench use this to
-/// prove perf refactors leave the physics untouched.
+/// 64-bit FNV-1a digest of a canonical report string, as 16 lowercase hex
+/// chars.
+std::string canonical_digest(std::string_view canonical);
+
+/// canonical_digest(canonical_report_string(r)). The determinism golden test
+/// and the throughput bench use this to prove perf refactors leave the
+/// physics untouched.
 std::string report_digest(const ScenarioReport& r);
 
 /// The first two construction stages, public so benches can time them

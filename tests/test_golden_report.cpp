@@ -4,18 +4,23 @@
 //
 // This is the guard that lets hot-path refactors proceed safely: any change
 // to RNG draw order, channel semantics, candidate sets or float evaluation
-// shows up here as a digest mismatch. If a *deliberate* physics change is
-// made, regenerate the reference with:
+// shows up here as a digest mismatch. Next to each digest,
+// tests/golden/report_canonical.txt holds the row's canonical report, so a
+// mismatch names every field that moved with its old and new value. If a
+// *deliberate* physics change is made, regenerate both files with:
 //   VANET_UPDATE_GOLDEN=1 ./vanet_tests --gtest_filter='GoldenReport.*'
 // and commit the diff with an explanation of why the physics moved.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "routing/registry.h"
 #include "sim/scenario.h"
@@ -29,6 +34,10 @@ namespace {
 
 std::string golden_path() {
   return std::string{VANET_SOURCE_DIR} + "/tests/golden/report_digests.txt";
+}
+
+std::string canonical_path() {
+  return std::string{VANET_SOURCE_DIR} + "/tests/golden/report_canonical.txt";
 }
 
 std::map<std::string, ScenarioConfig> golden_configs() {
@@ -276,43 +285,156 @@ std::map<std::string, ScenarioConfig> golden_configs() {
   return configs;
 }
 
-std::map<std::string, std::string> load_reference() {
-  std::map<std::string, std::string> ref;
-  std::ifstream in{golden_path()};
+/// One pinned row: its digest and the canonical report it hashes.
+struct GoldenRow {
+  std::string digest;
+  std::string canonical;
+};
+
+/// Both reference files, joined by row name. The canonical file holds one
+/// `[name]` header per row followed by that row's canonical report lines.
+std::map<std::string, GoldenRow> load_reference() {
+  std::map<std::string, GoldenRow> ref;
+  std::ifstream digests{golden_path()};
   std::string name, digest;
-  while (in >> name >> digest) ref[name] = digest;
+  while (digests >> name >> digest) ref[name].digest = digest;
+  std::ifstream canonical{canonical_path()};
+  std::string line;
+  GoldenRow* row = nullptr;
+  while (std::getline(canonical, line)) {
+    if (line.size() > 2 && line.front() == '[' && line.back() == ']') {
+      row = &ref[line.substr(1, line.size() - 2)];
+    } else if (row != nullptr) {
+      row->canonical += line + "\n";
+    }
+  }
   return ref;
 }
 
+void write_reference(const std::map<std::string, GoldenRow>& rows) {
+  std::ofstream digests{golden_path()};
+  std::ofstream canonical{canonical_path()};
+  ASSERT_TRUE(digests) << "cannot write " << golden_path();
+  ASSERT_TRUE(canonical) << "cannot write " << canonical_path();
+  for (const auto& [name, row] : rows) {
+    digests << name << " " << row.digest << "\n";
+    canonical << "[" << name << "]\n" << row.canonical;
+  }
+}
+
+/// `name=value` lines of a canonical report, in order.
+std::vector<std::pair<std::string, std::string>> report_fields(
+    const std::string& canonical) {
+  std::vector<std::pair<std::string, std::string>> fields;
+  std::istringstream in{canonical};
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) continue;
+    fields.emplace_back(line.substr(0, eq), line.substr(eq + 1));
+  }
+  return fields;
+}
+
+/// A hexfloat value in decimal as well ("0x1.8p-1 (0.75)"); integers and
+/// strings as they are.
+std::string with_decimal(const std::string& value) {
+  if (value.rfind("0x", 0) != 0 && value.rfind("-0x", 0) != 0) return value;
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", std::strtod(value.c_str(), nullptr));
+  return std::string{buf} + " (" + value + ")";
+}
+
+/// One line per field whose value differs between two canonical reports,
+/// including a field present in only one of them.
+std::string moved_fields(const std::string& before, const std::string& after) {
+  const auto old_fields = report_fields(before);
+  const auto new_fields = report_fields(after);
+  const std::map<std::string, std::string> old_map(old_fields.begin(),
+                                                   old_fields.end());
+  const std::map<std::string, std::string> new_map(new_fields.begin(),
+                                                   new_fields.end());
+  std::string out;
+  const auto line = [&out](const std::string& key, const std::string& was,
+                           const std::string& now) {
+    out += "  " + key + ": " + was + " -> " + now + "\n";
+  };
+  for (const auto& [key, value] : new_fields) {
+    const auto it = old_map.find(key);
+    const std::string was = it == old_map.end() ? "(absent)" : it->second;
+    if (was != value) line(key, with_decimal(was), with_decimal(value));
+  }
+  for (const auto& [key, value] : old_fields) {
+    if (!new_map.contains(key)) line(key, with_decimal(value), "(absent)");
+  }
+  return out;
+}
+
 TEST(GoldenReport, FixedSeedDigestsMatchCommittedReference) {
-  std::map<std::string, std::string> actual;
+  std::map<std::string, GoldenRow> actual;
   for (const auto& [name, cfg] : golden_configs()) {
     Scenario scenario{cfg};
     scenario.run();
-    actual[name] = report_digest(scenario.report());
+    const ScenarioReport report = scenario.report();
+    actual[name] = {report_digest(report), canonical_report_string(report)};
   }
 
   if (std::getenv("VANET_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out{golden_path()};
-    ASSERT_TRUE(out) << "cannot write " << golden_path();
-    for (const auto& [name, digest] : actual) {
-      out << name << " " << digest << "\n";
-    }
-    GTEST_SKIP() << "golden reference regenerated at " << golden_path();
+    write_reference(actual);
+    GTEST_SKIP() << "golden reference regenerated at " << golden_path()
+                 << " and " << canonical_path();
   }
 
-  const std::map<std::string, std::string> reference = load_reference();
+  const std::map<std::string, GoldenRow> reference = load_reference();
   ASSERT_FALSE(reference.empty())
       << "missing or empty golden reference " << golden_path();
   EXPECT_EQ(actual.size(), reference.size());
-  for (const auto& [name, digest] : actual) {
+  for (const auto& [name, row] : actual) {
     const auto it = reference.find(name);
     ASSERT_NE(it, reference.end()) << "no reference digest for " << name;
-    EXPECT_EQ(digest, it->second)
+    EXPECT_EQ(row.digest, it->second.digest)
         << "fixed-seed ScenarioReport changed for '" << name
         << "' — a perf refactor must not change physics. If the change is "
-           "deliberate, rerun with VANET_UPDATE_GOLDEN=1 and commit.";
+           "deliberate, rerun with VANET_UPDATE_GOLDEN=1 and commit. Moved "
+           "fields (committed -> now):\n"
+        << moved_fields(it->second.canonical, row.canonical);
   }
+}
+
+// The committed explanation must be the committed check: every stored
+// canonical report hashes to its row's stored digest.
+TEST(GoldenReport, StoredReportsHashToStoredDigests) {
+  const std::map<std::string, GoldenRow> reference = load_reference();
+  ASSERT_FALSE(reference.empty());
+  for (const auto& [name, row] : reference) {
+    EXPECT_FALSE(row.digest.empty()) << "no digest for " << name;
+    EXPECT_FALSE(row.canonical.empty()) << "no canonical report for " << name;
+    EXPECT_EQ(canonical_digest(row.canonical), row.digest) << name;
+  }
+}
+
+TEST(GoldenReport, MovedFieldsNameEveryChangedValue) {
+  ScenarioReport before;
+  before.protocol = "aodv";
+  before.pdr = 0.5;
+  before.delivered = 10;
+  ScenarioReport after = before;
+  after.pdr = 0.75;
+  after.delivered = 12;
+  after.linkquality = LinkQualityReport{};
+  const std::string moved = moved_fields(canonical_report_string(before),
+                                         canonical_report_string(after));
+  EXPECT_NE(moved.find("  pdr: 0.5 (0x1p-1) -> 0.75 (0x1.8p-1)\n"),
+            std::string::npos)
+      << moved;
+  EXPECT_NE(moved.find("  delivered: 10 -> 12\n"), std::string::npos) << moved;
+  EXPECT_NE(moved.find("  suppressed_rebroadcasts: (absent) -> 0\n"),
+            std::string::npos)
+      << moved;
+  EXPECT_EQ(moved.find("originated"), std::string::npos) << moved;
+  EXPECT_TRUE(moved_fields(canonical_report_string(before),
+                           canonical_report_string(before))
+                  .empty());
 }
 
 // A protocol without a row could change its results unnoticed.
