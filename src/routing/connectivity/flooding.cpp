@@ -32,11 +32,14 @@ void FloodingProtocol::handle_frame(const net::Packet& p) {
   // Quirk shared by the flood family: seen_ is checked before deliver(), so
   // every copy after the first stops here, at the destination too.
   if (seen_.seen_or_insert(key)) {
-    // A copy from someone else: if our own rebroadcast of this packet is
-    // still deferred, that earlier transmitter was better placed — cancel.
-    if (auto it = deferred_.find(key); it != deferred_.end()) {
-      if (it->second.pending()) {
-        it->second.cancel();
+    // A copy from someone else while our own rebroadcast of this packet is
+    // still deferred: each such transmitter was better placed. Once
+    // kSuppressCopies of them have covered the neighbourhood, ours is
+    // redundant — cancel it.
+    if (auto it = deferred_.find(key);
+        it != deferred_.end() && ++it->second.overheard >= kSuppressCopies) {
+      if (it->second.handle.pending()) {
+        it->second.handle.cancel();
         ++events().suppressed_rebroadcasts;
       }
       deferred_.erase(it);
@@ -56,10 +59,11 @@ void FloodingProtocol::handle_frame(const net::Packet& p) {
     const double slots =
         std::min(agent_->distance_to(p.origin), kSuppressCapEtx);
     delay = delay + core::SimTime::seconds(slots * kSuppressSlotMs * 1e-3);
-    deferred_[key] = ctx_.sim->schedule(delay, [this, key, fwd]() mutable {
-      deferred_.erase(key);
-      broadcast(std::move(fwd));
-    });
+    deferred_[key] = Deferred{
+        ctx_.sim->schedule(delay, [this, key, fwd]() mutable {
+          deferred_.erase(key);
+          broadcast(std::move(fwd));
+        })};
   } else {
     schedule(delay, [this, fwd]() mutable { broadcast(std::move(fwd)); });
   }

@@ -9,9 +9,13 @@
 // `flood.suppression=etx` arms coordinated rebroadcast suppression: instead
 // of a flat jitter, a node defers its re-flood by a delay proportional to
 // its multi-hop ETX distance to the packet's origin (well-connected nodes
-// fire first) and cancels the deferred copy when it overhears the same
-// packet from someone else during the wait — the earlier transmitter was
-// better placed, by the same delay rule, so this copy is redundant.
+// fire first) and cancels the deferred copy once it has overheard the same
+// packet from kSuppressCopies others during the wait — the earlier
+// transmitters were better placed, by the same delay rule, so this copy is
+// redundant. The threshold is the counter-based scheme of the broadcast-storm
+// study (Ni, Tseng, Chen & Sheu, MobiCom 1999): cancelling on the first
+// overheard copy loses reachability where that one transmitter leaves part
+// of the neighbourhood uncovered.
 #pragma once
 
 #include <map>
@@ -56,13 +60,20 @@ class FloodingProtocol : public RoutingProtocol {
   /// (capped at kSuppressCapEtx units) + the usual jitter as a tie-breaker.
   static constexpr double kSuppressSlotMs = 4.0;
   static constexpr double kSuppressCapEtx = 16.0;
+  /// Overheard copies that cancel a deferred rebroadcast.
+  static constexpr int kSuppressCopies = 3;
 
  private:
   DupCache seen_;
   FloodSuppression suppression_;
   std::unique_ptr<EtxAgent> agent_;
+  /// A rebroadcast waiting out its delay, and the copies overheard since.
+  struct Deferred {
+    core::EventHandle handle;
+    int overheard = 0;
+  };
   /// Deferred rebroadcasts, cancellable by flood key while they wait.
-  std::map<std::uint64_t, core::EventHandle> deferred_;
+  std::map<std::uint64_t, Deferred> deferred_;
 };
 
 }  // namespace vanet::routing

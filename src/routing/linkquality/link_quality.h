@@ -19,9 +19,9 @@ namespace vanet::routing {
 
 /// Rebroadcast-coordination mode of the flooding protocols
 /// (`flood.suppression`): kEtx defers each re-flood proportionally to the
-/// node's ETX distance to the packet's origin and cancels it when a copy is
-/// overheard first (a node that fired earlier was better placed, by the
-/// same delay rule).
+/// node's ETX distance to the packet's origin and cancels it once three
+/// copies are overheard first (nodes that fired earlier were better placed,
+/// by the same delay rule; FloodingProtocol::kSuppressCopies).
 enum class FloodSuppression { kNone, kEtx };
 
 /// The per-node estimator: one entry per live neighbor link.
