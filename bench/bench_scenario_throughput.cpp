@@ -28,13 +28,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "map/builders.h"
-#include "mobility/manhattan_grid.h"
+#include "mobility/graph_mobility.h"
 #include "mobility/trace.h"
 #include "sim/scenario.h"
 
@@ -314,7 +315,11 @@ ScenarioConfig make_config(const std::string& family, int vehicles,
     // Deterministically record a Manhattan run and play it back, so the
     // trace family exercises TracePlaybackModel with realistic motion.
     cfg.mobility = MobilityKind::kTrace;
-    vanet::mobility::ManhattanGridModel model{manhattan_for(vehicles)};
+    const vanet::mobility::ManhattanConfig lattice = manhattan_for(vehicles);
+    vanet::mobility::GraphMobilityModel model{
+        std::make_shared<vanet::map::RoadGraph>(
+            lattice.streets_x, lattice.streets_y, lattice.block),
+        lattice};
     vanet::core::Rng rng{opt.seed * 7919 + 17};
     model.populate(vehicles, rng);
     vanet::mobility::TraceRecorder recorder;

@@ -213,6 +213,9 @@ std::vector<bool> ambiguous_interior_segments(const RoadGraph& graph) {
   constexpr double kMinSin = 0.01;      // so is an angle this shallow
   const std::size_t n = graph.segment_count();
   std::vector<bool> flagged(n, false);
+  // Lattice segments meet only at right angles and cross nowhere, so the
+  // O(segments^2) pair loop below would flag nothing.
+  if (graph.is_grid()) return flagged;
   std::vector<core::Vec2> pa(n), pb(n);
   for (std::size_t s = 0; s < n; ++s) {
     const auto [a, b] = graph.segment_ends(static_cast<int>(s));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/assert.h"
@@ -26,6 +27,43 @@ GraphMobilityModel::GraphMobilityModel(
                      "graph mobility: isolated intersection");
   }
   VANET_ASSERT(cfg_.replan_prob >= 0.0 && cfg_.replan_prob <= 1.0);
+}
+
+GraphMobilityModel::GraphMobilityModel(
+    std::shared_ptr<const map::RoadGraph> graph, const ManhattanConfig& cfg)
+    : GraphMobilityModel{std::move(graph),
+                         GraphMobilityConfig{.speed_mean = cfg.speed_mean,
+                                             .speed_stddev = cfg.speed_stddev}} {
+  turns_ = cfg;
+}
+
+int GraphMobilityModel::choose_turn(int from, int here, core::Rng& rng) const {
+  // Each exit but the way back is straight (within 45 degrees of the
+  // incoming heading), left (counter-clockwise) or right, and weighs its
+  // class's probability; two passes over the adjacency draw without a list.
+  const core::Vec2 at = graph_->intersection_pos(here);
+  const core::Vec2 in = (at - graph_->intersection_pos(from)).normalized();
+  const auto weight = [&](int next) {
+    if (next == from) return 0.0;
+    const core::Vec2 out = (graph_->intersection_pos(next) - at).normalized();
+    const double cross = in.cross(out);
+    if (in.dot(out) >= std::abs(cross)) {
+      return std::max(0.0, 1.0 - turns_->turn_prob_left - turns_->turn_prob_right);
+    }
+    return cross > 0.0 ? turns_->turn_prob_left : turns_->turn_prob_right;
+  };
+  double total = 0.0;
+  for (const auto& [next, seg] : graph_->adjacency(here)) total += weight(next);
+  if (total <= 0.0) return from;  // dead end, or every exit weighs 0
+  double pick = rng.uniform(0.0, total);
+  int chosen = from;
+  for (const auto& [next, seg] : graph_->adjacency(here)) {
+    const double w = weight(next);
+    if (w <= 0.0) continue;
+    chosen = next;  // the last positive exit, should rounding exhaust `pick`
+    if ((pick -= w) < 0.0) break;
+  }
+  return chosen;
 }
 
 std::vector<int> GraphMobilityModel::plan_path(int at, int dest) const {
@@ -55,12 +93,9 @@ void GraphMobilityModel::plan_trip(Car& c, int at, core::Rng& rng) {
       }
       auto path = plan_path(at, dest);
       if (path.size() < 2) continue;  // unreachable
-      c.from = at;
+      c.hop(at, path[1]);
       c.dest = dest;
       c.path = std::move(path);
-      c.path_idx = 1;
-      c.to = c.path[1];
-      c.along = 0.0;
       return;
     }
   }
@@ -87,21 +122,10 @@ void GraphMobilityModel::plan_trip(Car& c, int at, core::Rng& rng) {
     pick = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(adj.size()) - 1));
   }
-  const int nbr = adj[pick].first;
-  c.from = at;
-  c.dest = nbr;
-  c.path = {at, nbr};
-  c.path_idx = 1;
-  c.to = nbr;
-  c.along = 0.0;
+  c.hop(at, adj[pick].first);
 }
 
-VehicleId GraphMobilityModel::add_vehicle(int at, double speed,
-                                          core::Rng& rng) {
-  VANET_ASSERT(at >= 0 && at < graph_->intersection_count());
-  Car c;
-  c.speed = std::max(1.0, speed);
-  plan_trip(c, at, rng);
+VehicleId GraphMobilityModel::add_car(Car c) {
   cars_.push_back(std::move(c));
   VehicleState s;
   s.id = static_cast<VehicleId>(states_.size());
@@ -110,13 +134,35 @@ VehicleId GraphMobilityModel::add_vehicle(int at, double speed,
   return states_.back().id;
 }
 
+VehicleId GraphMobilityModel::add_vehicle(int from, int to, double speed) {
+  VANET_ASSERT(from >= 0 && from < graph_->intersection_count());
+  VANET_ASSERT_MSG(graph_->segment_between(from, to) >= 0,
+                   "add_vehicle: no segment joins from and to");
+  Car c;
+  c.hop(from, to);
+  c.speed = std::max(1.0, speed);
+  return add_car(std::move(c));
+}
+
 void GraphMobilityModel::populate(int count, core::Rng& rng) {
   const int n = graph_->intersection_count();
+  const auto directed = static_cast<std::int64_t>(2 * graph_->segment_count());
+  const auto draw_speed = [&] {
+    return std::max(2.0, rng.normal(cfg_.speed_mean, cfg_.speed_stddev));
+  };
   for (int i = 0; i < count; ++i) {
-    const int at = static_cast<int>(rng.uniform_int(0, n - 1));
-    const double v =
-        std::max(2.0, rng.normal(cfg_.speed_mean, cfg_.speed_stddev));
-    add_vehicle(at, v, rng);
+    if (turns_) {
+      const std::int64_t d = rng.uniform_int(0, directed - 1);
+      const auto [a, b] = graph_->segment_ends(static_cast<int>(d / 2));
+      const bool forward = d % 2 == 0;
+      add_vehicle(forward ? a : b, forward ? b : a, draw_speed());
+    } else {
+      const int at = static_cast<int>(rng.uniform_int(0, n - 1));
+      Car c;
+      c.speed = draw_speed();
+      plan_trip(c, at, rng);
+      add_car(std::move(c));
+    }
   }
 }
 
@@ -145,8 +191,10 @@ void GraphMobilityModel::step(double dt, core::Rng& rng) {
           blocked_count_ > 0 && c.path_idx + 1 < c.path.size() &&
           blocked_[static_cast<std::size_t>(graph_->segment_between(
               here, c.path[c.path_idx + 1]))] != 0;
-      if (here == c.dest || c.path_idx + 1 >= c.path.size() || next_blocked ||
-          rng.bernoulli(cfg_.replan_prob)) {
+      if (turns_) {
+        c.hop(here, choose_turn(c.from, here, rng));
+      } else if (here == c.dest || c.path_idx + 1 >= c.path.size() ||
+                 next_blocked || rng.bernoulli(cfg_.replan_prob)) {
         plan_trip(c, here, rng);
       } else {
         c.from = here;
@@ -179,6 +227,7 @@ int GraphMobilityModel::current_segment(VehicleId id) const {
 }
 
 void GraphMobilityModel::set_segment_blocked(int segment, bool blocked) {
+  VANET_ASSERT_MSG(!turns_, "the turn rule reads no segment blocks");
   VANET_ASSERT_MSG(
       segment >= 0 &&
           static_cast<std::size_t>(segment) < graph_->segment_count(),

@@ -11,11 +11,9 @@
 // its multi-hop ETX distance to the packet's origin (well-connected nodes
 // fire first) and cancels the deferred copy once it has overheard the same
 // packet from kSuppressCopies others during the wait — the earlier
-// transmitters were better placed, by the same delay rule, so this copy is
-// redundant. The threshold is the counter-based scheme of the broadcast-storm
-// study (Ni, Tseng, Chen & Sheu, MobiCom 1999): cancelling on the first
-// overheard copy loses reachability where that one transmitter leaves part
-// of the neighbourhood uncovered.
+// transmitters were better placed, by the same delay rule. The threshold is
+// the counter-based scheme of the broadcast-storm study (Ni, Tseng, Chen &
+// Sheu, MobiCom 1999): cancelling on the first copy loses reachability.
 #pragma once
 
 #include <map>

@@ -80,10 +80,10 @@ struct FaultCounters {
 
 class FaultPlan {
  public:
-  /// `roads` may be null when the scenario has no graph mobility; the plan
-  /// then rejects segment faults at start(). `rng` must be the dedicated
-  /// "fault" stream. `duration_s` bounds scheduling: transitions beyond the
-  /// horizon are never enqueued.
+  /// `roads` is null unless the scenario drives trips (mobility=graph); the
+  /// plan then rejects segment faults at start(). `rng` must be the
+  /// dedicated "fault" stream. `duration_s` bounds scheduling: transitions
+  /// beyond the horizon are never enqueued.
   FaultPlan(core::Simulator& sim, net::Network& net,
             mobility::GraphMobilityModel* roads, core::Rng& rng,
             FaultConfig cfg, double duration_s);

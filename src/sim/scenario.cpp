@@ -239,8 +239,8 @@ std::shared_ptr<map::RoadGraph> build_road_graph(const ScenarioConfig& cfg) {
   }
   if (cfg.mobility == MobilityKind::kManhattan ||
       cfg.mobility == MobilityKind::kGraph) {
-    // Urban lattice; kGraph shares the Manhattan dimensions so the two urban
-    // models are directly comparable on the same topology.
+    // Urban lattice from the manhattan.* dimensions; the turn rule and the
+    // trip rule drive the same topology.
     return std::make_shared<map::RoadGraph>(
         cfg.manhattan.streets_x, cfg.manhattan.streets_y, cfg.manhattan.block);
   }
@@ -263,13 +263,13 @@ std::unique_ptr<mobility::MobilityModel> make_mobility_model(
     highway->populate(cfg.vehicles_per_direction,
                       rngs.stream("mobility-init"));
     model = std::move(highway);
-  } else if (cfg.mobility == MobilityKind::kManhattan) {
-    auto grid = std::make_unique<mobility::ManhattanGridModel>(cfg.manhattan);
-    grid->populate(cfg.vehicles, rngs.stream("mobility-init"));
-    model = std::move(grid);
-  } else if (cfg.mobility == MobilityKind::kGraph) {
+  } else if (cfg.mobility == MobilityKind::kManhattan ||
+             cfg.mobility == MobilityKind::kGraph) {
     auto graph_model =
-        std::make_unique<mobility::GraphMobilityModel>(graph, cfg.graph);
+        cfg.mobility == MobilityKind::kManhattan
+            ? std::make_unique<mobility::GraphMobilityModel>(graph,
+                                                             cfg.manhattan)
+            : std::make_unique<mobility::GraphMobilityModel>(graph, cfg.graph);
     graph_model->populate(cfg.vehicles, rngs.stream("mobility-init"));
     if (graph_model_out != nullptr) *graph_model_out = graph_model.get();
     model = std::move(graph_model);
@@ -402,9 +402,11 @@ Scenario::Scenario(ScenarioConfig cfg) : cfg_{std::move(cfg)}, rngs_{cfg_.seed} 
   // derived, no event is scheduled and metrics keep their lean path —
   // provably bit-identical to a build without the fault subsystem.
   if (cfg_.fault.active()) {
+    // The turn rule reads no blocks: a segment fault under it is refused.
     fault_plan_ = std::make_unique<FaultPlan>(
-        sim_, *net_, graph_model_, rngs_.stream("fault"), cfg_.fault,
-        cfg_.duration_s);
+        sim_, *net_,
+        cfg_.mobility == MobilityKind::kGraph ? graph_model_ : nullptr,
+        rngs_.stream("fault"), cfg_.fault, cfg_.duration_s);
     metrics_.set_fault_tracking(true);
   }
 }

@@ -17,7 +17,6 @@
 #include "map/segment_snapshot.h"
 #include "mobility/graph_mobility.h"
 #include "mobility/idm_highway.h"
-#include "mobility/manhattan_grid.h"
 #include "mobility/mobility_manager.h"
 #include "mobility/trace.h"
 #include "net/hello.h"
@@ -57,8 +56,8 @@ bool uses_route_geometry(GeometryMode geometry, const map::RoadGraph& graph);
 struct MapSpec {
   MapSource source = MapSource::kGrid;
   /// Edge-list CSV path, loaded at scenario construction (source=kFile only).
-  /// A file map requires kGraph or kTrace mobility — the synthetic highway /
-  /// Manhattan models generate their own geometry and would diverge from it.
+  /// A file map requires kGraph or kTrace mobility — the highway and the
+  /// Manhattan lattice are generated from their own keys and would diverge.
   std::string file;
   /// Trace↔map coupling guard: with trace mobility over a file map, every
   /// trace sample must lie within this distance of some road segment, or the
@@ -173,12 +172,10 @@ struct ScenarioReport {
 std::string canonical_report_string(const ScenarioReport& r);
 
 /// 64-bit FNV-1a digest of a canonical report string, as 16 lowercase hex
-/// chars.
+/// chars; report_digest(r) is that of canonical_report_string(r). The
+/// determinism golden test and the throughput bench use it to prove perf
+/// refactors leave the physics untouched.
 std::string canonical_digest(std::string_view canonical);
-
-/// canonical_digest(canonical_report_string(r)). The determinism golden test
-/// and the throughput bench use this to prove perf refactors leave the
-/// physics untouched.
 std::string report_digest(const ScenarioReport& r);
 
 /// The first two construction stages, public so benches can time them
@@ -236,7 +233,7 @@ class Scenario {
   }
   /// Null unless faults are configured (FaultConfig::active).
   FaultPlan* fault_plan() { return fault_plan_.get(); }
-  /// Null unless the scenario uses graph mobility.
+  /// Null unless mobility=manhattan (turn rule) or mobility=graph (trips).
   mobility::GraphMobilityModel* graph_model() { return graph_model_; }
   std::size_t vehicle_count() const { return vehicle_count_; }
   /// The shared road topology (mobility + routing both reference it).
@@ -254,7 +251,8 @@ class Scenario {
   std::unique_ptr<map::SegmentIndex> segment_index_;
   std::unique_ptr<mobility::MobilityManager> mobility_;
   /// Borrowed view of the mobility model when it is graph-based (the manager
-  /// owns it); the fault plan drives segment blocks through it.
+  /// owns it); under the trip rule the fault plan drives segment blocks
+  /// through it.
   mobility::GraphMobilityModel* graph_model_ = nullptr;
   std::size_t vehicle_count_ = 0;
   routing::FerrySet ferries_;

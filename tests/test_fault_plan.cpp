@@ -185,6 +185,24 @@ TEST(FaultPlan, BadPlansAreRejectedBeforeRunning) {
     EXPECT_THROW(s.run(), std::invalid_argument);
   }
   {
+    // Manhattan drives the road graph too, but its turn rule reads no
+    // blocks: a segment fault is refused with the same message.
+    ScenarioConfig cfg = faulted_highway();
+    cfg.mobility = MobilityKind::kManhattan;
+    cfg.vehicles = 20;
+    cfg.fault.plan = "seg:0:2";
+    Scenario s{cfg};
+    ASSERT_NE(s.graph_model(), nullptr);
+    try {
+      s.run();
+      ADD_FAILURE() << "a segment fault under mobility=manhattan ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "fault.plan: segment faults need graph mobility "
+                   "(mobility=graph)");
+    }
+  }
+  {
     // A churn value outside its key's bound fails before the scenario is
     // built.
     ScenarioConfig cfg = faulted_highway();

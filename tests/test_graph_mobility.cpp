@@ -64,7 +64,7 @@ TEST(GraphMobility, VehiclesStayOnEdges) {
 TEST(GraphMobility, StepIsDeterministicForEqualSeeds) {
   const auto graph = triangle_graph();
   auto run = [&](std::uint64_t seed) {
-    GraphMobilityModel m{graph, {}};
+    GraphMobilityModel m{graph, GraphMobilityConfig{}};
     core::Rng rng{seed};
     m.populate(12, rng);
     for (int tick = 0; tick < 200; ++tick) m.step(0.1, rng);
@@ -88,9 +88,9 @@ TEST(GraphMobility, VehiclesMakeProgressAtTheirSpeed) {
   g->add_intersection({0.0, 0.0});
   g->add_intersection({10000.0, 0.0});
   g->add_segment(0, 1);
-  GraphMobilityModel m{g, {}};
+  GraphMobilityModel m{g, GraphMobilityConfig{}};
   core::Rng rng{5};
-  const VehicleId id = m.add_vehicle(0, 20.0, rng);
+  const VehicleId id = m.add_vehicle(0, 1, 20.0);
   for (int tick = 0; tick < 100; ++tick) m.step(0.1, rng);
   const auto& v = m.vehicles()[id];
   EXPECT_NEAR(v.pos.x, 20.0 * 10.0, 1e-6);  // 10 s at 20 m/s
@@ -104,7 +104,7 @@ TEST(GraphMobility, CrossesSeveralIntersectionsInOneBigStep) {
   cfg.replan_prob = 0.0;
   GraphMobilityModel m{g, cfg};
   core::Rng rng{9};
-  const VehicleId id = m.add_vehicle(0, 15.0, rng);
+  const VehicleId id = m.add_vehicle(0, 1, 15.0);
   m.step(2.0, rng);  // 30 m = three 10 m blocks
   const auto& v = m.vehicles()[id];
   EXPECT_LT(distance_to_current_segment(m, v), 1e-6);
@@ -114,14 +114,14 @@ TEST(GraphMobility, CrossesSeveralIntersectionsInOneBigStep) {
 TEST(GraphMobility, RejectsDegenerateGraphs) {
   auto lonely = std::make_shared<map::RoadGraph>();
   lonely->add_intersection({0.0, 0.0});
-  EXPECT_DEATH((GraphMobilityModel{std::move(lonely), {}}),
+  EXPECT_DEATH((GraphMobilityModel{std::move(lonely), GraphMobilityConfig{}}),
                "at least two intersections");
   auto isolated = std::make_shared<map::RoadGraph>();
   isolated->add_intersection({0.0, 0.0});
   isolated->add_intersection({10.0, 0.0});
   isolated->add_intersection({20.0, 0.0});
   isolated->add_segment(0, 1);  // node 2 unreachable
-  EXPECT_DEATH((GraphMobilityModel{std::move(isolated), {}}),
+  EXPECT_DEATH((GraphMobilityModel{std::move(isolated), GraphMobilityConfig{}}),
                "isolated intersection");
 }
 
@@ -176,7 +176,7 @@ TEST(GraphMobility, BlockedSegmentDrainsAndStaysAvoided) {
 
 TEST(GraphMobility, BlockingDoesNotMoveOrTeleportVehicles) {
   const auto graph = triangle_graph();
-  GraphMobilityModel m{graph, {}};
+  GraphMobilityModel m{graph, GraphMobilityConfig{}};
   core::Rng rng{11};
   m.populate(10, rng);
   std::vector<core::Vec2> before;

@@ -134,11 +134,26 @@ TEST(SegmentCells, MergesCoLocatedSegmentsAndAveragesAnchors) {
 }
 
 TEST(AmbiguousSegments, LatticesAreEntirelyUnambiguous) {
-  const RoadGraph g{6, 5, 200.0};
-  const std::vector<bool> flags = ambiguous_interior_segments(g);
-  ASSERT_EQ(flags.size(), g.segment_count());
-  for (std::size_t s = 0; s < flags.size(); ++s) {
-    EXPECT_FALSE(flags[s]) << "segment " << s;
+  // The lattice constructor's graph takes the is_grid() early return; the
+  // same lattice added edge by edge runs the full pair analysis, which must
+  // agree.
+  const RoadGraph grid{6, 5, 200.0};
+  RoadGraph edges;
+  for (int i = 0; i < grid.intersection_count(); ++i) {
+    edges.add_intersection(grid.intersection_pos(i));
+  }
+  for (std::size_t s = 0; s < grid.segment_count(); ++s) {
+    const auto [a, b] = grid.segment_ends(static_cast<int>(s));
+    edges.add_segment(a, b);
+  }
+  ASSERT_TRUE(grid.is_grid());
+  ASSERT_FALSE(edges.is_grid());
+  for (const RoadGraph* g : {&grid, static_cast<const RoadGraph*>(&edges)}) {
+    const std::vector<bool> flags = ambiguous_interior_segments(*g);
+    ASSERT_EQ(flags.size(), g->segment_count());
+    for (std::size_t s = 0; s < flags.size(); ++s) {
+      EXPECT_FALSE(flags[s]) << "segment " << s << (g->is_grid() ? " (grid)" : "");
+    }
   }
 }
 

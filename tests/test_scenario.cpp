@@ -359,12 +359,15 @@ TEST(Scenario, GraphMobilityReportedSegmentsHonourTheProverContract) {
   // The density refresh under graph mobility trusts a vehicle's
   // MobilityModel::reported_segment unless the segment is flagged ambiguous,
   // so every such report must be exactly the SegmentIndex answer. Checked on
-  // every tick, on the lattice and on the committed irregular town.
-  for (const bool town : {false, true}) {
+  // every tick: trips on the lattice and on the committed irregular town,
+  // and the turn rule (mobility=manhattan) on the lattice.
+  for (const std::string kind : {"lattice", "town", "manhattan"}) {
     ScenarioConfig cfg = small_graph_scenario("car");
-    if (town) {
+    if (kind == "town") {
       cfg.map.source = MapSource::kFile;
       cfg.map.file = std::string{VANET_SOURCE_DIR} + "/maps/town.csv";
+    } else if (kind == "manhattan") {
+      cfg.mobility = MobilityKind::kManhattan;
     }
     const std::shared_ptr<map::RoadGraph> graph = build_road_graph(cfg);
     const map::SegmentIndex index{*graph};
@@ -382,13 +385,12 @@ TEST(Scenario, GraphMobilityReportedSegmentsHonourTheProverContract) {
         if (seg < 0 || ambiguous[static_cast<std::size_t>(seg)]) continue;
         ++trusted;
         ASSERT_EQ(seg, index.nearest_segment(vs[i].pos))
-            << (town ? "town" : "lattice") << " tick " << tick << " vehicle "
-            << vs[i].id;
+            << kind << " tick " << tick << " vehicle " << vs[i].id;
       }
       model->step(cfg.mobility_tick_s, rng);
     }
     // The contract is only worth checking if the prover actually answers.
-    EXPECT_GT(trusted, 0u) << (town ? "town" : "lattice");
+    EXPECT_GT(trusted, 0u) << kind;
   }
 }
 
