@@ -96,6 +96,7 @@ void GraphMobilityModel::plan_trip(Car& c, int at, core::Rng& rng) {
       c.hop(at, path[1]);
       c.dest = dest;
       c.path = std::move(path);
+      c.path_idx = 1;
       return;
     }
   }

@@ -94,18 +94,18 @@ class GraphMobilityModel final : public MobilityModel {
     int to = 0;                ///< intersection ahead on the current segment
     double along = 0.0;        ///< metres travelled from `from` toward `to`
     int dest = 0;              ///< current trip destination intersection
-    std::vector<int> path;     ///< intersections from `from` to `dest`
+    std::vector<int> path;     ///< `from` to `dest`; empty on a one-hop trip
     std::size_t path_idx = 0;  ///< index of `to` within `path`
     double speed = 13.9;       ///< m/s, constant per vehicle
 
-    /// Start a one-hop trip from `a` to its neighbour `b`.
+    /// Start a one-hop trip from `a` to its neighbour `b`: on reaching `b`
+    /// the car re-plans (trips) or turns (turn rule).
     void hop(int a, int b) {
       from = a;
       to = b;
       along = 0.0;
       dest = b;
-      path = {a, b};
-      path_idx = 1;
+      path.clear();
     }
   };
 

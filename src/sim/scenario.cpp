@@ -85,9 +85,9 @@ void add_rsus(const ScenarioConfig& cfg, const map::RoadGraph& graph,
     }
   } else {
     // Scenarios with a real map (graph mobility, or any imported file map —
-    // including trace playback over one) cover the actual map extent, which
-    // need not start at the origin; the synthetic urban kinds keep the
-    // configured lattice dimensions.
+    // including trace playback over one) cover the map's extent, which need
+    // not start at the origin; Manhattan (whose lattice it is) and trace
+    // playback on a generated map use the configured lattice dimensions.
     double x0 = 0.0, y0 = 0.0;
     double w = (cfg.manhattan.streets_x - 1) * cfg.manhattan.block;
     double h = (cfg.manhattan.streets_y - 1) * cfg.manhattan.block;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 #include "map/builders.h"
 #include "map/segment_index.h"
@@ -91,6 +92,25 @@ TEST(Scenario, RsusAreAppendedAfterVehicles) {
   for (const auto& flow : s.traffic().flows()) {
     EXPECT_LT(flow.src, s.vehicle_count());
     EXPECT_LT(flow.dst, s.vehicle_count());
+  }
+}
+
+TEST(Scenario, ManhattanRsusSitOnTheLatticeCorners) {
+  // Four RSUs span the configured lattice, 2 per side, column by column.
+  ScenarioConfig cfg;
+  cfg.mobility = MobilityKind::kManhattan;
+  cfg.manhattan.streets_x = 4;
+  cfg.manhattan.streets_y = 3;
+  cfg.manhattan.block = 150.0;
+  cfg.vehicles = 10;
+  cfg.rsu_count = 4;
+  Scenario s{cfg};
+  const std::vector<core::Vec2> expected{
+      {0.0, 0.0}, {0.0, 300.0}, {450.0, 0.0}, {450.0, 300.0}};
+  ASSERT_EQ(s.network().rsu_ids().size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(s.network().position(s.network().rsu_ids()[k]), expected[k])
+        << "rsu " << k;
   }
 }
 
