@@ -43,13 +43,13 @@ int GraphMobilityModel::choose_turn(int from, int here, core::Rng& rng) const {
   // class's probability; two passes over the adjacency draw without a list.
   const core::Vec2 at = graph_->intersection_pos(here);
   const core::Vec2 in = (at - graph_->intersection_pos(from)).normalized();
+  const double straight =
+      std::max(0.0, 1.0 - turns_->turn_prob_left - turns_->turn_prob_right);
   const auto weight = [&](int next) {
     if (next == from) return 0.0;
     const core::Vec2 out = (graph_->intersection_pos(next) - at).normalized();
     const double cross = in.cross(out);
-    if (in.dot(out) >= std::abs(cross)) {
-      return std::max(0.0, 1.0 - turns_->turn_prob_left - turns_->turn_prob_right);
-    }
+    if (in.dot(out) >= std::abs(cross)) return straight;
     return cross > 0.0 ? turns_->turn_prob_left : turns_->turn_prob_right;
   };
   double total = 0.0;
@@ -148,6 +148,8 @@ VehicleId GraphMobilityModel::add_vehicle(int from, int to, double speed) {
 void GraphMobilityModel::populate(int count, core::Rng& rng) {
   const int n = graph_->intersection_count();
   const auto directed = static_cast<std::int64_t>(2 * graph_->segment_count());
+  cars_.reserve(cars_.size() + static_cast<std::size_t>(count));
+  states_.reserve(states_.size() + static_cast<std::size_t>(count));
   const auto draw_speed = [&] {
     return std::max(2.0, rng.normal(cfg_.speed_mean, cfg_.speed_stddev));
   };

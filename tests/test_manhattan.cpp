@@ -171,7 +171,6 @@ TEST(Manhattan, TurnFrequenciesMatchTheirWeights) {
       } else if (h0.cross(v.heading) > 0.5) {
         ++left;
       } else {
-        ASSERT_LT(h0.cross(v.heading), -0.5) << "reversed at a 4-way crossing";
         ++right;
       }
     }
