@@ -31,9 +31,10 @@ GraphMobilityModel::GraphMobilityModel(
 
 GraphMobilityModel::GraphMobilityModel(
     std::shared_ptr<const map::RoadGraph> graph, const ManhattanConfig& cfg)
-    : GraphMobilityModel{std::move(graph),
-                         GraphMobilityConfig{.speed_mean = cfg.speed_mean,
-                                             .speed_stddev = cfg.speed_stddev}} {
+    : GraphMobilityModel{
+          std::move(graph),
+          GraphMobilityConfig{.speed_mean = cfg.speed_mean,
+                              .speed_stddev = cfg.speed_stddev}} {
   turns_ = cfg;
 }
 

@@ -114,15 +114,17 @@ TEST(GraphMobility, CrossesSeveralIntersectionsInOneBigStep) {
 TEST(GraphMobility, RejectsDegenerateGraphs) {
   auto lonely = std::make_shared<map::RoadGraph>();
   lonely->add_intersection({0.0, 0.0});
-  EXPECT_DEATH((GraphMobilityModel{std::move(lonely), GraphMobilityConfig{}}),
-               "at least two intersections");
+  EXPECT_DEATH(
+      (GraphMobilityModel{std::move(lonely), GraphMobilityConfig{}}),
+      "at least two intersections");
   auto isolated = std::make_shared<map::RoadGraph>();
   isolated->add_intersection({0.0, 0.0});
   isolated->add_intersection({10.0, 0.0});
   isolated->add_intersection({20.0, 0.0});
   isolated->add_segment(0, 1);  // node 2 unreachable
-  EXPECT_DEATH((GraphMobilityModel{std::move(isolated), GraphMobilityConfig{}}),
-               "isolated intersection");
+  EXPECT_DEATH(
+      (GraphMobilityModel{std::move(isolated), GraphMobilityConfig{}}),
+      "isolated intersection");
 }
 
 // --- fault support: blocked segments (driven by sim::FaultPlan) ------------

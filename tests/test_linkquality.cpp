@@ -730,8 +730,8 @@ TEST(FloodSuppressionTest, EtxModeCancelsRebroadcastsAndReportsThem) {
 
 // Paired over seeds: suppression may trim frames, not delivery. The 95 %
 // Student-t interval of (suppressed - plain) delivered packets over 20
-// seeds must reach 0. Cancelling on the first overheard copy read
-// -6.3 +- 1.5 of ~60 packets over seeds 1-40 at reachable_fraction 0.998.
+// seeds must reach 0. With kSuppressCopies = 1 it reads -6.3 +- 1.5 of ~60
+// packets over seeds 1-40, at reachable_fraction 0.998.
 TEST(FloodSuppressionTest, SuppressionCostsNoDeliveryOverSeeds) {
   constexpr int kSeeds = 20;
   constexpr double kT95Df19 = 2.093;  // two-sided 95 % Student-t, 19 df

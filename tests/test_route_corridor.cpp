@@ -148,11 +148,13 @@ TEST(AmbiguousSegments, LatticesAreEntirelyUnambiguous) {
   }
   ASSERT_TRUE(grid.is_grid());
   ASSERT_FALSE(edges.is_grid());
-  for (const RoadGraph* g : {&grid, static_cast<const RoadGraph*>(&edges)}) {
+  const RoadGraph& edge_built = edges;
+  for (const RoadGraph* g : {&grid, &edge_built}) {
     const std::vector<bool> flags = ambiguous_interior_segments(*g);
     ASSERT_EQ(flags.size(), g->segment_count());
     for (std::size_t s = 0; s < flags.size(); ++s) {
-      EXPECT_FALSE(flags[s]) << "segment " << s << (g->is_grid() ? " (grid)" : "");
+      EXPECT_FALSE(flags[s])
+          << "segment " << s << (g->is_grid() ? " (grid)" : " (edges)");
     }
   }
 }
