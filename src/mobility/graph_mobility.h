@@ -35,7 +35,7 @@ struct GraphMobilityConfig {
 };
 
 /// `manhattan.*` keys: the lattice sim::build_road_graph makes (streets_x,
-/// streets_y, block) and the turn rule's drivers.
+/// streets_y, block), and the turn rule's speeds and turn weights.
 struct ManhattanConfig {
   int streets_x = 5;        ///< number of vertical streets (constant-x lines)
   int streets_y = 5;        ///< number of horizontal streets (constant-y lines)
